@@ -20,6 +20,7 @@ from .linguistic import (
     scalar_mul,
     single,
     superior_gradus,
+    superior_gradus_array,
     superior_gradus_term,
     to_hfe,
 )
@@ -33,6 +34,7 @@ from .tables import (
     extract,
     fuse_dhhflmwa,
     fuse_dhhflmwa_operational,
+    fused_subscripts,
     make_table,
     orient_to_concept,
     renormalize_weights,
@@ -45,8 +47,12 @@ from .neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
+    granule_statistics,
+    kernel_rows,
     kernel_similarity,
+    membership_degrees,
     membership_gamma,
+    similarity_blocks,
 )
 from .regret import (
     ComprehensiveUtility,
@@ -54,6 +60,7 @@ from .regret import (
     PerceivedUtilityUnit,
     SimplifiedGainUnit,
     build_gain_unit,
+    comprehensive_utilities,
     comprehensive_utility,
     direct_simplified_gains,
     perceived_utility_units,
@@ -68,6 +75,7 @@ from .engine import (
     LevelConfig,
     baseline_full_fusion,
     classify,
+    classify_level,
     expected_perceived_utility,
     rank,
     run_level,

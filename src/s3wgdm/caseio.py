@@ -379,5 +379,5 @@ def validate_report_dict(data: Any) -> list:
 
 def write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -32,8 +32,8 @@ from .engine import (
     rank,
     run_sequential,
 )
-from .neighborhood import build_similarity_matrix
-from .tables import build_nested_subsets, extract, fuse_dhhflmwa, orient_to_concept
+from .neighborhood import similarity_blocks
+from .tables import fuse_dhhflmwa
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -112,24 +112,22 @@ def cmd_decide(args) -> int:
     if args.out:
         write_json(args.out, data)
     if args.dump_similarity:
-        _dump_similarity(args.dump_similarity, case, spec, report)
+        _dump_similarity(args.dump_similarity, spec, report)
     _print_report(sys.stdout, case, spec, report)
     return EXIT_OK
 
 
-def _dump_similarity(prefix: str, case: CaseFile, spec: ParamsFile, report) -> None:
-    subsets = build_nested_subsets(case.attributes)
+def _dump_similarity(prefix: str, spec: ParamsFile, report) -> None:
+    """Each level's similarity matrix, from the scores and kernel it ran on."""
     for level in report.levels:
-        z = [a for a in case.experts[0].attributes if a in subsets[level.index - 1]]
-        extracted = [extract(t, level.universe, z) for t in case.experts]
-        fused = orient_to_concept(fuse_dhhflmwa(extracted), case.attributes)
-        sim = build_similarity_matrix(fused, z, spec.levels[level.index - 1].sigma)
         path = f"{prefix}.level{level.index}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([""] + list(sim.ids))
-            for i, row_id in enumerate(sim.ids):
-                writer.writerow([row_id] + [repr(float(v)) for v in sim.values[i]])
+            writer.writerow([""] + list(level.universe))
+            sigma = spec.levels[level.index - 1].sigma
+            for start, block in similarity_blocks(level.scores, sigma):
+                for row_id, row in zip(level.universe[start:], block.tolist()):
+                    writer.writerow([row_id] + [repr(v) for v in row])
 
 
 def cmd_fuse(args) -> int:

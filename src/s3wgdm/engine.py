@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .linguistic import superior_gradus
-from .neighborhood import (
-    build_similarity_matrix,
-    concept_membership,
-    conditional_probability,
-    cut_granules,
-)
-from .regret import (
-    ComprehensiveUtility,
-    comprehensive_utility,
-    direct_simplified_gains,
-    perceived_utility_units,
-    utility,
-)
+import numpy as np
+
+from .linguistic import DHLTScale, superior_gradus, superior_gradus_array
+from .neighborhood import granule_statistics, membership_degrees
+from .regret import ComprehensiveUtility, comprehensive_utilities, utility
 from .tables import (
     AttributeSpec,
     ExpertDecisionTable,
@@ -26,11 +18,26 @@ from .tables import (
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
-    extract,
     fuse_dhhflmwa,
+    fused_subscripts,
     orient_to_concept,
     renormalize_weights,
 )
+
+# The scalar reference steps of a level stay importable from this module,
+# where bench/tracer.py looks them up; the level loop runs the array path.
+from .neighborhood import (  # noqa: F401
+    build_similarity_matrix,
+    concept_membership,
+    conditional_probability,
+    cut_granules,
+)
+from .regret import (  # noqa: F401
+    comprehensive_utility,
+    direct_simplified_gains,
+    perceived_utility_units,
+)
+from .tables import extract  # noqa: F401
 
 POS, BND, NEG = "POS", "BND", "NEG"
 
@@ -45,8 +52,8 @@ class LevelConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.kappa <= 1.0):
             raise ValueError(f"kappa {self.kappa} outside [0, 1]")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.sigma) or self.sigma <= 0:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,8 @@ class EngineParams:
             raise ValueError(f"eta {self.eta} outside [0, 1]")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta {self.theta} outside (0, 1)")
-        if self.delta < 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
+        if not math.isfinite(self.delta) or self.delta < 0:
+            raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
 
 
 def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = False) -> None:
@@ -89,7 +96,8 @@ class GranularLevel:
     index: int  # 1-based
     universe: tuple
     z: tuple
-    granules: tuple
+    scores: np.ndarray  # exponential scores the level ran on, universe x z
+    granule_size: Mapping[str, int]
     probability: Mapping[str, float]
     utilities: Mapping[str, ComprehensiveUtility]
     expected: Mapping[str, tuple]  # id -> (accept, defer, reject)
@@ -162,52 +170,51 @@ def classify(expected: tuple) -> str:
     return NEG
 
 
+def classify_level(index: int, universe: Sequence[str], z: Sequence[str],
+                   phi: np.ndarray, varphi: np.ndarray, scores: np.ndarray,
+                   scale: DHLTScale, weights: Sequence[float], cfg: LevelConfig,
+                   params: EngineParams) -> GranularLevel:
+    """Classify one level from its (universe x z) fused subscripts and
+    their exponential scores; ``weights`` are the renormalised attribute
+    weights in column order."""
+    if not len(universe):
+        raise ValueError("empty universe")
+    membership = membership_degrees(phi, varphi, weights, scale)
+    sizes, pr = granule_statistics(scores, membership, cfg.sigma, cfg.kappa)
+    if not ((pr >= 0.0) & (pr <= 1.0)).all():
+        raise ValueError("conditional probability outside [0, 1]")
+    v = comprehensive_utilities(scores, weights, params.eta, params.theta, params.delta)
+    # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
+    expected = v[:, :3] * pr[:, None] + v[:, 3:] * (1.0 - pr)[:, None]
+    acc, dfr, rej = expected.T
+    pos = (acc >= dfr) & (acc >= rej)
+    bnd = ~pos & (dfr >= acc) & (dfr >= rej)
+    ids = tuple(universe)
+    return GranularLevel(
+        index=index,
+        universe=ids,
+        z=tuple(z),
+        scores=scores,
+        granule_size=dict(zip(ids, sizes.tolist())),
+        probability=dict(zip(ids, pr.tolist())),
+        utilities={a: ComprehensiveUtility(*row) for a, row in zip(ids, v.tolist())},
+        expected=dict(zip(ids, map(tuple, expected.tolist()))),
+        pos=frozenset(a for a, keep in zip(ids, pos) if keep),
+        bnd=frozenset(a for a, keep in zip(ids, bnd) if keep),
+        neg=frozenset(a for a, keep in zip(ids, ~(pos | bnd)) if keep),
+    )
+
+
 def run_level(universe: Sequence[str], fused: FusedDecisionTable,
               attrs: Sequence[AttributeSpec], z: Sequence[str],
               cfg: LevelConfig, params: EngineParams, index: int = 1) -> GranularLevel:
     """Classify every member of the universe on the given attribute subset."""
-    if not universe:
-        raise ValueError("empty universe")
     sub = fused.restrict(universe, z)
     weights = renormalize_weights(attrs, z)
-
-    sim = build_similarity_matrix(sub, sub.attributes, cfg.sigma)
-    granules = cut_granules(sim, cfg.kappa)
-    membership = concept_membership(sub, sub.attributes, weights)
-    pr = {g.center: conditional_probability(g, membership) for g in granules}
-
-    # simplified gains per attribute, then regret against the per-attribute
-    # reference over the alternatives still in play
-    units_by_attr = {}
-    for j, attr_id in enumerate(sub.attributes):
-        simplified = [direct_simplified_gains(sub.cells[i][j], params.eta, sub.scale)
-                      for i in range(len(sub.alternatives))]
-        units_by_attr[attr_id] = perceived_utility_units(
-            simplified, params.theta, params.delta)
-
-    utilities = {}
-    expected = {}
-    pos, bnd, neg = set(), set(), set()
-    for i, alt in enumerate(sub.alternatives):
-        per_attr = {attr_id: units_by_attr[attr_id][i] for attr_id in sub.attributes}
-        v = comprehensive_utility(per_attr, weights)
-        utilities[alt] = v
-        e = expected_perceived_utility(v, pr[alt])
-        expected[alt] = e
-        {POS: pos, BND: bnd, NEG: neg}[classify(e)].add(alt)
-
-    return GranularLevel(
-        index=index,
-        universe=tuple(sub.alternatives),
-        z=tuple(sub.attributes),
-        granules=tuple(granules),
-        probability=pr,
-        utilities=utilities,
-        expected=expected,
-        pos=frozenset(pos),
-        bnd=frozenset(bnd),
-        neg=frozenset(neg),
-    )
+    phi, varphi = sub.subscripts()
+    return classify_level(index, sub.alternatives, sub.attributes, phi, varphi,
+                          superior_gradus_array(phi, varphi, sub.scale), sub.scale,
+                          [weights[a] for a in sub.attributes], cfg, params)
 
 
 def run_sequential(tables: Sequence[ExpertDecisionTable],
@@ -216,7 +223,11 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
                    params: EngineParams,
                    subsets: Optional[NestedSubsets] = None,
                    monotonicity_override: bool = False) -> DecisionReport:
-    """Run the level-by-level loop; the boundary of each level feeds the next."""
+    """Run the level-by-level loop; the boundary of each level feeds the next.
+
+    The tables are fused and scored once; each level restricts those
+    arrays to its universe (rows) and attribute subset (columns).
+    """
     if not tables:
         raise ValueError("no expert tables")
     if not levels:
@@ -231,18 +242,24 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
 
     alternatives = tables[0].alternatives
     attr_order = tables[0].attributes
-    universe = list(alternatives)
+    scale = tables[0].scale
+    phi, varphi = fused_subscripts(tables, attrs)
+    scores = superior_gradus_array(phi, varphi, scale)
+    rows = np.arange(len(alternatives))
     executed = []
     exit_level = {}
     final_region = {}
     for i, cfg in enumerate(levels, start=1):
-        if not universe:
+        if not len(rows):
             break
-        z = [a for a in attr_order if a in subsets[i - 1]]
+        cols = [j for j, a in enumerate(attr_order) if a in subsets[i - 1]]
+        z = [attr_order[j] for j in cols]
         try:
-            extracted = [extract(t, universe, z) for t in tables]
-            fused = orient_to_concept(fuse_dhhflmwa(extracted), attrs)
-            level = run_level(universe, fused, attrs, z, cfg, params, index=i)
+            weights = renormalize_weights(attrs, z)
+            cells = np.ix_(rows, cols)
+            level = classify_level(i, [alternatives[r] for r in rows], z, phi[cells],
+                                   varphi[cells], scores[cells], scale,
+                                   [weights[a] for a in z], cfg, params)
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)
@@ -252,10 +269,10 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         for alt in level.neg:
             exit_level[alt] = i
             final_region[alt] = NEG
-        universe = [a for a in universe if a in level.bnd]
-    for alt in universe:  # survivors stay deferred
-        exit_level[alt] = executed[-1].index
-        final_region[alt] = BND
+        rows = rows[[alt in level.bnd for alt in level.universe]]
+    for r in rows:  # survivors stay deferred
+        exit_level[alternatives[r]] = executed[-1].index
+        final_region[alternatives[r]] = BND
 
     return DecisionReport(
         alternatives=alternatives,

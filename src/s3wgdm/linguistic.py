@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 TOL = 1e-9
 _SLACK = 1e-12
@@ -225,6 +228,28 @@ def superior_gradus_term(t: DHLT, scale: DHLTScale) -> float:
 
 def superior_gradus(h: DHHFLE, scale: DHLTScale) -> float:
     return sum(superior_gradus_term(t, scale) for t in h) / len(h)
+
+
+def elementwise(fn: Callable, values: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(value, *args)`` for every element, through the ``math`` module.
+
+    numpy's vectorised transcendental functions may differ from ``math``
+    in the last bit; going through ``math`` keeps every array result equal
+    to the scalar code's.
+    """
+    flat = values.ravel().tolist()
+    out = map(fn, flat, *(repeat(a) for a in args))
+    return np.fromiter(out, float, len(flat)).reshape(values.shape)
+
+
+def superior_gradus_array(phi: np.ndarray, varphi: np.ndarray,
+                          scale: DHLTScale) -> np.ndarray:
+    """Exponential scores of single terms given as two subscript arrays,
+    equal element by element to :func:`superior_gradus_term`."""
+    tau, vs = scale.tau, scale.sigma_scale
+    alpha = phi / (2.0 * tau) + 0.5
+    beta = varphi / (2.0 * vs * tau)
+    return (elementwise(math.exp, alpha) + beta - 1.0) / (math.e - 1.0)
 
 
 def euclid_distance(h1: DHHFLE, h2: DHHFLE, scale: DHLTScale) -> float:

@@ -12,10 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .linguistic import (
     DHHFLE,
     DHLTScale,
     complement,
+    elementwise,
     scalar_mul,
     superior_gradus,
 )
@@ -177,3 +180,21 @@ def comprehensive_utility(per_attribute: Mapping[str, PerceivedUtilityUnit],
         values[name] = sum(weights[a] * per_attribute[a].cell(name)
                            for a in per_attribute)
     return ComprehensiveUtility(**values)
+
+
+def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float], eta: float,
+                            theta: float, delta: float) -> np.ndarray:
+    """Comprehensive utilities of k alternatives scored on an attribute
+    subset: a (k, 6) array in ``CELLS`` order.
+
+    :func:`direct_simplified_gains`, :func:`perceived_utility_units` and
+    :func:`comprehensive_utility` as one (k, |Z|, 6) broadcast, with the
+    attribute weights given in column order.
+    """
+    b = np.clip(scores, 0.0, 1.0)
+    zero = np.zeros_like(b)
+    gains = np.stack([b, eta * b, zero, zero, eta * (1.0 - b), 1.0 - b], axis=-1)
+    u = elementwise(math.pow, gains, theta)
+    u_ref = u[:, :, 0].max(axis=0)  # best full gain per attribute
+    perceived = u + (1.0 - elementwise(math.exp, -delta * (u - u_ref[:, None])))
+    return sum(w * perceived[:, j] for j, w in enumerate(weights))

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .linguistic import (
     DHHFLE,
     DHLT,
@@ -122,6 +124,13 @@ class FusedDecisionTable:
     def term(self, alternative: str, attribute: str) -> DHLT:
         return self.cell(alternative, attribute).terms[0]
 
+    def subscripts(self) -> tuple:
+        """The table as two (n, m) arrays: ``phi`` and ``varphi``."""
+        shape = (len(self.alternatives), len(self.attributes))
+        terms = [cell.terms[0] for row in self.cells for cell in row]
+        return (np.array([t.phi for t in terms], dtype=float).reshape(shape),
+                np.array([t.varphi for t in terms], dtype=float).reshape(shape))
+
     def restrict(self, universe: Iterable[str], z: Iterable[str]) -> "FusedDecisionTable":
         rows = _index_of(self.alternatives, universe, "alternative")
         cols = _index_of(self.attributes, z, "attribute")
@@ -232,6 +241,36 @@ def fuse_dhhflmwa(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
         expert_ids=tuple(t.expert_id for t in tables),
         expert_weights=tuple(t.expert_weight for t in tables),
     )
+
+
+def fused_subscripts(tables: Sequence[ExpertDecisionTable],
+                     attrs: Sequence[AttributeSpec]) -> tuple:
+    """The oriented group table as two (n, m) arrays, ``phi`` and ``varphi``.
+
+    Same arithmetic as :func:`fuse_dhhflmwa` followed by
+    :func:`orient_to_concept`: mean subscripts per expert cell, their
+    expert-weighted sum in expert order, then both subscripts negated on
+    the columns that point away from the concept.  Fusion is per cell, so
+    restricting rows and columns afterwards equals fusing restricted tables.
+    """
+    _check_same_shape(tables)
+    check_expert_weights(tables)
+    first = tables[0]
+    shape = (len(first.alternatives), len(first.attributes))
+    phi = np.zeros(shape)
+    varphi = np.zeros(shape)
+    for t in tables:
+        cells = [cell.terms for row in t.cells for cell in row]
+        phi += t.expert_weight * np.array(
+            [sum(x.phi for x in terms) / len(terms) for terms in cells]).reshape(shape)
+        varphi += t.expert_weight * np.array(
+            [sum(x.varphi for x in terms) / len(terms) for terms in cells]).reshape(shape)
+    by_id = {a.id: a for a in attrs}
+    flip = [j for j, a in enumerate(first.attributes)
+            if a in by_id and not by_id[a].align_with_concept]
+    phi[:, flip] = -phi[:, flip]
+    varphi[:, flip] = -varphi[:, flip]
+    return phi, varphi
 
 
 def fuse_dhhflmwa_operational(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:

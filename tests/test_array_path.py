@@ -1,0 +1,167 @@
+"""The engine's array path against the scalar reference algebra.
+
+``reference_report`` runs the per-level object pipeline: extract and fuse
+the tables at every level, score every pair with ``kernel_similarity``,
+cut member sets with ``cut_granules``, and build utilities cell by cell.
+The array path must give the same regions and rankings, with
+probabilities and expected utilities within 1e-12.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from s3wgdm.cli import main as cli_main
+from s3wgdm.engine import (
+    BND,
+    NEG,
+    POS,
+    DecisionReport,
+    EngineParams,
+    GranularLevel,
+    LevelConfig,
+    classify,
+    expected_perceived_utility,
+    rank,
+    run_sequential,
+)
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale
+from s3wgdm.neighborhood import (
+    SimilarityMatrix,
+    concept_membership,
+    conditional_probability,
+    cut_granules,
+    kernel_similarity,
+)
+from s3wgdm.regret import comprehensive_utility, direct_simplified_gains, perceived_utility_units
+from s3wgdm.tables import (
+    AttributeSpec,
+    build_nested_subsets,
+    extract,
+    fuse_dhhflmwa,
+    make_table,
+    orient_to_concept,
+    renormalize_weights,
+)
+
+S33 = DHLTScale(3, 3)
+TOL = 1e-12
+
+# SHA-256 of the bundled ``decide --out`` report without
+# ``metadata.elapsed_seconds``, as the scalar per-level engine wrote it
+BUNDLED_REPORT_SHA256 = "020541ebb182c01abc473a4a27a9a00672510cfa8936f0bb4a7c75385807746d"
+
+
+def reference_level(index, universe, tables, attrs, z, cfg, params):
+    fused = orient_to_concept(fuse_dhhflmwa([extract(t, universe, z) for t in tables]), attrs)
+    ids = fused.alternatives
+    values = np.array([[kernel_similarity(x, y, S33, cfg.sigma) for y in fused.cells]
+                       for x in fused.cells])
+    granules = cut_granules(SimilarityMatrix(ids=ids, values=values, sigma=cfg.sigma),
+                            cfg.kappa)
+    weights = renormalize_weights(attrs, z)
+    membership = concept_membership(fused, z, weights)
+    units = {a: perceived_utility_units(
+        [direct_simplified_gains(fused.cells[i][j], params.eta, S33) for i in range(len(ids))],
+        params.theta, params.delta) for j, a in enumerate(fused.attributes)}
+    probability, utilities, expected = {}, {}, {}
+    regions = {POS: set(), BND: set(), NEG: set()}
+    for i, (alt, g) in enumerate(zip(ids, granules)):
+        probability[alt] = conditional_probability(g, membership)
+        utilities[alt] = comprehensive_utility({a: units[a][i] for a in units}, weights)
+        expected[alt] = expected_perceived_utility(utilities[alt], probability[alt])
+        regions[classify(expected[alt])].add(alt)
+    return GranularLevel(
+        index=index, universe=ids, z=tuple(z), scores=None,
+        granule_size={g.center: len(g) for g in granules},
+        probability=probability, utilities=utilities, expected=expected,
+        pos=frozenset(regions[POS]), bnd=frozenset(regions[BND]), neg=frozenset(regions[NEG]))
+
+
+def reference_report(tables, attrs, levels, params):
+    subsets = build_nested_subsets(attrs)
+    alternatives = tables[0].alternatives
+    universe = list(alternatives)
+    executed, exit_level, final_region = [], {}, {}
+    for i, cfg in enumerate(levels, start=1):
+        if not universe:
+            break
+        z = [a for a in tables[0].attributes if a in subsets[i - 1]]
+        level = reference_level(i, universe, tables, attrs, z, cfg, params)
+        executed.append(level)
+        for alt in level.pos | level.neg:
+            exit_level[alt] = i
+            final_region[alt] = POS if alt in level.pos else NEG
+        universe = [a for a in universe if a in level.bnd]
+    for alt in universe:
+        exit_level[alt] = executed[-1].index
+        final_region[alt] = BND
+    return DecisionReport(alternatives=alternatives, levels=tuple(executed),
+                          exit_level=exit_level, final_region=final_region)
+
+
+subscript = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
+cell = st.lists(st.builds(DHLT, subscript, subscript), min_size=1, max_size=3).map(DHHFLE)
+positive = st.floats(0.05, 1.0)
+
+
+@st.composite
+def cases(draw):
+    """Tables with n <= 30, m <= 4, e <= 3; alternatives pick their rows
+    from a smaller pool, so duplicate rows are common."""
+    n, m, e = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    pool = draw(st.integers(1, n))
+    picks = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
+    alternatives = [f"x{i + 1}" for i in range(n)]
+    attr_ids = [f"a{j + 1}" for j in range(m)]
+    raw_w = draw(st.lists(positive, min_size=m, max_size=m))
+    aligned = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    attrs = [AttributeSpec(id=a, weight=w / sum(raw_w), align_with_concept=al)
+             for a, w, al in zip(attr_ids, raw_w, aligned)]
+    raw_e = draw(st.lists(positive, min_size=e, max_size=e))
+    tables = []
+    for k in range(e):
+        rows = draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                             min_size=pool, max_size=pool))
+        tables.append(make_table(f"E{k + 1}", raw_e[k] / sum(raw_e), alternatives, attr_ids,
+                                 [rows[p] for p in picks], S33))
+    kappa = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+    sigma = draw(st.floats(0.1, 1.5))
+    levels = [LevelConfig(kappa=kappa, sigma=sigma)] * len(build_nested_subsets(attrs))
+    params = EngineParams(eta=draw(st.floats(0.0, 1.0)), theta=draw(st.floats(0.05, 0.95)),
+                          delta=draw(st.floats(0.0, 1.0)))
+    return tables, attrs, levels, params
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cases())
+def test_array_path_matches_scalar_reference(case):
+    tables, attrs, levels, params = case
+    got = run_sequential(tables, attrs, levels, params)
+    want = reference_report(tables, attrs, levels, params)
+    assert len(got.levels) == len(want.levels)
+    for g, w in zip(got.levels, want.levels):
+        assert (g.universe, g.z) == (w.universe, w.z)
+        assert (g.pos, g.bnd, g.neg) == (w.pos, w.bnd, w.neg)
+        assert g.granule_size == w.granule_size
+        for alt in g.universe:
+            assert abs(g.probability[alt] - w.probability[alt]) <= TOL
+            assert np.allclose(g.expected[alt], w.expected[alt], rtol=0.0, atol=TOL)
+    assert got.exit_level == want.exit_level
+    for upto in range(1, len(got.levels) + 1):
+        for key in ("accept", "defer"):
+            assert rank(got, key=key, upto=upto) == rank(want, key=key, upto=upto)
+
+
+def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):
+    out = tmp_path / "report.json"
+    assert cli_main(["decide", "--case", sle_case_path, "--params", sle_params_path,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    del report["metadata"]["elapsed_seconds"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_REPORT_SHA256

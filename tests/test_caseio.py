@@ -9,6 +9,7 @@ from s3wgdm.caseio import (
     validate_case_dict,
     validate_params_dict,
     validate_report_dict,
+    write_json,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT
 
@@ -135,3 +136,11 @@ class TestReportValidation:
         }
         problems = validate_report_dict(data)
         assert any("cover" in p for p in problems)
+
+
+class TestWriteJson:
+    def test_non_finite_numbers_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "out.json"), {"pr": float("nan")})
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "out.json"), {"delta": float("-inf")})

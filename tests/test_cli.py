@@ -1,8 +1,13 @@
 import csv
 import json
+import math
+
+import numpy as np
+import pytest
 
 from s3wgdm.caseio import validate_report_dict
 from s3wgdm.cli import main
+from s3wgdm.engine import run_sequential
 
 
 def run_cli(capsys, *argv):
@@ -114,7 +119,8 @@ class TestDecide:
         assert ranking[:4] == ["x2", "x4", "x3", "x7"]
         assert ranking[4:] == ["x6", "x8", "x5", "x1"]
 
-    def test_dump_similarity(self, capsys, tmp_path, sle_case_path, sle_params_path):
+    def test_dump_similarity(self, capsys, tmp_path, sle_case_path, sle_params_path,
+                             sle_case, sle_params):
         prefix = tmp_path / "sim"
         code, *_ = run_cli(capsys, "decide", "--case", sle_case_path,
                            "--params", sle_params_path,
@@ -127,10 +133,48 @@ class TestDecide:
         assert rows[0][1:] == [f"x{i}" for i in range(1, 9)]
         assert float(rows[1][1]) == 1.0
 
+        report = run_sequential(sle_case.experts, sle_case.attributes,
+                                sle_params.levels, sle_params.params)
+        for level in report.levels:
+            with open(tmp_path / f"sim.level{level.index}.csv") as fh:
+                header, *body = list(csv.reader(fh))
+            assert header[1:] == list(level.universe)
+            assert [r[0] for r in body] == list(level.universe)
+            sim = np.array([[float(v) for v in r[1:]] for r in body])
+            assert (sim == sim.T).all()
+            assert (sim.diagonal() == 1.0).all()
+            kappa = sle_params.levels[level.index - 1].kappa
+            sizes = (sim >= kappa).sum(axis=1).tolist()
+            assert sizes == [level.granule_size[a] for a in level.universe]
+
     def test_bad_levels_flag(self, capsys, sle_case_path, sle_params_path):
         code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
                                "--params", sle_params_path, "--levels", "9")
         assert code == 1
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("path, value", [
+        (("levels", 0, "sigma"), math.nan),
+        (("delta",), math.inf),
+    ])
+    def test_decide_rejects(self, capsys, tmp_path, sle_case_path, sle_params_path,
+                            path, value):
+        with open(sle_params_path) as fh:
+            params = json.load(fh)
+        target = params
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(params))  # writes the NaN / Infinity literals
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
+                               "--params", str(bad), "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("invalid input:")
+        assert "  - " in err and "finite" in err
+        assert not out_path.exists()
 
 
 class TestFuse:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -88,6 +89,12 @@ class TestLevelConfig:
         with pytest.raises(ValueError):
             LevelConfig(kappa=0.5, sigma=0.0)
 
+    @pytest.mark.parametrize("kappa, sigma", [
+        (math.nan, 0.7), (0.5, math.nan), (0.5, math.inf), (math.inf, 0.7)])
+    def test_non_finite_rejected(self, kappa, sigma):
+        with pytest.raises(ValueError):
+            LevelConfig(kappa=kappa, sigma=sigma)
+
     def test_monotonicity_guard(self):
         ok = [LevelConfig(0.5, 0.9), LevelConfig(0.7, 0.7), LevelConfig(0.7, 0.7)]
         check_level_monotonicity(ok)
@@ -108,6 +115,12 @@ class TestEngineParams:
             EngineParams(theta=1.0)
         with pytest.raises(ValueError):
             EngineParams(delta=-0.1)
+
+    @pytest.mark.parametrize("name", ["eta", "theta", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            EngineParams(**{name: value})
 
 
 GOLDEN = EngineParams(eta=0.6, theta=0.88, delta=0.3)
@@ -189,6 +202,26 @@ class TestRunSequential:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             for earlier, later in zip(report.levels, report.levels[1:]):
                 assert set(later.universe) == set(earlier.bnd)
+
+    def test_duplicates_share_granule_at_full_cut(self):
+        # x1 and x3 fuse to the same subscripts (x3's hesitant cell has the
+        # same mean), so their score gap is exactly 0 and their similarity
+        # exactly 1.0: at kappa = 1 they form one granule of size 2
+        rows_e1 = [[single(1, 0), single(-1, 2)],
+                   [single(0, 1), single(2, -1)],
+                   [DHHFLE([DHLT(0, 0), DHLT(2, 0)]), single(-1, 2)]]
+        rows_e2 = [[single(-2, 1), single(0, 0)],
+                   [single(3, -3), single(1, 1)],
+                   [single(-2, 1), single(0, 0)]]
+        alts, ids = ["x1", "x2", "x3"], ["a1", "a2"]
+        tables = [make_table("E1", 0.4, alts, ids, rows_e1, S33),
+                  make_table("E2", 0.6, alts, ids, rows_e2, S33)]
+        report = run_sequential(tables, [attr("a1", 0.6), attr("a2", 0.4)],
+                                [LevelConfig(kappa=1.0, sigma=0.7)], GOLDEN)
+        level = report.levels[0]
+        assert level.granule_size == {"x1": 2, "x2": 1, "x3": 2}
+        assert level.probability["x1"] == level.probability["x3"]
+        assert level.region_of("x1") == level.region_of("x3")
 
     def test_too_many_levels_rejected(self, sle_case):
         levels = [GOLDEN_CFG] * 7
