@@ -7,16 +7,16 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from .engine import DecisionReport, EngineParams, LevelConfig, rank
-from .linguistic import DHHFLE, DHLT, DHLTScale, ScaleRangeError
-from .syntax import TermSyntaxError, format_dhhfle, parse_dhhfle
+from .linguistic import DHHFLE, DHLT, DHLTScale
+from .syntax import format_dhhfle, parse_dhhfle
 from .tables import (
+    WEIGHT_TOL,
     AttributeSpec,
     FusedDecisionTable,
     build_nested_subsets,
     make_table,
 )
 
-WEIGHT_TOL = 1e-6
 REPORT_SCHEMA = "s3wgdm-report/1"
 
 
@@ -62,24 +62,33 @@ class ParamsFile:
     monotonicity_override: bool = False
 
 
-def _parse_cell(raw: Any, scale: DHLTScale, where: str, problems: list) -> Optional[DHHFLE]:
-    try:
-        if isinstance(raw, str):
-            return parse_dhhfle(raw, scale)
-        if isinstance(raw, list) and raw:
-            terms = []
-            for item in raw:
-                if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
-                    problems.append(f"{where}: structured cells need phi/varphi entries")
-                    return None
-                phi, varphi = float(item["phi"]), float(item["varphi"])
-                scale.check(phi, varphi)
-                terms.append(DHLT(phi, varphi))
-            return DHHFLE(terms)
-        problems.append(f"{where}: cell must be a term string or a non-empty term array")
-    except (TermSyntaxError, ScaleRangeError, TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-    return None
+def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict) -> DHHFLE:
+    """One cell; ``parsed`` maps each cell text already parsed in this
+    document to its (immutable) element, so repeated texts parse once.
+    Failures are not stored: each bad occurrence raises on its own."""
+    if isinstance(raw, str):
+        cell = parsed.get(raw)
+        if cell is None:
+            cell = parsed[raw] = parse_dhhfle(raw, scale)
+        return cell
+    if isinstance(raw, list) and raw:
+        terms = []
+        for item in raw:
+            if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
+                raise ValueError("structured cells need phi/varphi entries")
+            phi, varphi = float(item["phi"]), float(item["varphi"])
+            scale.check(phi, varphi)
+            terms.append(DHLT(phi, varphi))
+        return DHHFLE(terms)
+    raise ValueError("cell must be a term string or a non-empty term array")
+
+
+def _whole_number(raw: Mapping, key: str) -> int:
+    value = raw.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def validate_case_dict(data: Any) -> tuple:
@@ -94,9 +103,9 @@ def validate_case_dict(data: Any) -> tuple:
         problems.append("missing or malformed 'scale'")
     else:
         try:
-            scale = DHLTScale(int(raw_scale.get("tau", 0)),
-                              int(raw_scale.get("sigma_scale", 0)))
-        except (TypeError, ValueError) as exc:
+            scale = DHLTScale(_whole_number(raw_scale, "tau"),
+                              _whole_number(raw_scale, "sigma_scale"))
+        except (OverflowError, ValueError) as exc:
             problems.append(f"scale: {exc}")
 
     alternatives = data.get("alternatives")
@@ -124,7 +133,7 @@ def validate_case_dict(data: Any) -> tuple:
                 kind=raw.get("kind", "benefit"),
                 align_with_concept=bool(raw.get("align_with_concept", True)),
             ))
-        except ValueError as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             problems.append(f"{where}: {exc}")
     ids = [a.id for a in attrs]
     if len(set(ids)) != len(ids):
@@ -141,6 +150,7 @@ def validate_case_dict(data: Any) -> tuple:
         raw_experts = []
     expert_ids = []
     expert_weights: list = []
+    parsed: dict = {}  # cell text -> element, for this document only
     for k, raw in enumerate(raw_experts):
         where = f"experts[{k}]"
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
@@ -149,7 +159,7 @@ def validate_case_dict(data: Any) -> tuple:
         expert_ids.append(str(raw["id"]))
         try:
             weight = float(raw["weight"])
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             problems.append(f"{where}: weight must be a number")
             continue
         expert_weights.append(weight)
@@ -168,8 +178,10 @@ def validate_case_dict(data: Any) -> tuple:
             for j, raw_cell in enumerate(raw_row):
                 cell = None
                 if scale is not None:
-                    cell = _parse_cell(raw_cell, scale,
-                                       f"{where}.table[{i}][{j}]", problems)
+                    try:
+                        cell = _parse_cell(raw_cell, scale, parsed)
+                    except (OverflowError, TypeError, ValueError) as exc:
+                        problems.append(f"{where}.table[{i}][{j}]: {exc}")
                 if cell is None:
                     ok = False
                 row.append(cell)
@@ -219,7 +231,7 @@ def validate_params_dict(data: Any) -> tuple:
             theta=float(data.get("theta", 0.88)),
             delta=float(data.get("delta", 0.3)),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         problems.append(f"parameters: {exc}")
 
     levels: list = []
@@ -234,7 +246,7 @@ def validate_params_dict(data: Any) -> tuple:
         try:
             levels.append(LevelConfig(kappa=float(raw.get("kappa", 1.0)),
                                       sigma=float(raw.get("sigma", 0.7))))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             problems.append(f"levels[{k}]: {exc}")
 
     raw_rank = data.get("rank", {})
@@ -244,6 +256,9 @@ def validate_params_dict(data: Any) -> tuple:
         problems.append(f"rank.key must be 'accept' or 'defer', got {key!r}")
     if neg not in ("desc", "asc"):
         problems.append(f"rank.neg_direction must be 'desc' or 'asc', got {neg!r}")
+    override = data.get("monotonicity_override", False)
+    if not isinstance(override, bool):
+        problems.append(f"monotonicity_override must be true or false, got {override!r}")
 
     if problems:
         return None, problems
@@ -251,7 +266,7 @@ def validate_params_dict(data: Any) -> tuple:
         params=params,
         levels=tuple(levels),
         rank=RankOptions(key=key, neg_direction=neg),
-        monotonicity_override=bool(data.get("monotonicity_override", False)),
+        monotonicity_override=override,
     ), []
 
 

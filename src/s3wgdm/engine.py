@@ -8,9 +8,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linguistic import DHLTScale, superior_gradus, superior_gradus_array
+from .linguistic import DHLTScale, elementwise, superior_gradus_array
 from .neighborhood import granule_statistics, membership_degrees
-from .regret import ComprehensiveUtility, comprehensive_utilities, utility
+from .regret import ComprehensiveUtility, comprehensive_utilities
 from .tables import (
     AttributeSpec,
     ExpertDecisionTable,
@@ -18,14 +18,13 @@ from .tables import (
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
-    fuse_dhhflmwa,
     fused_subscripts,
-    orient_to_concept,
     renormalize_weights,
 )
 
-# The scalar reference steps of a level stay importable from this module,
-# where bench/tracer.py looks them up; the level loop runs the array path.
+# The scalar reference steps stay importable from this module, where
+# bench/tracer.py looks them up; the engine runs the array path.
+from .linguistic import superior_gradus  # noqa: F401
 from .neighborhood import (  # noqa: F401
     build_similarity_matrix,
     concept_membership,
@@ -37,7 +36,7 @@ from .regret import (  # noqa: F401
     direct_simplified_gains,
     perceived_utility_units,
 )
-from .tables import extract  # noqa: F401
+from .tables import extract, fuse_dhhflmwa, orient_to_concept  # noqa: F401
 
 POS, BND, NEG = "POS", "BND", "NEG"
 
@@ -327,17 +326,13 @@ def baseline_full_fusion(tables: Sequence[ExpertDecisionTable],
     with parameters the same risk-averse utility as the engine applies.
     """
     check_attribute_weights(attrs)
-    fused = orient_to_concept(fuse_dhhflmwa(tables), attrs)
+    phi, varphi = fused_subscripts(tables, attrs)
+    scores = np.clip(superior_gradus_array(phi, varphi, tables[0].scale), 0.0, 1.0)
+    if params is not None:
+        scores = elementwise(math.pow, scores, params.theta)
     weight = {a.id: a.weight for a in attrs}
-    theta = params.theta if params is not None else None
-
-    def score(i: int) -> float:
-        total = 0.0
-        for j, attr_id in enumerate(fused.attributes):
-            b = min(1.0, max(0.0, superior_gradus(fused.cells[i][j], fused.scale)))
-            total += weight[attr_id] * (utility(b, theta) if theta is not None else b)
-        return total
-
-    scored = [(score(i), alt) for i, alt in enumerate(fused.alternatives)]
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    total = np.zeros(len(scores))
+    for j, attr_id in enumerate(tables[0].attributes):  # attribute order, as a scalar sum
+        total += weight[attr_id] * scores[:, j]
+    scored = sorted(zip(total.tolist(), tables[0].alternatives), key=lambda t: (-t[0], t[1]))
     return [alt for _, alt in scored]

@@ -16,9 +16,8 @@ from .linguistic import (
     superior_gradus_array,
     superior_gradus_term,
 )
-from .tables import FusedDecisionTable
+from .tables import WEIGHT_TOL, FusedDecisionTable
 
-WEIGHT_TOL = 1e-6
 BLOCK_CELLS = 1 << 18  # similarity entries one row block of the kernel holds
 
 

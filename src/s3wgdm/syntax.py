@@ -19,6 +19,15 @@ from .linguistic import DHLT, DHHFLE, DHLTScale
 
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
+# Fast path: a whole element with no whitespace and ASCII digits only.  A
+# number can never be followed by a character it could also contain, so
+# this matches exactly the texts of that form the scanner accepts, and the
+# term pattern then splits them the same way.  Everything else goes to the
+# scanner, the only source of syntax errors.
+_ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
+_ELEMENT = re.compile(rf"\{{{_TERM.pattern}(?:,{_TERM.pattern})*\}}")
+
 
 class TermSyntaxError(ValueError):
     """Malformed element text; carries 1-based line and column."""
@@ -76,6 +85,16 @@ class _Scanner:
 def parse_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
     """Parse one element; raises TermSyntaxError with position on bad input
     and ScaleRangeError when a subscript leaves the scale."""
+    if _ELEMENT.fullmatch(text) is None:
+        return _scan_dhhfle(text, scale)
+    terms = [DHLT(float(phi), float(varphi)) for phi, varphi in _TERM.findall(text)]
+    for t in terms:  # in term order, as the scanner checks them
+        scale.check(t.phi, t.varphi)
+    return DHHFLE(terms)
+
+
+def _scan_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
+    """:func:`parse_dhhfle` one character at a time, with located errors."""
     s = _Scanner(text)
     s.expect("{")
     terms = [_parse_term(s, scale)]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +52,12 @@ def check_attribute_weights(attrs: Sequence[AttributeSpec]) -> None:
 
 @dataclass(frozen=True)
 class ExpertDecisionTable:
-    """Complete alternatives x attributes matrix of one expert."""
+    """Complete alternatives x attributes matrix of one expert.
+
+    ``means`` is computed while the cells are validated: the (n, m, 2)
+    array of each cell's mean ``phi`` and ``varphi`` subscripts, its
+    linguistic expected value.  Fusion reads only this array.
+    """
 
     expert_id: str
     expert_weight: float
@@ -60,19 +65,29 @@ class ExpertDecisionTable:
     attributes: tuple
     cells: tuple  # row-major: cells[i][j] is alternatives[i] under attributes[j]
     scale: DHLTScale
+    means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.expert_weight <= 1.0):
             raise ValueError(f"expert weight {self.expert_weight} outside [0, 1]")
         if len(self.cells) != len(self.alternatives):
             raise ValueError("row count does not match the alternatives")
+        check = self.scale.check
+        means = []
         for row in self.cells:
             if len(row) != len(self.attributes):
                 raise ValueError("incomplete table: ragged row")
             for cell in row:
                 if not isinstance(cell, DHHFLE):
                     raise TypeError("cells must be hesitant elements")
-                cell.validate(self.scale)
+                terms = cell.terms
+                for t in terms:
+                    check(t.phi, t.varphi)
+                # the arithmetic of linguistic_expected_value
+                means.append((sum(t.phi for t in terms) / len(terms),
+                              sum(t.varphi for t in terms) / len(terms)))
+        shape = (len(self.alternatives), len(self.attributes), 2)
+        object.__setattr__(self, "means", np.array(means, dtype=float).reshape(shape))
 
     def cell(self, alternative: str, attribute: str) -> DHHFLE:
         i = self.alternatives.index(alternative)
@@ -215,28 +230,27 @@ def _check_same_shape(tables: Sequence[ExpertDecisionTable]) -> None:
             raise ValueError("expert tables disagree on the linguistic scale")
 
 
+def _weighted_means(tables: Sequence[ExpertDecisionTable]) -> np.ndarray:
+    """DHHFLMWA: the expert-weighted sum of the tables' mean subscripts,
+    in expert order, as one (n, m, 2) array."""
+    _check_same_shape(tables)
+    check_expert_weights(tables)
+    total = np.zeros(tables[0].means.shape)
+    for t in tables:
+        total += t.expert_weight * t.means
+    return total
+
+
 def fuse_dhhflmwa(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
     """Matrix weighted average: expected value per expert, then the
     expert-weighted mean of both subscripts (closed form)."""
-    _check_same_shape(tables)
-    check_expert_weights(tables)
+    total = _weighted_means(tables)
     first = tables[0]
-    rows = []
-    for i in range(len(first.alternatives)):
-        row = []
-        for j in range(len(first.attributes)):
-            phi = 0.0
-            varphi = 0.0
-            for t in tables:
-                le = linguistic_expected_value(t.cells[i][j]).terms[0]
-                phi += t.expert_weight * le.phi
-                varphi += t.expert_weight * le.varphi
-            row.append(DHHFLE([DHLT(phi, varphi)]))
-        rows.append(tuple(row))
     return FusedDecisionTable(
         alternatives=first.alternatives,
         attributes=first.attributes,
-        cells=tuple(rows),
+        cells=tuple(tuple(DHHFLE([DHLT(phi, varphi)]) for phi, varphi in row)
+                    for row in total.tolist()),
         scale=first.scale,
         expert_ids=tuple(t.expert_id for t in tables),
         expert_weights=tuple(t.expert_weight for t in tables),
@@ -247,30 +261,17 @@ def fused_subscripts(tables: Sequence[ExpertDecisionTable],
                      attrs: Sequence[AttributeSpec]) -> tuple:
     """The oriented group table as two (n, m) arrays, ``phi`` and ``varphi``.
 
-    Same arithmetic as :func:`fuse_dhhflmwa` followed by
-    :func:`orient_to_concept`: mean subscripts per expert cell, their
-    expert-weighted sum in expert order, then both subscripts negated on
-    the columns that point away from the concept.  Fusion is per cell, so
-    restricting rows and columns afterwards equals fusing restricted tables.
+    The subscripts of :func:`fuse_dhhflmwa` followed by
+    :func:`orient_to_concept`: both subscripts negated on the columns
+    that point away from the concept.  Fusion is per cell, so restricting
+    rows and columns afterwards equals fusing restricted tables.
     """
-    _check_same_shape(tables)
-    check_expert_weights(tables)
-    first = tables[0]
-    shape = (len(first.alternatives), len(first.attributes))
-    phi = np.zeros(shape)
-    varphi = np.zeros(shape)
-    for t in tables:
-        cells = [cell.terms for row in t.cells for cell in row]
-        phi += t.expert_weight * np.array(
-            [sum(x.phi for x in terms) / len(terms) for terms in cells]).reshape(shape)
-        varphi += t.expert_weight * np.array(
-            [sum(x.varphi for x in terms) / len(terms) for terms in cells]).reshape(shape)
+    total = _weighted_means(tables)
     by_id = {a.id: a for a in attrs}
-    flip = [j for j, a in enumerate(first.attributes)
+    flip = [j for j, a in enumerate(tables[0].attributes)
             if a in by_id and not by_id[a].align_with_concept]
-    phi[:, flip] = -phi[:, flip]
-    varphi[:, flip] = -varphi[:, flip]
-    return phi, varphi
+    total[:, flip] = -total[:, flip]
+    return total[..., 0], total[..., 1]
 
 
 def fuse_dhhflmwa_operational(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:

@@ -4,7 +4,9 @@
 the tables at every level, score every pair with ``kernel_similarity``,
 cut member sets with ``cut_granules``, and build utilities cell by cell.
 The array path must give the same regions and rankings, with
-probabilities and expected utilities within 1e-12.
+probabilities and expected utilities within 1e-12.  Fusion and the
+baseline ranking, which read the tables' mean-subscript arrays, must
+equal their cell-by-cell references exactly.
 """
 
 import hashlib
@@ -23,12 +25,13 @@ from s3wgdm.engine import (
     EngineParams,
     GranularLevel,
     LevelConfig,
+    baseline_full_fusion,
     classify,
     expected_perceived_utility,
     rank,
     run_sequential,
 )
-from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value, superior_gradus
 from s3wgdm.neighborhood import (
     SimilarityMatrix,
     concept_membership,
@@ -36,12 +39,19 @@ from s3wgdm.neighborhood import (
     cut_granules,
     kernel_similarity,
 )
-from s3wgdm.regret import comprehensive_utility, direct_simplified_gains, perceived_utility_units
+from s3wgdm.regret import (
+    comprehensive_utility,
+    direct_simplified_gains,
+    perceived_utility_units,
+    utility,
+)
 from s3wgdm.tables import (
     AttributeSpec,
+    FusedDecisionTable,
     build_nested_subsets,
     extract,
     fuse_dhhflmwa,
+    fused_subscripts,
     make_table,
     orient_to_concept,
     renormalize_weights,
@@ -154,6 +164,58 @@ def test_array_path_matches_scalar_reference(case):
     for upto in range(1, len(got.levels) + 1):
         for key in ("accept", "defer"):
             assert rank(got, key=key, upto=upto) == rank(want, key=key, upto=upto)
+
+
+def reference_fused(tables):
+    """DHHFLMWA cell by cell: each expert's expected value, summed with
+    the expert weights in expert order."""
+    first = tables[0]
+    rows = []
+    for i in range(len(first.alternatives)):
+        row = []
+        for j in range(len(first.attributes)):
+            phi = varphi = 0.0
+            for t in tables:
+                le = linguistic_expected_value(t.cells[i][j]).terms[0]
+                phi += t.expert_weight * le.phi
+                varphi += t.expert_weight * le.varphi
+            row.append(DHHFLE([DHLT(phi, varphi)]))
+        rows.append(tuple(row))
+    return FusedDecisionTable(alternatives=first.alternatives, attributes=first.attributes,
+                              cells=tuple(rows), scale=first.scale)
+
+
+def reference_baseline(tables, attrs, params):
+    fused = orient_to_concept(reference_fused(tables), attrs)
+    weight = {a.id: a.weight for a in attrs}
+
+    def score(i):
+        total = 0.0
+        for j, attr_id in enumerate(fused.attributes):
+            b = min(1.0, max(0.0, superior_gradus(fused.cells[i][j], fused.scale)))
+            total += weight[attr_id] * (utility(b, params.theta) if params else b)
+        return total
+
+    scored = sorted(((score(i), alt) for i, alt in enumerate(fused.alternatives)),
+                    key=lambda t: (-t[0], t[1]))
+    return [alt for _, alt in scored]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cases())
+def test_fusion_and_baseline_match_cell_by_cell_reference(case):
+    tables, attrs, _, params = case
+    want = reference_fused(tables)
+    got = fuse_dhhflmwa(tables)
+    assert [[c.terms for c in row] for row in got.cells] == \
+        [[c.terms for c in row] for row in want.cells]
+    oriented = orient_to_concept(want, attrs)
+    phi, varphi = fused_subscripts(tables, attrs)
+    assert phi.tolist() == [[c.terms[0].phi for c in row] for row in oriented.cells]
+    assert varphi.tolist() == [[c.terms[0].varphi for c in row] for row in oriented.cells]
+    assert baseline_full_fusion(tables, attrs) == reference_baseline(tables, attrs, None)
+    assert baseline_full_fusion(tables, attrs, params) == \
+        reference_baseline(tables, attrs, params)
 
 
 def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):

@@ -1,7 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from s3wgdm import caseio
 from s3wgdm.caseio import (
     CaseFormatError,
     load_case,
@@ -12,6 +16,7 @@ from s3wgdm.caseio import (
     write_json,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT
+from s3wgdm.syntax import parse_dhhfle
 
 
 def minimal_case(cell="{s_1<o_0>}"):
@@ -64,11 +69,91 @@ class TestCaseValidation:
         assert case is None
         assert any("one cell per attribute" in p for p in problems)
 
+    def test_attribute_weight_null_reported(self):
+        doc = minimal_case()
+        doc["attributes"][0]["weight"] = None
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert any(p.startswith("attributes[0]:") for p in problems)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", 3.9), ("tau", True), ("sigma_scale", 2.5), ("sigma_scale", False),
+        ("tau", "3"), ("tau", math.inf), ("tau", 10 ** 400),
+    ], ids=["fraction", "true", "half", "false", "string", "infinity", "huge"])
+    def test_scale_needs_whole_numbers(self, key, value):
+        doc = minimal_case()
+        doc["scale"][key] = value
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert any(p.startswith("scale:") for p in problems)
+
+    def test_integral_float_scale_accepted(self):
+        doc = minimal_case()
+        doc["scale"] = {"tau": 3.0, "sigma_scale": 3.0}
+        case, problems = validate_case_dict(doc)
+        assert problems == []
+        assert (case.scale.tau, case.scale.sigma_scale) == (3, 3)
+
     def test_load_reports_json_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         with pytest.raises(CaseFormatError, match="invalid JSON"):
             load_case(str(bad))
+
+
+class TestParseOncePerDocument:
+    @staticmethod
+    def repeated_case(cell, other="{s_0<o_0>}"):
+        """Two experts, two alternatives, two attributes; ``cell`` sits at
+        three places and ``other`` everywhere else."""
+        doc = minimal_case()
+        doc["alternatives"] = ["x1", "x2"]
+        doc["attributes"] = [{"id": "a1", "weight": 0.5}, {"id": "a2", "weight": 0.5}]
+        doc["experts"] = [
+            {"id": "E1", "weight": 0.5, "table": [[cell, other], [other, cell]]},
+            {"id": "E2", "weight": 0.5, "table": [[other, other], [cell, other]]},
+        ]
+        return doc
+
+    def test_repeated_bad_cell_reported_at_each_place(self):
+        case, problems = validate_case_dict(self.repeated_case("{s_1<o_0>"))
+        assert case is None
+        bad = [p for p in problems if "expected '}'" in p]
+        assert [p.split(":")[0] for p in bad] == [
+            "experts[0].table[0][0]", "experts[0].table[1][1]", "experts[1].table[1][0]"]
+
+    def test_repeated_out_of_scale_cell_reported_at_each_place(self):
+        _, problems = validate_case_dict(self.repeated_case("{s_4<o_0>}"))
+        assert len([p for p in problems if "outside" in p]) == 3
+
+    def test_repeated_good_cell_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, scale):
+            calls.append(text)
+            return parse_dhhfle(text, scale)
+
+        monkeypatch.setattr(caseio, "parse_dhhfle", counting)
+        case, problems = validate_case_dict(self.repeated_case("{s_2<o_1>,s_1<o_0>}"))
+        assert problems == []
+        assert sorted(calls) == ["{s_0<o_0>}", "{s_2<o_1>,s_1<o_0>}"]
+        first, second = case.experts
+        assert first.cells[0][0] == first.cells[1][1] == second.cells[1][0]
+        assert first.cells[0][0] == DHHFLE([DHLT(2, 1), DHLT(1, 0)])
+
+    def test_next_document_parses_afresh(self, tmp_path):
+        # s_4 is on the scale of the first case and off the scale of the next
+        wide = self.repeated_case("{s_4<o_0>}")
+        wide["scale"] = {"tau": 5, "sigma_scale": 3}
+        narrow = self.repeated_case("{s_4<o_0>}")
+        paths = []
+        for name, doc in (("wide.json", wide), ("narrow.json", narrow)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(doc))
+        assert load_case(str(paths[0])).experts[0].cells[0][0] == DHHFLE([DHLT(4, 0)])
+        with pytest.raises(CaseFormatError) as err:
+            load_case(str(paths[1]))
+        assert len([p for p in err.value.problems if "outside" in p]) == 3
 
 
 class TestParamsValidation:
@@ -97,6 +182,13 @@ class TestParamsValidation:
     def test_empty_levels(self):
         params, problems = validate_params_dict({"levels": []})
         assert params is None and problems
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_override_must_be_boolean(self, value):
+        params, problems = validate_params_dict({
+            "levels": [{"kappa": 1, "sigma": 0.7}], "monotonicity_override": value})
+        assert params is None
+        assert any("monotonicity_override" in p for p in problems)
 
     def test_parameter_ranges_reported(self):
         _, problems = validate_params_dict({
@@ -144,3 +236,67 @@ class TestWriteJson:
             write_json(str(tmp_path / "out.json"), {"pr": float("nan")})
         with pytest.raises(ValueError):
             write_json(str(tmp_path / "out.json"), {"delta": float("-inf")})
+
+
+# Any JSON value, including the NaN and Infinity literals Python's json
+# module reads and integers too large for a float.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 308, 10 ** 400)
+    | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12)
+
+VALID_PARAMS = {"eta": 0.6, "theta": 0.88, "delta": 0.3,
+                "levels": [{"kappa": 1.0, "sigma": 0.7}, {"kappa": 1.0, "sigma": 0.5}],
+                "rank": {"key": "accept", "neg_direction": "desc"},
+                "monotonicity_override": False}
+
+
+def paths_of(value, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from paths_of(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from paths_of(item, prefix + (index,))
+
+
+@st.composite
+def damaged(draw, valid):
+    """A valid document with one value, at any depth, replaced."""
+    doc = json.loads(json.dumps(valid))
+    path = draw(st.sampled_from(list(paths_of(doc))))
+    value = draw(json_values)
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def assert_validated(result):
+    obj, problems = result
+    assert isinstance(problems, list)
+    if problems:
+        assert obj is None
+        assert all(isinstance(p, str) for p in problems)
+    else:
+        assert obj is not None
+
+
+class TestValidationNeverRaises:
+    @given(st.one_of(json_values, damaged(minimal_case()),
+                     damaged(TestParseOncePerDocument.repeated_case("{s_1<o_0>}"))))
+    @settings(max_examples=300, deadline=None)
+    def test_case_documents(self, doc):
+        assert_validated(validate_case_dict(doc))
+
+    @given(st.one_of(json_values, damaged(VALID_PARAMS)))
+    @settings(max_examples=300, deadline=None)
+    def test_params_documents(self, doc):
+        assert_validated(validate_params_dict(doc))

@@ -58,6 +58,26 @@ class TestValidate:
         assert "not unique" in err
         assert "weights sum" in err
 
+    def test_null_attribute_weight(self, capsys, tmp_path, sle_case_path):
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        data["attributes"][0]["weight"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "validate", "--case", str(bad))
+        assert code == 1
+        assert "attributes[0]:" in err
+
+    def test_fractional_scale(self, capsys, tmp_path, sle_case_path):
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        data["scale"]["tau"] = 3.9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "validate", "--case", str(bad))
+        assert code == 1
+        assert "tau must be a whole number" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "/nonexistent.json")
         assert code == 2
@@ -175,6 +195,18 @@ class TestNonFiniteParameters:
         assert err.startswith("invalid input:")
         assert "  - " in err and "finite" in err
         assert not out_path.exists()
+
+
+def test_string_override_rejected(capsys, tmp_path, sle_case_path, sle_params_path):
+    with open(sle_params_path) as fh:
+        params = json.load(fh)
+    params["levels"][1]["kappa"] = 0.5  # below level 1: needs the override
+    params["monotonicity_override"] = "false"
+    bad = tmp_path / "params.json"
+    bad.write_text(json.dumps(params))
+    code, _, err = run_cli(capsys, "decide", "--case", sle_case_path, "--params", str(bad))
+    assert code == 1
+    assert "monotonicity_override must be true or false" in err
 
 
 class TestFuse:

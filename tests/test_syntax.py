@@ -2,10 +2,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3wgdm import syntax
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, ScaleRangeError
 from s3wgdm.syntax import TermSyntaxError, format_dhhfle, format_subscript, parse_dhhfle
 
 S33 = DHLTScale(3, 3)
+
+# number texts: signs, decimals with either side empty, exponents; some
+# leave the 3x3 scale, and a few are malformed (doubled signs, an
+# exponent without digits, a bare point)
+digits = st.text("0123456789", min_size=1, max_size=3)
+sign = st.sampled_from(["", "", "+", "-", "+-", "--"])
+mantissa = st.one_of(digits, digits.map(lambda d: d + "."), digits.map(lambda d: "." + d),
+                     st.builds(lambda a, b: f"{a}.{b}", digits, digits), st.just("."))
+exponent = st.one_of(st.just(""), st.builds(lambda e, s, d: e + s + d, st.sampled_from("eE"),
+                                            sign, st.one_of(digits, st.just(""))))
+number_text = st.builds(lambda s, m, e: s + m + e, sign, mantissa, exponent)
+term_text = st.builds(lambda p, v: f"s_{p}<o_{v}>", number_text, number_text)
+element_text = st.lists(term_text, min_size=1, max_size=4).map(
+    lambda ts: "{" + ",".join(ts) + "}")
+
+# characters a mutation inserts: ASCII and Unicode spaces, signs, decimal
+# points, exponents, ASCII and non-ASCII digits, and the grammar's own
+# punctuation
+INSERTED = " \t\n\u00a0\u2003\u3000+-.eE05\u0663\uff17\u00b2{},<>_so"
+
+
+@st.composite
+def mutated_elements(draw):
+    text = draw(element_text)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "swap", "truncate"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(INSERTED)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        elif kind == "swap" and at + 1 < len(text):
+            text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+        elif kind == "truncate":
+            text = text[:at]
+    return text
+
+
+def outcome(parse, text):
+    """The terms a parse returns, or the type and message it raises."""
+    try:
+        return parse(text, S33).terms
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestParse:
@@ -83,3 +128,27 @@ class TestFormat:
         h = DHHFLE([DHLT(p, v) for p, v in raw])
         text = format_dhhfle(h, S33)
         assert parse_dhhfle(text, S33) == h
+
+
+class TestFastPath:
+    """``parse_dhhfle`` takes a regular-expression fast path on well-formed
+    text and falls back to the scanner on anything else; both must give
+    the same terms, or the same error."""
+
+    def test_canonical_text_skips_the_scanner(self, monkeypatch):
+        def scanner_called(text, scale):
+            raise AssertionError(f"scanner ran on {text!r}")
+
+        monkeypatch.setattr(syntax, "_scan_dhhfle", scanner_called)
+        h = parse_dhhfle("{s_-1.5<o_+2.25>,s_.5<o_1e0>,s_3.<o_-0>}", S33)
+        assert h.terms == (DHLT(-1.5, 2.25), DHLT(0.5, 1.0), DHLT(3.0, -0.0))
+
+    def test_unicode_digits_and_spaces_go_to_the_scanner(self):
+        # the scanner reads any Unicode digit and skips any Unicode space
+        h = parse_dhhfle("{s_٢<o_１>, s_1<o_0> }", S33)
+        assert h.terms == (DHLT(2.0, 1.0), DHLT(1.0, 0.0))
+
+    @given(mutated_elements())
+    @settings(max_examples=500, deadline=None)
+    def test_fast_path_agrees_with_scanner(self, text):
+        assert outcome(parse_dhhfle, text) == outcome(syntax._scan_dhhfle, text)

@@ -13,6 +13,7 @@ from s3wgdm.linguistic import (
 )
 from s3wgdm.tables import (
     AttributeSpec,
+    ExpertDecisionTable,
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
@@ -132,6 +133,32 @@ class TestExtract:
     def test_unknown_ids(self, sle_case):
         with pytest.raises(KeyError):
             extract(sle_case.experts[0], ["nope"], ["a1"])
+
+
+class TestMeans:
+    def test_expected_value_of_every_cell(self):
+        (t,) = random_tables(random.Random(5), 4, 3, 1)
+        assert t.means.shape == (4, 3, 2)
+        for i, row in enumerate(t.cells):
+            for j, cell in enumerate(row):
+                le = linguistic_expected_value(cell).terms[0]
+                assert t.means[i, j].tolist() == [le.phi, le.varphi]
+
+    def test_extract_recomputes(self):
+        (t,) = random_tables(random.Random(6), 4, 3, 1)
+        sub = extract(t, ["x2", "x4"], ["a3", "a1"])
+        assert sub.means.tolist() == t.means[[1, 3]][:, [0, 2]].tolist()
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            ExpertDecisionTable(expert_id="E", expert_weight=1.0, alternatives=("x",),
+                                attributes=("a",), cells=((single(1),),), scale=S33,
+                                means=None)
+
+    def test_every_term_range_checked(self):
+        cell = DHHFLE([DHLT(1, 0), DHLT(4, 0)])  # the second term is off the scale
+        with pytest.raises(ValueError, match="outside"):
+            make_table("E", 1.0, ["x"], ["a"], [[cell]], S33)
 
 
 class TestFusion:
