@@ -16,8 +16,6 @@ from .linguistic import (
     from_hfe,
     linguistic_expected_value,
     mirror,
-    power,
-    scalar_mul,
     single,
     superior_gradus,
     superior_gradus_array,
@@ -33,7 +31,6 @@ from .tables import (
     build_nested_subsets,
     extract,
     fuse_dhhflmwa,
-    fuse_dhhflmwa_operational,
     fused_subscripts,
     make_table,
     orient_to_concept,
@@ -51,21 +48,15 @@ from .neighborhood import (
     kernel_rows,
     kernel_similarity,
     membership_degrees,
-    membership_gamma,
     similarity_blocks,
 )
 from .regret import (
-    ComprehensiveUtility,
-    GainUnit,
-    PerceivedUtilityUnit,
-    SimplifiedGainUnit,
-    build_gain_unit,
+    CellValues,
     comprehensive_utilities,
     comprehensive_utility,
     direct_simplified_gains,
     perceived_utility_units,
     regret_rejoice,
-    simplify_gain_unit,
     utility,
 )
 from .engine import (

@@ -126,12 +126,16 @@ def validate_case_dict(data: Any) -> tuple:
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
             problems.append(f"{where}: needs 'id' and 'weight'")
             continue
+        align = raw.get("align_with_concept", True)
+        if not isinstance(align, bool):
+            problems.append(f"{where}: align_with_concept must be true or false, got {align!r}")
+            continue
         try:
             attrs.append(AttributeSpec(
                 id=str(raw["id"]),
                 weight=float(raw["weight"]),
                 kind=raw.get("kind", "benefit"),
-                align_with_concept=bool(raw.get("align_with_concept", True)),
+                align_with_concept=align,
             ))
         except (OverflowError, TypeError, ValueError) as exc:
             problems.append(f"{where}: {exc}")

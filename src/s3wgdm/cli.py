@@ -271,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--deterministic", action="store_true",
-                   help="force the single-threaded execution path (always on)")
     p.add_argument("--levels", type=int, help="run only the first N levels")
     p.add_argument("--neg-direction", choices=("desc", "asc"), dest="neg_direction",
                    help="override the ranking direction inside the rejected block")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .linguistic import DHLTScale, elementwise, superior_gradus_array
 from .neighborhood import granule_statistics, membership_degrees
-from .regret import ComprehensiveUtility, comprehensive_utilities
+from .regret import CellValues, comprehensive_utilities
 from .tables import (
     AttributeSpec,
     ExpertDecisionTable,
@@ -98,7 +98,7 @@ class GranularLevel:
     scores: np.ndarray  # exponential scores the level ran on, universe x z
     granule_size: Mapping[str, int]
     probability: Mapping[str, float]
-    utilities: Mapping[str, ComprehensiveUtility]
+    utilities: Mapping[str, CellValues]
     expected: Mapping[str, tuple]  # id -> (accept, defer, reject)
     pos: frozenset
     bnd: frozenset
@@ -129,10 +129,6 @@ class DecisionReport:
         lvl = self.exit_level[alternative]
         return self.levels[lvl - 1].expected[alternative][0]
 
-    def defer_key(self, alternative: str) -> float:
-        lvl = self.exit_level[alternative]
-        return self.levels[lvl - 1].expected[alternative][1]
-
     def regions_after(self, upto: int) -> dict:
         """Cumulative region of every alternative once ``upto`` levels ran."""
         upto = min(upto, len(self.levels))
@@ -147,7 +143,7 @@ class DecisionReport:
         return out
 
 
-def expected_perceived_utility(v: ComprehensiveUtility, pr: float) -> tuple:
+def expected_perceived_utility(v: CellValues, pr: float) -> tuple:
     """Expected perceived utility of accepting, deferring, rejecting."""
     if not (0.0 <= pr <= 1.0):
         raise ValueError(f"conditional probability {pr} outside [0, 1]")
@@ -196,7 +192,7 @@ def classify_level(index: int, universe: Sequence[str], z: Sequence[str],
         scores=scores,
         granule_size=dict(zip(ids, sizes.tolist())),
         probability=dict(zip(ids, pr.tolist())),
-        utilities={a: ComprehensiveUtility(*row) for a, row in zip(ids, v.tolist())},
+        utilities={a: CellValues(*row) for a, row in zip(ids, v.tolist())},
         expected=dict(zip(ids, map(tuple, expected.tolist()))),
         pos=frozenset(a for a, keep in zip(ids, pos) if keep),
         bnd=frozenset(a for a, keep in zip(ids, bnd) if keep),

@@ -6,9 +6,12 @@ scale ``[-tau, tau]`` and ``varphi`` on the embedded secondary scale
 averaging operators stay closed.  A hesitant element is an ordered,
 non-empty collection of such terms.
 
-All set-level operations (addition, scalar multiplication, power,
-complement) are computed in the unit interval through the monotone
-transform ``f`` and mapped back afterwards.
+The decision method uses only the linguistic expected value (mean
+subscripts), the mirror complement (negated subscripts) and the
+exponential score (``superior_gradus`` and its array form).  The
+unit-interval laws here, ``add`` and ``complement`` through the monotone
+transform ``f`` and its inverse, plus ``euclid_distance``, are a small
+reference algebra that the engine never calls.
 """
 
 from __future__ import annotations
@@ -179,20 +182,6 @@ def add(h1: DHHFLE, h2: DHHFLE, scale: DHLTScale) -> DHHFLE:
     g2 = to_hfe(h2, scale).gammas
     out = [a + b - a * b for a in g1 for b in g2]
     return from_hfe(HFEValue(tuple(out)), scale)
-
-
-def scalar_mul(mu: float, h: DHHFLE, scale: DHLTScale) -> DHHFLE:
-    if mu < 0:
-        raise ValueError(f"scalar factor must be non-negative, got {mu}")
-    gs = to_hfe(h, scale).gammas
-    return from_hfe(HFEValue(tuple(1.0 - (1.0 - g) ** mu for g in gs)), scale)
-
-
-def power(h: DHHFLE, mu: float, scale: DHLTScale) -> DHHFLE:
-    if mu < 0:
-        raise ValueError(f"exponent must be non-negative, got {mu}")
-    gs = to_hfe(h, scale).gammas
-    return from_hfe(HFEValue(tuple(g ** mu for g in gs)), scale)
 
 
 def complement(h: DHHFLE, scale: DHLTScale) -> DHHFLE:

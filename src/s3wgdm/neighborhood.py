@@ -147,16 +147,6 @@ def cut_granules(sim: SimilarityMatrix, kappa: float) -> list:
     return granules
 
 
-def _weight_vector(table: FusedDecisionTable, weights: Mapping[str, float]) -> list:
-    missing = set(table.attributes) - set(weights)
-    if missing:
-        raise KeyError(f"weights missing for attributes: {sorted(missing)}")
-    total = sum(weights[a] for a in table.attributes)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
-    return [weights[a] for a in table.attributes]
-
-
 def concept_membership(table: FusedDecisionTable, z: Iterable[str],
                        weights: Mapping[str, float]) -> ConceptMembership:
     """Membership toward the concept as the exponential score of the
@@ -166,7 +156,13 @@ def concept_membership(table: FusedDecisionTable, z: Iterable[str],
     a term; its score is then clipped into the unit interval.
     """
     sub = table.restrict(table.alternatives, z)
-    wv = _weight_vector(sub, weights)
+    missing = set(sub.attributes) - set(weights)
+    if missing:
+        raise KeyError(f"weights missing for attributes: {sorted(missing)}")
+    wv = [weights[a] for a in sub.attributes]
+    total = sum(wv)
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
     degrees = {}
     for i, alt in enumerate(sub.alternatives):
         phi = sum(w * cell.terms[0].phi for w, cell in zip(wv, sub.cells[i]))
@@ -186,26 +182,6 @@ def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence[fl
     mean_phi = sum(w * phi[:, j] for j, w in enumerate(weights))
     mean_varphi = sum(w * varphi[:, j] for j, w in enumerate(weights))
     return np.clip(superior_gradus_array(mean_phi, mean_varphi, scale), 0.0, 1.0)
-
-
-def membership_gamma(table: FusedDecisionTable, z: Iterable[str],
-                     weights: Mapping[str, float]) -> ConceptMembership:
-    """Membership through the unit-interval laws instead: scale each cell
-    by its weight and combine with the probabilistic sum, which closes to
-    ``1 - prod((1 - gamma_q) ** w_q)`` on single-term cells.  Kept as the
-    reference reading next to :func:`concept_membership`."""
-    from .linguistic import f_scalar
-
-    sub = table.restrict(table.alternatives, z)
-    wv = _weight_vector(sub, weights)
-    degrees = {}
-    for i, alt in enumerate(sub.alternatives):
-        prod = 1.0
-        for w, cell in zip(wv, sub.cells[i]):
-            t = cell.terms[0]
-            prod *= (1.0 - f_scalar(t.phi, t.varphi, sub.scale)) ** w
-        degrees[alt] = 1.0 - prod
-    return ConceptMembership(degrees=degrees)
 
 
 def conditional_probability(granule: NeighborhoodGranule,

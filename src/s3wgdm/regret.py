@@ -10,58 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linguistic import (
-    DHHFLE,
-    DHLTScale,
-    complement,
-    elementwise,
-    scalar_mul,
-    superior_gradus,
-)
+from .linguistic import DHHFLE, DHLTScale, elementwise, superior_gradus
 
 CELLS = ("pp", "bp", "np", "pn", "bn", "nn")
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 @dataclass(frozen=True)
-class GainUnit:
-    """Relative gains of one evaluation cell as hesitant elements.
-
-    Built through the operational laws: the deferral gain scales the full
-    gain by ``eta``, the rejection gain under the off-concept state is the
-    complement of the full gain, and ``np``/``pn`` stay empty.
-    """
-
-    pp: DHHFLE
-    bp: DHHFLE
-    nn: DHHFLE
-    bn: DHHFLE
-    np: Optional[DHHFLE] = None
-    pn: Optional[DHHFLE] = None
-
-
-def build_gain_unit(cell: DHHFLE, eta: float, scale: DHLTScale) -> GainUnit:
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"gain fraction eta must lie in [0, 1], got {eta}")
-    nn = complement(cell, scale)
-    return GainUnit(
-        pp=cell,
-        bp=scalar_mul(eta, cell, scale),
-        nn=nn,
-        bn=scalar_mul(eta, nn, scale),
-    )
-
-
-@dataclass(frozen=True)
-class SimplifiedGainUnit:
-    """The six gains reduced to scores in [0, 1]; empty cells contribute 0."""
+class CellValues:
+    """One value per action/state cell, in ``CELLS`` order: the gains,
+    the perceived utilities, or their weighted average over attributes."""
 
     pp: float
     bp: float
@@ -74,32 +35,20 @@ class SimplifiedGainUnit:
         return getattr(self, name)
 
 
-def simplify_gain_unit(unit: GainUnit, scale: DHLTScale) -> SimplifiedGainUnit:
-    """Score every gain element (clipped into [0, 1]); no-gain cells are 0."""
-    def score(h: Optional[DHHFLE]) -> float:
-        if h is None:
-            return 0.0
-        return _clamp01(superior_gradus(h, scale))
-
-    return SimplifiedGainUnit(
-        pp=score(unit.pp), bp=score(unit.bp), np=score(unit.np),
-        pn=score(unit.pn), bn=score(unit.bn), nn=score(unit.nn),
-    )
-
-
 def direct_simplified_gains(cell: DHHFLE, eta: float,
-                            scale: DHLTScale) -> SimplifiedGainUnit:
-    """Simplified unit computed directly on the score scale.
+                            scale: DHLTScale) -> CellValues:
+    """The six gains of one evaluation, computed on the score scale.
 
-    The evaluation is scored first; the deferral and rejection gains are
-    then related linearly on that scale: ``bp = eta * pp``,
-    ``nn = 1 - pp``, ``bn = eta * nn``.  This is the route the decision
-    engine uses.
+    The evaluation is scored and clipped into [0, 1] first; the deferral
+    and rejection gains are then related linearly on that scale:
+    ``bp = eta * pp``, ``nn = 1 - pp``, ``bn = eta * nn``; ``np`` and
+    ``pn`` are 0.  The scalar reference for the gains inside
+    :func:`comprehensive_utilities`.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"gain fraction eta must lie in [0, 1], got {eta}")
-    b = _clamp01(superior_gradus(cell, scale))
-    return SimplifiedGainUnit(
+    b = min(1.0, max(0.0, superior_gradus(cell, scale)))
+    return CellValues(
         pp=b, bp=eta * b, np=0.0, pn=0.0, bn=eta * (1.0 - b), nn=1.0 - b)
 
 
@@ -119,22 +68,7 @@ def regret_rejoice(delta_u: float, delta: float) -> float:
     return 1.0 - math.exp(-delta * delta_u)
 
 
-@dataclass(frozen=True)
-class PerceivedUtilityUnit:
-    """Utility of each cell adjusted by regret against the reference point."""
-
-    pp: float
-    bp: float
-    np: float
-    pn: float
-    bn: float
-    nn: float
-
-    def cell(self, name: str) -> float:
-        return getattr(self, name)
-
-
-def perceived_utility_units(units: Sequence[SimplifiedGainUnit], theta: float,
+def perceived_utility_units(units: Sequence[CellValues], theta: float,
                             delta: float) -> list:
     """Perceived utilities for all alternatives under one attribute.
 
@@ -152,34 +86,19 @@ def perceived_utility_units(units: Sequence[SimplifiedGainUnit], theta: float,
         for name in CELLS:
             u = utility(unit.cell(name), theta)
             values[name] = u + regret_rejoice(u - u_ref, delta)
-        out.append(PerceivedUtilityUnit(**values))
+        out.append(CellValues(**values))
     return out
 
 
-@dataclass(frozen=True)
-class ComprehensiveUtility:
-    """Weight-averaged perceived utilities over an attribute subset."""
-
-    pp: float
-    bp: float
-    np: float
-    pn: float
-    bn: float
-    nn: float
-
-    def cell(self, name: str) -> float:
-        return getattr(self, name)
-
-
-def comprehensive_utility(per_attribute: Mapping[str, PerceivedUtilityUnit],
-                          weights: Mapping[str, float]) -> ComprehensiveUtility:
+def comprehensive_utility(per_attribute: Mapping[str, CellValues],
+                          weights: Mapping[str, float]) -> CellValues:
     if set(per_attribute) != set(weights):
         raise ValueError("utility units and weights cover different attributes")
     values = {}
     for name in CELLS:
         values[name] = sum(weights[a] * per_attribute[a].cell(name)
                            for a in per_attribute)
-    return ComprehensiveUtility(**values)
+    return CellValues(**values)
 
 
 def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float], eta: float,

@@ -7,15 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linguistic import (
-    DHHFLE,
-    DHLT,
-    DHLTScale,
-    add,
-    linguistic_expected_value,
-    mirror,
-    scalar_mul,
-)
+from .linguistic import DHHFLE, DHLT, DHLTScale, mirror
 
 WEIGHT_TOL = 1e-6
 _TIE_TOL = 1e-9
@@ -232,12 +224,20 @@ def _check_same_shape(tables: Sequence[ExpertDecisionTable]) -> None:
 
 def _weighted_means(tables: Sequence[ExpertDecisionTable]) -> np.ndarray:
     """DHHFLMWA: the expert-weighted sum of the tables' mean subscripts,
-    in expert order, as one (n, m, 2) array."""
+    in expert order, as one (n, m, 2) array.
+
+    Expert weights may sum to up to ``1 + WEIGHT_TOL``, which can carry a
+    cell at the end of the scale just past it; the sum is clipped back
+    into the scale, so every command reads the same in-scale subscripts.
+    """
     _check_same_shape(tables)
     check_expert_weights(tables)
     total = np.zeros(tables[0].means.shape)
     for t in tables:
         total += t.expert_weight * t.means
+    scale = tables[0].scale
+    np.clip(total[..., 0], -scale.tau, scale.tau, out=total[..., 0])
+    np.clip(total[..., 1], -scale.sigma_scale, scale.sigma_scale, out=total[..., 1])
     return total
 
 
@@ -272,35 +272,6 @@ def fused_subscripts(tables: Sequence[ExpertDecisionTable],
             if a in by_id and not by_id[a].align_with_concept]
     total[:, flip] = -total[:, flip]
     return total[..., 0], total[..., 1]
-
-
-def fuse_dhhflmwa_operational(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
-    """Alternative fusion route through the unit-interval operational laws:
-    scale each expert cell, combine with the probabilistic sum, collapse
-    with the expected value.  Differs from the closed form in general;
-    kept for cross-checking the two readings of the averaging operator."""
-    _check_same_shape(tables)
-    check_expert_weights(tables)
-    first = tables[0]
-    scale = first.scale
-    rows = []
-    for i in range(len(first.alternatives)):
-        row = []
-        for j in range(len(first.attributes)):
-            combined = None
-            for t in tables:
-                part = scalar_mul(t.expert_weight, t.cells[i][j], scale)
-                combined = part if combined is None else add(combined, part, scale)
-            row.append(linguistic_expected_value(combined))
-        rows.append(tuple(row))
-    return FusedDecisionTable(
-        alternatives=first.alternatives,
-        attributes=first.attributes,
-        cells=tuple(rows),
-        scale=scale,
-        expert_ids=tuple(t.expert_id for t in tables),
-        expert_weights=tuple(t.expert_weight for t in tables),
-    )
 
 
 def renormalize_weights(attrs: Sequence[AttributeSpec], z: Iterable[str]) -> dict:

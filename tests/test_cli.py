@@ -78,6 +78,18 @@ class TestValidate:
         assert code == 1
         assert "tau must be a whole number" in err
 
+    def test_string_alignment_rejected(self, capsys, tmp_path, sle_case_path,
+                                       sle_params_path):
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        data["attributes"][1]["align_with_concept"] = "false"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for argv in (("validate",), ("decide", "--params", sle_params_path)):
+            code, _, err = run_cli(capsys, *argv, "--case", str(bad))
+            assert code == 1
+            assert "attributes[1]: align_with_concept must be true or false" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "/nonexistent.json")
         assert code == 2
@@ -105,8 +117,7 @@ class TestDecide:
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for p in paths:
             code, *_ = run_cli(capsys, "decide", "--case", sle_case_path,
-                               "--params", sle_params_path, "--out", str(p),
-                               "--deterministic")
+                               "--params", sle_params_path, "--out", str(p))
             assert code == 0
         docs = []
         for p in paths:
@@ -220,6 +231,27 @@ class TestFuse:
         assert data["alternatives"] == [f"x{i}" for i in range(1, 9)]
         assert data["cells"][1][0].count("s_") == 1  # one term after fusion
         assert data["cells"][1][1] == "{s_1.2<o_-0.3>}"
+
+
+    def test_weights_inside_tolerance_at_top_of_scale(self, capsys, tmp_path,
+                                                      sle_case_path, sle_params_path):
+        # expert weights summing to 1 + 5e-7 would carry the fused top term
+        # 1.5e-6 past tau; every command reads the clipped, in-scale table
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        for expert in data["experts"]:
+            expert["table"] = [["{s_3<o_3>}"] * len(row) for row in expert["table"]]
+        data["experts"][0]["weight"] += 5e-7
+        case = tmp_path / "top.json"
+        case.write_text(json.dumps(data))
+        out_path = tmp_path / "fused.json"
+        for argv in (("fuse", "--out", str(out_path)), ("baseline",),
+                     ("decide", "--params", sle_params_path)):
+            code, *_ = run_cli(capsys, *argv, "--case", str(case))
+            assert code == 0
+        with open(out_path) as fh:
+            fused = json.load(fh)
+        assert {c for row in fused["cells"] for c in row} == {"{s_3<o_3>}"}
 
 
 class TestSweep:

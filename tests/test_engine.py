@@ -15,7 +15,7 @@ from s3wgdm.engine import (
     run_sequential,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
-from s3wgdm.regret import ComprehensiveUtility
+from s3wgdm.regret import CellValues
 from s3wgdm.tables import AttributeSpec, fuse_dhhflmwa, make_table, orient_to_concept
 
 S33 = DHLTScale(3, 3)
@@ -46,7 +46,7 @@ def random_case(rng, n=None, m=None, e=None):
 
 
 def cu(pp=0.0, bp=0.0, np=0.0, pn=0.0, bn=0.0, nn=0.0):
-    return ComprehensiveUtility(pp=pp, bp=bp, np=np, pn=pn, bn=bn, nn=nn)
+    return CellValues(pp=pp, bp=bp, np=np, pn=pn, bn=bn, nn=nn)
 
 
 class TestExpectedUtility:

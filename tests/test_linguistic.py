@@ -19,8 +19,6 @@ from s3wgdm.linguistic import (
     from_hfe,
     linguistic_expected_value,
     mirror,
-    power,
-    scalar_mul,
     single,
     superior_gradus,
     superior_gradus_term,
@@ -140,22 +138,6 @@ class TestOperationalLaws:
         out = add(h, zero, S33)
         assert to_hfe(out, S33).gammas == pytest.approx(to_hfe(h, S33).gammas, abs=1e-9)
 
-    def test_scalar_mul_closed_form(self):
-        h = single(0, 0)  # degree 0.5
-        out = scalar_mul(0.6, h, S33)
-        assert to_hfe(out, S33).gammas[0] == pytest.approx(1 - 0.5 ** 0.6, abs=1e-9)
-        assert to_hfe(out, S33).gammas[0] == pytest.approx(0.3402460446, abs=1e-9)
-
-    def test_negative_scalar_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_mul(-0.1, single(0, 0), S33)
-        with pytest.raises(ValueError):
-            power(single(0, 0), -1, S33)
-
-    def test_power_law(self):
-        out = power(single(0, 0), 2, S33)  # degree 0.5 squared
-        assert to_hfe(out, S33).gammas[0] == pytest.approx(0.25, abs=1e-9)
-
     def test_complement_involution_example(self):
         h = DHHFLE([DHLT(2, 1), DHLT(-1, 0.5)])
         twice = complement(complement(h, S33), S33)
@@ -174,13 +156,6 @@ class TestOperationalLaws:
         a = sorted(to_hfe(add(add(h1, h2, S33), h3, S33), S33).gammas)
         b = sorted(to_hfe(add(h1, add(h2, h3, S33), S33), S33).gammas)
         assert a == pytest.approx(b, abs=1e-9)
-
-    @given(elements())
-    @settings(max_examples=150)
-    def test_unit_scalar_and_power(self, h):
-        gs = to_hfe(h, S33).gammas
-        assert to_hfe(scalar_mul(1, h, S33), S33).gammas == pytest.approx(gs, abs=1e-9)
-        assert to_hfe(power(h, 1, S33), S33).gammas == pytest.approx(gs, abs=1e-9)
 
     @given(elements())
     @settings(max_examples=150)

@@ -14,7 +14,6 @@ from s3wgdm.neighborhood import (
     conditional_probability,
     cut_granules,
     kernel_similarity,
-    membership_gamma,
 )
 from s3wgdm.tables import FusedDecisionTable
 
@@ -145,17 +144,6 @@ class TestMembership:
         with pytest.raises(ValueError):
             concept_membership(fused, ["a1", "a2"], {"a1": 0.3, "a2": 0.3})
 
-    def test_gamma_route_closed_form(self):
-        fused = fused_from_rows([[single(0, 0), single(0, 0)]])  # both degree 0.5
-        out = membership_gamma(fused, ["a1", "a2"], {"a1": 0.5, "a2": 0.5})
-        assert out["x1"] == pytest.approx(1 - (0.5 ** 0.5) ** 2, abs=1e-9)
-        assert out["x1"] == pytest.approx(0.5, abs=1e-9)
-
-    def test_gamma_route_identity_single_attribute(self):
-        fused = fused_from_rows([[single(0, 0)]])
-        out = membership_gamma(fused, ["a1"], {"a1": 1.0})
-        assert out["x1"] == pytest.approx(0.5, abs=1e-12)
-
     def test_values_in_unit_interval(self):
         rng = random.Random(6)
         for _ in range(50):
@@ -166,10 +154,9 @@ class TestMembership:
             raw = [rng.random() + 0.05 for _ in range(m)]
             weights = {a: w / sum(raw) for a, w in zip(attrs, raw)}
             fused = fused_from_rows(rows, attrs)
-            for fn in (concept_membership, membership_gamma):
-                out = fn(fused, attrs, weights)
-                for alt in fused.alternatives:
-                    assert 0.0 <= out[alt] <= 1.0
+            out = concept_membership(fused, attrs, weights)
+            for alt in fused.alternatives:
+                assert 0.0 <= out[alt] <= 1.0
 
 
 class TestConditionalProbability:

@@ -3,67 +3,17 @@ import random
 
 import pytest
 
-from s3wgdm.linguistic import DHLTScale, single, superior_gradus, to_hfe
+from s3wgdm.linguistic import DHLTScale, single, superior_gradus
 from s3wgdm.regret import (
-    build_gain_unit,
+    CellValues,
     comprehensive_utility,
     direct_simplified_gains,
     perceived_utility_units,
     regret_rejoice,
-    simplify_gain_unit,
     utility,
-    PerceivedUtilityUnit,
-    SimplifiedGainUnit,
 )
 
 S33 = DHLTScale(3, 3)
-
-
-def gamma_of(h):
-    return to_hfe(h, S33).gammas[0]
-
-
-class TestGainUnit:
-    def test_eta_zero_empties_deferral_gains(self):
-        unit = build_gain_unit(single(0, 0), 0.0, S33)
-        assert gamma_of(unit.bp) == pytest.approx(0.0, abs=1e-12)
-        assert gamma_of(unit.bn) == pytest.approx(0.0, abs=1e-12)
-
-    def test_eta_one_keeps_full_gain(self):
-        unit = build_gain_unit(single(0.7, 1.2), 1.0, S33)
-        assert gamma_of(unit.bp) == pytest.approx(gamma_of(unit.pp), abs=1e-9)
-
-    def test_law_values(self):
-        unit = build_gain_unit(single(0, 0), 0.6, S33)  # degree 0.5
-        assert gamma_of(unit.bp) == pytest.approx(1 - 0.5 ** 0.6, abs=1e-9)
-        assert gamma_of(unit.nn) == pytest.approx(0.5, abs=1e-9)
-        assert gamma_of(unit.bn) == pytest.approx(1 - 0.5 ** 0.6, abs=1e-9)
-
-    def test_no_gain_cells_empty(self):
-        unit = build_gain_unit(single(1, 0), 0.5, S33)
-        assert unit.np is None and unit.pn is None
-
-    def test_eta_range(self):
-        with pytest.raises(ValueError):
-            build_gain_unit(single(0, 0), 1.2, S33)
-
-
-class TestSimplify:
-    def test_upper_anchor(self):
-        unit = build_gain_unit(single(3, 0), 0.6, S33)
-        assert simplify_gain_unit(unit, S33).pp == pytest.approx(1.0, abs=1e-12)
-
-    def test_null_cells_zero(self):
-        unit = build_gain_unit(single(1, 1), 0.6, S33)
-        simplified = simplify_gain_unit(unit, S33)
-        assert simplified.np == 0.0
-        assert simplified.pn == 0.0
-
-    def test_raw_score_above_one_clamped(self):
-        raw = superior_gradus(single(3, 3), S33)
-        assert raw == pytest.approx(1.0969961178, abs=1e-9)
-        unit = build_gain_unit(single(3, 3), 0.6, S33)
-        assert simplify_gain_unit(unit, S33).pp == 1.0
 
 
 class TestDirectGains:
@@ -86,16 +36,14 @@ class TestDirectGains:
             assert 0.0 <= out.bp <= out.pp <= 1.0
             assert 0.0 <= out.bn <= out.nn <= 1.0
 
-    def test_gain_unit_route_stays_in_unit_interval(self):
-        # scoring after re-canonicalization is not order-preserving, so the
-        # element-level route only guarantees the range, not bp <= pp
-        rng = random.Random(19)
-        for _ in range(200):
-            cell = single(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            eta = rng.random()
-            simplified = simplify_gain_unit(build_gain_unit(cell, eta, S33), S33)
-            for name in ("pp", "bp", "np", "pn", "bn", "nn"):
-                assert 0.0 <= simplified.cell(name) <= 1.0
+    def test_raw_score_above_one_clamped(self):
+        raw = superior_gradus(single(3, 3), S33)
+        assert raw == pytest.approx(1.0969961178, abs=1e-9)
+        assert direct_simplified_gains(single(3, 3), 0.6, S33).pp == 1.0
+
+    def test_eta_range(self):
+        with pytest.raises(ValueError):
+            direct_simplified_gains(single(0, 0), 1.2, S33)
 
 
 class TestUtility:
@@ -145,8 +93,7 @@ class TestRegretRejoice:
 
 
 def unit_from_pp(b, eta=0.6):
-    return SimplifiedGainUnit(pp=b, bp=eta * b, np=0.0, pn=0.0,
-                              bn=eta * (1 - b), nn=1 - b)
+    return CellValues(pp=b, bp=eta * b, np=0.0, pn=0.0, bn=eta * (1 - b), nn=1 - b)
 
 
 class TestPerceived:
@@ -201,8 +148,8 @@ class TestPerceived:
 
 class TestComprehensive:
     def _unit(self, value):
-        return PerceivedUtilityUnit(pp=value, bp=value / 2, np=0.0, pn=0.0,
-                                    bn=value / 3, nn=1 - value)
+        return CellValues(pp=value, bp=value / 2, np=0.0, pn=0.0,
+                          bn=value / 3, nn=1 - value)
 
     def test_singleton_subset(self):
         unit = self._unit(0.5)

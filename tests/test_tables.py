@@ -9,7 +9,6 @@ from s3wgdm.linguistic import (
     f_scalar,
     linguistic_expected_value,
     single,
-    to_hfe,
 )
 from s3wgdm.tables import (
     AttributeSpec,
@@ -19,7 +18,6 @@ from s3wgdm.tables import (
     check_attribute_weights,
     extract,
     fuse_dhhflmwa,
-    fuse_dhhflmwa_operational,
     make_table,
     orient_to_concept,
     renormalize_weights,
@@ -234,18 +232,6 @@ class TestFusion:
                         t.phi for t in les) + 1e-9
                     assert min(t.varphi for t in les) - 1e-9 <= got.varphi <= max(
                         t.varphi for t in les) + 1e-9
-
-    def test_operational_route_exists_and_differs_in_general(self):
-        tables = [
-            make_table("E1", 0.5, ["x"], ["a"], [[single(2, 0)]], S33),
-            make_table("E2", 0.5, ["x"], ["a"], [[single(-2, 0)]], S33),
-        ]
-        closed = fuse_dhhflmwa(tables).cell("x", "a")
-        operational = fuse_dhhflmwa_operational(tables).cell("x", "a")
-        g_closed = to_hfe(closed, S33).gammas[0]
-        g_oper = to_hfe(operational, S33).gammas[0]
-        # the two published readings of the averaging operator disagree
-        assert abs(g_closed - g_oper) > 1e-3
 
 
 class TestRenormalize:
