@@ -63,6 +63,11 @@ TOL = 1e-12
 # SHA-256 of the bundled ``decide --out`` report without
 # ``metadata.elapsed_seconds``, as the scalar per-level engine wrote it
 BUNDLED_REPORT_SHA256 = "020541ebb182c01abc473a4a27a9a00672510cfa8936f0bb4a7c75385807746d"
+# SHA-256 of the bundled ``decide`` stdout, and of the bundled ``sweep``
+# CSV over SWEEP_GRID (11 x 10 x 3 = 330 points)
+BUNDLED_STDOUT_SHA256 = "f53497a48aa058cdd0a554c8a11781542210b5c10f8f7989549aca8d128a4376"
+BUNDLED_SWEEP_SHA256 = "fbfae9f48f4f7d8a8ab089009c4a14bc6ee9ff1af8abedfa8f034dbb811d9871"
+SWEEP_GRID = ("eta=0:1:0.1", "sigma=0.1:1:0.1", "kappa=0:1:0.5")
 
 
 def reference_level(index, universe, tables, attrs, z, cfg, params):
@@ -227,3 +232,19 @@ def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_pa
     del report["metadata"]["elapsed_seconds"]
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_REPORT_SHA256
+
+
+def test_bundled_stdout_is_pinned(capsys, sle_case_path, sle_params_path):
+    assert cli_main(["decide", "--case", sle_case_path, "--params", sle_params_path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUNDLED_STDOUT_SHA256
+
+
+def test_bundled_sweep_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path, "--out", str(out)]
+    for grid in SWEEP_GRID:
+        argv += ["--grid", grid]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_SWEEP_SHA256
