@@ -142,7 +142,10 @@ def validate_case_dict(data: Any) -> tuple:
     ids = [a.id for a in attrs]
     if len(set(ids)) != len(ids):
         problems.append("attribute ids are not unique")
-    if attrs:
+    # a bad attribute entry is its own problem; the weight sum and the
+    # tables are not checked against the shortened list
+    attrs_ok = len(attrs) == len(raw_attrs)
+    if attrs and attrs_ok:
         total = sum(a.weight for a in attrs)
         if abs(total - 1.0) > WEIGHT_TOL:
             problems.append(f"attribute weights sum to {total:.6g}, expected 1")
@@ -174,7 +177,7 @@ def validate_case_dict(data: Any) -> tuple:
         rows = []
         ok = True
         for i, raw_row in enumerate(table):
-            if not isinstance(raw_row, list) or len(raw_row) != len(attrs):
+            if not isinstance(raw_row, list) or len(raw_row) != len(raw_attrs):
                 problems.append(f"{where}: row {i} must have one cell per attribute")
                 ok = False
                 break
@@ -190,7 +193,7 @@ def validate_case_dict(data: Any) -> tuple:
                     ok = False
                 row.append(cell)
             rows.append(row)
-        if ok and scale is not None and attrs:
+        if ok and scale is not None and attrs and attrs_ok:
             try:
                 experts.append(make_table(
                     expert_id=str(raw["id"]), expert_weight=weight,
@@ -314,7 +317,6 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
                 metadata: Optional[dict] = None) -> dict:
     levels = []
     for level in report.levels:
-        cumulative = report.regions_after(level.index)
         levels.append({
             "index": level.index,
             "attributes": list(level.z),
@@ -331,15 +333,11 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
                 "POS": sorted(level.pos),
                 "BND": sorted(level.bnd),
                 "NEG": sorted(level.neg)},
-            "cumulative_regions": {
-                "POS": sorted(a for a, r in cumulative.items() if r == "POS"),
-                "BND": sorted(a for a, r in cumulative.items() if r == "BND"),
-                "NEG": sorted(a for a, r in cumulative.items() if r == "NEG")},
+            "cumulative_regions": report.regions_after(level.index),
             "ranking_after": rank(report, key=spec.rank.key,
                                   neg_direction=spec.rank.neg_direction,
                                   upto=level.index),
         })
-    final_regions = report.regions_after(len(report.levels))
     out = {
         "schema": REPORT_SCHEMA,
         "case": {"alternatives": case.n, "attributes": case.m, "experts": case.e},
@@ -353,13 +351,10 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
         },
         "levels": levels,
         "final": {
-            "regions": {
-                "POS": sorted(a for a, r in final_regions.items() if r == "POS"),
-                "BND": sorted(a for a, r in final_regions.items() if r == "BND"),
-                "NEG": sorted(a for a, r in final_regions.items() if r == "NEG")},
+            "regions": report.regions_after(len(report.levels)),
             "exit_level": dict(sorted(report.exit_level.items())),
-            "ranking": rank(report, key=spec.rank.key,
-                            neg_direction=spec.rank.neg_direction),
+            # rank after the last level, already computed as its ranking_after
+            "ranking": list(levels[-1]["ranking_after"]),
         },
         "metadata": metadata or {},
     }

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import replace
 
 from .caseio import (
-    CaseFile,
     CaseFormatError,
     ParamsFile,
     RankOptions,
@@ -58,25 +59,23 @@ def _apply_overrides(spec: ParamsFile, args) -> ParamsFile:
     return spec
 
 
-def _print_report(out, case: CaseFile, spec: ParamsFile, report) -> None:
-    for level in report.levels:
-        cfg = spec.levels[level.index - 1]
-        print(f"level {level.index}: attributes {{{', '.join(level.z)}}} "
-              f"kappa={_sig6(cfg.kappa)} sigma={_sig6(cfg.sigma)}", file=out)
-        print(f"  POS {sorted(level.pos)}  BND {sorted(level.bnd)}  "
-              f"NEG {sorted(level.neg)}", file=out)
-        for alt in level.universe:
-            acc, dfr, rej = level.expected[alt]
-            print(f"    {alt}: pr={_sig6(level.probability[alt])} "
-                  f"accept={_sig6(acc)} defer={_sig6(dfr)} reject={_sig6(rej)}",
+def _print_report(out, data: dict) -> None:
+    """Text summary of a report dict as ``report_dict`` built it."""
+    for level in data["levels"]:
+        print(f"level {level['index']}: attributes {{{', '.join(level['attributes'])}}} "
+              f"kappa={_sig6(level['kappa'])} sigma={_sig6(level['sigma'])}", file=out)
+        regions = level["regions"]
+        print(f"  POS {regions['POS']}  BND {regions['BND']}  "
+              f"NEG {regions['NEG']}", file=out)
+        for alt, pr in level["conditional_probability"].items():
+            eu = level["expected_utility"][alt]
+            print(f"    {alt}: pr={_sig6(pr)} accept={_sig6(eu['accept'])} "
+                  f"defer={_sig6(eu['defer'])} reject={_sig6(eu['reject'])}",
                   file=out)
-    final = report.regions_after(len(report.levels))
-    pos = sorted(a for a, r in final.items() if r == "POS")
-    bnd = sorted(a for a, r in final.items() if r == "BND")
-    neg = sorted(a for a, r in final.items() if r == "NEG")
-    print(f"final regions: POS {pos}  BND {bnd}  NEG {neg}", file=out)
-    order = rank(report, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
-    print("final ranking: " + " > ".join(order), file=out)
+    final = data["final"]["regions"]
+    print(f"final regions: POS {final['POS']}  BND {final['BND']}  "
+          f"NEG {final['NEG']}", file=out)
+    print("final ranking: " + " > ".join(data["final"]["ranking"]), file=out)
 
 
 def cmd_validate(args) -> int:
@@ -113,7 +112,7 @@ def cmd_decide(args) -> int:
         write_json(args.out, data)
     if args.dump_similarity:
         _dump_similarity(args.dump_similarity, spec, report)
-    _print_report(sys.stdout, case, spec, report)
+    _print_report(sys.stdout, data)
     return EXIT_OK
 
 
@@ -154,10 +153,13 @@ def _parse_grid(specs) -> dict:
             raise CaseFormatError([f"grid parameter must be eta, sigma or kappa, got {name!r}"])
         parts = rest.split(":")
         try:
-            if len(parts) == 1:
-                values = [float(parts[0])]
-            elif len(parts) == 3:
-                start, stop, step = (float(p) for p in parts)
+            if len(parts) not in (1, 3):
+                raise ValueError("expected start:stop:step")
+            values = [float(p) for p in parts]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError("values must be finite")
+            if len(parts) == 3:
+                start, stop, step = values
                 if step <= 0:
                     raise ValueError("step must be positive")
                 values = []
@@ -168,8 +170,6 @@ def _parse_grid(specs) -> dict:
                         break
                     values.append(round(v, 12))
                     k += 1
-            else:
-                raise ValueError("expected start:stop:step")
         except ValueError as exc:
             raise CaseFormatError([f"grid spec {raw!r}: {exc}"]) from exc
         if not values:
@@ -178,18 +178,6 @@ def _parse_grid(specs) -> dict:
     if not grids:
         raise CaseFormatError(["sweep needs at least one --grid specification"])
     return grids
-
-
-def _grid_points(grids: dict):
-    names = sorted(grids)
-    def rec(i, acc):
-        if i == len(names):
-            yield dict(acc)
-            return
-        for v in grids[names[i]]:
-            acc[names[i]] = v
-            yield from rec(i + 1, acc)
-    yield from rec(0, {})
 
 
 def cmd_sweep(args) -> int:
@@ -204,7 +192,8 @@ def cmd_sweep(args) -> int:
     header.append("final_ranking")
 
     rows = []
-    for point in _grid_points(grids):
+    for values in itertools.product(*(grids[name] for name in names)):
+        point = dict(zip(names, values))
         spec = base_spec
         if "eta" in point:
             spec = replace(spec, params=replace(spec.params, eta=point["eta"]))
@@ -220,8 +209,7 @@ def cmd_sweep(args) -> int:
         row = [repr(point[name]) for name in names]
         for i in range(1, n_levels + 1):
             regions = report.regions_after(i)
-            row += [str(sum(1 for r in regions.values() if r == region))
-                    for region in ("POS", "BND", "NEG")]
+            row += [str(len(regions[r])) for r in ("POS", "BND", "NEG")]
         order = rank(report, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
         row.append(">".join(order))
         rows.append(row)

@@ -121,7 +121,6 @@ class DecisionReport:
     alternatives: tuple
     levels: tuple  # GranularLevel per executed level
     exit_level: Mapping[str, int]
-    final_region: Mapping[str, str]
 
     def accept_key(self, alternative: str) -> float:
         """Expected accept utility at the level where the alternative left
@@ -130,17 +129,11 @@ class DecisionReport:
         return self.levels[lvl - 1].expected[alternative][0]
 
     def regions_after(self, upto: int) -> dict:
-        """Cumulative region of every alternative once ``upto`` levels ran."""
-        upto = min(upto, len(self.levels))
-        out = {}
-        for level in self.levels[:upto]:
-            for a in level.pos:
-                out[a] = POS
-            for a in level.neg:
-                out[a] = NEG
-        for a in self.alternatives:
-            out.setdefault(a, BND)
-        return out
+        """Cumulative regions once ``upto`` levels ran: region -> sorted ids."""
+        pos = set().union(*(level.pos for level in self.levels[:upto]))
+        neg = set().union(*(level.neg for level in self.levels[:upto]))
+        bnd = [a for a in self.alternatives if a not in pos and a not in neg]
+        return {POS: sorted(pos), BND: sorted(bnd), NEG: sorted(neg)}
 
 
 def expected_perceived_utility(v: CellValues, pr: float) -> tuple:
@@ -225,6 +218,8 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
     """
     if not tables:
         raise ValueError("no expert tables")
+    if not tables[0].alternatives:  # every report has at least one level
+        raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
     check_attribute_weights(attrs)
@@ -243,7 +238,6 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
     rows = np.arange(len(alternatives))
     executed = []
     exit_level = {}
-    final_region = {}
     for i, cfg in enumerate(levels, start=1):
         if not len(rows):
             break
@@ -258,22 +252,16 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)
-        for alt in level.pos:
+        for alt in level.pos | level.neg:
             exit_level[alt] = i
-            final_region[alt] = POS
-        for alt in level.neg:
-            exit_level[alt] = i
-            final_region[alt] = NEG
         rows = rows[[alt in level.bnd for alt in level.universe]]
     for r in rows:  # survivors stay deferred
         exit_level[alternatives[r]] = executed[-1].index
-        final_region[alternatives[r]] = BND
 
     return DecisionReport(
         alternatives=alternatives,
         levels=tuple(executed),
         exit_level=exit_level,
-        final_region=final_region,
     )
 
 
@@ -303,11 +291,9 @@ def rank(report: DecisionReport, key: str = "accept",
         values = report.levels[lvl - 1].expected
         return values[alt][idx]
 
-    pos = sorted((a for a in report.alternatives if regions[a] == POS),
-                 key=lambda a: (-level_key(a), a))
-    bnd = sorted((a for a in report.alternatives if regions[a] == BND),
-                 key=lambda a: (-level_key(a), a))
-    neg = sorted((a for a in report.alternatives if regions[a] == NEG),
+    pos = sorted(regions[POS], key=lambda a: (-level_key(a), a))
+    bnd = sorted(regions[BND], key=lambda a: (-level_key(a), a))
+    neg = sorted(regions[NEG],
                  key=lambda a: (level_key(a) if neg_direction == "asc" else -level_key(a), a))
     return pos + bnd + neg
 

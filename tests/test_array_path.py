@@ -100,7 +100,7 @@ def reference_report(tables, attrs, levels, params):
     subsets = build_nested_subsets(attrs)
     alternatives = tables[0].alternatives
     universe = list(alternatives)
-    executed, exit_level, final_region = [], {}, {}
+    executed, exit_level = [], {}
     for i, cfg in enumerate(levels, start=1):
         if not universe:
             break
@@ -109,13 +109,11 @@ def reference_report(tables, attrs, levels, params):
         executed.append(level)
         for alt in level.pos | level.neg:
             exit_level[alt] = i
-            final_region[alt] = POS if alt in level.pos else NEG
         universe = [a for a in universe if a in level.bnd]
     for alt in universe:
         exit_level[alt] = executed[-1].index
-        final_region[alt] = BND
     return DecisionReport(alternatives=alternatives, levels=tuple(executed),
-                          exit_level=exit_level, final_region=final_region)
+                          exit_level=exit_level)
 
 
 subscript = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))

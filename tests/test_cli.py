@@ -67,6 +67,7 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--case", str(bad))
         assert code == 1
         assert "attributes[0]:" in err
+        assert err.count("\n  - ") == 1  # no follow-on weight-sum or row problems
 
     def test_fractional_scale(self, capsys, tmp_path, sle_case_path):
         with open(sle_case_path) as fh:
@@ -89,6 +90,7 @@ class TestValidate:
             code, _, err = run_cli(capsys, *argv, "--case", str(bad))
             assert code == 1
             assert "attributes[1]: align_with_concept must be true or false" in err
+            assert err.count("\n  - ") == 1  # no follow-on weight-sum or row problems
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "/nonexistent.json")
@@ -311,6 +313,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
                                "--params", sle_params_path)
         assert code == 1
+
+    @pytest.mark.parametrize("grid", ["eta=0:inf:1", "eta=nan:1:0.5", "sigma=0.1:1:nan",
+                                      "kappa=-inf:1:0.5", "eta=nan"])
+    def test_non_finite_grid_rejected(self, capsys, tmp_path, sle_case_path,
+                                      sle_params_path, grid):
+        # an infinite stop or a NaN part never ends the range
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", grid,
+                               "--out", str(out_path))
+        assert code == 1
+        assert f"grid spec {grid!r}: values must be finite" in err
+        assert not out_path.exists()
 
 
 class TestBaseline:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
     EngineParams,
     LevelConfig,
@@ -43,6 +44,23 @@ def random_case(rng, n=None, m=None, e=None):
         tables.append(make_table(f"E{k+1}", raw_e[k] / sum(raw_e),
                                  alternatives, attr_ids, rows, S33))
     return tables, attrs
+
+
+def check_regions_and_ranking(report, tables, attrs, levels):
+    """After every level the three region lists are sorted, disjoint and
+    cover the alternatives; the report's final ranking is the ranking
+    after its last level."""
+    for upto in range(1, len(report.levels) + 1):
+        regions = report.regions_after(upto)
+        ids = regions["POS"] + regions["BND"] + regions["NEG"]
+        assert all(block == sorted(block) for block in regions.values())
+        assert len(ids) == len(set(ids))
+        assert set(ids) == set(report.alternatives)
+    case = CaseFile(scale=S33, alternatives=tables[0].alternatives,
+                    attributes=tuple(attrs), experts=tuple(tables))
+    data = report_dict(case, ParamsFile(params=GOLDEN, levels=tuple(levels)), report)
+    assert data["final"]["ranking"] == data["levels"][-1]["ranking_after"]
+    assert data["final"]["ranking"] == rank(report)
 
 
 def cu(pp=0.0, bp=0.0, np=0.0, pn=0.0, bn=0.0, nn=0.0):
@@ -176,8 +194,7 @@ class TestRunSequential:
         assert levels[2].neg == {"x8"} and not levels[2].pos
         assert levels[3].pos == {"x4"} and not levels[3].neg
         assert levels[4].bnd == {"x3", "x7"}
-        assert report.final_region["x3"] == "BND"
-        assert report.final_region["x7"] == "BND"
+        assert report.regions_after(4)["BND"] == ["x3", "x7"]
         assert report.exit_level["x2"] == 1
         assert report.exit_level["x8"] == 2
         assert report.exit_level["x4"] == 3
@@ -188,7 +205,7 @@ class TestRunSequential:
                                 [GOLDEN_CFG], GOLDEN)
         assert len(report.levels) == 1
         regions = report.regions_after(1)
-        assert set(regions) == set(sle_case.alternatives)
+        assert sorted(sum(regions.values(), [])) == sorted(sle_case.alternatives)
 
     def test_universe_shrinks(self):
         rng = random.Random(43)
@@ -202,6 +219,7 @@ class TestRunSequential:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             for earlier, later in zip(report.levels, report.levels[1:]):
                 assert set(later.universe) == set(earlier.bnd)
+            check_regions_and_ranking(report, tables, attrs, levels)
 
     def test_duplicates_share_granule_at_full_cut(self):
         # x1 and x3 fuse to the same subscripts (x3's hesitant cell has the
@@ -222,6 +240,11 @@ class TestRunSequential:
         assert level.granule_size == {"x1": 2, "x2": 1, "x3": 2}
         assert level.probability["x1"] == level.probability["x3"]
         assert level.region_of("x1") == level.region_of("x3")
+
+    def test_empty_case_rejected(self):
+        t = make_table("E1", 1.0, [], ["a"], [], S33)
+        with pytest.raises(ValueError, match="no alternatives"):
+            run_sequential([t], [attr("a", 1.0)], [GOLDEN_CFG], GOLDEN)
 
     def test_too_many_levels_rejected(self, sle_case):
         levels = [GOLDEN_CFG] * 7
@@ -249,7 +272,8 @@ class TestRank:
                                 sle_params.levels, sle_params.params)
         order = rank(report, neg_direction="asc")
         regions = report.regions_after(len(report.levels))
-        seen = [regions[a] for a in order]
+        region_of = {a: r for r, ids in regions.items() for a in ids}
+        seen = [region_of[a] for a in order]
         # accepted block, then deferred, then rejected
         assert seen == sorted(seen, key=("POS", "BND", "NEG").index)
 
@@ -272,7 +296,7 @@ class TestRank:
         order = rank(report)
         keys = {a: level.expected[a][0] for a in level.universe}
         regions = report.regions_after(1)
-        blocks = {r: [a for a in order if regions[a] == r] for r in ("POS", "BND", "NEG")}
+        blocks = {r: [a for a in order if a in regions[r]] for r in ("POS", "BND", "NEG")}
         for block in blocks.values():
             assert block == sorted(block, key=lambda a: (-keys[a], a))
 
@@ -318,6 +342,7 @@ class TestOrderIndependence:
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.8, sigma=0.7)] * k
             report = run_sequential(tables, attrs, levels, GOLDEN)
+            check_regions_and_ranking(report, tables, attrs, levels)
             base = report.regions_after(len(report.levels))
 
             perm = list(tables[0].alternatives)
