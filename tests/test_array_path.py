@@ -10,7 +10,9 @@ equal their cell-by-cell references exactly.
 """
 
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 from hypothesis import given, settings
@@ -68,6 +70,14 @@ BUNDLED_REPORT_SHA256 = "020541ebb182c01abc473a4a27a9a00672510cfa8936f0bb4a7c753
 BUNDLED_STDOUT_SHA256 = "f53497a48aa058cdd0a554c8a11781542210b5c10f8f7989549aca8d128a4376"
 BUNDLED_SWEEP_SHA256 = "fbfae9f48f4f7d8a8ab089009c4a14bc6ee9ff1af8abedfa8f034dbb811d9871"
 SWEEP_GRID = ("eta=0:1:0.1", "sigma=0.1:1:0.1", "kappa=0:1:0.5")
+# SHA-256 of ``fuse --out`` and of ``baseline`` stdout, on the bundled case
+# and on the generated case GENERATED_SHAPE (bench/gen.py's case_dict)
+BUNDLED_FUSE_SHA256 = "4748a7e3f99efb2ac31ea540d5b785ec839870a28c011dab248fd973d234c4c0"
+BUNDLED_BASELINE_SHA256 = "806443c5ac8739e431c1845d8b41d1a134f1be2fee98c5bad1597d026d977ec9"
+GENERATED_SHAPE = {"n": 300, "m": 6, "e": 3, "max_terms": 3, "seed": 1}
+GENERATED_FUSE_SHA256 = "f08fca31b394328f02442e8902cdf5108828923ef478f8bc6e64195d8284e2dc"
+GENERATED_BASELINE_SHA256 = "7c6d53540e1daef125018899ac96cbff0dc2112fada6f81cec5401468ff878ad"
+GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def reference_level(index, universe, tables, attrs, z, cfg, params):
@@ -246,3 +256,32 @@ def test_bundled_sweep_is_pinned(tmp_path, capsys, sle_case_path, sle_params_pat
     assert cli_main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_SWEEP_SHA256
+
+
+def generated_case_path(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "generated.json"
+    gen.write_case(str(path), gen.case_dict(**GENERATED_SHAPE))
+    return str(path)
+
+
+def fuse_and_baseline_digests(case_path, tmp_path, capsys):
+    out = tmp_path / "fused.json"
+    assert cli_main(["fuse", "--case", case_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["baseline", "--case", case_path]) == 0
+    stdout = capsys.readouterr().out
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest())
+
+
+def test_bundled_fuse_and_baseline_are_pinned(tmp_path, capsys, sle_case_path):
+    assert fuse_and_baseline_digests(sle_case_path, tmp_path, capsys) == \
+        (BUNDLED_FUSE_SHA256, BUNDLED_BASELINE_SHA256)
+
+
+def test_generated_fuse_and_baseline_are_pinned(tmp_path, capsys):
+    assert fuse_and_baseline_digests(generated_case_path(tmp_path), tmp_path, capsys) == \
+        (GENERATED_FUSE_SHA256, GENERATED_BASELINE_SHA256)
