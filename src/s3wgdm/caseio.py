@@ -62,14 +62,15 @@ class ParamsFile:
     monotonicity_override: bool = False
 
 
-def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict) -> DHHFLE:
+def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict, terms: dict) -> DHHFLE:
     """One cell; ``parsed`` maps each cell text already parsed in this
-    document to its (immutable) element, so repeated texts parse once.
+    document to its (immutable) element, so repeated texts parse once, and
+    ``terms`` is :func:`parse_dhhfle`'s term cache for this document.
     Failures are not stored: each bad occurrence raises on its own."""
     if isinstance(raw, str):
         cell = parsed.get(raw)
         if cell is None:
-            cell = parsed[raw] = parse_dhhfle(raw, scale)
+            cell = parsed[raw] = parse_dhhfle(raw, scale, terms)
         return cell
     if isinstance(raw, list) and raw:
         terms = []
@@ -158,6 +159,7 @@ def validate_case_dict(data: Any) -> tuple:
     expert_ids = []
     expert_weights: list = []
     parsed: dict = {}  # cell text -> element, for this document only
+    terms: dict = {}   # term text -> term, for this document only
     for k, raw in enumerate(raw_experts):
         where = f"experts[{k}]"
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
@@ -181,12 +183,17 @@ def validate_case_dict(data: Any) -> tuple:
                 problems.append(f"{where}: row {i} must have one cell per attribute")
                 ok = False
                 break
+            try:  # a row of texts parsed before resolves at once
+                rows.append([parsed[raw_cell] for raw_cell in raw_row])
+                continue
+            except (KeyError, TypeError):  # a new text, or an unhashable cell
+                pass
             row = []
             for j, raw_cell in enumerate(raw_row):
                 cell = None
                 if scale is not None:
                     try:
-                        cell = _parse_cell(raw_cell, scale, parsed)
+                        cell = _parse_cell(raw_cell, scale, parsed, terms)
                     except (OverflowError, TypeError, ValueError) as exc:
                         problems.append(f"{where}.table[{i}][{j}]: {exc}")
                 if cell is None:

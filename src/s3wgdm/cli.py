@@ -40,6 +40,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 
+# a sweep grid with more points than this is rejected before it is built
+MAX_GRID_POINTS = 100_000
+
 
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
@@ -141,42 +144,64 @@ def cmd_fuse(args) -> int:
     return EXIT_OK
 
 
+def _grid_spec(raw: str) -> tuple:
+    """One ``--grid`` spec as (name, point count, values).  A range's values
+    come as a generator, so nothing is built before the count is checked."""
+    if "=" not in raw:
+        raise CaseFormatError([f"grid spec {raw!r} must look like name=start:stop:step"])
+    name, _, rest = raw.partition("=")
+    name = name.strip()
+    if name not in ("eta", "sigma", "kappa"):
+        raise CaseFormatError([f"grid parameter must be eta, sigma or kappa, got {name!r}"])
+    parts = rest.split(":")
+    try:
+        if len(parts) not in (1, 3):
+            raise ValueError("expected start:stop:step")
+        values = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite")
+        if len(parts) == 1:
+            return name, 1, values
+        start, stop, step = values
+        if step <= 0:
+            raise ValueError("step must be positive")
+    except ValueError as exc:
+        raise CaseFormatError([f"grid spec {raw!r}: {exc}"]) from exc
+    # the points _grid_range yields, with its tolerance; inf on overflow
+    span = (stop - start) / step + 1e-9
+    count = max(0, math.floor(span) + 1) if span <= MAX_GRID_POINTS else math.inf
+    return name, count, _grid_range(start, stop, step)
+
+
+def _grid_range(start: float, stop: float, step: float):
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + step * 1e-9:
+            return
+        yield round(v, 12)
+        k += 1
+
+
 def _parse_grid(specs) -> dict:
-    """``eta=0:1:0.1`` inclusive ranges or bare values; returns name -> values."""
-    grids = {}
+    """``eta=0:1:0.1`` inclusive ranges or bare values; returns name -> values.
+    A grid of more than ``MAX_GRID_POINTS`` points is rejected unbuilt."""
+    parsed = []
+    points = 1
     for raw in specs or []:
-        if "=" not in raw:
-            raise CaseFormatError([f"grid spec {raw!r} must look like name=start:stop:step"])
-        name, _, rest = raw.partition("=")
-        name = name.strip()
-        if name not in ("eta", "sigma", "kappa"):
-            raise CaseFormatError([f"grid parameter must be eta, sigma or kappa, got {name!r}"])
-        parts = rest.split(":")
-        try:
-            if len(parts) not in (1, 3):
-                raise ValueError("expected start:stop:step")
-            values = [float(p) for p in parts]
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError("values must be finite")
-            if len(parts) == 3:
-                start, stop, step = values
-                if step <= 0:
-                    raise ValueError("step must be positive")
-                values = []
-                k = 0
-                while True:
-                    v = start + k * step
-                    if v > stop + step * 1e-9:
-                        break
-                    values.append(round(v, 12))
-                    k += 1
-        except ValueError as exc:
-            raise CaseFormatError([f"grid spec {raw!r}: {exc}"]) from exc
-        if not values:
-            raise CaseFormatError([f"grid spec {raw!r} produced no points"])
-        grids[name] = values
-    if not grids:
+        name, count, values = _grid_spec(raw)
+        points *= count
+        if points > MAX_GRID_POINTS:
+            raise CaseFormatError(
+                [f"grid spec {raw!r}: the grid would have more than {MAX_GRID_POINTS} points"])
+        parsed.append((raw, name, values))
+    if not parsed:
         raise CaseFormatError(["sweep needs at least one --grid specification"])
+    grids = {}
+    for raw, name, values in parsed:
+        grids[name] = list(values)
+        if not grids[name]:
+            raise CaseFormatError([f"grid spec {raw!r} produced no points"])
     return grids
 
 

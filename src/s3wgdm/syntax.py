@@ -19,14 +19,14 @@ from .linguistic import DHLT, DHHFLE, DHLTScale
 
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
-# Fast path: a whole element with no whitespace and ASCII digits only.  A
-# number can never be followed by a character it could also contain, so
-# this matches exactly the texts of that form the scanner accepts, and the
-# term pattern then splits them the same way.  Everything else goes to the
-# scanner, the only source of syntax errors.
+# Fast path: a whole element with no whitespace and ASCII digits only, read
+# as "{", terms split at commas, "}".  A number can never be followed by a
+# character it could also contain, and no term holds a comma or a brace,
+# so this accepts exactly the texts of that form the scanner accepts, with
+# the same terms.  Everything else goes to the scanner, the only source of
+# syntax errors.
 _ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
-_ELEMENT = re.compile(rf"\{{{_TERM.pattern}(?:,{_TERM.pattern})*\}}")
 
 
 class TermSyntaxError(ValueError):
@@ -82,15 +82,32 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def parse_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
+def parse_dhhfle(text: str, scale: DHLTScale, terms: dict | None = None) -> DHHFLE:
     """Parse one element; raises TermSyntaxError with position on bad input
-    and ScaleRangeError when a subscript leaves the scale."""
-    if _ELEMENT.fullmatch(text) is None:
+    and ScaleRangeError when a subscript leaves the scale.
+
+    ``terms`` maps term texts such as ``s_2<o_1>``, already built and
+    checked against ``scale``, to their (immutable) terms.  Passing one
+    dict for every element of a document builds and checks each distinct
+    term text once; a term that fails is not stored.
+    """
+    if not (text.startswith("{") and text.endswith("}")):
         return _scan_dhhfle(text, scale)
-    terms = [DHLT(float(phi), float(varphi)) for phi, varphi in _TERM.findall(text)]
-    for t in terms:  # in term order, as the scanner checks them
-        scale.check(t.phi, t.varphi)
-    return DHHFLE(terms)
+    if terms is None:
+        terms = {}
+    out = []
+    for part in text[1:-1].split(","):
+        term = terms.get(part)
+        if term is None:
+            match = _TERM.fullmatch(part)
+            if match is None:
+                return _scan_dhhfle(text, scale)
+            term = DHLT(float(match[1]), float(match[2]))
+            # in term order, as the scanner checks them
+            scale.check(term.phi, term.varphi)
+            terms[part] = term
+        out.append(term)
+    return DHHFLE(out)
 
 
 def _scan_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +49,9 @@ class ExpertDecisionTable:
 
     ``means`` is computed while the cells are validated: the (n, m, 2)
     array of each cell's mean ``phi`` and ``varphi`` subscripts, its
-    linguistic expected value.  Fusion reads only this array.
+    linguistic expected value.  Fusion reads only this array.  Both come
+    from each element's :attr:`~DHHFLE.summary`, so a cell costs one read
+    and an element shared by many cells is summed once.
     """
 
     expert_id: str
@@ -64,22 +67,20 @@ class ExpertDecisionTable:
             raise ValueError(f"expert weight {self.expert_weight} outside [0, 1]")
         if len(self.cells) != len(self.alternatives):
             raise ValueError("row count does not match the alternatives")
-        check = self.scale.check
-        means = []
-        for row in self.cells:
-            if len(row) != len(self.attributes):
-                raise ValueError("incomplete table: ragged row")
-            for cell in row:
-                if not isinstance(cell, DHHFLE):
-                    raise TypeError("cells must be hesitant elements")
-                terms = cell.terms
-                for t in terms:
-                    check(t.phi, t.varphi)
-                # the arithmetic of linguistic_expected_value
-                means.append((sum(t.phi for t in terms) / len(terms),
-                              sum(t.varphi for t in terms) / len(terms)))
-        shape = (len(self.alternatives), len(self.attributes), 2)
-        object.__setattr__(self, "means", np.array(means, dtype=float).reshape(shape))
+        m = len(self.attributes)
+        if any(len(row) != m for row in self.cells):
+            raise ValueError("incomplete table: ragged row")
+        cells = [cell for row in self.cells for cell in row]
+        if not all(isinstance(cell, DHHFLE) for cell in cells):
+            raise TypeError("cells must be hesitant elements")
+        summary = np.fromiter(chain.from_iterable([cell.summary for cell in cells]),
+                              float, 4 * len(cells)).reshape(-1, 4)
+        inside = (summary[:, 2:] <= self.scale.bounds()).all(axis=1)
+        if not inside.all():
+            # the first bad cell, checked term by term, raises the message
+            cells[int(np.argmin(inside))].validate(self.scale)
+        shape = (len(self.alternatives), m, 2)
+        object.__setattr__(self, "means", np.ascontiguousarray(summary[:, :2]).reshape(shape))
 
     def cell(self, alternative: str, attribute: str) -> DHHFLE:
         i = self.alternatives.index(alternative)

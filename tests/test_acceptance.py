@@ -112,10 +112,11 @@ class TestCriterion2Rankings:
     neg_direction=asc, deferred block keyed at the shown level.
 
     Levels 2 and 3 reproduce the reference sequences exactly.  At levels
-    1 and 4 the engine's deferred-block keys flip one adjacent pair whose
-    values sit within about one percent of each other; the produced
-    orders are pinned here and the difference is asserted to be exactly
-    that single transposition.
+    1 and 4 the engine's deferred-block keys flip one adjacent pair.  At
+    level 4 the pair's accept keys are close (x3 0.15738, x7 0.15593,
+    0.9% apart); at level 1 they are not (x4 0.2053, x7 0.2594, 21% of
+    the larger).  The produced orders are pinned here and the difference
+    is asserted to be exactly that single transposition.
     """
 
     def test_levels_two_and_three_exact(self, golden_report):

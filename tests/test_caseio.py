@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,8 @@ from s3wgdm.caseio import (
     validate_report_dict,
     write_json,
 )
-from s3wgdm.linguistic import DHHFLE, DHLT
-from s3wgdm.syntax import parse_dhhfle
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value
+from s3wgdm.syntax import _scan_dhhfle, parse_dhhfle
 
 
 def minimal_case(cell="{s_1<o_0>}"):
@@ -129,9 +130,9 @@ class TestParseOncePerDocument:
     def test_repeated_good_cell_parsed_once(self, monkeypatch):
         calls = []
 
-        def counting(text, scale):
+        def counting(text, scale, terms):
             calls.append(text)
-            return parse_dhhfle(text, scale)
+            return parse_dhhfle(text, scale, terms)
 
         monkeypatch.setattr(caseio, "parse_dhhfle", counting)
         case, problems = validate_case_dict(self.repeated_case("{s_2<o_1>,s_1<o_0>}"))
@@ -154,6 +155,129 @@ class TestParseOncePerDocument:
         with pytest.raises(CaseFormatError) as err:
             load_case(str(paths[1]))
         assert len([p for p in err.value.problems if "outside" in p]) == 3
+
+
+def spellings(value):
+    """Texts of one whole-number subscript that all read as the same float."""
+    out = [str(value), f"{value}.0", f"{value}e0", f"{value}."]
+    if value >= 0:
+        out.append(f"+{value}")
+    if value == 0:
+        out += ["-0", "-0.0", "-0e0"]
+    return out
+
+
+# subscripts mostly on the smallest scale drawn below, sometimes one past
+# it; fractions make the mean depend on the order of summation
+number = st.one_of(
+    st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 3, 4, -4]).flatmap(
+        lambda v: st.sampled_from(spellings(v))),
+    st.sampled_from(["0.1", "0.2", "-0.7", "2.35", "-1.15", "1e-1"]))
+term = st.builds(lambda p, v: f"s_{p}<o_{v}>", number, number)
+canonical = st.lists(term, min_size=1, max_size=3).map(lambda ts: "{" + ",".join(ts) + "}")
+cell_raw = st.one_of(
+    canonical, canonical, canonical,
+    canonical.map(lambda t: t.replace("{", "{ ").replace(",", " ,\n ")),  # the scanner
+    canonical.map(lambda t: t[:-1]),  # malformed
+    st.lists(st.fixed_dictionaries({"phi": st.integers(-4, 4), "varphi": st.integers(-4, 4)}),
+             min_size=1, max_size=2),  # structured
+    st.sampled_from([7, [], None, [{"phi": "wide", "varphi": 0}], [{"phi": 1}]]),
+)
+
+
+@st.composite
+def documents(draw):
+    """Valid apart from the cells, which repeat texts across experts."""
+    pool = draw(st.lists(cell_raw, min_size=1, max_size=5))
+    n, m, e = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = st.sampled_from(pool)
+    return {
+        "scale": {"tau": 3, "sigma_scale": 3},
+        "alternatives": [f"x{i}" for i in range(n)],
+        "attributes": [{"id": f"a{j}", "weight": 1 / m} for j in range(m)],
+        "experts": [{"id": f"E{k}", "weight": 1 / e,
+                     "table": draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                            min_size=n, max_size=n))}
+                    for k in range(e)],
+    }
+
+
+def reference_cell(raw, scale):
+    """One cell on its own: the scanner for texts, no caches."""
+    if isinstance(raw, str):
+        return _scan_dhhfle(raw, scale)
+    if isinstance(raw, list) and raw:
+        terms = []
+        for item in raw:
+            if not isinstance(item, dict) or "phi" not in item or "varphi" not in item:
+                raise ValueError("structured cells need phi/varphi entries")
+            phi, varphi = float(item["phi"]), float(item["varphi"])
+            scale.check(phi, varphi)
+            terms.append(DHLT(phi, varphi))
+        return DHHFLE(terms)
+    raise ValueError("cell must be a term string or a non-empty term array")
+
+
+def reference_ingest(doc):
+    """Each expert's cells in row-major order and every cell problem."""
+    scale = DHLTScale(doc["scale"]["tau"], doc["scale"]["sigma_scale"])
+    tables, problems = [], []
+    for k, expert in enumerate(doc["experts"]):
+        cells = []
+        for i, row in enumerate(expert["table"]):
+            for j, raw in enumerate(row):
+                try:
+                    cells.append(reference_cell(raw, scale))
+                except (OverflowError, TypeError, ValueError) as exc:
+                    problems.append(f"experts[{k}].table[{i}][{j}]: {exc}")
+        tables.append(cells)
+    return tables, problems
+
+
+def bits(cell):
+    return [(t.phi.hex(), t.varphi.hex()) for t in cell.terms]
+
+
+def assert_ingest_matches_reference(doc):
+    case, problems = validate_case_dict(doc)
+    want_tables, want_problems = reference_ingest(doc)
+    assert problems == want_problems
+    if problems:
+        return
+    for table, want in zip(case.experts, want_tables, strict=True):
+        assert [bits(c) for row in table.cells for c in row] == [bits(c) for c in want]
+        means = [(t.phi, t.varphi) for t in
+                 (linguistic_expected_value(c).terms[0] for c in want)]
+        assert table.means.tobytes() == np.array(means).reshape(table.means.shape).tobytes()
+
+
+class TestIngestMatchesCellByCellScan:
+    """``validate_case_dict`` builds each distinct term and cell once per
+    document; a scan of every cell on its own must give the same cells,
+    bit-identical means and the same problems in the same order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(documents())
+    def test_random_documents(self, doc):
+        assert_ingest_matches_reference(doc)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(documents(), st.sampled_from([(4, 4), (4, 3), (2, 3)]))
+    def test_next_document_on_another_scale(self, doc, scale):
+        other = json.loads(json.dumps(doc))
+        other["scale"] = {"tau": scale[0], "sigma_scale": scale[1]}
+        assert_ingest_matches_reference(other)
+        assert_ingest_matches_reference(doc)
+
+    def test_one_term_spelled_five_ways(self):
+        texts = ["{s_1<o_-0>}", "{s_+1<o_0>}", "{s_1.0<o_-0>}", "{s_1e0<o_0>}", "{s_1<o_-0>}"]
+        doc = TestParseOncePerDocument.repeated_case(texts[0])
+        doc["experts"][0]["table"] = [texts[:2], texts[2:4]]
+        doc["experts"][1]["table"] = [texts[4:] + texts[:1], texts[1:3]]
+        assert_ingest_matches_reference(doc)
+        case, _ = validate_case_dict(doc)
+        assert [bits(c) for c in case.experts[0].cells[0]] == [
+            [("0x1.0000000000000p+0", "-0x0.0p+0")], [("0x1.0000000000000p+0", "0x0.0p+0")]]
 
 
 class TestParamsValidation:

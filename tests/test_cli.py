@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from s3wgdm.caseio import validate_report_dict
-from s3wgdm.cli import main
+from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
 from s3wgdm.engine import run_sequential
 
 
@@ -326,6 +328,36 @@ class TestSweep:
         assert code == 1
         assert f"grid spec {grid!r}: values must be finite" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("grids", [
+        ["eta=0:1:1e-9"],
+        ["eta=0:1:1e-5"],
+        ["eta=0:1:0.001", "sigma=0.1:1:0.001"],
+        ["eta=-1e308:1e308:1e-300"],
+    ], ids=["1e9-points", "cap-plus-one", "product", "overflowing-span"])
+    def test_oversized_grid_rejected_unbuilt(self, capsys, tmp_path, sle_case_path,
+                                             sle_params_path, grids):
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path,
+                "--out", str(out_path)]
+        for grid in grids:
+            argv += ["--grid", grid]
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, _, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"grid spec {grids[-1]!r}: the grid would have more than " \
+               f"{MAX_GRID_POINTS} points" in err
+        assert time.perf_counter() - started < 5
+        assert peak < 2_000_000
+        assert not out_path.exists()
+
+    def test_grid_at_the_cap_is_built(self):
+        assert len(_parse_grid(["eta=0:0.99999:1e-5"])["eta"]) == MAX_GRID_POINTS
 
 
 class TestBaseline:

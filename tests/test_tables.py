@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -157,6 +158,40 @@ class TestMeans:
         cell = DHHFLE([DHLT(1, 0), DHLT(4, 0)])  # the second term is off the scale
         with pytest.raises(ValueError, match="outside"):
             make_table("E", 1.0, ["x"], ["a"], [[cell]], S33)
+
+    def test_first_bad_cell_raises_the_term_check_message(self):
+        # values at and just inside the bounds, or (rarely) past them
+        good = [0.0, -0.0, 1.5, 3.0, -3.0, 3 + 1e-13, -3 - 1e-13]
+        bad = [3 + 1e-11, -4.0, math.nan, math.inf, -math.inf]
+        rng = random.Random(12)
+
+        def value():
+            return rng.choice(bad if rng.random() < 0.03 else good)
+
+        for _ in range(300):
+            rows = [[DHHFLE([DHLT(value(), value())
+                             for _ in range(rng.randint(1, 3))])
+                     for _ in range(3)] for _ in range(3)]
+            want = None
+            try:  # every term in row-major, term order
+                for row in rows:
+                    for cell in row:
+                        for t in cell.terms:
+                            S33.check(t.phi, t.varphi)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                make_table("E", 1.0, ["x", "y", "z"], ["a", "b", "c"], rows, S33)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+
+    def test_shared_element_summed_once(self):
+        cell = DHHFLE([DHLT(1, 0), DHLT(2, -1)])
+        t = make_table("E", 1.0, ["x", "y"], ["a"], [[cell], [cell]], S33)
+        assert cell.summary == (1.5, -0.5, 2.0, 1.0)
+        assert t.means.tolist() == [[[1.5, -0.5]], [[1.5, -0.5]]]
 
 
 class TestFusion:
