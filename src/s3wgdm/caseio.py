@@ -73,14 +73,14 @@ def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict, terms: dict) -> DHHFLE
             cell = parsed[raw] = parse_dhhfle(raw, scale, terms)
         return cell
     if isinstance(raw, list) and raw:
-        terms = []
+        built = []
         for item in raw:
             if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
                 raise ValueError("structured cells need phi/varphi entries")
             phi, varphi = float(item["phi"]), float(item["varphi"])
             scale.check(phi, varphi)
-            terms.append(DHLT(phi, varphi))
-        return DHHFLE(terms)
+            built.append(DHLT(phi, varphi))
+        return DHHFLE(built)
     raise ValueError("cell must be a term string or a non-empty term array")
 
 
