@@ -22,7 +22,7 @@ from .linguistic import (
     superior_gradus_term,
     to_hfe,
 )
-from .syntax import TermSyntaxError, format_dhhfle, parse_dhhfle
+from .syntax import TermSyntaxError, format_dhhfle, format_term, parse_dhhfle
 from .tables import (
     AttributeSpec,
     ExpertDecisionTable,
@@ -31,7 +31,6 @@ from .tables import (
     build_nested_subsets,
     extract,
     fuse_dhhflmwa,
-    fused_subscripts,
     make_table,
     orient_to_concept,
     renormalize_weights,

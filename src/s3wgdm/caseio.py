@@ -8,7 +8,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .engine import DecisionReport, EngineParams, LevelConfig, rank
 from .linguistic import DHHFLE, DHLT, DHLTScale
-from .syntax import format_dhhfle, parse_dhhfle
+from .syntax import format_term, parse_dhhfle
 from .tables import (
     WEIGHT_TOL,
     AttributeSpec,
@@ -16,6 +16,9 @@ from .tables import (
     build_nested_subsets,
     make_table,
 )
+
+# stays importable here, where bench/tracer.py looks it up
+from .syntax import format_dhhfle  # noqa: F401
 
 REPORT_SCHEMA = "s3wgdm-report/1"
 
@@ -77,17 +80,23 @@ def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict, terms: dict) -> DHHFLE
         for item in raw:
             if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
                 raise ValueError("structured cells need phi/varphi entries")
-            phi, varphi = float(item["phi"]), float(item["varphi"])
+            phi, varphi = _number(item, "phi"), _number(item, "varphi")
             scale.check(phi, varphi)
             built.append(DHLT(phi, varphi))
         return DHHFLE(built)
     raise ValueError("cell must be a term string or a non-empty term array")
 
 
+def _number(raw: Mapping, key: str, default: Any = None) -> float:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole_number(raw: Mapping, key: str) -> int:
-    value = raw.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    value = _number(raw, key, 0)
+    if not value.is_integer():
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -134,7 +143,7 @@ def validate_case_dict(data: Any) -> tuple:
         try:
             attrs.append(AttributeSpec(
                 id=str(raw["id"]),
-                weight=float(raw["weight"]),
+                weight=_number(raw, "weight"),
                 kind=raw.get("kind", "benefit"),
                 align_with_concept=align,
             ))
@@ -167,9 +176,9 @@ def validate_case_dict(data: Any) -> tuple:
             continue
         expert_ids.append(str(raw["id"]))
         try:
-            weight = float(raw["weight"])
-        except (OverflowError, TypeError, ValueError):
-            problems.append(f"{where}: weight must be a number")
+            weight = _number(raw, "weight")
+        except (OverflowError, ValueError) as exc:
+            problems.append(f"{where}: {exc}")
             continue
         expert_weights.append(weight)
         table = raw.get("table")
@@ -240,11 +249,8 @@ def validate_params_dict(data: Any) -> tuple:
         return None, ["top level must be a JSON object"]
     params = None
     try:
-        params = EngineParams(
-            eta=float(data.get("eta", 0.6)),
-            theta=float(data.get("theta", 0.88)),
-            delta=float(data.get("delta", 0.3)),
-        )
+        params = EngineParams(eta=_number(data, "eta", 0.6), theta=_number(data, "theta", 0.88),
+                              delta=_number(data, "delta", 0.3))
     except (OverflowError, TypeError, ValueError) as exc:
         problems.append(f"parameters: {exc}")
 
@@ -258,8 +264,8 @@ def validate_params_dict(data: Any) -> tuple:
             problems.append(f"levels[{k}]: must be an object with kappa and sigma")
             continue
         try:
-            levels.append(LevelConfig(kappa=float(raw.get("kappa", 1.0)),
-                                      sigma=float(raw.get("sigma", 0.7))))
+            levels.append(LevelConfig(kappa=_number(raw, "kappa", 1.0),
+                                      sigma=_number(raw, "sigma", 0.7)))
         except (OverflowError, TypeError, ValueError) as exc:
             problems.append(f"levels[{k}]: {exc}")
 
@@ -314,8 +320,8 @@ def fused_table_dict(fused: FusedDecisionTable) -> dict:
         "attributes": list(fused.attributes),
         "experts": list(fused.expert_ids),
         "expert_weights": list(fused.expert_weights),
-        "cells": [[format_dhhfle(cell, fused.scale) for cell in row]
-                  for row in fused.cells],
+        "cells": [["{" + format_term(phi, varphi) + "}" for phi, varphi in row]
+                  for row in fused.means.tolist()],
     }
 
 

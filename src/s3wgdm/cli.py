@@ -134,8 +134,7 @@ def _dump_similarity(prefix: str, spec: ParamsFile, report) -> None:
 
 def cmd_fuse(args) -> int:
     case = load_case(args.case)
-    fused = fuse_dhhflmwa(case.experts)
-    data = fused_table_dict(fused)
+    data = fused_table_dict(fuse_dhhflmwa(case.experts))
     if args.out:
         write_json(args.out, data)
     else:

@@ -18,7 +18,8 @@ from .tables import (
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
-    fused_subscripts,
+    fuse_dhhflmwa,
+    orient_to_concept,
     renormalize_weights,
 )
 
@@ -36,7 +37,7 @@ from .regret import (  # noqa: F401
     direct_simplified_gains,
     perceived_utility_units,
 )
-from .tables import extract, fuse_dhhflmwa, orient_to_concept  # noqa: F401
+from .tables import extract  # noqa: F401
 
 POS, BND, NEG = "POS", "BND", "NEG"
 
@@ -53,6 +54,8 @@ class LevelConfig:
             raise ValueError(f"kappa {self.kappa} outside [0, 1]")
         if not math.isfinite(self.sigma) or self.sigma <= 0:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if 2.0 * self.sigma * self.sigma == 0.0:  # the kernel's denominator
+            raise ValueError(f"sigma {self.sigma} is too small: 2 sigma^2 underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -230,10 +233,9 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         raise ValueError(
             f"{len(levels)} levels configured but only {len(subsets)} nested subsets exist")
 
-    alternatives = tables[0].alternatives
-    attr_order = tables[0].attributes
-    scale = tables[0].scale
-    phi, varphi = fused_subscripts(tables, attrs)
+    fused = orient_to_concept(fuse_dhhflmwa(tables), attrs)
+    alternatives, attr_order, scale = fused.alternatives, fused.attributes, fused.scale
+    phi, varphi = fused.subscripts()
     scores = superior_gradus_array(phi, varphi, scale)
     rows = np.arange(len(alternatives))
     executed = []
@@ -308,7 +310,7 @@ def baseline_full_fusion(tables: Sequence[ExpertDecisionTable],
     with parameters the same risk-averse utility as the engine applies.
     """
     check_attribute_weights(attrs)
-    phi, varphi = fused_subscripts(tables, attrs)
+    phi, varphi = orient_to_concept(fuse_dhhflmwa(tables), attrs).subscripts()
     scores = np.clip(superior_gradus_array(phi, varphi, tables[0].scale), 0.0, 1.0)
     if params is not None:
         scores = elementwise(math.pow, scores, params.theta)

@@ -91,7 +91,8 @@ def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarr
         gap *= gap
         d2 += gap
     np.negative(d2, out=d2)
-    d2 /= 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+        d2 /= 2.0 * sigma * sigma
     return np.exp(d2, out=d2)
 
 
@@ -164,9 +165,9 @@ def concept_membership(table: FusedDecisionTable, z: Iterable[str],
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
     degrees = {}
-    for i, alt in enumerate(sub.alternatives):
-        phi = sum(w * cell.terms[0].phi for w, cell in zip(wv, sub.cells[i]))
-        varphi = sum(w * cell.terms[0].varphi for w, cell in zip(wv, sub.cells[i]))
+    for alt, row in zip(sub.alternatives, sub.means.tolist()):
+        phi = sum(w * cell[0] for w, cell in zip(wv, row))
+        varphi = sum(w * cell[1] for w, cell in zip(wv, row))
         score = superior_gradus_term(DHLT(phi, varphi), sub.scale)
         degrees[alt] = min(1.0, max(0.0, score))
     return ConceptMembership(degrees=degrees)

@@ -142,8 +142,11 @@ def format_subscript(value: float) -> str:
     return out
 
 
+def format_term(phi: float, varphi: float) -> str:
+    """One term's text, such as ``s_2<o_-1.5>``."""
+    return f"s_{format_subscript(phi)}<o_{format_subscript(varphi)}>"
+
+
 def format_dhhfle(h: DHHFLE, scale: DHLTScale) -> str:
     h.validate(scale)
-    parts = (f"s_{format_subscript(t.phi)}<o_{format_subscript(t.varphi)}>"
-             for t in h)
-    return "{" + ",".join(parts) + "}"
+    return "{" + ",".join(format_term(t.phi, t.varphi) for t in h) + "}"

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linguistic import DHHFLE, DHLT, DHLTScale, mirror
+from .linguistic import DHHFLE, DHLT, DHLTScale
 
 WEIGHT_TOL = 1e-6
 _TIE_TOL = 1e-9
@@ -106,50 +106,40 @@ def check_expert_weights(tables: Sequence[ExpertDecisionTable]) -> None:
         raise ValueError(f"expert weights sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedDecisionTable:
-    """Group table after fusion; every cell holds a single term."""
+    """Group table after fusion: one term per cell, held in ``means`` as the
+    (n, m, 2) subscript array that :attr:`ExpertDecisionTable.means` uses."""
 
     alternatives: tuple
     attributes: tuple
-    cells: tuple
+    means: np.ndarray = field(repr=False)
     scale: DHLTScale
     expert_ids: tuple = ()
     expert_weights: tuple = ()
 
     def __post_init__(self) -> None:
-        for row in self.cells:
-            for cell in row:
-                if len(cell) != 1:
-                    raise ValueError("fused cells must be single terms")
-                cell.validate(self.scale)
+        inside = (np.abs(self.means) <= self.scale.bounds()).reshape(-1, 2)
+        if not inside.all():
+            # the first bad cell in row-major order, checked as a term, raises the message
+            self.scale.check(*self.means.reshape(-1, 2)[np.argmin(inside.all(axis=1))].tolist())
 
     def cell(self, alternative: str, attribute: str) -> DHHFLE:
         i = self.alternatives.index(alternative)
         j = self.attributes.index(attribute)
-        return self.cells[i][j]
-
-    def term(self, alternative: str, attribute: str) -> DHLT:
-        return self.cell(alternative, attribute).terms[0]
+        return DHHFLE([DHLT(*self.means[i, j].tolist())])
 
     def subscripts(self) -> tuple:
         """The table as two (n, m) arrays: ``phi`` and ``varphi``."""
-        shape = (len(self.alternatives), len(self.attributes))
-        terms = [cell.terms[0] for row in self.cells for cell in row]
-        return (np.array([t.phi for t in terms], dtype=float).reshape(shape),
-                np.array([t.varphi for t in terms], dtype=float).reshape(shape))
+        return self.means[..., 0], self.means[..., 1]
 
     def restrict(self, universe: Iterable[str], z: Iterable[str]) -> "FusedDecisionTable":
         rows = _index_of(self.alternatives, universe, "alternative")
         cols = _index_of(self.attributes, z, "attribute")
-        return FusedDecisionTable(
-            alternatives=tuple(self.alternatives[i] for i in rows),
-            attributes=tuple(self.attributes[j] for j in cols),
-            cells=tuple(tuple(self.cells[i][j] for j in cols) for i in rows),
-            scale=self.scale,
-            expert_ids=self.expert_ids,
-            expert_weights=self.expert_weights,
-        )
+        return replace(self,
+                       alternatives=tuple(self.alternatives[i] for i in rows),
+                       attributes=tuple(self.attributes[j] for j in cols),
+                       means=self.means[np.ix_(rows, cols)])
 
 
 @dataclass(frozen=True)
@@ -223,9 +213,11 @@ def _check_same_shape(tables: Sequence[ExpertDecisionTable]) -> None:
             raise ValueError("expert tables disagree on the linguistic scale")
 
 
-def _weighted_means(tables: Sequence[ExpertDecisionTable]) -> np.ndarray:
-    """DHHFLMWA: the expert-weighted sum of the tables' mean subscripts,
-    in expert order, as one (n, m, 2) array.
+def fuse_dhhflmwa(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
+    """DHHFLMWA, the matrix weighted average: the expert-weighted sum of
+    the tables' mean subscripts (each cell's expected value), in expert
+    order.  Fusion is per cell, so restricting the result equals fusing
+    restricted tables.
 
     Expert weights may sum to up to ``1 + WEIGHT_TOL``, which can carry a
     cell at the end of the scale just past it; the sum is clipped back
@@ -233,46 +225,16 @@ def _weighted_means(tables: Sequence[ExpertDecisionTable]) -> np.ndarray:
     """
     _check_same_shape(tables)
     check_expert_weights(tables)
-    total = np.zeros(tables[0].means.shape)
+    first = tables[0]
+    total = np.zeros(first.means.shape)
     for t in tables:
         total += t.expert_weight * t.means
-    scale = tables[0].scale
-    np.clip(total[..., 0], -scale.tau, scale.tau, out=total[..., 0])
-    np.clip(total[..., 1], -scale.sigma_scale, scale.sigma_scale, out=total[..., 1])
-    return total
-
-
-def fuse_dhhflmwa(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
-    """Matrix weighted average: expected value per expert, then the
-    expert-weighted mean of both subscripts (closed form)."""
-    total = _weighted_means(tables)
-    first = tables[0]
+    limit = np.array([first.scale.tau, first.scale.sigma_scale], dtype=float)
+    np.minimum(np.maximum(total, -limit, out=total), limit, out=total)
     return FusedDecisionTable(
-        alternatives=first.alternatives,
-        attributes=first.attributes,
-        cells=tuple(tuple(DHHFLE([DHLT(phi, varphi)]) for phi, varphi in row)
-                    for row in total.tolist()),
-        scale=first.scale,
-        expert_ids=tuple(t.expert_id for t in tables),
-        expert_weights=tuple(t.expert_weight for t in tables),
-    )
-
-
-def fused_subscripts(tables: Sequence[ExpertDecisionTable],
-                     attrs: Sequence[AttributeSpec]) -> tuple:
-    """The oriented group table as two (n, m) arrays, ``phi`` and ``varphi``.
-
-    The subscripts of :func:`fuse_dhhflmwa` followed by
-    :func:`orient_to_concept`: both subscripts negated on the columns
-    that point away from the concept.  Fusion is per cell, so restricting
-    rows and columns afterwards equals fusing restricted tables.
-    """
-    total = _weighted_means(tables)
-    by_id = {a.id: a for a in attrs}
-    flip = [j for j, a in enumerate(tables[0].attributes)
-            if a in by_id and not by_id[a].align_with_concept]
-    total[:, flip] = -total[:, flip]
-    return total[..., 0], total[..., 1]
+        alternatives=first.alternatives, attributes=first.attributes, means=total,
+        scale=first.scale, expert_ids=tuple(t.expert_id for t in tables),
+        expert_weights=tuple(t.expert_weight for t in tables))
 
 
 def renormalize_weights(attrs: Sequence[AttributeSpec], z: Iterable[str]) -> dict:
@@ -298,22 +260,10 @@ def orient_to_concept(table: FusedDecisionTable,
     ``1 - gamma`` while keeping the representation, so applying the
     orientation twice restores the table exactly.
     """
-    by_id = {a.id: a for a in attrs}
-    rows = []
-    for i in range(len(table.alternatives)):
-        row = []
-        for j, attr_id in enumerate(table.attributes):
-            cell = table.cells[i][j]
-            spec = by_id.get(attr_id)
-            if spec is not None and not spec.align_with_concept:
-                cell = mirror(cell)
-            row.append(cell)
-        rows.append(tuple(row))
+    misaligned = {a.id for a in attrs if not a.align_with_concept}
+    # a subscript times -1.0 is exactly its negation, times 1.0 itself
+    sign = np.array([-1.0 if a in misaligned else 1.0 for a in table.attributes])
     return FusedDecisionTable(
-        alternatives=table.alternatives,
-        attributes=table.attributes,
-        cells=tuple(rows),
-        scale=table.scale,
-        expert_ids=table.expert_ids,
-        expert_weights=table.expert_weights,
-    )
+        alternatives=table.alternatives, attributes=table.attributes,
+        means=table.means * sign[:, None], scale=table.scale,
+        expert_ids=table.expert_ids, expert_weights=table.expert_weights)

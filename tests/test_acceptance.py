@@ -8,6 +8,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from s3wgdm.cli import main as cli_main
@@ -228,7 +229,9 @@ class TestCriterion5SimilaritySuite:
             fused = FusedDecisionTable(
                 alternatives=tuple(f"x{i}" for i in range(n)),
                 attributes=tuple(f"a{j}" for j in range(m)),
-                cells=rows, scale=S33)
+                means=np.array([[[c.terms[0].phi, c.terms[0].varphi] for c in row]
+                                for row in rows]),
+                scale=S33)
             sim = build_similarity_matrix(fused, fused.attributes, rng.uniform(0.2, 1.0))
             assert (sim.values >= 0).all() and (sim.values <= 1).all()
             assert (sim.values == sim.values.T).all()

@@ -33,7 +33,14 @@ from s3wgdm.engine import (
     rank,
     run_sequential,
 )
-from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value, superior_gradus
+from s3wgdm.linguistic import (
+    DHHFLE,
+    DHLT,
+    DHLTScale,
+    linguistic_expected_value,
+    mirror,
+    superior_gradus,
+)
 from s3wgdm.neighborhood import (
     SimilarityMatrix,
     concept_membership,
@@ -49,11 +56,9 @@ from s3wgdm.regret import (
 )
 from s3wgdm.tables import (
     AttributeSpec,
-    FusedDecisionTable,
     build_nested_subsets,
     extract,
     fuse_dhhflmwa,
-    fused_subscripts,
     make_table,
     orient_to_concept,
     renormalize_weights,
@@ -83,14 +88,15 @@ GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 def reference_level(index, universe, tables, attrs, z, cfg, params):
     fused = orient_to_concept(fuse_dhhflmwa([extract(t, universe, z) for t in tables]), attrs)
     ids = fused.alternatives
-    values = np.array([[kernel_similarity(x, y, S33, cfg.sigma) for y in fused.cells]
-                       for x in fused.cells])
+    cells = [[fused.cell(alt, a) for a in fused.attributes] for alt in ids]
+    values = np.array([[kernel_similarity(x, y, S33, cfg.sigma) for y in cells]
+                       for x in cells])
     granules = cut_granules(SimilarityMatrix(ids=ids, values=values, sigma=cfg.sigma),
                             cfg.kappa)
     weights = renormalize_weights(attrs, z)
     membership = concept_membership(fused, z, weights)
     units = {a: perceived_utility_units(
-        [direct_simplified_gains(fused.cells[i][j], params.eta, S33) for i in range(len(ids))],
+        [direct_simplified_gains(cells[i][j], params.eta, S33) for i in range(len(ids))],
         params.theta, params.delta) for j, a in enumerate(fused.attributes)}
     probability, utilities, expected = {}, {}, {}
     regions = {POS: set(), BND: set(), NEG: set()}
@@ -181,7 +187,7 @@ def test_array_path_matches_scalar_reference(case):
 
 def reference_fused(tables):
     """DHHFLMWA cell by cell: each expert's expected value, summed with
-    the expert weights in expert order."""
+    the expert weights in expert order; rows of one-term elements."""
     first = tables[0]
     rows = []
     for i in range(len(first.alternatives)):
@@ -194,22 +200,38 @@ def reference_fused(tables):
                 varphi += t.expert_weight * le.varphi
             row.append(DHHFLE([DHLT(phi, varphi)]))
         rows.append(tuple(row))
-    return FusedDecisionTable(alternatives=first.alternatives, attributes=first.attributes,
-                              cells=tuple(rows), scale=first.scale)
+    return rows
+
+
+def reference_oriented(tables, attrs):
+    """:func:`reference_fused` with each cell of a column that points away
+    from the concept replaced by its mirror."""
+    aligned = {a.id: a.align_with_concept for a in attrs}
+    return [[cell if aligned[a] else mirror(cell) for a, cell in zip(tables[0].attributes, row)]
+            for row in reference_fused(tables)]
+
+
+def as_means(rows):
+    """Rows of one-term elements as an (n, m, 2) subscript array."""
+    return np.array([[[c.terms[0].phi, c.terms[0].varphi] for c in row] for row in rows])
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def reference_baseline(tables, attrs, params):
-    fused = orient_to_concept(reference_fused(tables), attrs)
+    cells = reference_oriented(tables, attrs)
     weight = {a.id: a.weight for a in attrs}
 
     def score(i):
         total = 0.0
-        for j, attr_id in enumerate(fused.attributes):
-            b = min(1.0, max(0.0, superior_gradus(fused.cells[i][j], fused.scale)))
+        for j, attr_id in enumerate(tables[0].attributes):
+            b = min(1.0, max(0.0, superior_gradus(cells[i][j], S33)))
             total += weight[attr_id] * (utility(b, params.theta) if params else b)
         return total
 
-    scored = sorted(((score(i), alt) for i, alt in enumerate(fused.alternatives)),
+    scored = sorted(((score(i), alt) for i, alt in enumerate(tables[0].alternatives)),
                     key=lambda t: (-t[0], t[1]))
     return [alt for _, alt in scored]
 
@@ -218,14 +240,10 @@ def reference_baseline(tables, attrs, params):
 @given(cases())
 def test_fusion_and_baseline_match_cell_by_cell_reference(case):
     tables, attrs, _, params = case
-    want = reference_fused(tables)
     got = fuse_dhhflmwa(tables)
-    assert [[c.terms for c in row] for row in got.cells] == \
-        [[c.terms for c in row] for row in want.cells]
-    oriented = orient_to_concept(want, attrs)
-    phi, varphi = fused_subscripts(tables, attrs)
-    assert phi.tolist() == [[c.terms[0].phi for c in row] for row in oriented.cells]
-    assert varphi.tolist() == [[c.terms[0].varphi for c in row] for row in oriented.cells]
+    assert same_bits(got.means, as_means(reference_fused(tables)))
+    assert same_bits(orient_to_concept(got, attrs).means,
+                     as_means(reference_oriented(tables, attrs)))
     assert baseline_full_fusion(tables, attrs) == reference_baseline(tables, attrs, None)
     assert baseline_full_fusion(tables, attrs, params) == \
         reference_baseline(tables, attrs, params)

@@ -202,6 +202,14 @@ def documents(draw):
     }
 
 
+def reference_number(item, key):
+    """A structured subscript: a JSON number, never a boolean or a string."""
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def reference_cell(raw, scale):
     """One cell on its own: the scanner for texts, no caches."""
     if isinstance(raw, str):
@@ -211,7 +219,7 @@ def reference_cell(raw, scale):
         for item in raw:
             if not isinstance(item, dict) or "phi" not in item or "varphi" not in item:
                 raise ValueError("structured cells need phi/varphi entries")
-            phi, varphi = float(item["phi"]), float(item["varphi"])
+            phi, varphi = reference_number(item, "phi"), reference_number(item, "varphi")
             scale.check(phi, varphi)
             terms.append(DHLT(phi, varphi))
         return DHHFLE(terms)

@@ -212,6 +212,85 @@ class TestNonFiniteParameters:
         assert not out_path.exists()
 
 
+class TestKernelWidthUnderflow:
+    """A sigma with 2 sigma^2 == 0.0 would give identical rows a NaN
+    similarity; one just above it still runs."""
+
+    @pytest.mark.parametrize("sigma, code", [(1e-160, 0), (1e-200, 1)])
+    def test_decide(self, capsys, tmp_path, sle_case_path, sle_params_path, sigma, code):
+        with open(sle_params_path) as fh:
+            params = json.load(fh)
+        for level in params["levels"]:
+            level["sigma"] = sigma
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        got, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
+                              "--params", str(path))
+        assert got == code
+        if code:
+            assert f"  - levels[0]: sigma {sigma} is too small" in err
+
+    @pytest.mark.parametrize("sigma, code", [(1e-160, 0), (1e-200, 1)])
+    def test_sweep(self, capsys, sle_case_path, sle_params_path, sigma, code):
+        got, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
+                              sle_params_path, "--grid", f"sigma={sigma}")
+        assert got == code
+        if code:
+            assert f"sigma {sigma} is too small" in err
+
+
+class TestNumericFieldsMustBeNumbers:
+    """A JSON boolean or string in a numeric field is a located problem."""
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("path, where", [
+        (("eta",), "parameters: eta"),
+        (("theta",), "parameters: theta"),
+        (("delta",), "parameters: delta"),
+        (("levels", 1, "kappa"), "levels[1]: kappa"),
+        (("levels", 2, "sigma"), "levels[2]: sigma"),
+    ])
+    def test_params_file(self, capsys, tmp_path, sle_case_path, sle_params_path,
+                         path, where, value):
+        with open(sle_params_path) as fh:
+            params = json.load(fh)
+        target = params
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(params))
+        code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
+                               "--params", str(bad))
+        assert code == 1
+        assert f"  - {where} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", [False, "1"])
+    @pytest.mark.parametrize("field, where", [
+        ("attribute weight", "attributes[0]: weight"),
+        ("expert weight", "experts[1]: weight"),
+        ("phi", "experts[0].table[2][3]: phi"),
+        ("varphi", "experts[0].table[2][3]: varphi"),
+    ])
+    def test_case_file(self, capsys, tmp_path, sle_case_path, field, where, value):
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        if field == "attribute weight":
+            data["attributes"][0]["weight"] = value
+        elif field == "expert weight":
+            data["experts"][1]["weight"] = value
+        else:
+            cell = {"phi": 1, "varphi": 0}
+            cell[field] = value
+            data["experts"][0]["table"][2][3] = [cell]
+        bad = tmp_path / "case.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "validate", "--case", str(bad))
+        assert code == 1
+        assert f"  - {where} must be a number, got {value!r}" in err
+        assert err.count("\n  - ") == 1  # no follow-on weight-sum problem
+
+
 def test_string_override_rejected(capsys, tmp_path, sle_case_path, sle_params_path):
     with open(sle_params_path) as fh:
         params = json.load(fh)

@@ -26,7 +26,8 @@ def fused_from_rows(rows, attributes=None):
     return FusedDecisionTable(
         alternatives=tuple(alternatives),
         attributes=tuple(attributes),
-        cells=tuple(tuple(row) for row in rows),
+        means=np.array([[[c.terms[0].phi, c.terms[0].varphi] for c in row]
+                        for row in rows]),
         scale=S33,
     )
 

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from s3wgdm.linguistic import (
     DHHFLE,
     DHLT,
     DHLTScale,
+    ScaleRangeError,
     f_scalar,
     linguistic_expected_value,
     single,
@@ -14,6 +16,7 @@ from s3wgdm.linguistic import (
 from s3wgdm.tables import (
     AttributeSpec,
     ExpertDecisionTable,
+    FusedDecisionTable,
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
@@ -249,7 +252,7 @@ class TestFusion:
                         t.expert_weight
                         * (sum(trm.varphi for trm in t.cells[i][j]) / len(t.cells[i][j]))
                         for t in tables)
-                    got = fused.cells[i][j].terms[0]
+                    got = fused.cell(alt, a).terms[0]
                     assert got.phi == pytest.approx(phi, abs=1e-9)
                     assert got.varphi == pytest.approx(varphi, abs=1e-9)
 
@@ -262,11 +265,40 @@ class TestFusion:
                 for j in range(2):
                     les = [linguistic_expected_value(t.cells[i][j]).terms[0]
                            for t in tables]
-                    got = fused.cells[i][j].terms[0]
+                    got = fused.cell(fused.alternatives[i], fused.attributes[j]).terms[0]
                     assert min(t.phi for t in les) - 1e-9 <= got.phi <= max(
                         t.phi for t in les) + 1e-9
                     assert min(t.varphi for t in les) - 1e-9 <= got.varphi <= max(
                         t.varphi for t in les) + 1e-9
+
+
+class TestFusedTable:
+    """A directly built table is range-checked with one array test; the
+    first bad cell in row-major order names the fault, as ``scale.check``
+    words it."""
+
+    def _build(self, means):
+        return FusedDecisionTable(alternatives=("x", "y"), attributes=("a", "b"),
+                                  means=np.array(means, dtype=float), scale=S33)
+
+    @pytest.mark.parametrize("means, message", [
+        ([[[0, 0], [0, math.nan]], [[4, 0], [0, 0]]],
+         "second-hierarchy subscript nan outside [-3, 3]"),
+        ([[[0, 0], [0, 0]], [[-3.5, 9], [math.nan, 0]]],
+         "first-hierarchy subscript -3.5 outside [-3, 3]"),
+        ([[[0, 0], [0, 0]], [[0, 0], [math.inf, 0]]],
+         "first-hierarchy subscript inf outside [-3, 3]"),
+        ([[[3 + 1e-9, 0], [0, 0]], [[0, 0], [0, 0]]],
+         "first-hierarchy subscript 3.000000001 outside [-3, 3]"),
+    ])
+    def test_first_bad_cell_raises(self, means, message):
+        with pytest.raises(ScaleRangeError) as info:
+            self._build(means)
+        assert str(info.value) == message
+
+    def test_scale_edges_accepted(self):
+        table = self._build([[[3, -3], [-3, 3]], [[3 + 1e-13, 0], [0, -3 - 1e-13]]])
+        assert table.cell("y", "a") == single(3 + 1e-13, 0)
 
 
 class TestRenormalize:
@@ -304,16 +336,19 @@ class TestOrientation:
 
     def test_aligned_untouched(self, sle_case):
         fused = fuse_dhhflmwa(sle_case.experts)
-        assert orient_to_concept(fused, sle_case.attributes) == fused
+        out = orient_to_concept(fused, sle_case.attributes)
+        assert all(map(np.array_equal, out.subscripts(), fused.subscripts()))
 
     def test_misaligned_complemented(self):
         fused = self._fused(single(-1.2, 0))  # degree 0.3
         attrs = [attr("a", 1.0, align=False)]
         out = orient_to_concept(fused, attrs)
-        g = f_scalar(out.term("x", "a").phi, out.term("x", "a").varphi, S33)
+        term = out.cell("x", "a").terms[0]
+        g = f_scalar(term.phi, term.varphi, S33)
         assert g == pytest.approx(0.7, abs=1e-9)
 
     def test_double_application_restores(self):
         fused = self._fused(single(0.9, -2.1))
         attrs = [attr("a", 1.0, align=False)]
-        assert orient_to_concept(orient_to_concept(fused, attrs), attrs) == fused
+        twice = orient_to_concept(orient_to_concept(fused, attrs), attrs)
+        assert all(map(np.array_equal, twice.subscripts(), fused.subscripts()))
