@@ -21,6 +21,10 @@ from .tables import (
 from .syntax import format_dhhfle  # noqa: F401
 
 REPORT_SCHEMA = "s3wgdm-report/1"
+# the keys a params file may hold, at the top level, in each level and in rank
+PARAMS_KEYS = ("eta", "theta", "delta", "levels", "rank", "monotonicity_override")
+LEVEL_KEYS = ("kappa", "sigma")
+RANK_KEYS = ("key", "neg_direction")
 
 
 class CaseFormatError(ValueError):
@@ -243,16 +247,23 @@ def load_case(path: str) -> CaseFile:
     return case
 
 
+def _unknown_keys(raw: Mapping, known: tuple, where: str) -> list:
+    return [f"{where}unknown key {key!r}, expected one of {', '.join(known)}"
+            for key in raw if key not in known]
+
+
 def validate_params_dict(data: Any) -> tuple:
     problems: list = []
     if not isinstance(data, Mapping):
         return None, ["top level must be a JSON object"]
-    params = None
-    try:
-        params = EngineParams(eta=_number(data, "eta", 0.6), theta=_number(data, "theta", 0.88),
-                              delta=_number(data, "delta", 0.3))
-    except (OverflowError, TypeError, ValueError) as exc:
-        problems.append(f"parameters: {exc}")
+    problems += _unknown_keys(data, PARAMS_KEYS, "")
+    engine = {}
+    for key, default in (("eta", 0.6), ("theta", 0.88), ("delta", 0.3)):
+        try:  # each field on its own, beside the defaults of the other two
+            engine[key] = _number(data, key, default)
+            EngineParams(**{key: engine[key]})
+        except (OverflowError, TypeError, ValueError) as exc:
+            problems.append(f"parameters: {exc}")
 
     levels: list = []
     raw_levels = data.get("levels")
@@ -263,6 +274,7 @@ def validate_params_dict(data: Any) -> tuple:
         if not isinstance(raw, Mapping):
             problems.append(f"levels[{k}]: must be an object with kappa and sigma")
             continue
+        problems += _unknown_keys(raw, LEVEL_KEYS, f"levels[{k}]: ")
         try:
             levels.append(LevelConfig(kappa=_number(raw, "kappa", 1.0),
                                       sigma=_number(raw, "sigma", 0.7)))
@@ -270,8 +282,12 @@ def validate_params_dict(data: Any) -> tuple:
             problems.append(f"levels[{k}]: {exc}")
 
     raw_rank = data.get("rank", {})
-    key = raw_rank.get("key", "accept") if isinstance(raw_rank, Mapping) else "accept"
-    neg = raw_rank.get("neg_direction", "desc") if isinstance(raw_rank, Mapping) else "desc"
+    if not isinstance(raw_rank, Mapping):
+        problems.append(f"rank must be an object with key and neg_direction, got {raw_rank!r}")
+        raw_rank = {}
+    problems += _unknown_keys(raw_rank, RANK_KEYS, "rank: ")
+    key = raw_rank.get("key", "accept")
+    neg = raw_rank.get("neg_direction", "desc")
     if key not in ("accept", "defer"):
         problems.append(f"rank.key must be 'accept' or 'defer', got {key!r}")
     if neg not in ("desc", "asc"):
@@ -283,7 +299,7 @@ def validate_params_dict(data: Any) -> tuple:
     if problems:
         return None, problems
     return ParamsFile(
-        params=params,
+        params=EngineParams(**engine),
         levels=tuple(levels),
         rank=RankOptions(key=key, neg_direction=neg),
         monotonicity_override=override,

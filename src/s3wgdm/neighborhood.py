@@ -19,6 +19,7 @@ from .linguistic import (
 from .tables import WEIGHT_TOL, FusedDecisionTable
 
 BLOCK_CELLS = 1 << 18  # similarity entries one row block of the kernel holds
+SORTED_MIN_ROWS = 64  # one-column universes this large take the sorted cut
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,21 @@ def granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
     A row's granule is every row at least ``kappa``-similar to it, compared
     with no tolerance; its probability is the mean membership over the
-    granule.  Only sizes are kept, never member sets.
+    granule.  Only sizes are kept, never member sets.  One score column
+    of at least ``SORTED_MIN_ROWS`` rows takes the sorted path, anything
+    else the blocked kernel; both give the same sizes.
     """
     if not (0.0 <= kappa <= 1.0):
         raise ValueError(f"cut threshold {kappa} outside [0, 1]")
+    if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS:
+        return sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
+    return kernel_granule_statistics(scores, membership, sigma, kappa)
+
+
+def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
+                              sigma: float, kappa: float) -> tuple:
+    """:func:`granule_statistics` by the blocked kernel: every pair of rows
+    is compared, in row blocks."""
     sizes = np.empty(len(scores), dtype=int)
     pr = np.empty(len(scores))
     for start, sim in similarity_blocks(scores, sigma):
@@ -134,6 +146,57 @@ def granule_statistics(scores: np.ndarray, membership: np.ndarray,
         pr[start:stop] = np.where(cut, membership, 0.0).sum(axis=1)
     pr /= sizes
     return sizes, pr
+
+
+def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
+                              sigma: float, kappa: float) -> tuple:
+    """:func:`granule_statistics` for one score column, in O(n log n).
+
+    In one dimension a granule is an interval of the sorted distinct
+    scores (fixed-radius near neighbours by sorting).  Each interval is
+    bracketed by ``searchsorted`` on a slightly widened radius, then each
+    end moves inward while the kernel's own cut, with the arithmetic of
+    :func:`kernel_rows`, fails; so sizes equal the kernel's.  Sums are
+    differences of long-double prefix sums of the sorted memberships.
+    Rows with equal scores share one interval, so they get identical
+    probabilities.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(n + 1, dtype=bool)  # new[i]: sorted row i starts a distinct score
+    new[0] = new[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:n])
+    distinct = ordered[new[:n]]
+    starts = np.flatnonzero(new)  # sorted rows of distinct[k]: starts[k]:starts[k + 1]
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(new[:n]) - 1
+    if kappa == 0.0:  # exp underflows to 0.0 >= 0: every granule is the universe
+        lo = np.zeros(len(distinct), dtype=np.intp)
+        hi = np.full(len(distinct), len(distinct))
+    else:
+        denom = 2.0 * sigma * sigma
+        # widened past -ln(kappa): at kappa = 1, gaps with gap^2 / denom
+        # below about 1e-16 also score exactly 1.0
+        t = -math.log(kappa)
+        reach = math.sqrt(denom) * math.sqrt(t * (1.0 + 1e-12) + 1e-14)
+        lo = np.searchsorted(distinct, distinct - reach, side="left")
+        hi = np.searchsorted(distinct, distinct + reach, side="right")
+        with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+            for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
+                todo = np.arange(len(distinct))
+                while todo.size:
+                    gap = distinct[todo] - distinct[end[todo] + offset]
+                    todo = todo[np.exp(-(gap * gap) / denom) < kappa]
+                    end[todo] += inward
+    # float64 prefix differences would carry about n * 1e-16 absolute error
+    cum = np.zeros(n + 1, dtype=np.longdouble)
+    np.cumsum(membership[order], dtype=np.longdouble, out=cum[1:])
+    first, last = starts[lo], starts[hi]
+    sizes = last - first
+    # the exact mean lies in [0, 1]; long-double rounding may step past 1
+    pr = np.minimum((cum[last] - cum[first]).astype(float) / sizes, 1.0)
+    return sizes[group], pr[group]
 
 
 def cut_granules(sim: SimilarityMatrix, kappa: float) -> list:

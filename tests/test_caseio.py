@@ -327,6 +327,22 @@ class TestParamsValidation:
             "eta": 2.0, "levels": [{"kappa": 1, "sigma": 0.7}]})
         assert any("eta" in p for p in problems)
 
+    def test_unknown_keys_located(self):
+        _, problems = validate_params_dict({
+            "etta": 0.1, "levels": [{"kappa": 0.9, "sigma": 0.7}, {"kappa": 0.9, "sigam": 0.1}],
+            "rank": {"key": "accept", "order": "asc"}})
+        assert [p.split(",")[0] for p in problems] == [
+            "unknown key 'etta'", "levels[1]: unknown key 'sigam'", "rank: unknown key 'order'"]
+
+    def test_every_bad_engine_parameter_listed(self):
+        _, problems = validate_params_dict({
+            "eta": "x", "theta": True, "delta": -1, "levels": [{"kappa": 1, "sigma": 0.7}]})
+        assert problems == [
+            "parameters: eta must be a number, got 'x'",
+            "parameters: theta must be a number, got True",
+            "parameters: delta must be non-negative and finite, got -1.0",
+        ]
+
 
 class TestReportValidation:
     def test_roundtrip_from_run(self, tmp_path, sle_case_path, sle_params_path):

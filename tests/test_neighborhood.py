@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s3wgdm.linguistic import DHLTScale, single, superior_gradus
 from s3wgdm.neighborhood import (
+    SORTED_MIN_ROWS,
     ConceptMembership,
     NeighborhoodGranule,
     SimilarityMatrix,
@@ -13,7 +16,11 @@ from s3wgdm.neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
+    granule_statistics,
+    kernel_granule_statistics,
+    kernel_rows,
     kernel_similarity,
+    sorted_granule_statistics,
 )
 from s3wgdm.tables import FusedDecisionTable
 
@@ -187,3 +194,58 @@ class TestConditionalProbability:
                 center=ids[0], members=frozenset(ids), kappa=0.0)
             pr = conditional_probability(granule, ConceptMembership(degrees=degrees))
             assert min(degrees.values()) - 1e-12 <= pr <= max(degrees.values()) + 1e-12
+
+
+@st.composite
+def one_column(draw):
+    """A score column with repeated values and near-duplicates within 1e-8,
+    its memberships, sigma and kappa."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random(draw(st.integers(1, n)))
+    values = pool[rng.integers(0, len(pool), n)]
+    near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    values[near] += rng.uniform(-1e-8, 1e-8, near.sum())
+    membership = rng.random(n)
+    membership[rng.random(n) < 0.2] = 1.0
+    sigma = draw(st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3), st.just(1e-150)))
+    kappa = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+    return values, membership, sigma, kappa
+
+
+class TestSortedCut:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(one_column())
+    def test_matches_blocked_kernel(self, column):
+        values, membership, sigma, kappa = column
+        sizes, pr = sorted_granule_statistics(values, membership, sigma, kappa)
+        ref_sizes, ref_pr = kernel_granule_statistics(values[:, None], membership,
+                                                      sigma, kappa)
+        assert np.array_equal(sizes, ref_sizes)
+        assert np.abs(pr - ref_pr).max() <= 1e-12
+        # duplicate rows share one interval, so their probabilities tie exactly
+        order = np.argsort(values, kind="stable")
+        same = values[order][1:] == values[order][:-1]
+        assert np.array_equal(pr[order][1:][same], pr[order][:-1][same])
+        chosen = granule_statistics(values[:, None], membership, sigma, kappa)
+        expected = (sizes, pr) if len(values) >= SORTED_MIN_ROWS else (ref_sizes, ref_pr)
+        assert all(np.array_equal(a, b) for a, b in zip(chosen, expected))
+
+    def test_many_columns_stay_on_the_kernel(self):
+        rng = np.random.default_rng(3)
+        scores, membership = rng.random((200, 2)), rng.random(200)
+        for got, ref in zip(granule_statistics(scores, membership, 0.7, 0.9),
+                            kernel_granule_statistics(scores, membership, 0.7, 0.9)):
+            assert np.array_equal(got, ref)
+
+    def test_sums_hold_at_scale(self):
+        # float64 prefix differences would be off by about 1e-12 here
+        rng = np.random.default_rng(4)
+        values, membership = rng.random(50_000), rng.random(50_000)
+        sigma, kappa = 1e-6, 0.9
+        sizes, pr = sorted_granule_statistics(values, membership, sigma, kappa)
+        rows = rng.choice(len(values), 50, replace=False)
+        cut = kernel_rows(values[rows, None], values[:, None], sigma) >= kappa
+        for r, members in zip(rows, cut):
+            assert sizes[r] == members.sum()
+            assert abs(pr[r] - math.fsum(membership[members]) / sizes[r]) <= 1e-12
