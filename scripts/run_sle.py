@@ -9,6 +9,7 @@ import pathlib
 import sys
 
 from s3wgdm.cli import main as cli_main
+from s3wgdm.engine import NEG_DIRECTIONS
 
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE.parent / "tests" / "data"
@@ -17,7 +18,7 @@ DATA = HERE.parent / "tests" / "data"
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(HERE / "sle_report.json"))
-    parser.add_argument("--neg-direction", choices=("desc", "asc"), default="asc")
+    parser.add_argument("--neg-direction", choices=NEG_DIRECTIONS, default="asc")
     args = parser.parse_args()
     return cli_main([
         "decide",

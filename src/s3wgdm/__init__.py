@@ -65,7 +65,6 @@ from .engine import (
     LevelConfig,
     baseline_full_fusion,
     classify,
-    classify_level,
     expected_perceived_utility,
     rank,
     run_level,

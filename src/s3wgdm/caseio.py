@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence
 
-from .engine import DecisionReport, EngineParams, LevelConfig, rank
+from .engine import NEG_DIRECTIONS, RANK_KEYS, DecisionReport, EngineParams, LevelConfig, rank
 from .linguistic import DHHFLE, DHLT, DHLTScale
 from .syntax import format_term, parse_dhhfle
 from .tables import (
@@ -22,9 +22,10 @@ from .syntax import format_dhhfle  # noqa: F401
 
 REPORT_SCHEMA = "s3wgdm-report/1"
 # the keys a params file may hold, at the top level, in each level and in rank
-PARAMS_KEYS = ("eta", "theta", "delta", "levels", "rank", "monotonicity_override")
+PARAMS_KEYS = tuple(f.name for f in fields(EngineParams)) + (
+    "levels", "rank", "monotonicity_override")
 LEVEL_KEYS = ("kappa", "sigma")
-RANK_KEYS = ("key", "neg_direction")
+RANK_OPTION_KEYS = ("key", "neg_direction")
 
 
 class CaseFormatError(ValueError):
@@ -57,8 +58,8 @@ class CaseFile:
 
 @dataclass(frozen=True)
 class RankOptions:
-    key: str = "accept"
-    neg_direction: str = "desc"
+    key: str = RANK_KEYS[0]
+    neg_direction: str = NEG_DIRECTIONS[0]
 
 
 @dataclass(frozen=True)
@@ -258,10 +259,10 @@ def validate_params_dict(data: Any) -> tuple:
         return None, ["top level must be a JSON object"]
     problems += _unknown_keys(data, PARAMS_KEYS, "")
     engine = {}
-    for key, default in (("eta", 0.6), ("theta", 0.88), ("delta", 0.3)):
-        try:  # each field on its own, beside the defaults of the other two
-            engine[key] = _number(data, key, default)
-            EngineParams(**{key: engine[key]})
+    for field in fields(EngineParams):
+        try:  # each field on its own, beside the defaults of the others
+            engine[field.name] = _number(data, field.name, field.default)
+            EngineParams(**{field.name: engine[field.name]})
         except (OverflowError, TypeError, ValueError) as exc:
             problems.append(f"parameters: {exc}")
 
@@ -285,13 +286,14 @@ def validate_params_dict(data: Any) -> tuple:
     if not isinstance(raw_rank, Mapping):
         problems.append(f"rank must be an object with key and neg_direction, got {raw_rank!r}")
         raw_rank = {}
-    problems += _unknown_keys(raw_rank, RANK_KEYS, "rank: ")
-    key = raw_rank.get("key", "accept")
-    neg = raw_rank.get("neg_direction", "desc")
-    if key not in ("accept", "defer"):
-        problems.append(f"rank.key must be 'accept' or 'defer', got {key!r}")
-    if neg not in ("desc", "asc"):
-        problems.append(f"rank.neg_direction must be 'desc' or 'asc', got {neg!r}")
+    problems += _unknown_keys(raw_rank, RANK_OPTION_KEYS, "rank: ")
+    key = raw_rank.get("key", RankOptions.key)
+    neg = raw_rank.get("neg_direction", RankOptions.neg_direction)
+    if key not in RANK_KEYS:
+        problems.append(f"rank.key must be {' or '.join(map(repr, RANK_KEYS))}, got {key!r}")
+    if neg not in NEG_DIRECTIONS:
+        problems.append(f"rank.neg_direction must be {' or '.join(map(repr, NEG_DIRECTIONS))}, "
+                        f"got {neg!r}")
     override = data.get("monotonicity_override", False)
     if not isinstance(override, bool):
         problems.append(f"monotonicity_override must be true or false, got {override!r}")

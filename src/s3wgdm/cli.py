@@ -28,13 +28,14 @@ from .caseio import (
     write_json,
 )
 from .engine import (
+    NEG_DIRECTIONS,
     LevelConfig,
     baseline_full_fusion,
     rank,
     run_sequential,
 )
 from .neighborhood import similarity_blocks
-from .tables import fuse_dhhflmwa
+from .tables import fuse_dhhflmwa, orient_to_concept
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -104,7 +105,7 @@ def cmd_decide(args) -> int:
     report = run_sequential(
         case.experts, case.attributes, spec.levels, spec.params,
         monotonicity_override=spec.monotonicity_override)
-    baseline = baseline_full_fusion(case.experts, case.attributes, spec.params)
+    baseline = baseline_full_fusion(report.fused, case.attributes, spec.params)
     elapsed = time.perf_counter() - started
     metadata = {"deterministic": True, "elapsed_seconds": elapsed}
     data = report_dict(case, spec, report, baseline=baseline, metadata=metadata)
@@ -252,7 +253,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     case = load_case(args.case)
-    order = baseline_full_fusion(case.experts, case.attributes)
+    fused = orient_to_concept(fuse_dhhflmwa(case.experts), case.attributes)
+    order = baseline_full_fusion(fused, case.attributes)
     print("baseline ranking: " + " > ".join(order))
     if args.out:
         data = {"baseline_ranking": list(order)}
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--levels", type=int, help="run only the first N levels")
-    p.add_argument("--neg-direction", choices=("desc", "asc"), dest="neg_direction",
+    p.add_argument("--neg-direction", choices=NEG_DIRECTIONS, dest="neg_direction",
                    help="override the ranking direction inside the rejected block")
     p.add_argument("--override-monotonicity", action="store_true",
                    dest="override_monotonicity",
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid over eta, sigma or kappa (repeatable)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--levels", type=int)
-    p.add_argument("--neg-direction", choices=("desc", "asc"), dest="neg_direction")
+    p.add_argument("--neg-direction", choices=NEG_DIRECTIONS, dest="neg_direction")
     p.add_argument("--override-monotonicity", action="store_true",
                    dest="override_monotonicity")
     p.set_defaults(func=cmd_sweep)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -40,6 +41,10 @@ from .regret import (  # noqa: F401
 from .tables import extract  # noqa: F401
 
 POS, BND, NEG = "POS", "BND", "NEG"
+RANK_KEYS = ("accept", "defer")  # the expected utility a ranking sorts by
+NEG_DIRECTIONS = ("desc", "asc")  # the order inside the rejected block
+# the largest delta whose regret term exp(delta * (u_ref - u)), u in [0, 1], is finite
+MAX_DELTA = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,9 @@ class EngineParams:
             raise ValueError(f"theta {self.theta} outside (0, 1)")
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
+        if self.delta > MAX_DELTA:
+            raise ValueError(f"delta {self.delta} is too large: regret exp overflows "
+                             f"above {MAX_DELTA:.6g}")
 
 
 def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = False) -> None:
@@ -124,6 +132,7 @@ class DecisionReport:
     alternatives: tuple
     levels: tuple  # GranularLevel per executed level
     exit_level: Mapping[str, int]
+    fused: FusedDecisionTable  # the oriented group table the levels ran on
 
     def accept_key(self, alternative: str) -> float:
         """Expected accept utility at the level where the alternative left
@@ -161,10 +170,10 @@ def classify(expected: tuple) -> str:
     return NEG
 
 
-def classify_level(index: int, universe: Sequence[str], z: Sequence[str],
-                   phi: np.ndarray, varphi: np.ndarray, scores: np.ndarray,
-                   scale: DHLTScale, weights: Sequence[float], cfg: LevelConfig,
-                   params: EngineParams) -> GranularLevel:
+def run_level(universe: Sequence[str], z: Sequence[str], phi: np.ndarray,
+              varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
+              weights: Sequence[float], cfg: LevelConfig, params: EngineParams,
+              index: int = 1) -> GranularLevel:
     """Classify one level from its (universe x z) fused subscripts and
     their exponential scores; ``weights`` are the renormalised attribute
     weights in column order."""
@@ -194,18 +203,6 @@ def classify_level(index: int, universe: Sequence[str], z: Sequence[str],
         bnd=frozenset(a for a, keep in zip(ids, bnd) if keep),
         neg=frozenset(a for a, keep in zip(ids, ~(pos | bnd)) if keep),
     )
-
-
-def run_level(universe: Sequence[str], fused: FusedDecisionTable,
-              attrs: Sequence[AttributeSpec], z: Sequence[str],
-              cfg: LevelConfig, params: EngineParams, index: int = 1) -> GranularLevel:
-    """Classify every member of the universe on the given attribute subset."""
-    sub = fused.restrict(universe, z)
-    weights = renormalize_weights(attrs, z)
-    phi, varphi = sub.subscripts()
-    return classify_level(index, sub.alternatives, sub.attributes, phi, varphi,
-                          superior_gradus_array(phi, varphi, sub.scale), sub.scale,
-                          [weights[a] for a in sub.attributes], cfg, params)
 
 
 def run_sequential(tables: Sequence[ExpertDecisionTable],
@@ -248,9 +245,9 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         try:
             weights = renormalize_weights(attrs, z)
             cells = np.ix_(rows, cols)
-            level = classify_level(i, [alternatives[r] for r in rows], z, phi[cells],
-                                   varphi[cells], scores[cells], scale,
-                                   [weights[a] for a in z], cfg, params)
+            # the universe goes first and positionally: bench/tracer.py reads it
+            level = run_level([alternatives[r] for r in rows], z, phi[cells], varphi[cells],
+                              scores[cells], scale, [weights[a] for a in z], cfg, params, i)
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)
@@ -264,10 +261,8 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         alternatives=alternatives,
         levels=tuple(executed),
         exit_level=exit_level,
+        fused=fused,
     )
-
-
-RANK_KEYS = ("accept", "defer")
 
 
 def rank(report: DecisionReport, key: str = "accept",
@@ -281,8 +276,9 @@ def rank(report: DecisionReport, key: str = "accept",
     """
     if key not in RANK_KEYS:
         raise ValueError(f"rank key must be one of {RANK_KEYS}, got {key!r}")
-    if neg_direction not in ("desc", "asc"):
-        raise ValueError(f"neg_direction must be 'desc' or 'asc', got {neg_direction!r}")
+    if neg_direction not in NEG_DIRECTIONS:
+        raise ValueError(f"neg_direction must be {' or '.join(map(repr, NEG_DIRECTIONS))}, "
+                         f"got {neg_direction!r}")
     upto = len(report.levels) if upto is None else max(1, min(upto, len(report.levels)))
     regions = report.regions_after(upto)
     idx = 0 if key == "accept" else 1
@@ -300,23 +296,23 @@ def rank(report: DecisionReport, key: str = "accept",
     return pos + bnd + neg
 
 
-def baseline_full_fusion(tables: Sequence[ExpertDecisionTable],
-                         attrs: Sequence[AttributeSpec],
+def baseline_full_fusion(fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                          params: Optional[EngineParams] = None) -> list:
-    """One-shot comparator: fuse everything, score each alternative by the
-    weighted utility of its per-attribute scores, rank descending.
+    """One-shot comparator on the oriented group table: score each
+    alternative by the weighted utility of its per-attribute scores, rank
+    descending.
 
     Without parameters the raw scores are averaged (utility exponent 1);
     with parameters the same risk-averse utility as the engine applies.
     """
     check_attribute_weights(attrs)
-    phi, varphi = orient_to_concept(fuse_dhhflmwa(tables), attrs).subscripts()
-    scores = np.clip(superior_gradus_array(phi, varphi, tables[0].scale), 0.0, 1.0)
+    phi, varphi = fused.subscripts()
+    scores = np.clip(superior_gradus_array(phi, varphi, fused.scale), 0.0, 1.0)
     if params is not None:
         scores = elementwise(math.pow, scores, params.theta)
     weight = {a.id: a.weight for a in attrs}
     total = np.zeros(len(scores))
-    for j, attr_id in enumerate(tables[0].attributes):  # attribute order, as a scalar sum
+    for j, attr_id in enumerate(fused.attributes):  # attribute order, as a scalar sum
         total += weight[attr_id] * scores[:, j]
-    scored = sorted(zip(total.tolist(), tables[0].alternatives), key=lambda t: (-t[0], t[1]))
+    scored = sorted(zip(total.tolist(), fused.alternatives), key=lambda t: (-t[0], t[1]))
     return [alt for _, alt in scored]

@@ -338,7 +338,7 @@ class TestCriterion7EngineStructure:
                 tables, attrs, [LevelConfig(kappa=0.0, sigma=sigma)], flat_params,
                 subsets=NestedSubsets((all_ids,)))
             engine_order = rank(flat, key="accept")
-            baseline_order = baseline_full_fusion(tables, attrs, flat_params)
+            baseline_order = baseline_full_fusion(flat.fused, attrs, flat_params)
             assert engine_order == baseline_order
         print("criterion 7: PASS - partitions, boundary hand-off, accumulation, "
               "permutation invariance, and the flat-run reduction hold on 200 "

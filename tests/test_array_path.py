@@ -129,7 +129,8 @@ def reference_report(tables, attrs, levels, params):
     for alt in universe:
         exit_level[alt] = executed[-1].index
     return DecisionReport(alternatives=alternatives, levels=tuple(executed),
-                          exit_level=exit_level)
+                          exit_level=exit_level,
+                          fused=orient_to_concept(fuse_dhhflmwa(tables), attrs))
 
 
 subscript = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
@@ -171,6 +172,7 @@ def test_array_path_matches_scalar_reference(case):
     tables, attrs, levels, params = case
     got = run_sequential(tables, attrs, levels, params)
     want = reference_report(tables, attrs, levels, params)
+    assert same_bits(got.fused.means, as_means(reference_oriented(tables, attrs)))
     assert len(got.levels) == len(want.levels)
     for g, w in zip(got.levels, want.levels):
         assert (g.universe, g.z) == (w.universe, w.z)
@@ -242,10 +244,10 @@ def test_fusion_and_baseline_match_cell_by_cell_reference(case):
     tables, attrs, _, params = case
     got = fuse_dhhflmwa(tables)
     assert same_bits(got.means, as_means(reference_fused(tables)))
-    assert same_bits(orient_to_concept(got, attrs).means,
-                     as_means(reference_oriented(tables, attrs)))
-    assert baseline_full_fusion(tables, attrs) == reference_baseline(tables, attrs, None)
-    assert baseline_full_fusion(tables, attrs, params) == \
+    oriented = orient_to_concept(got, attrs)
+    assert same_bits(oriented.means, as_means(reference_oriented(tables, attrs)))
+    assert baseline_full_fusion(oriented, attrs) == reference_baseline(tables, attrs, None)
+    assert baseline_full_fusion(oriented, attrs, params) == \
         reference_baseline(tables, attrs, params)
 
 

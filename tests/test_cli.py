@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from s3wgdm import cli, engine, tables
 from s3wgdm.caseio import validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
 from s3wgdm.engine import run_sequential
@@ -210,6 +211,66 @@ class TestNonFiniteParameters:
         assert err.startswith("invalid input:")
         assert "  - " in err and "finite" in err
         assert not out_path.exists()
+
+
+class TestRegretAversionOverflow:
+    """A delta whose regret term exp(delta) overflows is a located problem;
+    one just below the bound runs and writes a finite report."""
+
+    def write_params(self, tmp_path, sle_params_path, delta):
+        with open(sle_params_path) as fh:
+            params = json.load(fh)
+        params["delta"] = delta
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        return str(path)
+
+    def test_large_delta_rejected(self, capsys, tmp_path, sle_case_path, sle_params_path):
+        params = self.write_params(tmp_path, sle_params_path, 1000)
+        code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
+                               "--params", params)
+        assert code == 1
+        assert "  - parameters: delta 1000.0 is too large" in err
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", params, "--grid", "eta=0.6")
+        assert code == 1
+        assert "  - parameters: delta 1000.0 is too large" in err
+
+    def test_delta_below_bound_runs(self, capsys, tmp_path, sle_case_path, sle_params_path):
+        params = self.write_params(tmp_path, sle_params_path, 709)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "decide", "--case", sle_case_path,
+                             "--params", params, "--out", str(out_path))
+        assert code == 0
+        with open(out_path) as fh:
+            data = json.load(fh)  # write_json refuses non-finite floats
+        for level in data["levels"]:
+            for eu in level["expected_utility"].values():
+                assert all(math.isfinite(v) for v in eu.values())
+
+
+class TestOneFusionPerDecide:
+    def test_decide_fuses_and_orients_once(self, capsys, tmp_path, monkeypatch,
+                                           sle_case_path, sle_params_path):
+        calls = {"fuse": 0, "orient": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (engine, cli):
+            monkeypatch.setattr(module, "fuse_dhhflmwa",
+                                counting("fuse", tables.fuse_dhhflmwa))
+            if hasattr(module, "orient_to_concept"):
+                monkeypatch.setattr(module, "orient_to_concept",
+                                    counting("orient", tables.orient_to_concept))
+        code, _, _ = run_cli(capsys, "decide", "--case", sle_case_path,
+                             "--params", sle_params_path,
+                             "--out", str(tmp_path / "report.json"))
+        assert code == 0
+        assert calls == {"fuse": 1, "orient": 1}
 
 
 class TestKernelWidthUnderflow:

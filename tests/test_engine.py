@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
+from s3wgdm import engine
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
     EngineParams,
@@ -140,25 +143,35 @@ class TestEngineParams:
         with pytest.raises(ValueError):
             EngineParams(**{name: value})
 
+    def test_delta_whose_regret_exp_overflows_rejected(self):
+        with pytest.raises(ValueError, match="delta 1000 is too large"):
+            EngineParams(delta=1000)
+        with pytest.raises(ValueError, match="is too large"):
+            EngineParams(delta=math.nextafter(engine.MAX_DELTA, math.inf))
+        assert EngineParams(delta=engine.MAX_DELTA).delta == math.log(sys.float_info.max)
+
 
 GOLDEN = EngineParams(eta=0.6, theta=0.88, delta=0.3)
 GOLDEN_CFG = LevelConfig(kappa=1.0, sigma=0.7)
 
 
 class TestRunLevel:
+    """One level through ``run_sequential``; the empty universe goes to
+    ``run_level`` itself, which the loop never calls with one."""
+
     def test_reference_case_first_level(self, sle_case):
-        fused = orient_to_concept(fuse_dhhflmwa(sle_case.experts), sle_case.attributes)
-        level = run_level(sle_case.alternatives, fused, sle_case.attributes,
-                          ["a2"], GOLDEN_CFG, GOLDEN)
+        report = run_sequential(sle_case.experts, sle_case.attributes, [GOLDEN_CFG], GOLDEN)
+        (level,) = report.levels
+        assert level.z == ("a2",)
         assert level.pos == {"x2"}
         assert level.neg == {"x1", "x5", "x6"}
         assert level.bnd == {"x3", "x4", "x7", "x8"}
 
     def test_single_alternative_no_regret_with_delta_zero(self):
         t = make_table("E1", 1.0, ["x"], ["a"], [[single(1, 0)]], S33)
-        fused = fuse_dhhflmwa([t])
-        level = run_level(["x"], fused, [attr("a", 1.0)], ["a"],
-                          GOLDEN_CFG, EngineParams(eta=0.6, theta=0.88, delta=0.0))
+        report = run_sequential([t], [attr("a", 1.0)], [GOLDEN_CFG],
+                                EngineParams(eta=0.6, theta=0.88, delta=0.0))
+        (level,) = report.levels
         assert level.region_of("x") in ("POS", "BND", "NEG")
         from s3wgdm.linguistic import superior_gradus
         from s3wgdm.regret import utility
@@ -172,16 +185,31 @@ class TestRunLevel:
             other = [single(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(2)]
             t = make_table("E1", 1.0, ["x1", "x2", "x3"], ["a1", "a2"],
                            [cellrow, other, cellrow], S33)
-            fused = fuse_dhhflmwa([t])
-            attrs = [attr("a1", 0.5), attr("a2", 0.5)]
-            level = run_level(["x1", "x2", "x3"], fused, attrs, ["a1", "a2"],
-                              LevelConfig(kappa=rng.random(), sigma=0.7), GOLDEN)
+            attrs = [attr("a1", 0.5), attr("a2", 0.5)]  # tied, so Z1 holds both
+            report = run_sequential([t], attrs, [LevelConfig(kappa=rng.random(), sigma=0.7)],
+                                    GOLDEN)
+            (level,) = report.levels
+            assert level.z == ("a1", "a2")
             assert level.region_of("x1") == level.region_of("x3")
 
-    def test_empty_universe_rejected(self, sle_case):
-        fused = fuse_dhhflmwa(sle_case.experts)
+    def test_empty_universe_rejected(self):
+        empty = np.empty((0, 1))
         with pytest.raises(ValueError):
-            run_level([], fused, sle_case.attributes, ["a2"], GOLDEN_CFG, GOLDEN)
+            run_level([], ["a2"], empty, empty, empty, S33, [1.0], GOLDEN_CFG, GOLDEN)
+
+    def test_loop_calls_run_level_once_per_level(self, sle_case, sle_params, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return run_level(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_level", recording)
+        report = run_sequential(sle_case.experts, sle_case.attributes,
+                                sle_params.levels, sle_params.params)
+        assert len(report.levels) == 4
+        assert [list(args[0]) for args in calls] == \
+            [list(level.universe) for level in report.levels]
 
 
 class TestRunSequential:
@@ -309,28 +337,34 @@ class TestRank:
             rank(report, neg_direction="sideways")
 
 
+def oriented(tables, attrs):
+    return orient_to_concept(fuse_dhhflmwa(tables), attrs)
+
+
 class TestBaseline:
     def test_dominating_row_first(self):
         t = make_table("E1", 1.0, ["lo", "hi"], ["a1", "a2"],
                        [[single(-2, 0), single(-1, 0)],
                         [single(2, 0), single(3, 0)]], S33)
         attrs = [attr("a1", 0.5), attr("a2", 0.5)]
-        assert baseline_full_fusion([t], attrs) == ["hi", "lo"]
+        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["hi", "lo"]
 
     def test_ties_broken_by_id(self):
         row = [single(1, 0), single(0, 0)]
         t = make_table("E1", 1.0, ["b", "a"], ["a1", "a2"], [row, list(row)], S33)
         attrs = [attr("a1", 0.5), attr("a2", 0.5)]
-        assert baseline_full_fusion([t], attrs) == ["a", "b"]
+        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["a", "b"]
 
     def test_reference_case_total_order(self, sle_case):
-        order = baseline_full_fusion(sle_case.experts, sle_case.attributes)
+        order = baseline_full_fusion(oriented(sle_case.experts, sle_case.attributes),
+                                     sle_case.attributes)
         assert sorted(order) == sorted(sle_case.alternatives)
         assert len(order) == 8
 
     def test_single_alternative(self):
         t = make_table("E1", 1.0, ["only"], ["a"], [[single(1, 2)]], S33)
-        assert baseline_full_fusion([t], [attr("a", 1.0)]) == ["only"]
+        attrs = [attr("a", 1.0)]
+        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["only"]
 
 
 class TestOrderIndependence:
