@@ -24,6 +24,7 @@ from .caseio import (
     load_case,
     load_params,
     report_dict,
+    validate_params_dict,
     validate_report_dict,
     write_json,
 )
@@ -50,17 +51,22 @@ def _sig6(x: float) -> str:
 
 
 def _apply_overrides(spec: ParamsFile, args) -> ParamsFile:
-    if getattr(args, "levels", None):
+    if args.levels is not None:
         if args.levels < 1 or args.levels > len(spec.levels):
             raise CaseFormatError(
                 [f"--levels must be between 1 and {len(spec.levels)}"])
         spec = replace(spec, levels=spec.levels[:args.levels])
-    if getattr(args, "neg_direction", None):
+    if args.neg_direction:
         spec = replace(spec, rank=RankOptions(key=spec.rank.key,
                                               neg_direction=args.neg_direction))
-    if getattr(args, "override_monotonicity", False):
+    if args.override_monotonicity:
         spec = replace(spec, monotonicity_override=True)
     return spec
+
+
+def _group_table(case):
+    """The oriented group table every engine call of a command reads."""
+    return orient_to_concept(fuse_dhhflmwa(case.experts), case.attributes)
 
 
 def _print_report(out, data: dict) -> None:
@@ -102,10 +108,10 @@ def cmd_decide(args) -> int:
     case = load_case(args.case)
     spec = _apply_overrides(load_params(args.params), args)
     started = time.perf_counter()
-    report = run_sequential(
-        case.experts, case.attributes, spec.levels, spec.params,
-        monotonicity_override=spec.monotonicity_override)
-    baseline = baseline_full_fusion(report.fused, case.attributes, spec.params)
+    fused = _group_table(case)
+    report = run_sequential(fused, case.attributes, spec.levels, spec.params,
+                            monotonicity_override=spec.monotonicity_override)
+    baseline = baseline_full_fusion(fused, case.attributes, spec.params)
     elapsed = time.perf_counter() - started
     metadata = {"deterministic": True, "elapsed_seconds": elapsed}
     data = report_dict(case, spec, report, baseline=baseline, metadata=metadata)
@@ -145,8 +151,8 @@ def cmd_fuse(args) -> int:
 
 
 def _grid_spec(raw: str) -> tuple:
-    """One ``--grid`` spec as (name, point count, values).  A range's values
-    come as a generator, so nothing is built before the count is checked."""
+    """One ``--grid`` spec as (name, point count, build), where ``build()``
+    returns its values, so nothing is built before the count is checked."""
     if "=" not in raw:
         raise CaseFormatError([f"grid spec {raw!r} must look like name=start:stop:step"])
     name, _, rest = raw.partition("=")
@@ -161,26 +167,16 @@ def _grid_spec(raw: str) -> tuple:
         if not all(math.isfinite(v) for v in values):
             raise ValueError("values must be finite")
         if len(parts) == 1:
-            return name, 1, values
+            return name, 1, lambda: values
         start, stop, step = values
         if step <= 0:
             raise ValueError("step must be positive")
     except ValueError as exc:
         raise CaseFormatError([f"grid spec {raw!r}: {exc}"]) from exc
-    # the points _grid_range yields, with its tolerance; inf on overflow
+    # stop is included up to a 1e-9 step tolerance; inf on overflow
     span = (stop - start) / step + 1e-9
     count = max(0, math.floor(span) + 1) if span <= MAX_GRID_POINTS else math.inf
-    return name, count, _grid_range(start, stop, step)
-
-
-def _grid_range(start: float, stop: float, step: float):
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + step * 1e-9:
-            return
-        yield round(v, 12)
-        k += 1
+    return name, count, lambda: [round(start + k * step, 12) for k in range(count)]
 
 
 def _parse_grid(specs) -> dict:
@@ -189,17 +185,17 @@ def _parse_grid(specs) -> dict:
     parsed = []
     points = 1
     for raw in specs or []:
-        name, count, values = _grid_spec(raw)
+        name, count, build = _grid_spec(raw)
         points *= count
         if points > MAX_GRID_POINTS:
             raise CaseFormatError(
                 [f"grid spec {raw!r}: the grid would have more than {MAX_GRID_POINTS} points"])
-        parsed.append((raw, name, values))
+        parsed.append((raw, name, build))
     if not parsed:
         raise CaseFormatError(["sweep needs at least one --grid specification"])
     grids = {}
-    for raw, name, values in parsed:
-        grids[name] = list(values)
+    for raw, name, build in parsed:
+        grids[name] = build()
         if not grids[name]:
             raise CaseFormatError([f"grid spec {raw!r} produced no points"])
     return grids
@@ -209,6 +205,7 @@ def cmd_sweep(args) -> int:
     case = load_case(args.case)
     base_spec = _apply_overrides(load_params(args.params), args)
     grids = _parse_grid(args.grid)
+    fused = _group_table(case)
     names = sorted(grids)
     n_levels = len(base_spec.levels)
     header = names[:]
@@ -228,9 +225,8 @@ def cmd_sweep(args) -> int:
                             sigma=point.get("sigma", c.sigma))
                 for c in spec.levels)
             spec = replace(spec, levels=levels)
-        report = run_sequential(
-            case.experts, case.attributes, spec.levels, spec.params,
-            monotonicity_override=spec.monotonicity_override)
+        report = run_sequential(fused, case.attributes, spec.levels, spec.params,
+                                monotonicity_override=spec.monotonicity_override)
         row = [repr(point[name]) for name in names]
         for i in range(1, n_levels + 1):
             regions = report.regions_after(i)
@@ -253,19 +249,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     case = load_case(args.case)
-    fused = orient_to_concept(fuse_dhhflmwa(case.experts), case.attributes)
-    order = baseline_full_fusion(fused, case.attributes)
-    print("baseline ranking: " + " > ".join(order))
+    data, params = {}, None
     if args.out:
-        data = {"baseline_ranking": list(order)}
         try:
             with open(args.out, "r", encoding="utf-8") as fh:
                 existing = json.load(fh)
-            if isinstance(existing, dict) and "final" in existing:
-                existing["baseline_ranking"] = list(order)
-                data = existing
         except (OSError, json.JSONDecodeError):
-            pass
+            existing = None
+        if isinstance(existing, dict) and "final" in existing:
+            # rank as decide ranked the report's baseline: with its parameters
+            spec, problems = validate_params_dict(existing.get("parameters"))
+            if problems:
+                raise CaseFormatError([f"report {args.out}: {p}" for p in problems])
+            data, params = existing, spec.params
+    order = baseline_full_fusion(_group_table(case), case.attributes, params)
+    print("baseline ranking: " + " > ".join(order))
+    if args.out:
+        data["baseline_ranking"] = order
         write_json(args.out, data)
     return EXIT_OK
 
@@ -281,16 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("decide", help="run the sequential decision pipeline")
-    p.add_argument("--case", required=True)
-    p.add_argument("--params", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the options decide and sweep share
+    run.add_argument("--case", required=True)
+    run.add_argument("--params", required=True)
+    run.add_argument("--levels", type=int, help="run only the first N levels")
+    run.add_argument("--neg-direction", choices=NEG_DIRECTIONS, dest="neg_direction",
+                     help="override the ranking direction inside the rejected block")
+    run.add_argument("--override-monotonicity", action="store_true",
+                     dest="override_monotonicity",
+                     help="allow non-monotone kappa/sigma sequences")
+
+    p = sub.add_parser("decide", parents=[run], help="run the sequential decision pipeline")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--levels", type=int, help="run only the first N levels")
-    p.add_argument("--neg-direction", choices=NEG_DIRECTIONS, dest="neg_direction",
-                   help="override the ranking direction inside the rejected block")
-    p.add_argument("--override-monotonicity", action="store_true",
-                   dest="override_monotonicity",
-                   help="allow non-monotone kappa/sigma sequences")
     p.add_argument("--dump-similarity", metavar="PREFIX",
                    help="write the per-level similarity matrices as CSV")
     p.set_defaults(func=cmd_decide)
@@ -300,16 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("sweep", help="run a parameter grid and emit CSV")
-    p.add_argument("--case", required=True)
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("sweep", parents=[run], help="run a parameter grid and emit CSV")
     p.add_argument("--grid", action="append", metavar="NAME=START:STOP:STEP",
                    help="grid over eta, sigma or kappa (repeatable)")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--neg-direction", choices=NEG_DIRECTIONS, dest="neg_direction")
-    p.add_argument("--override-monotonicity", action="store_true",
-                   dest="override_monotonicity")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("baseline", help="one-shot full-fusion comparison ranking")

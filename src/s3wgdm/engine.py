@@ -14,18 +14,15 @@ from .neighborhood import granule_statistics, membership_degrees
 from .regret import CellValues, comprehensive_utilities
 from .tables import (
     AttributeSpec,
-    ExpertDecisionTable,
     FusedDecisionTable,
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
-    fuse_dhhflmwa,
-    orient_to_concept,
     renormalize_weights,
 )
 
-# The scalar reference steps stay importable from this module, where
-# bench/tracer.py looks them up; the engine runs the array path.
+# The scalar reference steps and the table steps stay importable from this
+# module, where bench/tracer.py looks them up; the engine runs the array path.
 from .linguistic import superior_gradus  # noqa: F401
 from .neighborhood import (  # noqa: F401
     build_similarity_matrix,
@@ -38,7 +35,7 @@ from .regret import (  # noqa: F401
     direct_simplified_gains,
     perceived_utility_units,
 )
-from .tables import extract  # noqa: F401
+from .tables import extract, fuse_dhhflmwa, orient_to_concept  # noqa: F401
 
 POS, BND, NEG = "POS", "BND", "NEG"
 RANK_KEYS = ("accept", "defer")  # the expected utility a ranking sorts by
@@ -132,7 +129,6 @@ class DecisionReport:
     alternatives: tuple
     levels: tuple  # GranularLevel per executed level
     exit_level: Mapping[str, int]
-    fused: FusedDecisionTable  # the oriented group table the levels ran on
 
     def accept_key(self, alternative: str) -> float:
         """Expected accept utility at the level where the alternative left
@@ -205,7 +201,7 @@ def run_level(universe: Sequence[str], z: Sequence[str], phi: np.ndarray,
     )
 
 
-def run_sequential(tables: Sequence[ExpertDecisionTable],
+def run_sequential(fused: FusedDecisionTable,
                    attrs: Sequence[AttributeSpec],
                    levels: Sequence[LevelConfig],
                    params: EngineParams,
@@ -213,12 +209,11 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
                    monotonicity_override: bool = False) -> DecisionReport:
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
-    The tables are fused and scored once; each level restricts those
-    arrays to its universe (rows) and attribute subset (columns).
+    ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
+    takes it.  It is scored once; each level restricts those arrays to its
+    universe (rows) and attribute subset (columns).
     """
-    if not tables:
-        raise ValueError("no expert tables")
-    if not tables[0].alternatives:  # every report has at least one level
+    if not fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
@@ -230,7 +225,6 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         raise ValueError(
             f"{len(levels)} levels configured but only {len(subsets)} nested subsets exist")
 
-    fused = orient_to_concept(fuse_dhhflmwa(tables), attrs)
     alternatives, attr_order, scale = fused.alternatives, fused.attributes, fused.scale
     phi, varphi = fused.subscripts()
     scores = superior_gradus_array(phi, varphi, scale)
@@ -261,7 +255,6 @@ def run_sequential(tables: Sequence[ExpertDecisionTable],
         alternatives=alternatives,
         levels=tuple(executed),
         exit_level=exit_level,
-        fused=fused,
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from s3wgdm.caseio import load_case, load_params
 from s3wgdm.linguistic import DHLTScale
+from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -26,6 +27,16 @@ def sle_case(sle_case_path):
 @pytest.fixture(scope="session")
 def sle_params(sle_params_path):
     return load_params(sle_params_path)
+
+
+def oriented(tables, attrs):
+    """The oriented group table, the input of both engine entry points."""
+    return orient_to_concept(fuse_dhhflmwa(tables), attrs)
+
+
+@pytest.fixture(scope="session")
+def sle_group(sle_case):
+    return oriented(sle_case.experts, sle_case.attributes)
 
 
 @pytest.fixture(scope="session")

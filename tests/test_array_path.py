@@ -15,6 +15,7 @@ import json
 import pathlib
 
 import numpy as np
+from conftest import oriented
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,8 +130,7 @@ def reference_report(tables, attrs, levels, params):
     for alt in universe:
         exit_level[alt] = executed[-1].index
     return DecisionReport(alternatives=alternatives, levels=tuple(executed),
-                          exit_level=exit_level,
-                          fused=orient_to_concept(fuse_dhhflmwa(tables), attrs))
+                          exit_level=exit_level)
 
 
 subscript = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
@@ -170,9 +170,10 @@ def cases(draw):
 @given(cases())
 def test_array_path_matches_scalar_reference(case):
     tables, attrs, levels, params = case
-    got = run_sequential(tables, attrs, levels, params)
+    fused = oriented(tables, attrs)
+    assert same_bits(fused.means, as_means(reference_oriented(tables, attrs)))
+    got = run_sequential(fused, attrs, levels, params)
     want = reference_report(tables, attrs, levels, params)
-    assert same_bits(got.fused.means, as_means(reference_oriented(tables, attrs)))
     assert len(got.levels) == len(want.levels)
     for g, w in zip(got.levels, want.levels):
         assert (g.universe, g.z) == (w.universe, w.z)
@@ -189,7 +190,9 @@ def test_array_path_matches_scalar_reference(case):
 
 def reference_fused(tables):
     """DHHFLMWA cell by cell: each expert's expected value, summed with
-    the expert weights in expert order; rows of one-term elements."""
+    the expert weights in expert order and clipped into the scale (rounding
+    can carry a sum at the end of the scale just past it); rows of
+    one-term elements."""
     first = tables[0]
     rows = []
     for i in range(len(first.alternatives)):
@@ -200,7 +203,9 @@ def reference_fused(tables):
                 le = linguistic_expected_value(t.cells[i][j]).terms[0]
                 phi += t.expert_weight * le.phi
                 varphi += t.expert_weight * le.varphi
-            row.append(DHHFLE([DHLT(phi, varphi)]))
+            tau, sigma = first.scale.tau, first.scale.sigma_scale
+            row.append(DHHFLE([DHLT(min(max(phi, -tau), tau),
+                                    min(max(varphi, -sigma), sigma))]))
         rows.append(tuple(row))
     return rows
 
@@ -305,3 +310,18 @@ def test_bundled_fuse_and_baseline_are_pinned(tmp_path, capsys, sle_case_path):
 def test_generated_fuse_and_baseline_are_pinned(tmp_path, capsys):
     assert fuse_and_baseline_digests(generated_case_path(tmp_path), tmp_path, capsys) == \
         (GENERATED_FUSE_SHA256, GENERATED_BASELINE_SHA256)
+
+
+def test_baseline_out_keeps_the_decide_report(tmp_path, capsys, sle_params_path):
+    """``baseline --out`` onto a ``decide`` report ranks with the report's
+    parameters, as ``decide`` did, so the report is rewritten unchanged."""
+    case_path = generated_case_path(tmp_path)
+    out = tmp_path / "report.json"
+    assert cli_main(["decide", "--case", case_path, "--params", sle_params_path,
+                     "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert cli_main(["baseline", "--case", case_path, "--out", str(out)]) == 0
+    ranking = json.loads(before)["baseline_ranking"]
+    assert capsys.readouterr().out == "baseline ranking: " + " > ".join(ranking) + "\n"
+    assert out.read_bytes() == before

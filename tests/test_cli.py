@@ -156,7 +156,7 @@ class TestDecide:
         assert ranking[4:] == ["x6", "x8", "x5", "x1"]
 
     def test_dump_similarity(self, capsys, tmp_path, sle_case_path, sle_params_path,
-                             sle_case, sle_params):
+                             sle_case, sle_group, sle_params):
         prefix = tmp_path / "sim"
         code, *_ = run_cli(capsys, "decide", "--case", sle_case_path,
                            "--params", sle_params_path,
@@ -169,7 +169,7 @@ class TestDecide:
         assert rows[0][1:] == [f"x{i}" for i in range(1, 9)]
         assert float(rows[1][1]) == 1.0
 
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         for level in report.levels:
             with open(tmp_path / f"sim.level{level.index}.csv") as fh:
@@ -187,6 +187,12 @@ class TestDecide:
         code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
                                "--params", sle_params_path, "--levels", "9")
         assert code == 1
+
+    def test_zero_levels_rejected(self, capsys, sle_case_path, sle_params_path):
+        code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
+                               "--params", sle_params_path, "--levels", "0")
+        assert code == 1
+        assert "--levels must be between 1 and 4" in err
 
 
 class TestNonFiniteParameters:
@@ -250,8 +256,8 @@ class TestRegretAversionOverflow:
 
 
 class TestOneFusionPerDecide:
-    def test_decide_fuses_and_orients_once(self, capsys, tmp_path, monkeypatch,
-                                           sle_case_path, sle_params_path):
+    @staticmethod
+    def count_table_calls(monkeypatch):
         calls = {"fuse": 0, "orient": 0}
 
         def counting(name, fn):
@@ -266,10 +272,24 @@ class TestOneFusionPerDecide:
             if hasattr(module, "orient_to_concept"):
                 monkeypatch.setattr(module, "orient_to_concept",
                                     counting("orient", tables.orient_to_concept))
+        return calls
+
+    def test_decide_fuses_and_orients_once(self, capsys, tmp_path, monkeypatch,
+                                           sle_case_path, sle_params_path):
+        calls = self.count_table_calls(monkeypatch)
         code, _, _ = run_cli(capsys, "decide", "--case", sle_case_path,
                              "--params", sle_params_path,
                              "--out", str(tmp_path / "report.json"))
         assert code == 0
+        assert calls == {"fuse": 1, "orient": 1}
+
+    def test_sweep_fuses_and_orients_once(self, capsys, monkeypatch,
+                                          sle_case_path, sle_params_path):
+        calls = self.count_table_calls(monkeypatch)
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", "eta=0:1:0.1")
+        assert code == 0
+        assert "swept 11 grid points" in err
         assert calls == {"fuse": 1, "orient": 1}
 
 
@@ -520,3 +540,19 @@ class TestBaseline:
             report = json.load(fh)
         assert "baseline_ranking" in report
         assert "final" in report  # decide output preserved
+
+    def test_report_with_invalid_parameters_left_unchanged(self, capsys, tmp_path,
+                                                          sle_case_path, sle_params_path):
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "decide", "--case", sle_case_path,
+                "--params", sle_params_path, "--out", str(report_path))
+        report = json.loads(report_path.read_text())
+        report["parameters"]["theta"] = 2
+        report_path.write_text(json.dumps(report))
+        before = report_path.read_bytes()
+        code, out, err = run_cli(capsys, "baseline", "--case", sle_case_path,
+                                 "--out", str(report_path))
+        assert code == 1
+        assert out == ""
+        assert "theta 2.0 outside (0, 1)" in err
+        assert report_path.read_bytes() == before

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import oriented
 
 from s3wgdm import engine
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
@@ -20,7 +21,7 @@ from s3wgdm.engine import (
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
 from s3wgdm.regret import CellValues
-from s3wgdm.tables import AttributeSpec, fuse_dhhflmwa, make_table, orient_to_concept
+from s3wgdm.tables import AttributeSpec, make_table
 
 S33 = DHLTScale(3, 3)
 
@@ -159,8 +160,8 @@ class TestRunLevel:
     """One level through ``run_sequential``; the empty universe goes to
     ``run_level`` itself, which the loop never calls with one."""
 
-    def test_reference_case_first_level(self, sle_case):
-        report = run_sequential(sle_case.experts, sle_case.attributes, [GOLDEN_CFG], GOLDEN)
+    def test_reference_case_first_level(self, sle_case, sle_group):
+        report = run_sequential(sle_group, sle_case.attributes, [GOLDEN_CFG], GOLDEN)
         (level,) = report.levels
         assert level.z == ("a2",)
         assert level.pos == {"x2"}
@@ -169,7 +170,8 @@ class TestRunLevel:
 
     def test_single_alternative_no_regret_with_delta_zero(self):
         t = make_table("E1", 1.0, ["x"], ["a"], [[single(1, 0)]], S33)
-        report = run_sequential([t], [attr("a", 1.0)], [GOLDEN_CFG],
+        attrs = [attr("a", 1.0)]
+        report = run_sequential(oriented([t], attrs), attrs, [GOLDEN_CFG],
                                 EngineParams(eta=0.6, theta=0.88, delta=0.0))
         (level,) = report.levels
         assert level.region_of("x") in ("POS", "BND", "NEG")
@@ -186,8 +188,8 @@ class TestRunLevel:
             t = make_table("E1", 1.0, ["x1", "x2", "x3"], ["a1", "a2"],
                            [cellrow, other, cellrow], S33)
             attrs = [attr("a1", 0.5), attr("a2", 0.5)]  # tied, so Z1 holds both
-            report = run_sequential([t], attrs, [LevelConfig(kappa=rng.random(), sigma=0.7)],
-                                    GOLDEN)
+            report = run_sequential(oriented([t], attrs), attrs,
+                                    [LevelConfig(kappa=rng.random(), sigma=0.7)], GOLDEN)
             (level,) = report.levels
             assert level.z == ("a1", "a2")
             assert level.region_of("x1") == level.region_of("x3")
@@ -197,7 +199,8 @@ class TestRunLevel:
         with pytest.raises(ValueError):
             run_level([], ["a2"], empty, empty, empty, S33, [1.0], GOLDEN_CFG, GOLDEN)
 
-    def test_loop_calls_run_level_once_per_level(self, sle_case, sle_params, monkeypatch):
+    def test_loop_calls_run_level_once_per_level(self, sle_case, sle_group, sle_params,
+                                                 monkeypatch):
         calls = []
 
         def recording(*args, **kwargs):
@@ -205,7 +208,7 @@ class TestRunLevel:
             return run_level(*args, **kwargs)
 
         monkeypatch.setattr(engine, "run_level", recording)
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         assert len(report.levels) == 4
         assert [list(args[0]) for args in calls] == \
@@ -213,8 +216,8 @@ class TestRunLevel:
 
 
 class TestRunSequential:
-    def test_reference_case_trajectory(self, sle_case, sle_params):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_reference_case_trajectory(self, sle_case, sle_group, sle_params):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         levels = {lvl.index: lvl for lvl in report.levels}
         assert levels[1].pos == {"x2"}
@@ -228,8 +231,8 @@ class TestRunSequential:
         assert report.exit_level["x4"] == 3
         assert report.exit_level["x3"] == 4
 
-    def test_single_level_is_plain_three_way(self, sle_case):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_single_level_is_plain_three_way(self, sle_case, sle_group):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 [GOLDEN_CFG], GOLDEN)
         assert len(report.levels) == 1
         regions = report.regions_after(1)
@@ -242,7 +245,7 @@ class TestRunSequential:
             from s3wgdm.tables import build_nested_subsets
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.9, sigma=0.7)] * k
-            report = run_sequential(tables, attrs, levels, GOLDEN)
+            report = run_sequential(oriented(tables, attrs), attrs, levels, GOLDEN)
             sizes = [len(lvl.universe) for lvl in report.levels]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             for earlier, later in zip(report.levels, report.levels[1:]):
@@ -262,7 +265,8 @@ class TestRunSequential:
         alts, ids = ["x1", "x2", "x3"], ["a1", "a2"]
         tables = [make_table("E1", 0.4, alts, ids, rows_e1, S33),
                   make_table("E2", 0.6, alts, ids, rows_e2, S33)]
-        report = run_sequential(tables, [attr("a1", 0.6), attr("a2", 0.4)],
+        attrs = [attr("a1", 0.6), attr("a2", 0.4)]
+        report = run_sequential(oriented(tables, attrs), attrs,
                                 [LevelConfig(kappa=1.0, sigma=0.7)], GOLDEN)
         level = report.levels[0]
         assert level.granule_size == {"x1": 2, "x2": 1, "x3": 2}
@@ -270,33 +274,34 @@ class TestRunSequential:
         assert level.region_of("x1") == level.region_of("x3")
 
     def test_empty_case_rejected(self):
-        t = make_table("E1", 1.0, [], ["a"], [], S33)
+        attrs = [attr("a", 1.0)]
+        fused = oriented([make_table("E1", 1.0, [], ["a"], [], S33)], attrs)
         with pytest.raises(ValueError, match="no alternatives"):
-            run_sequential([t], [attr("a", 1.0)], [GOLDEN_CFG], GOLDEN)
+            run_sequential(fused, attrs, [GOLDEN_CFG], GOLDEN)
 
-    def test_too_many_levels_rejected(self, sle_case):
+    def test_too_many_levels_rejected(self, sle_case, sle_group):
         levels = [GOLDEN_CFG] * 7
         with pytest.raises(ValueError):
-            run_sequential(sle_case.experts, sle_case.attributes, levels, GOLDEN)
+            run_sequential(sle_group, sle_case.attributes, levels, GOLDEN)
 
-    def test_monotonicity_enforced_and_overridable(self, sle_case):
+    def test_monotonicity_enforced_and_overridable(self, sle_case, sle_group):
         levels = [LevelConfig(0.9, 0.7), LevelConfig(0.5, 0.7)]
         with pytest.raises(ValueError):
-            run_sequential(sle_case.experts, sle_case.attributes, levels, GOLDEN)
-        run_sequential(sle_case.experts, sle_case.attributes, levels, GOLDEN,
+            run_sequential(sle_group, sle_case.attributes, levels, GOLDEN)
+        run_sequential(sle_group, sle_case.attributes, levels, GOLDEN,
                        monotonicity_override=True)
 
 
 class TestRank:
-    def test_reference_case_levels_two_and_three(self, sle_case, sle_params):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_reference_case_levels_two_and_three(self, sle_case, sle_group, sle_params):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         expected = ["x2", "x4", "x7", "x3", "x1", "x5", "x8", "x6"]
         assert rank(report, neg_direction="asc", upto=2) == expected
         assert rank(report, neg_direction="asc", upto=3) == expected
 
-    def test_region_precedence(self, sle_case, sle_params):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_region_precedence(self, sle_case, sle_group, sle_params):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         order = rank(report, neg_direction="asc")
         regions = report.regions_after(len(report.levels))
@@ -305,8 +310,8 @@ class TestRank:
         # accepted block, then deferred, then rejected
         assert seen == sorted(seen, key=("POS", "BND", "NEG").index)
 
-    def test_neg_direction_flips_block(self, sle_case, sle_params):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_neg_direction_flips_block(self, sle_case, sle_group, sle_params):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         asc = rank(report, neg_direction="asc")
         desc = rank(report, neg_direction="desc")
@@ -317,7 +322,8 @@ class TestRank:
         # one-level run where everything defers: pure key ordering
         t = make_table("E1", 1.0, ["x1", "x2", "x3"], ["a"],
                        [[single(0.5, 0)], [single(0.2, 0)], [single(0.8, 0)]], S33)
-        report = run_sequential([t], [attr("a", 1.0)],
+        attrs = [attr("a", 1.0)]
+        report = run_sequential(oriented([t], attrs), attrs,
                                 [LevelConfig(kappa=0.0, sigma=0.7)],
                                 EngineParams(eta=1.0, theta=0.88, delta=0.0))
         level = report.levels[0]
@@ -328,17 +334,13 @@ class TestRank:
         for block in blocks.values():
             assert block == sorted(block, key=lambda a: (-keys[a], a))
 
-    def test_invalid_options(self, sle_case, sle_params):
-        report = run_sequential(sle_case.experts, sle_case.attributes,
+    def test_invalid_options(self, sle_case, sle_group, sle_params):
+        report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         with pytest.raises(ValueError):
             rank(report, key="reject")
         with pytest.raises(ValueError):
             rank(report, neg_direction="sideways")
-
-
-def oriented(tables, attrs):
-    return orient_to_concept(fuse_dhhflmwa(tables), attrs)
 
 
 class TestBaseline:
@@ -375,7 +377,7 @@ class TestOrderIndependence:
             from s3wgdm.tables import build_nested_subsets
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.8, sigma=0.7)] * k
-            report = run_sequential(tables, attrs, levels, GOLDEN)
+            report = run_sequential(oriented(tables, attrs), attrs, levels, GOLDEN)
             check_regions_and_ranking(report, tables, attrs, levels)
             base = report.regions_after(len(report.levels))
 
@@ -387,5 +389,5 @@ class TestOrderIndependence:
                 shuffled.append(make_table(
                     t.expert_id, t.expert_weight, perm, t.attributes,
                     [t.cells[i] for i in idx], S33))
-            report2 = run_sequential(shuffled, attrs, levels, GOLDEN)
+            report2 = run_sequential(oriented(shuffled, attrs), attrs, levels, GOLDEN)
             assert report2.regions_after(len(report2.levels)) == base
