@@ -63,6 +63,7 @@ from .engine import (
     EngineParams,
     GranularLevel,
     LevelConfig,
+    SweepMemo,
     baseline_full_fusion,
     classify,
     expected_perceived_utility,

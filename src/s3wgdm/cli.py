@@ -30,7 +30,9 @@ from .caseio import (
 )
 from .engine import (
     NEG_DIRECTIONS,
+    EngineParams,
     LevelConfig,
+    SweepMemo,
     baseline_full_fusion,
     rank,
     run_sequential,
@@ -150,6 +152,16 @@ def cmd_fuse(args) -> int:
     return EXIT_OK
 
 
+# a grid value is valid when one of these builds with it; each field of
+# EngineParams and LevelConfig is checked on its own, so any valid values
+# of the others will do
+_GRID_CHECKS = {
+    "eta": lambda v: EngineParams(eta=v),
+    "sigma": lambda v: LevelConfig(kappa=1.0, sigma=v),
+    "kappa": lambda v: LevelConfig(kappa=v, sigma=1.0),
+}
+
+
 def _grid_spec(raw: str) -> tuple:
     """One ``--grid`` spec as (name, point count, build), where ``build()``
     returns its values, so nothing is built before the count is checked."""
@@ -157,7 +169,7 @@ def _grid_spec(raw: str) -> tuple:
         raise CaseFormatError([f"grid spec {raw!r} must look like name=start:stop:step"])
     name, _, rest = raw.partition("=")
     name = name.strip()
-    if name not in ("eta", "sigma", "kappa"):
+    if name not in _GRID_CHECKS:
         raise CaseFormatError([f"grid parameter must be eta, sigma or kappa, got {name!r}"])
     parts = rest.split(":")
     try:
@@ -181,23 +193,35 @@ def _grid_spec(raw: str) -> tuple:
 
 def _parse_grid(specs) -> dict:
     """``eta=0:1:0.1`` inclusive ranges or bare values; returns name -> values.
-    A grid of more than ``MAX_GRID_POINTS`` points is rejected unbuilt."""
-    parsed = []
+    A grid of more than ``MAX_GRID_POINTS`` points is rejected unbuilt; a
+    parameter given twice, or any value outside its parameter's range, is
+    rejected before any point runs."""
+    parsed = {}
     points = 1
     for raw in specs or []:
         name, count, build = _grid_spec(raw)
+        if name in parsed:
+            raise CaseFormatError(
+                [f"grid specs {parsed[name][0]!r} and {raw!r} both set {name}"])
         points *= count
         if points > MAX_GRID_POINTS:
             raise CaseFormatError(
                 [f"grid spec {raw!r}: the grid would have more than {MAX_GRID_POINTS} points"])
-        parsed.append((raw, name, build))
+        parsed[name] = (raw, build)
     if not parsed:
         raise CaseFormatError(["sweep needs at least one --grid specification"])
-    grids = {}
-    for raw, name, build in parsed:
+    grids, problems = {}, []
+    for name, (raw, build) in parsed.items():
         grids[name] = build()
         if not grids[name]:
             raise CaseFormatError([f"grid spec {raw!r} produced no points"])
+        for value in grids[name]:
+            try:
+                _GRID_CHECKS[name](value)
+            except ValueError as exc:
+                problems.append(f"grid spec {raw!r}: {exc}")
+    if problems:
+        raise CaseFormatError(problems)
     return grids
 
 
@@ -206,6 +230,7 @@ def cmd_sweep(args) -> int:
     base_spec = _apply_overrides(load_params(args.params), args)
     grids = _parse_grid(args.grid)
     fused = _group_table(case)
+    memo = SweepMemo(fused, case.attributes)  # shared by every point's run
     names = sorted(grids)
     n_levels = len(base_spec.levels)
     header = names[:]
@@ -226,7 +251,8 @@ def cmd_sweep(args) -> int:
                 for c in spec.levels)
             spec = replace(spec, levels=levels)
         report = run_sequential(fused, case.attributes, spec.levels, spec.params,
-                                monotonicity_override=spec.monotonicity_override)
+                                monotonicity_override=spec.monotonicity_override,
+                                memo=memo)
         row = [repr(point[name]) for name in names]
         for i in range(1, n_levels + 1):
             regions = report.regions_after(i)

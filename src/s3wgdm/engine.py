@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -166,20 +166,102 @@ def classify(expected: tuple) -> str:
     return NEG
 
 
+# array bytes one SweepMemo stores; past it results are computed and returned
+# but not stored, so no output depends on it.  Stores grow about linearly in
+# n: a 6-point sweep of the generated seed-1 n=10^4 case stores 8.1 MiB, the
+# 330-point benchmark grid on the n=10^3 case 12.7 MiB.
+MEMO_BYTES = 128 << 20
+
+
+def _computed(key: tuple, compute: Callable):
+    """:meth:`SweepMemo.get` for a caller with no memo."""
+    return compute()
+
+
+class SweepMemo:
+    """What the runs of one sweep share over one oriented group table.
+
+    The table is scored once, and each level's columns, attribute ids and
+    renormalised weights are found once.  :meth:`get` maps each pure level
+    input to its arrays: the level's subscripts and scores, and its
+    membership, by (level, universe rows); its granule statistics by those
+    plus (sigma, kappa); its utilities by those plus (eta, theta, delta).
+    A level index fixes its columns.  Universes are keyed by the bytes of
+    their row-index arrays, parameters by their exact float values (-0.0
+    and 0.0 share a key and give the same arrays).  Stored arrays are made
+    read-only, since every run that hits them shares them.  A run given no
+    memo builds one for the scores and level columns and stores nothing.
+    """
+
+    def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
+                 subsets: Optional[NestedSubsets] = None):
+        check_attribute_weights(attrs)
+        self.fused, self.attrs = fused, tuple(attrs)
+        self.subsets = build_nested_subsets(attrs) if subsets is None else subsets
+        self.phi, self.varphi = fused.subscripts()
+        self.scores = superior_gradus_array(self.phi, self.varphi, fused.scale)
+        self.free = MEMO_BYTES  # bytes left to store
+        self._levels: dict = {}
+        self._arrays: dict = {}
+
+    def level(self, index: int) -> tuple:
+        """Column indices, attribute ids and renormalised weights (in column
+        order) of level ``index``, 1-based."""
+        found = self._levels.get(index)
+        if found is None:
+            order = self.fused.attributes
+            cols = [j for j, a in enumerate(order) if a in self.subsets[index - 1]]
+            z = tuple(order[j] for j in cols)
+            weights = renormalize_weights(self.attrs, z)
+            found = self._levels[index] = (cols, z, [weights[a] for a in z])
+        return found
+
+    def restrict(self, rows: np.ndarray, cols: Sequence[int]) -> tuple:
+        """The subscripts and scores of the table's ``rows`` on ``cols``."""
+        cells = np.ix_(rows, cols)
+        return self.phi[cells], self.varphi[cells], self.scores[cells]
+
+    def get(self, key: tuple, compute: Callable):
+        """The array, or tuple of arrays, stored under ``key``; else
+        ``compute()``'s, stored if it fits in the bytes left."""
+        found = self._arrays.get(key)
+        if found is None:
+            found = compute()
+            arrays = found if isinstance(found, tuple) else (found,)
+            size = sum(a.nbytes for a in arrays)
+            if size <= self.free:
+                for a in arrays:
+                    a.flags.writeable = False
+                self._arrays[key] = found
+                self.free -= size
+        return found
+
+
 def run_level(universe: Sequence[str], z: Sequence[str], phi: np.ndarray,
               varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
               weights: Sequence[float], cfg: LevelConfig, params: EngineParams,
-              index: int = 1) -> GranularLevel:
+              index: int = 1, memo: Optional[SweepMemo] = None,
+              key: tuple = ()) -> GranularLevel:
     """Classify one level from its (universe x z) fused subscripts and
     their exponential scores; ``weights`` are the renormalised attribute
-    weights in column order."""
+    weights in column order.  With a ``memo``, membership, granule
+    statistics and utilities are looked up under ``key``, which names the
+    level and its universe rows, plus the parameters each depends on."""
     if not len(universe):
         raise ValueError("empty universe")
-    membership = membership_degrees(phi, varphi, weights, scale)
-    sizes, pr = granule_statistics(scores, membership, cfg.sigma, cfg.kappa)
+    reuse = _computed if memo is None else memo.get
+
+    def granules() -> tuple:
+        membership = reuse(("membership",) + key,
+                           lambda: membership_degrees(phi, varphi, weights, scale))
+        return granule_statistics(scores, membership, cfg.sigma, cfg.kappa)
+
+    sizes, pr = reuse(("granules", cfg.sigma, cfg.kappa) + key, granules)
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
         raise ValueError("conditional probability outside [0, 1]")
-    v = comprehensive_utilities(scores, weights, params.eta, params.theta, params.delta)
+    v = reuse(("utilities", params.eta, params.theta, params.delta) + key,
+              lambda: comprehensive_utilities(scores, weights, params.eta, params.theta,
+                                              params.delta))
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
     expected = v[:, :3] * pr[:, None] + v[:, 3:] * (1.0 - pr)[:, None]
     acc, dfr, rej = expected.T
@@ -206,42 +288,45 @@ def run_sequential(fused: FusedDecisionTable,
                    levels: Sequence[LevelConfig],
                    params: EngineParams,
                    subsets: Optional[NestedSubsets] = None,
-                   monotonicity_override: bool = False) -> DecisionReport:
+                   monotonicity_override: bool = False,
+                   memo: Optional[SweepMemo] = None) -> DecisionReport:
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
     ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
     takes it.  It is scored once; each level restricts those arrays to its
-    universe (rows) and attribute subset (columns).
+    universe (rows) and attribute subset (columns).  A ``memo`` built from
+    the same table and attributes carries the scores, level columns and
+    level arrays over from earlier runs; without one nothing is kept.
     """
     if not fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
-    check_attribute_weights(attrs)
+    if memo is not None and (memo.fused is not fused or memo.attrs != tuple(attrs)
+                             or subsets not in (None, memo.subsets)):
+        raise ValueError("the memo was built for another group table, "
+                         "attribute list or subset chain")
+    shared = SweepMemo(fused, attrs, subsets) if memo is None else memo
+    reuse = _computed if memo is None else memo.get
     check_level_monotonicity(levels, monotonicity_override)
-    if subsets is None:
-        subsets = build_nested_subsets(attrs)
-    if len(levels) > len(subsets):
-        raise ValueError(
-            f"{len(levels)} levels configured but only {len(subsets)} nested subsets exist")
+    if len(levels) > len(shared.subsets):
+        raise ValueError(f"{len(levels)} levels configured but only "
+                         f"{len(shared.subsets)} nested subsets exist")
 
-    alternatives, attr_order, scale = fused.alternatives, fused.attributes, fused.scale
-    phi, varphi = fused.subscripts()
-    scores = superior_gradus_array(phi, varphi, scale)
+    alternatives, scale = fused.alternatives, fused.scale
     rows = np.arange(len(alternatives))
     executed = []
     exit_level = {}
     for i, cfg in enumerate(levels, start=1):
         if not len(rows):
             break
-        cols = [j for j, a in enumerate(attr_order) if a in subsets[i - 1]]
-        z = [attr_order[j] for j in cols]
+        key = (i, rows.tobytes())
         try:
-            weights = renormalize_weights(attrs, z)
-            cells = np.ix_(rows, cols)
+            cols, z, weights = shared.level(i)
+            phi, varphi, scores = reuse(("cells",) + key, lambda: shared.restrict(rows, cols))
             # the universe goes first and positionally: bench/tracer.py reads it
-            level = run_level([alternatives[r] for r in rows], z, phi[cells], varphi[cells],
-                              scores[cells], scale, [weights[a] for a in z], cfg, params, i)
+            level = run_level([alternatives[r] for r in rows], z, phi, varphi, scores,
+                              scale, weights, cfg, params, i, memo, key)
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)

@@ -7,6 +7,9 @@ from s3wgdm.linguistic import DHLTScale
 from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
 DATA = pathlib.Path(__file__).parent / "data"
+# the sweep grid the benchmark runs and the bundled sweep pin covers:
+# eta x sigma x kappa = 11 x 10 x 3 = 330 points
+SWEEP_GRID = ("eta=0:1:0.1", "sigma=0.1:1:0.1", "kappa=0:1:0.5")
 
 
 @pytest.fixture(scope="session")

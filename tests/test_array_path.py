@@ -15,7 +15,7 @@ import json
 import pathlib
 
 import numpy as np
-from conftest import oriented
+from conftest import SWEEP_GRID, oriented
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,10 +72,9 @@ TOL = 1e-12
 # ``metadata.elapsed_seconds``, as the scalar per-level engine wrote it
 BUNDLED_REPORT_SHA256 = "020541ebb182c01abc473a4a27a9a00672510cfa8936f0bb4a7c75385807746d"
 # SHA-256 of the bundled ``decide`` stdout, and of the bundled ``sweep``
-# CSV over SWEEP_GRID (11 x 10 x 3 = 330 points)
+# CSV over SWEEP_GRID
 BUNDLED_STDOUT_SHA256 = "f53497a48aa058cdd0a554c8a11781542210b5c10f8f7989549aca8d128a4376"
 BUNDLED_SWEEP_SHA256 = "fbfae9f48f4f7d8a8ab089009c4a14bc6ee9ff1af8abedfa8f034dbb811d9871"
-SWEEP_GRID = ("eta=0:1:0.1", "sigma=0.1:1:0.1", "kappa=0:1:0.5")
 # SHA-256 of ``fuse --out`` and of ``baseline`` stdout, on the bundled case
 # and on the generated case GENERATED_SHAPE (bench/gen.py's case_dict)
 BUNDLED_FUSE_SHA256 = "4748a7e3f99efb2ac31ea540d5b785ec839870a28c011dab248fd973d234c4c0"

@@ -1,16 +1,23 @@
 import csv
 import json
 import math
+import pathlib
+import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import SWEEP_GRID, oriented
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s3wgdm import cli, engine, tables
-from s3wgdm.caseio import validate_report_dict
+from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
-from s3wgdm.engine import run_sequential
+from s3wgdm.engine import BND, NEG, POS, LevelConfig, SweepMemo, rank, run_sequential
 
 
 def run_cli(capsys, *argv):
@@ -255,23 +262,24 @@ class TestRegretAversionOverflow:
                 assert all(math.isfinite(v) for v in eu.values())
 
 
+def counting(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` per call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestOneFusionPerDecide:
     @staticmethod
     def count_table_calls(monkeypatch):
         calls = {"fuse": 0, "orient": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for module in (engine, cli):
             monkeypatch.setattr(module, "fuse_dhhflmwa",
-                                counting("fuse", tables.fuse_dhhflmwa))
+                                counting(calls, "fuse", tables.fuse_dhhflmwa))
             if hasattr(module, "orient_to_concept"):
                 monkeypatch.setattr(module, "orient_to_concept",
-                                    counting("orient", tables.orient_to_concept))
+                                    counting(calls, "orient", tables.orient_to_concept))
         return calls
 
     def test_decide_fuses_and_orients_once(self, capsys, tmp_path, monkeypatch,
@@ -291,6 +299,24 @@ class TestOneFusionPerDecide:
         assert code == 0
         assert "swept 11 grid points" in err
         assert calls == {"fuse": 1, "orient": 1}
+
+    def test_sweep_computes_each_distinct_level_input_once(self, capsys, monkeypatch,
+                                                           sle_case_path, sle_params_path):
+        calls = dict.fromkeys(("superior_gradus_array", "run_level", "membership_degrees",
+                               "granule_statistics", "comprehensive_utilities"), 0)
+        for name in calls:
+            monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
+        argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path]
+        for grid in SWEEP_GRID:
+            argv += ["--grid", grid]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "swept 330 grid points" in err
+        # the table is scored once; the 800 levels run hold 23 distinct
+        # (level, universe) inputs, 307 with (sigma, kappa) and 44 with eta
+        assert calls == {"superior_gradus_array": 1, "run_level": 800,
+                         "membership_degrees": 23, "granule_statistics": 307,
+                         "comprehensive_utilities": 44}
 
 
 class TestKernelWidthUnderflow:
@@ -476,6 +502,34 @@ class TestSweep:
                                "--params", sle_params_path)
         assert code == 1
 
+    def test_repeated_grid_parameter_rejected(self, capsys, tmp_path, sle_case_path,
+                                              sle_params_path):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", "eta=0.1",
+                               "--grid", "eta=0:1:0.5", "--out", str(out_path))
+        assert code == 1
+        assert "  - grid specs 'eta=0.1' and 'eta=0:1:0.5' both set eta" in err
+        assert not out_path.exists()
+
+    def test_every_bad_grid_value_rejected_before_any_point(self, capsys, monkeypatch,
+                                                            sle_case_path, sle_params_path):
+        calls = {"run_sequential": 0}
+        monkeypatch.setattr(cli, "run_sequential",
+                            counting(calls, "run_sequential", run_sequential))
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", "eta=0.5:1.5:0.5",
+                               "--grid", "kappa=0:2:0.5", "--grid", "sigma=-0.5:0.5:0.5")
+        assert code == 1
+        assert calls == {"run_sequential": 0}
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            "  - grid spec 'eta=0.5:1.5:0.5': eta 1.5 outside [0, 1]",
+            "  - grid spec 'kappa=0:2:0.5': kappa 1.5 outside [0, 1]",
+            "  - grid spec 'kappa=0:2:0.5': kappa 2.0 outside [0, 1]",
+            "  - grid spec 'sigma=-0.5:0.5:0.5': sigma must be positive and finite, got -0.5",
+            "  - grid spec 'sigma=-0.5:0.5:0.5': sigma must be positive and finite, got 0.0",
+        ]
+
     @pytest.mark.parametrize("grid", ["eta=0:inf:1", "eta=nan:1:0.5", "sigma=0.1:1:nan",
                                       "kappa=-inf:1:0.5", "eta=nan"])
     def test_non_finite_grid_rejected(self, capsys, tmp_path, sle_case_path,
@@ -518,6 +572,136 @@ class TestSweep:
 
     def test_grid_at_the_cap_is_built(self):
         assert len(_parse_grid(["eta=0:0.99999:1e-5"])["eta"]) == MAX_GRID_POINTS
+
+
+# --grid specs per parameter.  Each range is rounded to 12 digits, so a
+# step of 1e-13 gives four copies of one value: repeated grid points.
+GRID_OPTIONS = {
+    "eta": ("eta=0:1:0.5", "eta=0.6", "eta=0.3:0.3000000000003:1e-13"),
+    "sigma": ("sigma=0.3:0.9:0.3", "sigma=0.7", "sigma=0.5:0.5000000000003:1e-13"),
+    "kappa": ("kappa=0:1:0.5", "kappa=0", "kappa=1", "kappa=0.9:0.9000000000003:1e-13"),
+}
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A case document with n <= 10, m <= 4, e <= 2, a params document
+    and --grid specs.  Alternatives pick their rows from a smaller pool of
+    small-subscript cells, so duplicate rows are common, and tied weights
+    share a level."""
+    n, m, e = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    pool = draw(st.integers(1, n))
+    picks = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
+    term = st.builds("s_{}<o_{}>".format, st.integers(-3, 3), st.integers(-3, 3))
+    cell = st.lists(term, min_size=1, max_size=2).map(lambda ts: "{" + ",".join(ts) + "}")
+    raw_w = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    attributes = [{"id": f"a{j + 1}", "weight": w / sum(raw_w),
+                   "align_with_concept": draw(st.booleans())} for j, w in enumerate(raw_w)]
+    experts = []
+    for k in range(e):
+        rows = draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                             min_size=pool, max_size=pool))
+        experts.append({"id": f"E{k + 1}", "weight": 1.0 / e,
+                        "table": [rows[p] for p in picks]})
+    case = {"scale": {"tau": 3, "sigma_scale": 3},
+            "alternatives": [f"x{i + 1}" for i in range(n)],
+            "attributes": attributes, "experts": experts}
+    level = {"kappa": draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+             "sigma": draw(st.sampled_from([0.3, 0.7]))}
+    params = {"eta": 0.6, "theta": draw(st.sampled_from([0.5, 0.88])),
+              "delta": draw(st.sampled_from([0.0, 0.3])),
+              "levels": [level] * draw(st.integers(1, len(set(raw_w))))}
+    names = draw(st.lists(st.sampled_from(sorted(GRID_OPTIONS)), min_size=1, max_size=3,
+                          unique=True))
+    return case, params, [draw(st.sampled_from(GRID_OPTIONS[name])) for name in names]
+
+
+@pytest.mark.parametrize("cap", [0, math.inf], ids=["nothing-stored", "unlimited"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_inputs())
+def test_sweep_rows_match_fresh_runs(cap, inputs):
+    """Every sweep row equals a fresh ``run_sequential`` at its point,
+    whether the sweep's memo stores nothing or everything; a memo shared
+    over the points gives the fresh runs' level values bit for bit."""
+    case_doc, params_doc, grids = inputs
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(engine, "MEMO_BYTES", cap):
+        tmp = pathlib.Path(tmp)
+        (tmp / "case.json").write_text(json.dumps(case_doc))
+        (tmp / "params.json").write_text(json.dumps(params_doc))
+        argv = ["sweep", "--case", str(tmp / "case.json"), "--params",
+                str(tmp / "params.json"), "--out", str(tmp / "sweep.csv")]
+        for grid in grids:
+            argv += ["--grid", grid]
+        assert main(argv) == 0
+        with open(tmp / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        case, spec = load_case(str(tmp / "case.json")), load_params(str(tmp / "params.json"))
+        fused = oriented(case.experts, case.attributes)
+        memo = SweepMemo(fused, case.attributes)
+        for row in rows:
+            point = {name: float(row[name]) for name in GRID_OPTIONS if name in row}
+            params = replace(spec.params, eta=point.get("eta", spec.params.eta))
+            levels = [LevelConfig(kappa=point.get("kappa", c.kappa),
+                                  sigma=point.get("sigma", c.sigma)) for c in spec.levels]
+            fresh = run_sequential(fused, case.attributes, levels, params)
+            for i in range(1, len(levels) + 1):
+                regions = fresh.regions_after(i)
+                assert [int(row[f"{r.lower()}_{i}"]) for r in (POS, BND, NEG)] == \
+                    [len(regions[r]) for r in (POS, BND, NEG)]
+            assert row["final_ranking"].split(">") == \
+                rank(fresh, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
+            reused = run_sequential(fused, case.attributes, levels, params, memo=memo)
+            assert reused.exit_level == fresh.exit_level
+            for got, want in zip(reused.levels, fresh.levels, strict=True):
+                assert (got.universe, got.pos, got.bnd, got.neg) == \
+                    (want.universe, want.pos, want.bnd, want.neg)
+                assert got.granule_size == want.granule_size
+                assert got.probability == want.probability
+                assert got.expected == want.expected
+
+
+class TestSweepMemo:
+    def test_refuses_another_table(self, sle_case, sle_group, sle_params):
+        memo = SweepMemo(sle_group, sle_case.attributes)
+        other = oriented(sle_case.experts, sle_case.attributes)  # equal, but not the same
+        with pytest.raises(ValueError, match="another group table"):
+            run_sequential(other, sle_case.attributes, sle_params.levels,
+                           sle_params.params, memo=memo)
+        with pytest.raises(ValueError, match="another group table"):
+            run_sequential(sle_group, sle_case.attributes[::-1], sle_params.levels,
+                           sle_params.params, memo=memo)
+
+    def test_keys_hold_every_parameter(self, sle_case, sle_group, sle_params):
+        memo = SweepMemo(sle_group, sle_case.attributes)
+        base = sle_params.params
+        for params in (base, replace(base, theta=0.5), replace(base, delta=0.0)):
+            reused = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
+                                    params, memo=memo)
+            fresh = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
+                                   params)
+            assert [level.expected for level in reused.levels] == \
+                [level.expected for level in fresh.levels]
+
+    def test_stored_arrays_are_read_only(self, sle_case, sle_group, sle_params):
+        memo = SweepMemo(sle_group, sle_case.attributes)
+        report = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
+                                sle_params.params, memo=memo)
+        assert not report.levels[0].scores.flags.writeable
+        fresh = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
+                               sle_params.params)
+        assert fresh.levels[0].scores.flags.writeable
+
+    def test_full_memo_still_computes(self, sle_case, sle_group, sle_params, monkeypatch):
+        monkeypatch.setattr(engine, "MEMO_BYTES", 0)
+        memo = SweepMemo(sle_group, sle_case.attributes)
+        calls = {"granule_statistics": 0}
+        monkeypatch.setattr(engine, "granule_statistics",
+                            counting(calls, "granule_statistics", engine.granule_statistics))
+        for _ in range(2):
+            run_sequential(sle_group, sle_case.attributes, sle_params.levels,
+                           sle_params.params, memo=memo)
+        assert calls == {"granule_statistics": 8}  # 4 levels, twice
+        assert memo.free == 0
 
 
 class TestBaseline:
