@@ -6,7 +6,15 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence
 
-from .engine import NEG_DIRECTIONS, RANK_KEYS, DecisionReport, EngineParams, LevelConfig, rank
+from .engine import (
+    NEG_DIRECTIONS,
+    RANK_KEYS,
+    REGIONS,
+    DecisionReport,
+    EngineParams,
+    LevelConfig,
+    rank,
+)
 from .linguistic import DHHFLE, DHLT, DHLTScale
 from .syntax import format_term, parse_dhhfle
 from .tables import (
@@ -348,27 +356,25 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
                 metadata: Optional[dict] = None) -> dict:
     levels = []
     for level in report.levels:
+        ids = report.ids(level.rows)  # universe order, which the text summary prints in
+        codes = level.region.tolist()
         levels.append({
             "index": level.index,
             "attributes": list(level.z),
             "kappa": spec.levels[level.index - 1].kappa,
             "sigma": spec.levels[level.index - 1].sigma,
-            "universe": list(level.universe),
-            "conditional_probability": {a: level.probability[a] for a in level.universe},
-            "expected_utility": {
-                a: {"accept": level.expected[a][0],
-                    "defer": level.expected[a][1],
-                    "reject": level.expected[a][2]}
-                for a in level.universe},
-            "regions": {
-                "POS": sorted(level.pos),
-                "BND": sorted(level.bnd),
-                "NEG": sorted(level.neg)},
+            "universe": ids,
+            "conditional_probability": dict(zip(ids, level.pr.tolist())),
+            "expected_utility": {a: {"accept": acc, "defer": dfr, "reject": rej}
+                                 for a, (acc, dfr, rej) in zip(ids, level.expected.tolist())},
+            "regions": {name: sorted(a for a, c in zip(ids, codes) if c == code)
+                        for code, name in enumerate(REGIONS)},
             "cumulative_regions": report.regions_after(level.index),
             "ranking_after": rank(report, key=spec.rank.key,
                                   neg_direction=spec.rank.neg_direction,
                                   upto=level.index),
         })
+    exit_level = report.state_after()[1][report.by_id].tolist()
     out = {
         "schema": REPORT_SCHEMA,
         "case": {"alternatives": case.n, "attributes": case.m, "experts": case.e},
@@ -383,7 +389,7 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
         "levels": levels,
         "final": {
             "regions": report.regions_after(len(report.levels)),
-            "exit_level": dict(sorted(report.exit_level.items())),
+            "exit_level": dict(zip(report.ids(report.by_id), exit_level)),
             # rank after the last level, already computed as its ranking_after
             "ranking": list(levels[-1]["ranking_after"]),
         },
@@ -414,7 +420,7 @@ def validate_report_dict(data: Any) -> list:
         n = data.get("case", {}).get("alternatives")
         for level in levels:
             regions = level.get("cumulative_regions", {})
-            covered = sum(len(regions.get(r, [])) for r in ("POS", "BND", "NEG"))
+            covered = sum(len(regions.get(r, [])) for r in REGIONS)
             if n is not None and covered != n:
                 problems.append(
                     f"level {level.get('index')}: cumulative regions cover "

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .caseio import (
     CaseFormatError,
     ParamsFile,
@@ -30,6 +32,7 @@ from .caseio import (
 )
 from .engine import (
     NEG_DIRECTIONS,
+    REGIONS,
     EngineParams,
     LevelConfig,
     SweepMemo,
@@ -131,13 +134,14 @@ def cmd_decide(args) -> int:
 def _dump_similarity(prefix: str, spec: ParamsFile, report) -> None:
     """Each level's similarity matrix, from the scores and kernel it ran on."""
     for level in report.levels:
+        ids = report.ids(level.rows)
         path = f"{prefix}.level{level.index}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow([""] + list(level.universe))
+            writer.writerow([""] + ids)
             sigma = spec.levels[level.index - 1].sigma
             for start, block in similarity_blocks(level.scores, sigma):
-                for row_id, row in zip(level.universe[start:], block.tolist()):
+                for row_id, row in zip(ids[start:], block.tolist()):
                     writer.writerow([row_id] + [repr(v) for v in row])
 
 
@@ -235,7 +239,7 @@ def cmd_sweep(args) -> int:
     n_levels = len(base_spec.levels)
     header = names[:]
     for i in range(1, n_levels + 1):
-        header += [f"pos_{i}", f"bnd_{i}", f"neg_{i}"]
+        header += [f"{name.lower()}_{i}" for name in REGIONS]
     header.append("final_ranking")
 
     rows = []
@@ -254,9 +258,9 @@ def cmd_sweep(args) -> int:
                                 monotonicity_override=spec.monotonicity_override,
                                 memo=memo)
         row = [repr(point[name]) for name in names]
-        for i in range(1, n_levels + 1):
-            regions = report.regions_after(i)
-            row += [str(len(regions[r])) for r in ("POS", "BND", "NEG")]
+        for i in range(1, n_levels + 1):  # region counts after level i
+            counts = np.bincount(report.state_after(i)[0], minlength=len(REGIONS))
+            row += map(str, counts.tolist())
         order = rank(report, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
         row.append(">".join(order))
         rows.append(row)
@@ -285,6 +289,11 @@ def cmd_baseline(args) -> int:
         if isinstance(existing, dict) and "final" in existing:
             # rank as decide ranked the report's baseline: with its parameters
             spec, problems = validate_params_dict(existing.get("parameters"))
+            final = existing["final"]
+            ids = final.get("exit_level") if isinstance(final, dict) else None
+            if not isinstance(ids, dict) or sorted(ids) != sorted(case.alternatives):
+                problems.append(f"final.exit_level does not list the case's "
+                                f"{case.n} alternatives")
             if problems:
                 raise CaseFormatError([f"report {args.out}: {p}" for p in problems])
             data, params = existing, spec.params

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .linguistic import DHLTScale, elementwise, superior_gradus_array
 from .neighborhood import granule_statistics, membership_degrees
-from .regret import CellValues, comprehensive_utilities
+from .regret import comprehensive_utilities
 from .tables import (
     AttributeSpec,
     FusedDecisionTable,
@@ -37,7 +38,8 @@ from .regret import (  # noqa: F401
 )
 from .tables import extract, fuse_dhhflmwa, orient_to_concept  # noqa: F401
 
-POS, BND, NEG = "POS", "BND", "NEG"
+REGIONS = ("POS", "BND", "NEG")  # region names; a region's code is its index
+POS, BND, NEG = range(3)  # region codes
 RANK_KEYS = ("accept", "defer")  # the expected utility a ranking sorts by
 NEG_DIRECTIONS = ("desc", "asc")  # the order inside the rejected block
 # the largest delta whose regret term exp(delta * (u_ref - u)), u in [0, 1], is finite
@@ -96,56 +98,64 @@ def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = Fal
                 "(pass the monotonicity override to allow this)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GranularLevel:
-    """Everything computed at one decision level."""
+    """Everything computed at one decision level: one row per universe row."""
 
     index: int  # 1-based
-    universe: tuple
+    rows: np.ndarray  # the universe, as row indices into the group table
     z: tuple
     scores: np.ndarray  # exponential scores the level ran on, universe x z
-    granule_size: Mapping[str, int]
-    probability: Mapping[str, float]
-    utilities: Mapping[str, CellValues]
-    expected: Mapping[str, tuple]  # id -> (accept, defer, reject)
-    pos: frozenset
-    bnd: frozenset
-    neg: frozenset
-
-    def region_of(self, alternative: str) -> str:
-        if alternative in self.pos:
-            return POS
-        if alternative in self.neg:
-            return NEG
-        if alternative in self.bnd:
-            return BND
-        raise KeyError(f"{alternative} was not classified at level {self.index}")
+    sizes: np.ndarray  # granule sizes
+    pr: np.ndarray  # conditional probabilities
+    utilities: np.ndarray  # comprehensive utilities, (k, 6) in regret.CELLS order
+    expected: np.ndarray  # expected utilities, (k, 3): accept, defer, reject
+    region: np.ndarray  # int8 region codes: POS, BND or NEG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionReport:
-    """Outcome of a full sequential run."""
+    """Outcome of a full sequential run.  Each level's universe is the
+    previous level's BND, so writing the levels' rows into one array in
+    level order leaves each alternative with its value from the level that
+    decided it, or from the last level it was in."""
 
     alternatives: tuple
     levels: tuple  # GranularLevel per executed level
-    exit_level: Mapping[str, int]
 
-    def accept_key(self, alternative: str) -> float:
-        """Expected accept utility at the level where the alternative left
-        the boundary (survivors: the last executed level)."""
-        lvl = self.exit_level[alternative]
-        return self.levels[lvl - 1].expected[alternative][0]
+    def state_after(self, upto: Optional[int] = None) -> tuple:
+        """Per alternative, in table order, once ``upto`` levels ran (default
+        all): its region code, the index of the level its values come from,
+        and its (accept, defer, reject) expected utilities at that level.
+        Before any level ran every alternative is deferred, at level 0."""
+        n = len(self.alternatives)
+        region = np.full(n, BND, dtype=np.int8)
+        level = np.zeros(n, dtype=np.int64)
+        expected = np.zeros((n, 3))
+        for lvl in self.levels[:upto]:
+            region[lvl.rows] = lvl.region
+            level[lvl.rows] = lvl.index
+            expected[lvl.rows] = lvl.expected
+        return region, level, expected
+
+    @cached_property
+    def by_id(self) -> np.ndarray:
+        """Table rows in the order of their sorted ids."""
+        ids = self.alternatives
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+    def ids(self, rows: np.ndarray) -> list:
+        """The alternative ids of table ``rows``."""
+        return [self.alternatives[r] for r in rows.tolist()]
 
     def regions_after(self, upto: int) -> dict:
         """Cumulative regions once ``upto`` levels ran: region -> sorted ids."""
-        pos = set().union(*(level.pos for level in self.levels[:upto]))
-        neg = set().union(*(level.neg for level in self.levels[:upto]))
-        bnd = [a for a in self.alternatives if a not in pos and a not in neg]
-        return {POS: sorted(pos), BND: sorted(bnd), NEG: sorted(neg)}
+        region = self.state_after(upto)[0][self.by_id]
+        return {name: self.ids(self.by_id[region == code]) for code, name in enumerate(REGIONS)}
 
 
-def expected_perceived_utility(v: CellValues, pr: float) -> tuple:
-    """Expected perceived utility of accepting, deferring, rejecting."""
+def expected_perceived_utility(v, pr: float) -> tuple:
+    """Expected perceived utility of accepting, deferring, rejecting (v: CellValues)."""
     if not (0.0 <= pr <= 1.0):
         raise ValueError(f"conditional probability {pr} outside [0, 1]")
     against = 1.0 - pr
@@ -157,13 +167,13 @@ def expected_perceived_utility(v: CellValues, pr: float) -> tuple:
 
 
 def classify(expected: tuple) -> str:
-    """First maximizing action in the order accept, defer, reject."""
+    """Region name of the first maximizing action in the order accept, defer, reject."""
     e_acc, e_def, e_rej = expected
     if e_acc >= e_def and e_acc >= e_rej:
-        return POS
+        return REGIONS[POS]
     if e_def >= e_acc and e_def >= e_rej:
-        return BND
-    return NEG
+        return REGIONS[BND]
+    return REGIONS[NEG]
 
 
 # array bytes one SweepMemo stores; past it results are computed and returned
@@ -237,17 +247,18 @@ class SweepMemo:
         return found
 
 
-def run_level(universe: Sequence[str], z: Sequence[str], phi: np.ndarray,
+def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
               varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
               weights: Sequence[float], cfg: LevelConfig, params: EngineParams,
               index: int = 1, memo: Optional[SweepMemo] = None,
               key: tuple = ()) -> GranularLevel:
     """Classify one level from its (universe x z) fused subscripts and
-    their exponential scores; ``weights`` are the renormalised attribute
-    weights in column order.  With a ``memo``, membership, granule
-    statistics and utilities are looked up under ``key``, which names the
-    level and its universe rows, plus the parameters each depends on."""
-    if not len(universe):
+    their exponential scores; ``rows`` index the universe in the group
+    table, ``weights`` are the renormalised attribute weights in column
+    order.  With a ``memo``, membership, granule statistics and utilities
+    are looked up under ``key``, which names the level and its universe
+    rows, plus the parameters each depends on."""
+    if not len(rows):
         raise ValueError("empty universe")
     reuse = _computed if memo is None else memo.get
 
@@ -265,22 +276,10 @@ def run_level(universe: Sequence[str], z: Sequence[str], phi: np.ndarray,
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
     expected = v[:, :3] * pr[:, None] + v[:, 3:] * (1.0 - pr)[:, None]
     acc, dfr, rej = expected.T
-    pos = (acc >= dfr) & (acc >= rej)
-    bnd = ~pos & (dfr >= acc) & (dfr >= rej)
-    ids = tuple(universe)
-    return GranularLevel(
-        index=index,
-        universe=ids,
-        z=tuple(z),
-        scores=scores,
-        granule_size=dict(zip(ids, sizes.tolist())),
-        probability=dict(zip(ids, pr.tolist())),
-        utilities={a: CellValues(*row) for a, row in zip(ids, v.tolist())},
-        expected=dict(zip(ids, map(tuple, expected.tolist()))),
-        pos=frozenset(a for a, keep in zip(ids, pos) if keep),
-        bnd=frozenset(a for a, keep in zip(ids, bnd) if keep),
-        neg=frozenset(a for a, keep in zip(ids, ~(pos | bnd)) if keep),
-    )
+    region = np.where((acc >= dfr) & (acc >= rej), POS,
+                      np.where((dfr >= acc) & (dfr >= rej), BND, NEG)).astype(np.int8)
+    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores, sizes=sizes,
+                         pr=pr, utilities=v, expected=expected, region=region)
 
 
 def run_sequential(fused: FusedDecisionTable,
@@ -313,10 +312,8 @@ def run_sequential(fused: FusedDecisionTable,
         raise ValueError(f"{len(levels)} levels configured but only "
                          f"{len(shared.subsets)} nested subsets exist")
 
-    alternatives, scale = fused.alternatives, fused.scale
-    rows = np.arange(len(alternatives))
+    rows = np.arange(len(fused.alternatives))
     executed = []
-    exit_level = {}
     for i, cfg in enumerate(levels, start=1):
         if not len(rows):
             break
@@ -325,22 +322,13 @@ def run_sequential(fused: FusedDecisionTable,
             cols, z, weights = shared.level(i)
             phi, varphi, scores = reuse(("cells",) + key, lambda: shared.restrict(rows, cols))
             # the universe goes first and positionally: bench/tracer.py reads it
-            level = run_level([alternatives[r] for r in rows], z, phi, varphi, scores,
-                              scale, weights, cfg, params, i, memo, key)
+            level = run_level(rows, z, phi, varphi, scores, fused.scale, weights, cfg,
+                              params, i, memo, key)
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)
-        for alt in level.pos | level.neg:
-            exit_level[alt] = i
-        rows = rows[[alt in level.bnd for alt in level.universe]]
-    for r in rows:  # survivors stay deferred
-        exit_level[alternatives[r]] = executed[-1].index
-
-    return DecisionReport(
-        alternatives=alternatives,
-        levels=tuple(executed),
-        exit_level=exit_level,
-    )
+        rows = level.rows[level.region == BND]
+    return DecisionReport(alternatives=fused.alternatives, levels=tuple(executed))
 
 
 def rank(report: DecisionReport, key: str = "accept",
@@ -358,20 +346,11 @@ def rank(report: DecisionReport, key: str = "accept",
         raise ValueError(f"neg_direction must be {' or '.join(map(repr, NEG_DIRECTIONS))}, "
                          f"got {neg_direction!r}")
     upto = len(report.levels) if upto is None else max(1, min(upto, len(report.levels)))
-    regions = report.regions_after(upto)
-    idx = 0 if key == "accept" else 1
-
-    def level_key(alt: str) -> float:
-        lvl = min(report.exit_level[alt], upto)
-        # a deferred alternative's value comes from the last level it was in
-        values = report.levels[lvl - 1].expected
-        return values[alt][idx]
-
-    pos = sorted(regions[POS], key=lambda a: (-level_key(a), a))
-    bnd = sorted(regions[BND], key=lambda a: (-level_key(a), a))
-    neg = sorted(regions[NEG],
-                 key=lambda a: (level_key(a) if neg_direction == "asc" else -level_key(a), a))
-    return pos + bnd + neg
+    region, _, expected = report.state_after(upto)
+    value = expected[:, RANK_KEYS.index(key)]
+    signed = np.where((region == NEG) & (neg_direction == "asc"), value, -value)
+    id_order = np.argsort(report.by_id)  # each row's position among the sorted ids
+    return report.ids(np.lexsort((id_order, signed, region)))  # region, signed key, id
 
 
 def baseline_full_fusion(fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],

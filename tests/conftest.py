@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from s3wgdm.caseio import load_case, load_params
+from s3wgdm.engine import REGIONS
 from s3wgdm.linguistic import DHLTScale
 from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
@@ -35,6 +36,29 @@ def sle_params(sle_params_path):
 def oriented(tables, attrs):
     """The oriented group table, the input of both engine entry points."""
     return orient_to_concept(fuse_dhhflmwa(tables), attrs)
+
+
+def universe(report, level):
+    """A level's universe as alternative ids, in row order."""
+    return report.ids(level.rows)
+
+
+def level_regions(report, level):
+    """A level's regions as sets of ids: region name -> set."""
+    codes = dict(zip(universe(report, level), level.region.tolist()))
+    return {name: {a for a, c in codes.items() if c == code}
+            for code, name in enumerate(REGIONS)}
+
+
+def per_id(report, level, values):
+    """A level's per-row values keyed by alternative id; rows of a 2-d
+    array become lists."""
+    return dict(zip(universe(report, level), values.tolist()))
+
+
+def exit_levels(report):
+    """Alternative id -> the level that decided it, or the last level."""
+    return dict(zip(report.alternatives, report.state_after()[1].tolist()))
 
 
 @pytest.fixture(scope="session")

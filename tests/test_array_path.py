@@ -13,20 +13,19 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
-from conftest import SWEEP_GRID, oriented
+from conftest import SWEEP_GRID, exit_levels, level_regions, oriented, per_id, universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm.cli import main as cli_main
 from s3wgdm.engine import (
-    BND,
-    NEG,
-    POS,
-    DecisionReport,
+    NEG_DIRECTIONS,
+    RANK_KEYS,
+    REGIONS,
     EngineParams,
-    GranularLevel,
     LevelConfig,
     baseline_full_fusion,
     classify,
@@ -85,8 +84,10 @@ GENERATED_BASELINE_SHA256 = "7c6d53540e1daef125018899ac96cbff0dc2112fada6f81cec5
 GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
-def reference_level(index, universe, tables, attrs, z, cfg, params):
-    fused = orient_to_concept(fuse_dhhflmwa([extract(t, universe, z) for t in tables]), attrs)
+def reference_level(index, ids, tables, attrs, z, cfg, params):
+    """One level as per-id records: granule size, probability, expected
+    utilities and region name."""
+    fused = orient_to_concept(fuse_dhhflmwa([extract(t, ids, z) for t in tables]), attrs)
     ids = fused.alternatives
     cells = [[fused.cell(alt, a) for a in fused.attributes] for alt in ids]
     values = np.array([[kernel_similarity(x, y, S33, cfg.sigma) for y in cells]
@@ -98,38 +99,62 @@ def reference_level(index, universe, tables, attrs, z, cfg, params):
     units = {a: perceived_utility_units(
         [direct_simplified_gains(cells[i][j], params.eta, S33) for i in range(len(ids))],
         params.theta, params.delta) for j, a in enumerate(fused.attributes)}
-    probability, utilities, expected = {}, {}, {}
-    regions = {POS: set(), BND: set(), NEG: set()}
+    probability, expected, region = {}, {}, {}
     for i, (alt, g) in enumerate(zip(ids, granules)):
         probability[alt] = conditional_probability(g, membership)
-        utilities[alt] = comprehensive_utility({a: units[a][i] for a in units}, weights)
-        expected[alt] = expected_perceived_utility(utilities[alt], probability[alt])
-        regions[classify(expected[alt])].add(alt)
-    return GranularLevel(
-        index=index, universe=ids, z=tuple(z), scores=None,
-        granule_size={g.center: len(g) for g in granules},
-        probability=probability, utilities=utilities, expected=expected,
-        pos=frozenset(regions[POS]), bnd=frozenset(regions[BND]), neg=frozenset(regions[NEG]))
+        utilities = comprehensive_utility({a: units[a][i] for a in units}, weights)
+        expected[alt] = expected_perceived_utility(utilities, probability[alt])
+        region[alt] = classify(expected[alt])
+    return SimpleNamespace(index=index, universe=list(ids), z=tuple(z),
+                           granule_size={g.center: len(g) for g in granules},
+                           probability=probability, expected=expected, region=region)
 
 
 def reference_report(tables, attrs, levels, params):
     subsets = build_nested_subsets(attrs)
     alternatives = tables[0].alternatives
-    universe = list(alternatives)
+    ids = list(alternatives)
     executed, exit_level = [], {}
     for i, cfg in enumerate(levels, start=1):
-        if not universe:
+        if not ids:
             break
         z = [a for a in tables[0].attributes if a in subsets[i - 1]]
-        level = reference_level(i, universe, tables, attrs, z, cfg, params)
+        level = reference_level(i, ids, tables, attrs, z, cfg, params)
         executed.append(level)
-        for alt in level.pos | level.neg:
-            exit_level[alt] = i
-        universe = [a for a in universe if a in level.bnd]
-    for alt in universe:
+        for alt, region in level.region.items():
+            if region != "BND":
+                exit_level[alt] = i
+        ids = [a for a in ids if level.region[a] == "BND"]
+    for alt in ids:  # survivors stay deferred
         exit_level[alt] = executed[-1].index
-    return DecisionReport(alternatives=alternatives, levels=tuple(executed),
-                          exit_level=exit_level)
+    return SimpleNamespace(alternatives=alternatives, levels=executed, exit_level=exit_level)
+
+
+def reference_regions_after(ref, upto):
+    """Cumulative regions once ``upto`` levels ran: region -> sorted ids."""
+    decided = {a: r for level in ref.levels[:upto] for a, r in level.region.items()
+               if r != "BND"}
+    return {r: sorted(a for a in ref.alternatives if decided.get(a, "BND") == r)
+            for r in REGIONS}
+
+
+def reference_rank(ref, key, neg_direction, upto):
+    """Accepted, deferred, rejected; each block by its expected utility
+    ``key``, descending (the rejected block ascending with ``"asc"``),
+    ties by id.  An alternative's key comes from the level that decided
+    it, or the last level it was in."""
+    regions = reference_regions_after(ref, upto)
+    idx = RANK_KEYS.index(key)
+
+    def level_key(alt):
+        lvl = min(ref.exit_level[alt], upto)
+        return ref.levels[lvl - 1].expected[alt][idx]
+
+    pos = sorted(regions["POS"], key=lambda a: (-level_key(a), a))
+    bnd = sorted(regions["BND"], key=lambda a: (-level_key(a), a))
+    neg = sorted(regions["NEG"],
+                 key=lambda a: (level_key(a) if neg_direction == "asc" else -level_key(a), a))
+    return pos + bnd + neg
 
 
 subscript = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
@@ -175,16 +200,21 @@ def test_array_path_matches_scalar_reference(case):
     want = reference_report(tables, attrs, levels, params)
     assert len(got.levels) == len(want.levels)
     for g, w in zip(got.levels, want.levels):
-        assert (g.universe, g.z) == (w.universe, w.z)
-        assert (g.pos, g.bnd, g.neg) == (w.pos, w.bnd, w.neg)
-        assert g.granule_size == w.granule_size
-        for alt in g.universe:
-            assert abs(g.probability[alt] - w.probability[alt]) <= TOL
-            assert np.allclose(g.expected[alt], w.expected[alt], rtol=0.0, atol=TOL)
-    assert got.exit_level == want.exit_level
+        assert (universe(got, g), g.z) == (w.universe, w.z)
+        assert level_regions(got, g) == {r: {a for a in w.universe if w.region[a] == r}
+                                          for r in REGIONS}
+        assert per_id(got, g, g.sizes) == w.granule_size
+        probability, expected = per_id(got, g, g.pr), per_id(got, g, g.expected)
+        for alt in w.universe:
+            assert abs(probability[alt] - w.probability[alt]) <= TOL
+            assert np.allclose(expected[alt], w.expected[alt], rtol=0.0, atol=TOL)
+    assert exit_levels(got) == want.exit_level
     for upto in range(1, len(got.levels) + 1):
-        for key in ("accept", "defer"):
-            assert rank(got, key=key, upto=upto) == rank(want, key=key, upto=upto)
+        assert got.regions_after(upto) == reference_regions_after(want, upto)
+        for key in RANK_KEYS:
+            for neg_direction in NEG_DIRECTIONS:
+                assert rank(got, key=key, neg_direction=neg_direction, upto=upto) == \
+                    reference_rank(want, key, neg_direction, upto)
 
 
 def reference_fused(tables):

@@ -10,14 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import SWEEP_GRID, oriented
+from conftest import SWEEP_GRID, exit_levels, oriented, universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import cli, engine, tables
 from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
-from s3wgdm.engine import BND, NEG, POS, LevelConfig, SweepMemo, rank, run_sequential
+from s3wgdm.engine import REGIONS, LevelConfig, SweepMemo, rank, run_sequential
 
 
 def run_cli(capsys, *argv):
@@ -181,14 +181,14 @@ class TestDecide:
         for level in report.levels:
             with open(tmp_path / f"sim.level{level.index}.csv") as fh:
                 header, *body = list(csv.reader(fh))
-            assert header[1:] == list(level.universe)
-            assert [r[0] for r in body] == list(level.universe)
+            assert header[1:] == universe(report, level)
+            assert [r[0] for r in body] == universe(report, level)
             sim = np.array([[float(v) for v in r[1:]] for r in body])
             assert (sim == sim.T).all()
             assert (sim.diagonal() == 1.0).all()
             kappa = sle_params.levels[level.index - 1].kappa
             sizes = (sim >= kappa).sum(axis=1).tolist()
-            assert sizes == [level.granule_size[a] for a in level.universe]
+            assert sizes == level.sizes.tolist()
 
     def test_bad_levels_flag(self, capsys, sle_case_path, sle_params_path):
         code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
@@ -646,18 +646,18 @@ def test_sweep_rows_match_fresh_runs(cap, inputs):
             fresh = run_sequential(fused, case.attributes, levels, params)
             for i in range(1, len(levels) + 1):
                 regions = fresh.regions_after(i)
-                assert [int(row[f"{r.lower()}_{i}"]) for r in (POS, BND, NEG)] == \
-                    [len(regions[r]) for r in (POS, BND, NEG)]
+                assert [int(row[f"{r.lower()}_{i}"]) for r in REGIONS] == \
+                    [len(regions[r]) for r in REGIONS]
             assert row["final_ranking"].split(">") == \
                 rank(fresh, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
             reused = run_sequential(fused, case.attributes, levels, params, memo=memo)
-            assert reused.exit_level == fresh.exit_level
+            assert exit_levels(reused) == exit_levels(fresh)
             for got, want in zip(reused.levels, fresh.levels, strict=True):
-                assert (got.universe, got.pos, got.bnd, got.neg) == \
-                    (want.universe, want.pos, want.bnd, want.neg)
-                assert got.granule_size == want.granule_size
-                assert got.probability == want.probability
-                assert got.expected == want.expected
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.region, want.region)
+                assert np.array_equal(got.sizes, want.sizes)
+                assert np.array_equal(got.pr, want.pr)
+                assert np.array_equal(got.expected, want.expected)
 
 
 class TestSweepMemo:
@@ -679,8 +679,9 @@ class TestSweepMemo:
                                     params, memo=memo)
             fresh = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
                                    params)
-            assert [level.expected for level in reused.levels] == \
-                [level.expected for level in fresh.levels]
+            assert len(reused.levels) == len(fresh.levels)
+            for got, want in zip(reused.levels, fresh.levels):
+                assert np.array_equal(got.expected, want.expected)
 
     def test_stored_arrays_are_read_only(self, sle_case, sle_group, sle_params):
         memo = SweepMemo(sle_group, sle_case.attributes)
@@ -724,6 +725,30 @@ class TestBaseline:
             report = json.load(fh)
         assert "baseline_ranking" in report
         assert "final" in report  # decide output preserved
+
+    @pytest.mark.parametrize("change", ["drop", "rename"])
+    def test_report_of_another_case_left_unchanged(self, capsys, tmp_path, change,
+                                                   sle_case_path, sle_params_path):
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "decide", "--case", sle_case_path,
+                "--params", sle_params_path, "--out", str(report_path))
+        before = report_path.read_bytes()
+        case = json.loads(pathlib.Path(sle_case_path).read_text())
+        if change == "drop":  # x1..x7
+            case["alternatives"].pop()
+            for expert in case["experts"]:
+                expert["table"].pop()
+        else:  # x1..x7 and y8
+            case["alternatives"][-1] = "y8"
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(case))
+        n = len(case["alternatives"])
+        code, out, err = run_cli(capsys, "baseline", "--case", str(other),
+                                 "--out", str(report_path))
+        assert code == 1
+        assert out == ""
+        assert f"final.exit_level does not list the case's {n} alternatives" in err
+        assert report_path.read_bytes() == before
 
     def test_report_with_invalid_parameters_left_unchanged(self, capsys, tmp_path,
                                                           sle_case_path, sle_params_path):

@@ -4,11 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import oriented
+from conftest import exit_levels, level_regions, oriented, per_id, universe
 
 from s3wgdm import engine
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
+    BND,
+    NEG,
+    POS,
     EngineParams,
     LevelConfig,
     baseline_full_fusion,
@@ -20,7 +23,7 @@ from s3wgdm.engine import (
     run_sequential,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
-from s3wgdm.regret import CellValues
+from s3wgdm.regret import CELLS, CellValues
 from s3wgdm.tables import AttributeSpec, make_table
 
 S33 = DHLTScale(3, 3)
@@ -164,9 +167,10 @@ class TestRunLevel:
         report = run_sequential(sle_group, sle_case.attributes, [GOLDEN_CFG], GOLDEN)
         (level,) = report.levels
         assert level.z == ("a2",)
-        assert level.pos == {"x2"}
-        assert level.neg == {"x1", "x5", "x6"}
-        assert level.bnd == {"x3", "x4", "x7", "x8"}
+        regions = level_regions(report, level)
+        assert regions["POS"] == {"x2"}
+        assert regions["NEG"] == {"x1", "x5", "x6"}
+        assert regions["BND"] == {"x3", "x4", "x7", "x8"}
 
     def test_single_alternative_no_regret_with_delta_zero(self):
         t = make_table("E1", 1.0, ["x"], ["a"], [[single(1, 0)]], S33)
@@ -174,11 +178,13 @@ class TestRunLevel:
         report = run_sequential(oriented([t], attrs), attrs, [GOLDEN_CFG],
                                 EngineParams(eta=0.6, theta=0.88, delta=0.0))
         (level,) = report.levels
-        assert level.region_of("x") in ("POS", "BND", "NEG")
+        assert level.rows.tolist() == [0]
+        assert level.region.tolist()[0] in (POS, BND, NEG)
         from s3wgdm.linguistic import superior_gradus
         from s3wgdm.regret import utility
         b = superior_gradus(single(1, 0), S33)
-        assert level.utilities["x"].pp == pytest.approx(utility(b, 0.88), abs=1e-12)
+        assert level.utilities[0, CELLS.index("pp")] == pytest.approx(utility(b, 0.88),
+                                                                      abs=1e-12)
 
     def test_duplicated_rows_share_region(self):
         rng = random.Random(41)
@@ -192,12 +198,14 @@ class TestRunLevel:
                                     [LevelConfig(kappa=rng.random(), sigma=0.7)], GOLDEN)
             (level,) = report.levels
             assert level.z == ("a1", "a2")
-            assert level.region_of("x1") == level.region_of("x3")
+            region = per_id(report, level, level.region)
+            assert region["x1"] == region["x3"]
 
     def test_empty_universe_rejected(self):
         empty = np.empty((0, 1))
         with pytest.raises(ValueError):
-            run_level([], ["a2"], empty, empty, empty, S33, [1.0], GOLDEN_CFG, GOLDEN)
+            run_level(np.arange(0), ["a2"], empty, empty, empty, S33, [1.0], GOLDEN_CFG,
+                      GOLDEN)
 
     def test_loop_calls_run_level_once_per_level(self, sle_case, sle_group, sle_params,
                                                  monkeypatch):
@@ -211,25 +219,27 @@ class TestRunLevel:
         report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
         assert len(report.levels) == 4
-        assert [list(args[0]) for args in calls] == \
-            [list(level.universe) for level in report.levels]
+        assert [args[0].tolist() for args in calls] == \
+            [level.rows.tolist() for level in report.levels]
+        assert calls[0][0].tolist() == list(range(8))
 
 
 class TestRunSequential:
     def test_reference_case_trajectory(self, sle_case, sle_group, sle_params):
         report = run_sequential(sle_group, sle_case.attributes,
                                 sle_params.levels, sle_params.params)
-        levels = {lvl.index: lvl for lvl in report.levels}
-        assert levels[1].pos == {"x2"}
-        assert levels[1].neg == {"x1", "x5", "x6"}
-        assert levels[2].neg == {"x8"} and not levels[2].pos
-        assert levels[3].pos == {"x4"} and not levels[3].neg
-        assert levels[4].bnd == {"x3", "x7"}
+        levels = {lvl.index: level_regions(report, lvl) for lvl in report.levels}
+        assert levels[1]["POS"] == {"x2"}
+        assert levels[1]["NEG"] == {"x1", "x5", "x6"}
+        assert levels[2]["NEG"] == {"x8"} and not levels[2]["POS"]
+        assert levels[3]["POS"] == {"x4"} and not levels[3]["NEG"]
+        assert levels[4]["BND"] == {"x3", "x7"}
         assert report.regions_after(4)["BND"] == ["x3", "x7"]
-        assert report.exit_level["x2"] == 1
-        assert report.exit_level["x8"] == 2
-        assert report.exit_level["x4"] == 3
-        assert report.exit_level["x3"] == 4
+        exits = exit_levels(report)
+        assert exits["x2"] == 1
+        assert exits["x8"] == 2
+        assert exits["x4"] == 3
+        assert exits["x3"] == 4
 
     def test_single_level_is_plain_three_way(self, sle_case, sle_group):
         report = run_sequential(sle_group, sle_case.attributes,
@@ -246,10 +256,10 @@ class TestRunSequential:
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.9, sigma=0.7)] * k
             report = run_sequential(oriented(tables, attrs), attrs, levels, GOLDEN)
-            sizes = [len(lvl.universe) for lvl in report.levels]
+            sizes = [len(lvl.rows) for lvl in report.levels]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             for earlier, later in zip(report.levels, report.levels[1:]):
-                assert set(later.universe) == set(earlier.bnd)
+                assert set(universe(report, later)) == level_regions(report, earlier)["BND"]
             check_regions_and_ranking(report, tables, attrs, levels)
 
     def test_duplicates_share_granule_at_full_cut(self):
@@ -269,9 +279,10 @@ class TestRunSequential:
         report = run_sequential(oriented(tables, attrs), attrs,
                                 [LevelConfig(kappa=1.0, sigma=0.7)], GOLDEN)
         level = report.levels[0]
-        assert level.granule_size == {"x1": 2, "x2": 1, "x3": 2}
-        assert level.probability["x1"] == level.probability["x3"]
-        assert level.region_of("x1") == level.region_of("x3")
+        assert per_id(report, level, level.sizes) == {"x1": 2, "x2": 1, "x3": 2}
+        pr, region = per_id(report, level, level.pr), per_id(report, level, level.region)
+        assert pr["x1"] == pr["x3"]
+        assert region["x1"] == region["x3"]
 
     def test_empty_case_rejected(self):
         attrs = [attr("a", 1.0)]
@@ -328,7 +339,7 @@ class TestRank:
                                 EngineParams(eta=1.0, theta=0.88, delta=0.0))
         level = report.levels[0]
         order = rank(report)
-        keys = {a: level.expected[a][0] for a in level.universe}
+        keys = {a: e[0] for a, e in per_id(report, level, level.expected).items()}
         regions = report.regions_after(1)
         blocks = {r: [a for a in order if a in regions[r]] for r in ("POS", "BND", "NEG")}
         for block in blocks.values():
