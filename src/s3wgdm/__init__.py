@@ -22,7 +22,7 @@ from .linguistic import (
     superior_gradus_term,
     to_hfe,
 )
-from .syntax import TermSyntaxError, format_dhhfle, format_term, parse_dhhfle
+from .syntax import CodeBook, TermSyntaxError, format_dhhfle, format_term, parse_dhhfle
 from .tables import (
     AttributeSpec,
     ExpertDecisionTable,

@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .engine import (
     NEG_DIRECTIONS,
     RANK_KEYS,
@@ -15,18 +17,18 @@ from .engine import (
     LevelConfig,
     rank,
 )
-from .linguistic import DHHFLE, DHLT, DHLTScale
-from .syntax import format_term, parse_dhhfle
+from .linguistic import DHLTScale
+from .syntax import CodeBook, format_term
 from .tables import (
     WEIGHT_TOL,
     AttributeSpec,
+    ExpertDecisionTable,
     FusedDecisionTable,
     build_nested_subsets,
-    make_table,
 )
 
-# stays importable here, where bench/tracer.py looks it up
-from .syntax import format_dhhfle  # noqa: F401
+# stay importable here, where bench/tracer.py looks them up
+from .syntax import format_dhhfle, parse_dhhfle  # noqa: F401
 
 REPORT_SCHEMA = "s3wgdm-report/1"
 # the keys a params file may hold, at the top level, in each level and in rank
@@ -78,26 +80,21 @@ class ParamsFile:
     monotonicity_override: bool = False
 
 
-def _parse_cell(raw: Any, scale: DHLTScale, parsed: dict, terms: dict) -> DHHFLE:
-    """One cell; ``parsed`` maps each cell text already parsed in this
-    document to its (immutable) element, so repeated texts parse once, and
-    ``terms`` is :func:`parse_dhhfle`'s term cache for this document.
-    Failures are not stored: each bad occurrence raises on its own."""
+def _cell_code(raw: Any, book: CodeBook) -> int:
+    """The code of one cell in this document's book."""
     if isinstance(raw, str):
-        cell = parsed.get(raw)
-        if cell is None:
-            cell = parsed[raw] = parse_dhhfle(raw, scale, terms)
-        return cell
+        return book.text(raw)
     if isinstance(raw, list) and raw:
-        built = []
-        for item in raw:
-            if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
-                raise ValueError("structured cells need phi/varphi entries")
-            phi, varphi = _number(item, "phi"), _number(item, "varphi")
-            scale.check(phi, varphi)
-            built.append(DHLT(phi, varphi))
-        return DHHFLE(built)
+        return book.pairs(_structured_terms(raw))
     raise ValueError("cell must be a term string or a non-empty term array")
+
+
+def _structured_terms(raw: list):
+    """A structured cell's (phi, varphi) pairs, each read as it is drawn."""
+    for item in raw:
+        if not isinstance(item, Mapping) or "phi" not in item or "varphi" not in item:
+            raise ValueError("structured cells need phi/varphi entries")
+        yield _number(item, "phi"), _number(item, "varphi")
 
 
 def _number(raw: Mapping, key: str, default: Any = None) -> float:
@@ -180,8 +177,7 @@ def validate_case_dict(data: Any) -> tuple:
         raw_experts = []
     expert_ids = []
     expert_weights: list = []
-    parsed: dict = {}  # cell text -> element, for this document only
-    terms: dict = {}   # term text -> term, for this document only
+    book = CodeBook(scale) if scale is not None else None
     for k, raw in enumerate(raw_experts):
         where = f"experts[{k}]"
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
@@ -199,35 +195,34 @@ def validate_case_dict(data: Any) -> tuple:
             problems.append(f"{where}: table must have one row per alternative")
             continue
         rows = []
-        ok = True
+        ok = book is not None  # without a scale, only the table's shape is checked
         for i, raw_row in enumerate(table):
             if not isinstance(raw_row, list) or len(raw_row) != len(raw_attrs):
                 problems.append(f"{where}: row {i} must have one cell per attribute")
                 ok = False
                 break
-            try:  # a row of texts parsed before resolves at once
-                rows.append([parsed[raw_cell] for raw_cell in raw_row])
+            if book is None:
                 continue
-            except (KeyError, TypeError):  # a new text, or an unhashable cell
-                pass
-            row = []
-            for j, raw_cell in enumerate(raw_row):
-                cell = None
-                if scale is not None:
-                    try:
-                        cell = _parse_cell(raw_cell, scale, parsed, terms)
-                    except (OverflowError, TypeError, ValueError) as exc:
-                        problems.append(f"{where}.table[{i}][{j}]: {exc}")
-                if cell is None:
-                    ok = False
-                row.append(cell)
+            try:  # each text seen before resolves at once, the rest below
+                row = list(map(book.texts.get, raw_row))
+            except TypeError:  # an unhashable cell
+                row = [None] * len(raw_row)
+            if None in row:
+                for j, raw_cell in enumerate(raw_row):
+                    if row[j] is None:
+                        try:
+                            row[j] = _cell_code(raw_cell, book)
+                        except (OverflowError, TypeError, ValueError) as exc:
+                            problems.append(f"{where}.table[{i}][{j}]: {exc}")
+                            ok = False
             rows.append(row)
-        if ok and scale is not None and attrs and attrs_ok:
+        if ok and attrs and attrs_ok:
             try:
-                experts.append(make_table(
+                experts.append(ExpertDecisionTable(
                     expert_id=str(raw["id"]), expert_weight=weight,
-                    alternatives=alternatives, attributes=ids,
-                    rows=rows, scale=scale))
+                    alternatives=tuple(alternatives), attributes=tuple(ids),
+                    codes=np.array(rows, dtype=np.intp).reshape(len(alternatives), len(ids)),
+                    book=book))
             except (TypeError, ValueError) as exc:
                 problems.append(f"{where}: {exc}")
     if len(set(expert_ids)) != len(expert_ids):
@@ -430,5 +425,10 @@ def validate_report_dict(data: Any) -> list:
 
 def write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        dump_json(data, fh)
+
+
+def dump_json(data: dict, fh) -> None:
+    """The one JSON layout every command writes; NaN and infinities are refused."""
+    json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")

@@ -22,6 +22,7 @@ from .caseio import (
     ParamsFile,
     RankOptions,
     case_summary,
+    dump_json,
     fused_table_dict,
     load_case,
     load_params,
@@ -151,8 +152,7 @@ def cmd_fuse(args) -> int:
     if args.out:
         write_json(args.out, data)
     else:
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-        print()
+        dump_json(data, sys.stdout)
     return EXIT_OK
 
 
@@ -280,23 +280,30 @@ def cmd_sweep(args) -> int:
 def cmd_baseline(args) -> int:
     case = load_case(args.case)
     data, params = {}, None
-    if args.out:
-        try:
-            with open(args.out, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(args.out, "r", encoding="utf-8") if args.out else None
+    except FileNotFoundError:  # a new file
+        fh = None
+    if fh is not None:  # an existing file must be a decide report to extend
+        with fh:
+            try:
                 existing = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            existing = None
-        if isinstance(existing, dict) and "final" in existing:
-            # rank as decide ranked the report's baseline: with its parameters
-            spec, problems = validate_params_dict(existing.get("parameters"))
-            final = existing["final"]
-            ids = final.get("exit_level") if isinstance(final, dict) else None
-            if not isinstance(ids, dict) or sorted(ids) != sorted(case.alternatives):
-                problems.append(f"final.exit_level does not list the case's "
-                                f"{case.n} alternatives")
-            if problems:
-                raise CaseFormatError([f"report {args.out}: {p}" for p in problems])
-            data, params = existing, spec.params
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise CaseFormatError(
+                    [f"report {args.out}: not a decide report: {exc}"]) from exc
+        if not isinstance(existing, dict) or "final" not in existing:
+            raise CaseFormatError(
+                [f"report {args.out}: not a decide report: no 'final' section"])
+        # rank as decide ranked the report's baseline: with its parameters
+        spec, problems = validate_params_dict(existing.get("parameters"))
+        final = existing["final"]
+        ids = final.get("exit_level") if isinstance(final, dict) else None
+        if not isinstance(ids, dict) or sorted(ids) != sorted(case.alternatives):
+            problems.append(f"final.exit_level does not list the case's "
+                            f"{case.n} alternatives")
+        if problems:
+            raise CaseFormatError([f"report {args.out}: {p}" for p in problems])
+        data, params = existing, spec.params
     order = baseline_full_fusion(_group_table(case), case.attributes, params)
     print("baseline ranking: " + " > ".join(order))
     if args.out:

@@ -75,18 +75,16 @@ class DHHFLE:
 
     Equality is multiset equality of subscripts within ``TOL``; the
     source order of terms is kept but does not affect comparisons.
-    Elements are immutable, so many cells may share one element (and its
-    terms) and its :attr:`summary` is computed once.
+    Elements are immutable.
     """
 
-    __slots__ = ("terms", "_summary")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[DHLT]):
         terms = tuple(terms)
         if not terms:
             raise ValueError("a hesitant element needs at least one term")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_summary", None)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("DHHFLE is immutable")
@@ -112,30 +110,6 @@ class DHHFLE:
                    for (a, b), (c, d) in zip(mine, theirs))
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
-
-    @property
-    def summary(self) -> tuple:
-        """``(mean phi, mean varphi, largest |phi|, largest |varphi|)``,
-        computed on first use.
-
-        The means are :func:`linguistic_expected_value`'s arithmetic.  A
-        NaN subscript counts as infinitely large, so the largest
-        magnitudes are within :meth:`DHLTScale.bounds` exactly when every
-        term passes :meth:`DHLTScale.check`.
-        """
-        summary = self._summary
-        if summary is not None:
-            return summary
-        n = len(self.terms)
-        phis = [t.phi for t in self.terms]
-        varphis = [t.varphi for t in self.terms]
-        phi, varphi = sum(phis) / n, sum(varphis) / n
-        # a mean is NaN only if a term is NaN or infinite, which the bound rejects
-        summary = (phi, varphi,
-                   max(map(abs, phis)) if phi == phi else math.inf,
-                   max(map(abs, varphis)) if varphi == varphi else math.inf)
-        object.__setattr__(self, "_summary", summary)
-        return summary
 
     def validate(self, scale: DHLTScale) -> "DHHFLE":
         for t in self.terms:

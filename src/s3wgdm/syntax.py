@@ -14,6 +14,9 @@ format are mutual inverses on canonical strings.
 from __future__ import annotations
 
 import re
+from typing import Iterable
+
+import numpy as np
 
 from .linguistic import DHLT, DHHFLE, DHLTScale
 
@@ -82,32 +85,117 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def parse_dhhfle(text: str, scale: DHLTScale, terms: dict | None = None) -> DHHFLE:
-    """Parse one element; raises TermSyntaxError with position on bad input
-    and ScaleRangeError when a subscript leaves the scale.
+class CodeBook:
+    """Every distinct term and cell of one document, each under an int code.
 
-    ``terms`` maps term texts such as ``s_2<o_1>``, already built and
-    checked against ``scale``, to their (immutable) terms.  Passing one
-    dict for every element of a document builds and checks each distinct
-    term text once; a term that fails is not stored.
+    A term text such as ``s_2<o_1>`` gets a code and its subscripts the
+    first time it is seen, once its range check passes.  A cell text gets
+    a code and its term codes the first time it parses; :attr:`texts` maps
+    it to that code.  Texts outside the fast path (see ``_TERM``) go
+    through the scanner, and cells given as subscript pairs (structured
+    cells and elements) get fresh codes.  Failures are not stored, so each
+    bad occurrence raises on its own.
+
+    :meth:`means` is every cell's linguistic expected value, computed with
+    numpy from the term codes; :meth:`element` builds one cell's element
+    on demand.
     """
-    if not (text.startswith("{") and text.endswith("}")):
-        return _scan_dhhfle(text, scale)
-    if terms is None:
-        terms = {}
-    out = []
-    for part in text[1:-1].split(","):
-        term = terms.get(part)
-        if term is None:
-            match = _TERM.fullmatch(part)
-            if match is None:
-                return _scan_dhhfle(text, scale)
-            term = DHLT(float(match[1]), float(match[2]))
-            # in term order, as the scanner checks them
-            scale.check(term.phi, term.varphi)
-            terms[part] = term
-        out.append(term)
-    return DHHFLE(out)
+
+    def __init__(self, scale: DHLTScale):
+        self.scale = scale
+        self.texts: dict = {}  # cell text -> cell code
+        self._terms: dict = {}  # term text -> term code
+        self._phi: list = []  # term code -> subscripts
+        self._varphi: list = []
+        self._flat: list = []  # the term codes of every cell, cell after cell
+        self._starts: list = []  # cell code -> its first position in _flat
+        self._means = None
+
+    def _term(self, phi: float, varphi: float) -> int:
+        self.scale.check(phi, varphi)
+        self._phi.append(phi)
+        self._varphi.append(varphi)
+        return len(self._phi) - 1
+
+    def _cell(self, term_codes: list) -> int:
+        self._means = None
+        self._starts.append(len(self._flat))
+        self._flat += term_codes
+        return len(self._starts) - 1
+
+    def text(self, text: str) -> int:
+        """The code of a cell text, parsed the first time it is seen."""
+        code = self.texts.get(text)
+        if code is None:
+            code = self.texts[text] = self._cell(self.parse(text))
+        return code
+
+    def pairs(self, pairs: Iterable) -> int:
+        """A fresh code for a cell of ``(phi, varphi)`` pairs, each checked
+        in order as it is drawn."""
+        return self._cell([self._term(phi, varphi) for phi, varphi in pairs])
+
+    def parse(self, text: str) -> list:
+        """The term codes of one element text; raises TermSyntaxError with
+        position on bad input and ScaleRangeError when a subscript leaves
+        the scale."""
+        if text.startswith("{") and text.endswith("}"):
+            terms = self._terms
+            parts = text[1:-1].split(",")
+            codes = list(map(terms.get, parts))
+            if None not in codes:
+                return codes
+            for i, part in enumerate(parts):
+                if codes[i] is None:  # new here, maybe not new in this text
+                    code = terms.get(part)
+                    if code is None:
+                        match = _TERM.fullmatch(part)
+                        if match is None:
+                            break
+                        # in term order, as the scanner checks them
+                        code = terms[part] = self._term(float(match[1]), float(match[2]))
+                    codes[i] = code
+            else:
+                return codes
+        return [self._term(t.phi, t.varphi) for t in _scan_dhhfle(text, self.scale)]
+
+    def element(self, code: int) -> DHHFLE:
+        """The element of one cell code, built on each call."""
+        stop = self._starts[code + 1] if code + 1 < len(self._starts) else len(self._flat)
+        return DHHFLE(DHLT(self._phi[t], self._varphi[t])
+                      for t in self._flat[self._starts[code]:stop])
+
+    def means(self) -> np.ndarray:
+        """The (K, 2) array of each cell's mean ``phi`` and ``varphi``.
+
+        Terms are summed position by position, in term order, from zeros,
+        and the sums divided by the term counts: the arithmetic of
+        ``sum(phis) / n``, bit for bit.  Cells are sorted by term count,
+        longest first, so position ``p`` adds one term to a prefix of them
+        and the work stays linear in the number of terms.
+        """
+        if self._means is None:
+            flat = np.array(self._flat, dtype=np.intp)
+            bounds = np.array(self._starts + [len(flat)], dtype=np.intp)
+            counts = bounds[1:] - bounds[:-1]
+            order = np.argsort(-counts, kind="stable")
+            starts, counts = bounds[:-1][order], counts[order]
+            terms = np.array([self._phi, self._varphi]).reshape(2, -1).T
+            # longer[p]: how many cells have more than p terms
+            longer = len(counts) - np.cumsum(np.bincount(counts))
+            total = np.zeros((len(counts), 2))
+            for p, a in enumerate(longer[:-1].tolist()):
+                total[:a] += terms[flat[starts[:a] + p]]
+            self._means = np.empty_like(total)
+            self._means[order] = total / counts[:, None]
+        return self._means
+
+
+def parse_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
+    """Parse one element; raises TermSyntaxError with position on bad input
+    and ScaleRangeError when a subscript leaves the scale."""
+    book = CodeBook(scale)
+    return book.element(book.text(text))
 
 
 def _scan_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linguistic import DHHFLE, DHLT, DHLTScale
+from .syntax import CodeBook
 
 WEIGHT_TOL = 1e-6
 _TIE_TOL = 1e-9
@@ -43,61 +44,79 @@ def check_attribute_weights(attrs: Sequence[AttributeSpec]) -> None:
         raise ValueError(f"attribute weights sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpertDecisionTable:
     """Complete alternatives x attributes matrix of one expert.
 
-    ``means`` is computed while the cells are validated: the (n, m, 2)
-    array of each cell's mean ``phi`` and ``varphi`` subscripts, its
-    linguistic expected value.  Fusion reads only this array.  Both come
-    from each element's :attr:`~DHHFLE.summary`, so a cell costs one read
-    and an element shared by many cells is summed once.
+    ``codes`` is the (n, m) array of cell codes into ``book``, the code
+    book of the document the table came from.  :attr:`means`, the (n, m, 2)
+    array of each cell's mean ``phi`` and ``varphi`` subscripts (its
+    linguistic expected value), is one gather from the book's means on
+    first use; fusion reads only this array.  :attr:`cells` and
+    :meth:`cell` build elements on demand.
     """
 
     expert_id: str
     expert_weight: float
     alternatives: tuple
     attributes: tuple
-    cells: tuple  # row-major: cells[i][j] is alternatives[i] under attributes[j]
-    scale: DHLTScale
-    means: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(repr=False)
+    book: CodeBook = field(repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.expert_weight <= 1.0):
             raise ValueError(f"expert weight {self.expert_weight} outside [0, 1]")
-        if len(self.cells) != len(self.alternatives):
-            raise ValueError("row count does not match the alternatives")
-        m = len(self.attributes)
-        if any(len(row) != m for row in self.cells):
-            raise ValueError("incomplete table: ragged row")
-        cells = [cell for row in self.cells for cell in row]
-        if not all(isinstance(cell, DHHFLE) for cell in cells):
-            raise TypeError("cells must be hesitant elements")
-        summary = np.fromiter(chain.from_iterable([cell.summary for cell in cells]),
-                              float, 4 * len(cells)).reshape(-1, 4)
-        inside = (summary[:, 2:] <= self.scale.bounds()).all(axis=1)
-        if not inside.all():
-            # the first bad cell, checked term by term, raises the message
-            cells[int(np.argmin(inside))].validate(self.scale)
-        shape = (len(self.alternatives), m, 2)
-        object.__setattr__(self, "means", np.ascontiguousarray(summary[:, :2]).reshape(shape))
+        if self.codes.shape != (len(self.alternatives), len(self.attributes)):
+            raise ValueError(f"cell codes of shape {self.codes.shape} do not match "
+                             f"{len(self.alternatives)} alternatives and "
+                             f"{len(self.attributes)} attributes")
+
+    @property
+    def scale(self) -> DHLTScale:
+        return self.book.scale
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        return self.book.means()[self.codes]
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Row-major elements: ``cells[i][j]`` is ``alternatives[i]`` under
+        ``attributes[j]``."""
+        return tuple(tuple(map(self.book.element, row)) for row in self.codes.tolist())
 
     def cell(self, alternative: str, attribute: str) -> DHHFLE:
         i = self.alternatives.index(alternative)
         j = self.attributes.index(attribute)
-        return self.cells[i][j]
+        return self.book.element(int(self.codes[i, j]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExpertDecisionTable):
+            return NotImplemented
+        return ((self.expert_id, self.expert_weight, self.alternatives, self.attributes,
+                 self.scale, self.cells)
+                == (other.expert_id, other.expert_weight, other.alternatives,
+                    other.attributes, other.scale, other.cells))
 
 
 def make_table(expert_id: str, expert_weight: float, alternatives, attributes,
                rows, scale: DHLTScale) -> ExpertDecisionTable:
+    """A table of elements, coded in a book of its own, every term
+    range-checked in row-major, term order."""
+    alternatives, attributes = tuple(alternatives), tuple(attributes)
+    rows = [list(row) for row in rows]
+    if len(rows) != len(alternatives):
+        raise ValueError("row count does not match the alternatives")
+    if any(len(row) != len(attributes) for row in rows):
+        raise ValueError("incomplete table: ragged row")
+    if not all(isinstance(cell, DHHFLE) for row in rows for cell in row):
+        raise TypeError("cells must be hesitant elements")
+    book = CodeBook(scale)
+    codes = [[book.pairs((t.phi, t.varphi) for t in cell) for cell in row] for row in rows]
     return ExpertDecisionTable(
-        expert_id=expert_id,
-        expert_weight=expert_weight,
-        alternatives=tuple(alternatives),
-        attributes=tuple(attributes),
-        cells=tuple(tuple(row) for row in rows),
-        scale=scale,
-    )
+        expert_id=expert_id, expert_weight=expert_weight, alternatives=alternatives,
+        attributes=attributes, book=book,
+        codes=np.array(codes, dtype=np.intp).reshape(len(alternatives), len(attributes)))
 
 
 def check_expert_weights(tables: Sequence[ExpertDecisionTable]) -> None:
@@ -192,14 +211,10 @@ def extract(table: ExpertDecisionTable, universe: Iterable[str],
     """Sub-table over the given alternatives and attributes, order preserved."""
     rows = _index_of(table.alternatives, universe, "alternative")
     cols = _index_of(table.attributes, z, "attribute")
-    return ExpertDecisionTable(
-        expert_id=table.expert_id,
-        expert_weight=table.expert_weight,
-        alternatives=tuple(table.alternatives[i] for i in rows),
-        attributes=tuple(table.attributes[j] for j in cols),
-        cells=tuple(tuple(table.cells[i][j] for j in cols) for i in rows),
-        scale=table.scale,
-    )
+    return replace(table,
+                   alternatives=tuple(table.alternatives[i] for i in rows),
+                   attributes=tuple(table.attributes[j] for j in cols),
+                   codes=table.codes[np.ix_(rows, cols)])
 
 
 def _check_same_shape(tables: Sequence[ExpertDecisionTable]) -> None:

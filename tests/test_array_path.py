@@ -20,6 +20,7 @@ from conftest import SWEEP_GRID, exit_levels, level_regions, oriented, per_id, u
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3wgdm.caseio import load_case
 from s3wgdm.cli import main as cli_main
 from s3wgdm.engine import (
     NEG_DIRECTIONS,
@@ -54,6 +55,7 @@ from s3wgdm.regret import (
     perceived_utility_units,
     utility,
 )
+from s3wgdm.syntax import parse_dhhfle
 from s3wgdm.tables import (
     AttributeSpec,
     build_nested_subsets,
@@ -354,3 +356,39 @@ def test_baseline_out_keeps_the_decide_report(tmp_path, capsys, sle_params_path)
     ranking = json.loads(before)["baseline_ranking"]
     assert capsys.readouterr().out == "baseline ranking: " + " > ".join(ranking) + "\n"
     assert out.read_bytes() == before
+
+
+def test_load_builds_no_elements(tmp_path, monkeypatch):
+    """Ingest codes each cell, text or structured, and gathers the means
+    from the code book: no element is built until one is asked for."""
+    path = generated_case_path(tmp_path)
+    doc = json.loads(pathlib.Path(path).read_text())
+    doc["experts"][0]["table"][0][0] = [{"phi": 1, "varphi": -2}, {"phi": 0, "varphi": 3}]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(doc))
+    built = []
+    init = DHHFLE.__init__
+
+    def counting(self, terms):
+        built.append(self)
+        init(self, terms)
+
+    monkeypatch.setattr(DHHFLE, "__init__", counting)
+    for case_path in (path, str(mixed)):
+        case = load_case(case_path)
+        assert all(t.means.shape == (300, 6, 2) for t in case.experts)
+        assert built == []
+    assert case.experts[0].cell("x1", "a1").terms == (DHLT(1.0, -2.0), DHLT(0.0, 3.0))
+    assert len(built) == 1
+
+
+def test_cells_match_a_fresh_parse_of_each_text(tmp_path):
+    path = generated_case_path(tmp_path)
+    doc = json.loads(pathlib.Path(path).read_text())
+    case = load_case(path)
+    for table, expert in zip(case.experts, doc["experts"], strict=True):
+        want = [[parse_dhhfle(text, case.scale).terms for text in row]
+                for row in expert["table"]]
+        assert [[cell.terms for cell in row] for row in table.cells] == want
+        assert [[table.cell(alt, a).terms for a in table.attributes]
+                for alt in table.alternatives] == want

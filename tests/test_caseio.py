@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3wgdm import caseio
 from s3wgdm.caseio import (
     CaseFormatError,
     load_case,
@@ -17,7 +16,7 @@ from s3wgdm.caseio import (
     write_json,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value
-from s3wgdm.syntax import _scan_dhhfle, parse_dhhfle
+from s3wgdm.syntax import CodeBook, _scan_dhhfle
 
 
 def minimal_case(cell="{s_1<o_0>}"):
@@ -95,6 +94,20 @@ class TestCaseValidation:
         assert problems == []
         assert (case.scale.tau, case.scale.sigma_scale) == (3, 3)
 
+    @pytest.mark.parametrize("alternatives, want", [
+        ("x1", ["'alternatives' must be a non-empty list of ids"]),
+        ([], ["'alternatives' must be a non-empty list of ids"]),
+        (["x1", "x1"], ["alternative ids are not unique",
+                        "experts[0]: table must have one row per alternative"]),
+    ], ids=["not-a-list", "empty", "repeated"])
+    def test_empty_table_under_bad_alternatives(self, alternatives, want):
+        doc = minimal_case()
+        doc["alternatives"] = alternatives
+        doc["experts"][0]["table"] = []
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert problems == want
+
     def test_load_reports_json_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -129,12 +142,13 @@ class TestParseOncePerDocument:
 
     def test_repeated_good_cell_parsed_once(self, monkeypatch):
         calls = []
+        parse = CodeBook.parse
 
-        def counting(text, scale, terms):
+        def counting(book, text):
             calls.append(text)
-            return parse_dhhfle(text, scale, terms)
+            return parse(book, text)
 
-        monkeypatch.setattr(caseio, "parse_dhhfle", counting)
+        monkeypatch.setattr(CodeBook, "parse", counting)
         case, problems = validate_case_dict(self.repeated_case("{s_2<o_1>,s_1<o_0>}"))
         assert problems == []
         assert sorted(calls) == ["{s_0<o_0>}", "{s_2<o_1>,s_1<o_0>}"]
@@ -286,6 +300,25 @@ class TestIngestMatchesCellByCellScan:
         case, _ = validate_case_dict(doc)
         assert [bits(c) for c in case.experts[0].cells[0]] == [
             [("0x1.0000000000000p+0", "-0x0.0p+0")], [("0x1.0000000000000p+0", "0x0.0p+0")]]
+
+    def test_signed_zeros_in_text_and_structured_cells_of_one_table(self):
+        doc = TestParseOncePerDocument.repeated_case("{s_-0<o_+0>}")
+        doc["experts"][0]["table"] = [
+            ["{s_-0<o_+0>}", [{"phi": -0.0, "varphi": 0.0}]],
+            [[{"phi": 0, "varphi": -0.0}, {"phi": 1, "varphi": -1}],
+             "{s_+0<o_-0>,s_-0.0<o_0>}"]]
+        assert_ingest_matches_reference(doc)
+        case, _ = validate_case_dict(doc)
+        zero, negative_zero = "0x0.0p+0", "-0x0.0p+0"
+        one, minus_one = "0x1.0000000000000p+0", "-0x1.0000000000000p+0"
+        assert [bits(c) for row in case.experts[0].cells for c in row] == [
+            [(negative_zero, zero)], [(negative_zero, zero)],
+            [(zero, negative_zero), (one, minus_one)],
+            [(zero, negative_zero), (negative_zero, zero)]]
+        # a sum from +0.0 is never -0.0, as Python's sum of the subscripts
+        means = case.experts[0].means
+        assert means.tolist() == [[[0, 0], [0, 0]], [[0.5, -0.5], [0, 0]]]
+        assert not np.signbit(means[means == 0]).any()
 
 
 class TestParamsValidation:

@@ -411,6 +411,14 @@ def test_string_override_rejected(capsys, tmp_path, sle_case_path, sle_params_pa
 
 
 class TestFuse:
+    def test_stdout_is_the_out_file(self, capsys, tmp_path, sle_case_path):
+        out_path = tmp_path / "fused.json"
+        code, out, _ = run_cli(capsys, "fuse", "--case", sle_case_path)
+        assert code == 0
+        assert run_cli(capsys, "fuse", "--case", sle_case_path, "--out", str(out_path)) == \
+            (0, "", "")
+        assert out == out_path.read_text(encoding="utf-8")
+
     def test_emits_single_term_cells(self, capsys, tmp_path, sle_case_path):
         out_path = tmp_path / "fused.json"
         code, *_ = run_cli(capsys, "fuse", "--case", sle_case_path,
@@ -725,6 +733,32 @@ class TestBaseline:
             report = json.load(fh)
         assert "baseline_ranking" in report
         assert "final" in report  # decide output preserved
+
+    def test_missing_out_file_created(self, capsys, tmp_path, sle_case_path):
+        out_path = tmp_path / "new.json"
+        code, out, _ = run_cli(capsys, "baseline", "--case", sle_case_path,
+                               "--out", str(out_path))
+        assert code == 0
+        order = out.split(": ", 1)[1].strip().split(" > ")
+        assert json.loads(out_path.read_text()) == {"baseline_ranking": order}
+
+    @pytest.mark.parametrize("text, reason", [
+        ("alternative,score\nx1,0.5\n", "not a decide report: Expecting value"),
+        ("", "not a decide report: Expecting value"),
+        ('{"alternatives": ["x1"], "cells": [["{s_1<o_0>}"]]}\n',
+         "not a decide report: no 'final' section"),
+    ], ids=["csv", "empty", "fused-table"])
+    def test_file_that_is_not_a_report_left_unchanged(self, capsys, tmp_path, text, reason,
+                                                      sle_case_path):
+        out_path = tmp_path / "existing"
+        out_path.write_text(text)
+        before = out_path.read_bytes()
+        code, out, err = run_cli(capsys, "baseline", "--case", sle_case_path,
+                                 "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert f"report {out_path}: {reason}" in err
+        assert out_path.read_bytes() == before
 
     @pytest.mark.parametrize("change", ["drop", "rename"])
     def test_report_of_another_case_left_unchanged(self, capsys, tmp_path, change,

@@ -1,10 +1,14 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import syntax
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, ScaleRangeError
-from s3wgdm.syntax import TermSyntaxError, format_dhhfle, format_subscript, parse_dhhfle
+from s3wgdm.syntax import CodeBook, TermSyntaxError, format_dhhfle, format_subscript, parse_dhhfle
 
 S33 = DHLTScale(3, 3)
 
@@ -152,3 +156,36 @@ class TestFastPath:
     @settings(max_examples=500, deadline=None)
     def test_fast_path_agrees_with_scanner(self, text):
         assert outcome(parse_dhhfle, text) == outcome(syntax._scan_dhhfle, text)
+
+
+class TestCodeBookMeans:
+    def test_long_cell_among_short_ones(self):
+        # 3,000 one- to four-term cells and one of 3,000 terms; a (cells x
+        # longest cell) intermediate would take 72 MB
+        rng = random.Random(1)
+        values = [-0.0, 0.0, 0.1, 1.5, -2.25, 3.0]
+        cells = [[(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(1, 4))]
+                 for _ in range(3000)]
+        cells.insert(1234, [(rng.choice(values), rng.choice(values)) for _ in range(3000)])
+        book = CodeBook(S33)
+        assert [book.pairs(cell) for cell in cells] == list(range(len(cells)))
+        tracemalloc.start()
+        try:
+            means = book.means()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = [(sum(p for p, _ in cell) / len(cell), sum(v for _, v in cell) / len(cell))
+                for cell in cells]
+        assert means.tobytes() == np.array(want).tobytes()
+        assert peak < 2_000_000
+
+    def test_means_follow_cells_added_after_a_read(self):
+        book = CodeBook(S33)
+        book.text("{s_1<o_0>,s_2<o_-0>}")
+        assert book.means().tolist() == [[1.5, 0.0]]
+        book.text("{s_-0<o_-0>}")
+        assert book.means().tobytes() == np.array([[1.5, 0.0], [0.0, 0.0]]).tobytes()
+
+    def test_empty_book(self):
+        assert CodeBook(S33).means().shape == (0, 2)

@@ -152,9 +152,12 @@ class TestMeans:
         assert sub.means.tolist() == t.means[[1, 3]][:, [0, 2]].tolist()
 
     def test_not_a_constructor_argument(self):
+        t = make_table("E", 1.0, ["x"], ["a"], [[single(1)]], S33)
+        ExpertDecisionTable(expert_id="E", expert_weight=1.0, alternatives=("x",),
+                            attributes=("a",), codes=t.codes, book=t.book)
         with pytest.raises(TypeError):
             ExpertDecisionTable(expert_id="E", expert_weight=1.0, alternatives=("x",),
-                                attributes=("a",), cells=((single(1),),), scale=S33,
+                                attributes=("a",), codes=t.codes, book=t.book,
                                 means=None)
 
     def test_every_term_range_checked(self):
@@ -193,7 +196,7 @@ class TestMeans:
     def test_shared_element_summed_once(self):
         cell = DHHFLE([DHLT(1, 0), DHLT(2, -1)])
         t = make_table("E", 1.0, ["x", "y"], ["a"], [[cell], [cell]], S33)
-        assert cell.summary == (1.5, -0.5, 2.0, 1.0)
+        assert t.cells == ((cell,), (cell,))
         assert t.means.tolist() == [[[1.5, -0.5]], [[1.5, -0.5]]]
 
 
