@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -18,7 +20,7 @@ from .engine import (
     rank,
 )
 from .linguistic import DHLTScale
-from .syntax import CodeBook, format_term
+from .syntax import CodeBook, format_subscript
 from .tables import (
     WEIGHT_TOL,
     AttributeSpec,
@@ -336,13 +338,20 @@ def case_summary(case: CaseFile) -> dict:
 
 
 def fused_table_dict(fused: FusedDecisionTable) -> dict:
+    n, m = len(fused.alternatives), len(fused.attributes)
+    # one format per distinct subscript, told apart by bit pattern: -0.0 and
+    # 0.0 compare equal but print differently
+    bits, index = np.unique(np.ascontiguousarray(fused.means, dtype=float).view(np.int64),
+                            return_inverse=True)
+    names = np.array([format_subscript(v) for v in bits.view(float).tolist()],
+                     dtype=object)[index.reshape(-1, 2)]
+    cells = list(map("{s_%s<o_%s>}".__mod__, zip(names[:, 0].tolist(), names[:, 1].tolist())))
     return {
         "alternatives": list(fused.alternatives),
         "attributes": list(fused.attributes),
         "experts": list(fused.expert_ids),
         "expert_weights": list(fused.expert_weights),
-        "cells": [["{" + format_term(phi, varphi) + "}" for phi, varphi in row]
-                  for row in fused.means.tolist()],
+        "cells": [cells[i * m:(i + 1) * m] for i in range(n)],
     }
 
 
@@ -428,7 +437,49 @@ def write_json(path: str, data: dict) -> None:
         dump_json(data, fh)
 
 
-def dump_json(data: dict, fh) -> None:
-    """The one JSON layout every command writes; NaN and infinities are refused."""
-    json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
+def dump_json(data: Any, fh) -> None:
+    """The one JSON layout every command writes: byte for byte ``json.dump``
+    with ``indent=2, sort_keys=True, allow_nan=False``, then a newline.
+    Each container of scalars is one call to CPython's C encoder and goes
+    out as one chunk; the document is never held as one string."""
+    fh.writelines(_chunks(data, 0, ""))
     fh.write("\n")
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(depth: int) -> tuple:
+    """The encoder of a container at ``depth``, whose item separator
+    carries its items' indent; that indent; its closing bracket's."""
+    inner = "\n" + "  " * (depth + 1)
+    return (c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                           ": ", "," + inner, True, False, False), inner, inner[:-2])
+
+
+def _chunks(obj: Any, depth: int, lead: str):
+    """``obj``'s text at ``depth``, after ``lead``."""
+    encode, inner, outer = _layout(depth)
+    is_dict = isinstance(obj, dict)
+    container = is_dict or isinstance(obj, (list, tuple))
+    if not container or set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        # the item separator indents the items; only the brackets need new lines
+        text = "".join(encode(obj, 0))
+        yield lead + (text[0] + inner + text[1:-1] + outer + text[-1] if container and obj
+                      else text)
+        return
+    lead += "{" if is_dict else "["
+    items = (((_key(k) + ": ", v) for k, v in sorted(obj.items())) if is_dict
+             else (("", v) for v in obj))
+    for prefix, value in items:
+        yield from _chunks(value, depth + 1, lead + inner + prefix)
+        lead = ","
+    yield outer + ("}" if is_dict else "]")
+
+
+def _key(key: Any) -> str:
+    """A dict key's text; other keys than strings convert as ``json`` converts them."""
+    if not isinstance(key, (str, int, float, type(None))):  # a bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else "".join(_layout(0)[0](key, 0)))

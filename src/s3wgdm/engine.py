@@ -324,6 +324,8 @@ def run_sequential(fused: FusedDecisionTable,
             # the universe goes first and positionally: bench/tracer.py reads it
             level = run_level(rows, z, phi, varphi, scores, fused.scale, weights, cfg,
                               params, i, memo, key)
+        except ValueError as exc:  # an input problem stays one, naming its level
+            raise ValueError(f"decision level {i}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         executed.append(level)

@@ -16,6 +16,7 @@ import pathlib
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from conftest import SWEEP_GRID, exit_levels, level_regions, oriented, per_id, universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,6 +297,21 @@ def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_pa
     del report["metadata"]["elapsed_seconds"]
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_REPORT_SHA256
+
+
+@pytest.mark.parametrize("generated", [False, True], ids=["bundled", "generated"])
+def test_decide_out_is_the_stdlib_layout(generated, tmp_path, capsys, sle_case_path,
+                                         sle_params_path):
+    """The bytes ``decide --out`` writes, not only the data they hold, are
+    the standard library's pretty-printed layout of that data."""
+    case_path = generated_case_path(tmp_path) if generated else sle_case_path
+    out = tmp_path / "report.json"
+    assert cli_main(["decide", "--case", case_path, "--params", sle_params_path,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
 
 
 def test_bundled_stdout_is_pinned(capsys, sle_case_path, sle_params_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from s3wgdm.caseio import (
     CaseFormatError,
+    dump_json,
+    fused_table_dict,
     load_case,
     load_params,
     validate_case_dict,
@@ -16,7 +19,8 @@ from s3wgdm.caseio import (
     write_json,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value
-from s3wgdm.syntax import CodeBook, _scan_dhhfle
+from s3wgdm.syntax import CodeBook, _scan_dhhfle, format_term
+from s3wgdm.tables import FusedDecisionTable
 
 
 def minimal_case(cell="{s_1<o_0>}"):
@@ -417,6 +421,143 @@ class TestWriteJson:
             write_json(str(tmp_path / "out.json"), {"pr": float("nan")})
         with pytest.raises(ValueError):
             write_json(str(tmp_path / "out.json"), {"delta": float("-inf")})
+
+
+def stdlib_layout(doc) -> str:
+    """What ``dump_json`` must write: the standard library's pretty-printer."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def dumped(doc) -> str:
+    fh = io.StringIO()
+    dump_json(doc, fh)
+    return fh.getvalue()
+
+
+# strings that need escaping, or look like the layout's own punctuation
+json_text = st.text(st.characters() | st.sampled_from('"\\,[]{}: \n\r\t\x00\x1f\x7fé€😀'),
+                    max_size=8)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(10 ** 20, 10 ** 40)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0])
+                | json_text)
+# keys of one dict must be mutually ordered, as sort_keys needs: all strings,
+# all numbers (bools among them), or a lone None
+numeric_keys = (st.integers() | st.integers(10 ** 20, 10 ** 40) | st.booleans()
+                | st.floats(allow_nan=False, allow_infinity=False))
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4)
+    | st.dictionaries(numeric_keys, inner, max_size=3)
+    | st.dictionaries(st.none(), inner, max_size=1),
+    max_leaves=20)
+
+
+def holding(bad):
+    """Documents that hold a value drawn from ``bad`` at some depth."""
+    return st.recursive(
+        bad,
+        lambda inner: st.builds(lambda v, doc: [doc, v], inner, json_documents)
+        | st.builds(lambda v, doc: (v, doc), inner, json_documents)
+        | st.builds(lambda v, doc: {"a": doc, "b": v}, inner, json_documents),
+        max_leaves=6)
+
+
+class TestDumpJsonIsTheStdlibLayout:
+    @given(json_documents)
+    @settings(max_examples=400, deadline=None)
+    def test_random_documents(self, doc):
+        assert dumped(doc) == stdlib_layout(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), [[]], {"a": {}}, [(), {}], {"": ""},
+        {"b": [1, {"c": (1, 2)}], "a": -0.0},
+        {1: [True], 2.5: {"x": None}, True: "t"},
+        {None: {None: [None]}}, {0.0: [-0.0], 5e-324: 1e300},
+        {"k": {10 ** 30: [10 ** 30], -(10 ** 30): []}},
+        ["\n", "\"", "\\", ",\n  ", "é\u2028", "\x00"],
+        {"a": [np.float64(1.5), 2], "b": {"x": np.float64(-0.0)}},
+    ])
+    def test_edge_documents(self, doc):
+        assert dumped(doc) == stdlib_layout(doc)
+
+    @given(holding(st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_refused_at_any_depth(self, doc):
+        with pytest.raises(ValueError):
+            stdlib_layout(doc)
+        with pytest.raises(ValueError):
+            dumped(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {float("nan"): 1}, {"a": {float("inf"): 1}}, {"a": {float("-inf"): [1]}}])
+    def test_non_finite_keys_refused(self, doc):
+        with pytest.raises(ValueError):
+            stdlib_layout(doc)
+        with pytest.raises(ValueError):
+            dumped(doc)
+
+    @given(holding(st.sampled_from([{1}, frozenset(), np.int64(3), np.float32(1.5),
+                                    np.bool_(True)])))
+    @settings(max_examples=100, deadline=None)
+    def test_unserializable_values_refused_at_any_depth(self, doc):
+        with pytest.raises(TypeError):
+            stdlib_layout(doc)
+        with pytest.raises(TypeError):
+            dumped(doc)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 1}, {"a": {(1,): [1]}}, {"a": {b"k": 1}}])
+    def test_other_keys_refused(self, doc):
+        with pytest.raises(TypeError):
+            stdlib_layout(doc)
+        with pytest.raises(TypeError):
+            dumped(doc)
+
+
+def fused_of(means) -> FusedDecisionTable:
+    means = np.asarray(means, dtype=float)
+    n, m, _ = means.shape
+    return FusedDecisionTable(
+        alternatives=tuple(f"x{i}" for i in range(n)), attributes=tuple(f"a{j}" for j in range(m)),
+        means=means, scale=DHLTScale(10 ** 17, 10 ** 17))
+
+
+def cell_by_cell(means) -> list:
+    return [["{" + format_term(phi, varphi) + "}" for phi, varphi in row]
+            for row in np.asarray(means).tolist()]
+
+
+class TestFusedCells:
+    """Cells are formatted once per distinct subscript, with the text of
+    formatting each cell on its own."""
+
+    def test_hand_built_table(self):
+        means = [[[-0.0, 0.0], [0.0, -0.0], [2.0, -3.0]],
+                 [[1e-20, 1e16], [-0.0, 0.0], [1 / 3, -1.5]],
+                 [[2.0, 2.0], [-1e16, -1e-20], [0.5, 1e16]]]
+        cells = fused_table_dict(fused_of(means))["cells"]
+        assert cells == cell_by_cell(means)
+        assert cells[0][:2] == ["{s_-0<o_0>}", "{s_0<o_-0>}"]
+        assert cells[2][0] == "{s_2<o_2>}"
+        assert cells[1][0] == "{s_1e-20<o_1e+16>}"
+
+    def test_non_contiguous_means(self):
+        means = np.arange(24, dtype=float).reshape(2, 3, 4)[:, :, ::2] / 8 - 1
+        assert fused_table_dict(fused_of(means))["cells"] == cell_by_cell(means)
+
+    def test_empty_tables(self):
+        assert fused_table_dict(fused_of(np.zeros((0, 2, 2))))["cells"] == []
+        assert fused_table_dict(fused_of(np.zeros((2, 0, 2))))["cells"] == [[], []]
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_tables(self, n, m, data):
+        values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e-20, 1e16, 1 / 3, -2 / 3]) \
+            | st.floats(-3, 3)
+        means = np.array(data.draw(st.lists(values, min_size=n * m * 2, max_size=n * m * 2)))
+        means = means.reshape(n, m, 2)
+        assert fused_table_dict(fused_of(means))["cells"] == cell_by_cell(means)
 
 
 # Any JSON value, including the NaN and Infinity literals Python's json

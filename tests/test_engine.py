@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import exit_levels, level_regions, oriented, per_id, universe
 
-from s3wgdm import engine
+from s3wgdm import cli, engine
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
     BND,
@@ -294,6 +294,34 @@ class TestRunSequential:
         levels = [GOLDEN_CFG] * 7
         with pytest.raises(ValueError):
             run_sequential(sle_group, sle_case.attributes, levels, GOLDEN)
+
+    @pytest.mark.parametrize("error, wrapped, code", [
+        (ValueError("bad level input"), ValueError, 1),
+        (KeyError("lost"), RuntimeError, 2),
+    ])
+    def test_level_failure_names_its_level(self, monkeypatch, capsys, sle_case, sle_group,
+                                           sle_params, sle_case_path, sle_params_path,
+                                           error, wrapped, code):
+        """A ValueError inside a level stays an input problem (exit 1) and
+        names the level; any other failure is a runtime error (exit 2)."""
+        real = engine.run_level
+
+        def failing_at_level_2(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_level", failing_at_level_2)
+        calls = []
+        with pytest.raises(wrapped, match="^decision level 2") as info:
+            run_sequential(sle_group, sle_case.attributes, sle_params.levels, sle_params.params)
+        assert type(info.value) is wrapped and info.value.__cause__ is error
+        if wrapped is ValueError:
+            assert str(info.value) == "decision level 2: bad level input"
+        calls = []
+        assert cli.main(["decide", "--case", sle_case_path, "--params", sle_params_path]) == code
+        assert "decision level 2" in capsys.readouterr().err
 
     def test_monotonicity_enforced_and_overridable(self, sle_case, sle_group):
         levels = [LevelConfig(0.9, 0.7), LevelConfig(0.5, 0.7)]
