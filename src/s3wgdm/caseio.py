@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Mapping, Optional, Sequence
 
@@ -33,6 +34,9 @@ from .tables import (
 from .syntax import format_dhhfle, parse_dhhfle  # noqa: F401
 
 REPORT_SCHEMA = "s3wgdm-report/1"
+# cells of an expert table coded per bulk pass; a pass holds all the term
+# texts of its chunk at once, so chunking bounds its memory
+BULK_CELLS = 1024
 # the keys a params file may hold, at the top level, in each level and in rank
 PARAMS_KEYS = tuple(f.name for f in fields(EngineParams)) + (
     "levels", "rank", "monotonicity_override")
@@ -89,6 +93,22 @@ def _cell_code(raw: Any, book: CodeBook) -> int:
     if isinstance(raw, list) and raw:
         return book.pairs(_structured_terms(raw))
     raise ValueError("cell must be a term string or a non-empty term array")
+
+
+def _bulk_codes(table: list, m: int, book: CodeBook) -> Optional[np.ndarray]:
+    """The (n, m) codes of a table of m-cell rows of texts, coded in chunks
+    of whole rows of at most ``BULK_CELLS`` cells; None if the table's shape
+    or any chunk fails the bulk check."""
+    if set(map(type, table)) != {list} or set(map(len, table)) != {m}:
+        return None
+    step = max(1, BULK_CELLS // max(1, m))
+    chunks = []
+    for i in range(0, len(table), step):
+        codes = book.code_texts(list(chain.from_iterable(table[i:i + step])))
+        if codes is None:
+            return None
+        chunks.append(codes)
+    return np.concatenate(chunks).reshape(len(table), m)
 
 
 def _structured_terms(raw: list):
@@ -148,13 +168,16 @@ def validate_case_dict(data: Any) -> tuple:
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
             problems.append(f"{where}: needs 'id' and 'weight'")
             continue
+        if not isinstance(raw["id"], str):
+            problems.append(f"{where}: id must be a string, got {raw['id']!r}")
+            continue
         align = raw.get("align_with_concept", True)
         if not isinstance(align, bool):
             problems.append(f"{where}: align_with_concept must be true or false, got {align!r}")
             continue
         try:
             attrs.append(AttributeSpec(
-                id=str(raw["id"]),
+                id=raw["id"],
                 weight=_number(raw, "weight"),
                 kind=raw.get("kind", "benefit"),
                 align_with_concept=align,
@@ -185,7 +208,10 @@ def validate_case_dict(data: Any) -> tuple:
         if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
             problems.append(f"{where}: needs 'id', 'weight' and 'table'")
             continue
-        expert_ids.append(str(raw["id"]))
+        if not isinstance(raw["id"], str):
+            problems.append(f"{where}: id must be a string, got {raw['id']!r}")
+            continue
+        expert_ids.append(raw["id"])
         try:
             weight = _number(raw, "weight")
         except (OverflowError, ValueError) as exc:
@@ -196,35 +222,28 @@ def validate_case_dict(data: Any) -> tuple:
         if not isinstance(table, list) or len(table) != len(alternatives):
             problems.append(f"{where}: table must have one row per alternative")
             continue
-        rows = []
+        codes = _bulk_codes(table, len(raw_attrs), book) if book is not None else None
+        cells = []  # each cell's code, row by row, when the bulk check refused
         ok = book is not None  # without a scale, only the table's shape is checked
-        for i, raw_row in enumerate(table):
+        for i, raw_row in enumerate(table if codes is None else ()):
             if not isinstance(raw_row, list) or len(raw_row) != len(raw_attrs):
                 problems.append(f"{where}: row {i} must have one cell per attribute")
                 ok = False
                 break
-            if book is None:
-                continue
-            try:  # each text seen before resolves at once, the rest below
-                row = list(map(book.texts.get, raw_row))
-            except TypeError:  # an unhashable cell
-                row = [None] * len(raw_row)
-            if None in row:
-                for j, raw_cell in enumerate(raw_row):
-                    if row[j] is None:
-                        try:
-                            row[j] = _cell_code(raw_cell, book)
-                        except (OverflowError, TypeError, ValueError) as exc:
-                            problems.append(f"{where}.table[{i}][{j}]: {exc}")
-                            ok = False
-            rows.append(row)
+            for j, raw_cell in enumerate(raw_row if book is not None else ()):
+                try:  # texts of chunks already coded resolve at once
+                    cells.append(_cell_code(raw_cell, book))
+                except (OverflowError, TypeError, ValueError) as exc:
+                    problems.append(f"{where}.table[{i}][{j}]: {exc}")
+                    ok = False
         if ok and attrs and attrs_ok:
+            if codes is None:
+                codes = np.array(cells, dtype=np.intp).reshape(len(alternatives), len(ids))
             try:
                 experts.append(ExpertDecisionTable(
-                    expert_id=str(raw["id"]), expert_weight=weight,
+                    expert_id=raw["id"], expert_weight=weight,
                     alternatives=tuple(alternatives), attributes=tuple(ids),
-                    codes=np.array(rows, dtype=np.intp).reshape(len(alternatives), len(ids)),
-                    book=book))
+                    codes=codes, book=book))
             except (TypeError, ValueError) as exc:
                 problems.append(f"{where}: {exc}")
     if len(set(expert_ids)) != len(expert_ids):
@@ -245,7 +264,7 @@ def load_case(path: str) -> CaseFile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CaseFormatError([f"invalid JSON: {exc}"]) from exc
     case, problems = validate_case_dict(data)
     if problems:
@@ -317,7 +336,7 @@ def load_params(path: str) -> ParamsFile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CaseFormatError([f"invalid JSON: {exc}"]) from exc
     params, problems = validate_params_dict(data)
     if problems:

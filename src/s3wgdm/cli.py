@@ -288,7 +288,7 @@ def cmd_baseline(args) -> int:
         with fh:
             try:
                 existing = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, or too deep
                 raise CaseFormatError(
                     [f"report {args.out}: not a decide report: {exc}"]) from exc
         if not isinstance(existing, dict) or "final" not in existing:

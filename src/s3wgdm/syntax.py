@@ -14,6 +14,7 @@ format are mutual inverses on canonical strings.
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 from typing import Iterable
 
 import numpy as np
@@ -22,12 +23,12 @@ from .linguistic import DHLT, DHHFLE, DHLTScale
 
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
-# Fast path: a whole element with no whitespace and ASCII digits only, read
-# as "{", terms split at commas, "}".  A number can never be followed by a
-# character it could also contain, and no term holds a comma or a brace,
-# so this accepts exactly the texts of that form the scanner accepts, with
-# the same terms.  Everything else goes to the scanner, the only source of
-# syntax errors.
+# Fast path (CodeBook.code_texts): a whole element with no whitespace and
+# ASCII digits only, read as "{", terms split at commas, "}".  A number can
+# never be followed by a character it could also contain, and no term holds
+# a comma, a brace or a newline, so this accepts exactly the texts of that
+# form the scanner accepts, with the same terms.  Everything else goes to
+# the scanner, the only source of syntax errors.
 _ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
 
@@ -125,10 +126,60 @@ class CodeBook:
 
     def text(self, text: str) -> int:
         """The code of a cell text, parsed the first time it is seen."""
-        code = self.texts.get(text)
-        if code is None:
-            code = self.texts[text] = self._cell(self.parse(text))
-        return code
+        if text not in self.texts and self.code_texts([text]) is None:
+            self.texts[text] = self._cell(self.parse(text))
+        return self.texts[text]
+
+    def code_texts(self, cells: list) -> np.ndarray | None:
+        """The codes of a list of cell texts, the new ones coded in bulk.
+
+        The distinct new texts, in first-seen order, are joined by a newline,
+        which no term text holds, and checked at once: each is ``{``, term
+        texts of the fast-path form (see ``_TERM``) split by commas, ``}``.
+        Term texts new to the document are range-checked in first-seen
+        order.  Returns None, having stored no cell, if any cell fails; the
+        scanner then reads the cells one by one.
+        """
+        try:
+            distinct = dict.fromkeys(cells)
+        except TypeError:  # an unhashable cell
+            return None
+        texts = self.texts
+        new = list(filterfalse(texts.__contains__, distinct))
+        if new:
+            try:
+                doc = "\n".join(new)
+            except TypeError:  # a cell that is not a string
+                return None
+            k = len(new)
+            pieces = doc[1:-1].split("}\n{")
+            if not (len(pieces) == k == doc.count("{") == doc.count("}") == doc.count("\n") + 1
+                    and doc.startswith("{") and doc.endswith("}")):
+                return None
+            terms = self._terms
+            parts = ",".join(pieces).split(",")
+            try:
+                flat = list(map(terms.__getitem__, parts))
+            except KeyError:  # term texts new to the document, checked in order
+                for part in filterfalse(terms.__contains__, dict.fromkeys(parts)):
+                    match = _TERM.fullmatch(part)
+                    if match is None:
+                        return None
+                    try:
+                        terms[part] = self._term(float(match[1]), float(match[2]))
+                    except ValueError:  # off the scale
+                        return None
+                flat = list(map(terms.__getitem__, parts))
+            starts = [len(self._flat)]
+            if k > 1:  # all ASCII now; a text starts after each newline separator
+                seps = np.frombuffer(doc.encode(), np.uint8)
+                seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+                starts += (np.flatnonzero(seps == ord("\n")) + (starts[0] + 1)).tolist()
+            self._means = None
+            self._starts += starts
+            self._flat += flat
+            texts.update(zip(new, range(len(self._starts) - k, len(self._starts))))
+        return np.fromiter(map(texts.__getitem__, cells), np.intp, len(cells))
 
     def pairs(self, pairs: Iterable) -> int:
         """A fresh code for a cell of ``(phi, varphi)`` pairs, each checked
@@ -136,27 +187,9 @@ class CodeBook:
         return self._cell([self._term(phi, varphi) for phi, varphi in pairs])
 
     def parse(self, text: str) -> list:
-        """The term codes of one element text; raises TermSyntaxError with
-        position on bad input and ScaleRangeError when a subscript leaves
-        the scale."""
-        if text.startswith("{") and text.endswith("}"):
-            terms = self._terms
-            parts = text[1:-1].split(",")
-            codes = list(map(terms.get, parts))
-            if None not in codes:
-                return codes
-            for i, part in enumerate(parts):
-                if codes[i] is None:  # new here, maybe not new in this text
-                    code = terms.get(part)
-                    if code is None:
-                        match = _TERM.fullmatch(part)
-                        if match is None:
-                            break
-                        # in term order, as the scanner checks them
-                        code = terms[part] = self._term(float(match[1]), float(match[2]))
-                    codes[i] = code
-            else:
-                return codes
+        """The term codes of one element text, read by the scanner; raises
+        TermSyntaxError with position on bad input and ScaleRangeError when
+        a subscript leaves the scale."""
         return [self._term(t.phi, t.varphi) for t in _scan_dhhfle(text, self.scale)]
 
     def element(self, code: int) -> DHHFLE:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm.caseio import (
+    BULK_CELLS,
     CaseFormatError,
     dump_json,
     fused_table_dict,
@@ -112,6 +114,16 @@ class TestCaseValidation:
         assert case is None
         assert problems == want
 
+    @pytest.mark.parametrize("value", [{"a": 1}, ["a1"], None, True, 1],
+                             ids=["object", "array", "null", "true", "number"])
+    @pytest.mark.parametrize("entry", ["attributes", "experts"])
+    def test_ids_must_be_strings(self, entry, value):
+        doc = minimal_case()
+        doc[entry][0]["id"] = value
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert problems == [f"{entry}[0]: id must be a string, got {value!r}"]
+
     def test_load_reports_json_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -145,17 +157,20 @@ class TestParseOncePerDocument:
         assert len([p for p in problems if "outside" in p]) == 3
 
     def test_repeated_good_cell_parsed_once(self, monkeypatch):
-        calls = []
-        parse = CodeBook.parse
+        handed_over = []  # the texts each call had to code: new to the book
+        code_texts = CodeBook.code_texts
 
-        def counting(book, text):
-            calls.append(text)
-            return parse(book, text)
+        def counting(book, cells):
+            new = [c for c in dict.fromkeys(cells) if c not in book.texts]
+            codes = code_texts(book, cells)
+            assert codes is not None and all(c in book.texts for c in new)
+            handed_over.extend(new)
+            return codes
 
-        monkeypatch.setattr(CodeBook, "parse", counting)
+        monkeypatch.setattr(CodeBook, "code_texts", counting)
         case, problems = validate_case_dict(self.repeated_case("{s_2<o_1>,s_1<o_0>}"))
         assert problems == []
-        assert sorted(calls) == ["{s_0<o_0>}", "{s_2<o_1>,s_1<o_0>}"]
+        assert sorted(handed_over) == ["{s_0<o_0>}", "{s_2<o_1>,s_1<o_0>}"]
         first, second = case.experts
         assert first.cells[0][0] == first.cells[1][1] == second.cells[1][0]
         assert first.cells[0][0] == DHHFLE([DHLT(2, 1), DHLT(1, 0)])
@@ -193,6 +208,10 @@ number = st.one_of(
     st.sampled_from(["0.1", "0.2", "-0.7", "2.35", "-1.15", "1e-1"]))
 term = st.builds(lambda p, v: f"s_{p}<o_{v}>", number, number)
 canonical = st.lists(term, min_size=1, max_size=3).map(lambda ts: "{" + ",".join(ts) + "}")
+# texts that border on the bulk check: its separator inside one cell,
+# stray, missing or reversed braces, a missing term, and a full-width digit
+BULK_BORDER = ["{s_1<o_0>}\n{s_2<o_0>}", "{}", "{s_1<o_0>}}", "{{s_1<o_0>}",
+               "{s_1<o_0>,}", "", "}s_1<o_0>{", "{s_\uff12<o_0>}"]
 cell_raw = st.one_of(
     canonical, canonical, canonical,
     canonical.map(lambda t: t.replace("{", "{ ").replace(",", " ,\n ")),  # the scanner
@@ -200,6 +219,7 @@ cell_raw = st.one_of(
     st.lists(st.fixed_dictionaries({"phi": st.integers(-4, 4), "varphi": st.integers(-4, 4)}),
              min_size=1, max_size=2),  # structured
     st.sampled_from([7, [], None, [{"phi": "wide", "varphi": 0}], [{"phi": 1}]]),
+    st.sampled_from(BULK_BORDER),
 )
 
 
@@ -323,6 +343,44 @@ class TestIngestMatchesCellByCellScan:
         means = case.experts[0].means
         assert means.tolist() == [[[0, 0], [0, 0]], [[0.5, -0.5], [0, 0]]]
         assert not np.signbit(means[means == 0]).any()
+
+    @pytest.mark.parametrize("text", BULK_BORDER)
+    def test_border_text_alone_and_beside_a_good_one(self, text):
+        # alone, a text is the whole of its bulk pass
+        assert_ingest_matches_reference(minimal_case(text))
+        doc = TestParseOncePerDocument.repeated_case(text)
+        assert_ingest_matches_reference(doc)
+
+    @pytest.mark.parametrize("last", ["{s_1<o_0>,s_4<o_0>}", "{s_1<o_0>", "{ s_1<o_0> }"],
+                             ids=["off-scale", "malformed", "spaced"])
+    def test_table_of_several_chunks_with_one_odd_cell_in_the_last(self, last):
+        rng = random.Random(7)
+        values = ["0", "1", "-1.5", "2.25", "-0", "3", ".5", "0.1"]
+        n, m = 2 * (BULK_CELLS // 3) + 5, 3  # three chunks of whole rows
+
+        def text():
+            return "{" + ",".join(f"s_{rng.choice(values)}<o_{rng.choice(values)}>"
+                                  for _ in range(rng.randint(1, 3))) + "}"
+
+        good = {
+            "scale": {"tau": 3, "sigma_scale": 3},
+            "alternatives": [f"x{i}" for i in range(n)],
+            "attributes": [{"id": f"a{j}", "weight": 1 / m} for j in range(m)],
+            "experts": [{"id": f"E{k}", "weight": 0.5,
+                         "table": [[text() for _ in range(m)] for _ in range(n)]}
+                        for k in range(2)],
+        }
+        odd = json.loads(json.dumps(good))
+        odd["experts"][1]["table"][-1][1] = last
+        assert_ingest_matches_reference(good)
+        assert_ingest_matches_reference(odd)
+        good_case, _ = validate_case_dict(good)
+        odd_case, problems = validate_case_dict(odd)
+        assert len(problems) == (last != "{ s_1<o_0> }")
+        if not problems:  # the per-cell route leaves the other cells' means as they were
+            want, got = good_case.experts[1].means, odd_case.experts[1].means
+            assert got[:-1].tobytes() == want[:-1].tobytes()
+            assert got[-1, ::2].tobytes() == want[-1, ::2].tobytes()
 
 
 class TestParamsValidation:

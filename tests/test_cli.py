@@ -102,6 +102,18 @@ class TestValidate:
             assert "attributes[1]: align_with_concept must be true or false" in err
             assert err.count("\n  - ") == 1  # no follow-on weight-sum or row problems
 
+    @pytest.mark.parametrize("which", ["case", "params"])
+    def test_deeply_nested_json(self, capsys, tmp_path, sle_case_path, sle_params_path,
+                                which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        paths = {"case": sle_case_path, "params": sle_params_path, which: str(deep)}
+        code, out, err = run_cli(capsys, "decide", "--case", paths["case"],
+                                 "--params", paths["params"])
+        assert code == 1
+        assert out == ""
+        assert "  - invalid JSON: maximum recursion depth exceeded" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--case", "/nonexistent.json")
         assert code == 2
@@ -745,9 +757,10 @@ class TestBaseline:
     @pytest.mark.parametrize("text, reason", [
         ("alternative,score\nx1,0.5\n", "not a decide report: Expecting value"),
         ("", "not a decide report: Expecting value"),
+        ("[" * 100_000, "not a decide report: maximum recursion depth exceeded"),
         ('{"alternatives": ["x1"], "cells": [["{s_1<o_0>}"]]}\n',
          "not a decide report: no 'final' section"),
-    ], ids=["csv", "empty", "fused-table"])
+    ], ids=["csv", "empty", "deep", "fused-table"])
     def test_file_that_is_not_a_report_left_unchanged(self, capsys, tmp_path, text, reason,
                                                       sle_case_path):
         out_path = tmp_path / "existing"
