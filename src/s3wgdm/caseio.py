@@ -37,6 +37,11 @@ REPORT_SCHEMA = "s3wgdm-report/1"
 # cells of an expert table coded per bulk pass; a pass holds all the term
 # texts of its chunk at once, so chunking bounds its memory
 BULK_CELLS = 1024
+# the keys a case file may hold: top level, scale, each attribute and expert
+CASE_KEYS = ("scale", "alternatives", "attributes", "experts")
+SCALE_KEYS = ("tau", "sigma_scale")
+ATTRIBUTE_KEYS = ("id", "weight", "kind", "align_with_concept")
+EXPERT_KEYS = ("id", "weight", "table")
 # the keys a params file may hold, at the top level, in each level and in rank
 PARAMS_KEYS = tuple(f.name for f in fields(EngineParams)) + (
     "levels", "rank", "monotonicity_override")
@@ -95,20 +100,17 @@ def _cell_code(raw: Any, book: CodeBook) -> int:
     raise ValueError("cell must be a term string or a non-empty term array")
 
 
-def _bulk_codes(table: list, m: int, book: CodeBook) -> Optional[np.ndarray]:
-    """The (n, m) codes of a table of m-cell rows of texts, coded in chunks
-    of whole rows of at most ``BULK_CELLS`` cells; None if the table's shape
-    or any chunk fails the bulk check."""
-    if set(map(type, table)) != {list} or set(map(len, table)) != {m}:
-        return None
-    step = max(1, BULK_CELLS // max(1, m))
-    chunks = []
-    for i in range(0, len(table), step):
-        codes = book.code_texts(list(chain.from_iterable(table[i:i + step])))
-        if codes is None:
-            return None
-        chunks.append(codes)
-    return np.concatenate(chunks).reshape(len(table), m)
+def _entry_ok(raw: Any, known: tuple, needs: str, where: str, problems: list) -> bool:
+    """Whether an attribute or expert entry holds a string id and a weight."""
+    if isinstance(raw, Mapping):
+        problems += _unknown_keys(raw, known, f"{where}: ")
+    if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
+        problems.append(f"{where}: needs {needs}")
+        return False
+    if not isinstance(raw["id"], str):
+        problems.append(f"{where}: id must be a string, got {raw['id']!r}")
+        return False
+    return True
 
 
 def _structured_terms(raw: list):
@@ -138,12 +140,14 @@ def validate_case_dict(data: Any) -> tuple:
     problems: list = []
     if not isinstance(data, Mapping):
         return None, ["top level must be a JSON object"]
+    problems += _unknown_keys(data, CASE_KEYS, "")
 
     scale = None
     raw_scale = data.get("scale")
     if not isinstance(raw_scale, Mapping):
         problems.append("missing or malformed 'scale'")
     else:
+        problems += _unknown_keys(raw_scale, SCALE_KEYS, "scale: ")
         try:
             scale = DHLTScale(_whole_number(raw_scale, "tau"),
                               _whole_number(raw_scale, "sigma_scale"))
@@ -165,11 +169,7 @@ def validate_case_dict(data: Any) -> tuple:
         raw_attrs = []
     for k, raw in enumerate(raw_attrs):
         where = f"attributes[{k}]"
-        if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
-            problems.append(f"{where}: needs 'id' and 'weight'")
-            continue
-        if not isinstance(raw["id"], str):
-            problems.append(f"{where}: id must be a string, got {raw['id']!r}")
+        if not _entry_ok(raw, ATTRIBUTE_KEYS, "'id' and 'weight'", where, problems):
             continue
         align = raw.get("align_with_concept", True)
         if not isinstance(align, bool):
@@ -205,11 +205,7 @@ def validate_case_dict(data: Any) -> tuple:
     book = CodeBook(scale) if scale is not None else None
     for k, raw in enumerate(raw_experts):
         where = f"experts[{k}]"
-        if not isinstance(raw, Mapping) or "id" not in raw or "weight" not in raw:
-            problems.append(f"{where}: needs 'id', 'weight' and 'table'")
-            continue
-        if not isinstance(raw["id"], str):
-            problems.append(f"{where}: id must be a string, got {raw['id']!r}")
+        if not _entry_ok(raw, EXPERT_KEYS, "'id', 'weight' and 'table'", where, problems):
             continue
         expert_ids.append(raw["id"])
         try:
@@ -222,28 +218,35 @@ def validate_case_dict(data: Any) -> tuple:
         if not isinstance(table, list) or len(table) != len(alternatives):
             problems.append(f"{where}: table must have one row per alternative")
             continue
-        codes = _bulk_codes(table, len(raw_attrs), book) if book is not None else None
-        cells = []  # each cell's code, row by row, when the bulk check refused
-        ok = book is not None  # without a scale, only the table's shape is checked
-        for i, raw_row in enumerate(table if codes is None else ()):
-            if not isinstance(raw_row, list) or len(raw_row) != len(raw_attrs):
-                problems.append(f"{where}: row {i} must have one cell per attribute")
-                ok = False
-                break
-            for j, raw_cell in enumerate(raw_row if book is not None else ()):
-                try:  # texts of chunks already coded resolve at once
-                    cells.append(_cell_code(raw_cell, book))
-                except (OverflowError, TypeError, ValueError) as exc:
-                    problems.append(f"{where}.table[{i}][{j}]: {exc}")
-                    ok = False
-        if ok and attrs and attrs_ok:
-            if codes is None:
-                codes = np.array(cells, dtype=np.intp).reshape(len(alternatives), len(ids))
+        m = len(raw_attrs)
+        shaped = len(table)  # the rows before the first misshapen one
+        if set(map(type, table)) != {list} or set(map(len, table)) != {m}:
+            shaped = next((i for i, row in enumerate(table)
+                           if not isinstance(row, list) or len(row) != m), shaped)
+        before = len(problems)
+        codes = [np.empty(0, np.intp)]  # a table of no rows still makes an array
+        step = max(1, BULK_CELLS // max(1, m))  # whole rows of at most BULK_CELLS cells
+        # without a scale, only the table's shape is checked
+        for start in range(0, shaped if book is not None else 0, step):
+            chunk = table[start:min(start + step, shaped)]
+            found = book.code_texts(list(chain.from_iterable(chunk)))
+            if found is None:  # refused: read cell by cell, to locate each problem
+                found = []
+                for i, row in enumerate(chunk, start):
+                    for j, raw_cell in enumerate(row):
+                        try:
+                            found.append(_cell_code(raw_cell, book))
+                        except (OverflowError, TypeError, ValueError) as exc:
+                            problems.append(f"{where}.table[{i}][{j}]: {exc}")
+            codes.append(found)
+        if shaped < len(table):
+            problems.append(f"{where}: row {shaped} must have one cell per attribute")
+        if len(problems) == before and book is not None and attrs and attrs_ok:
             try:
                 experts.append(ExpertDecisionTable(
                     expert_id=raw["id"], expert_weight=weight,
                     alternatives=tuple(alternatives), attributes=tuple(ids),
-                    codes=codes, book=book))
+                    codes=np.concatenate(codes).reshape(len(alternatives), m), book=book))
             except (TypeError, ValueError) as exc:
                 problems.append(f"{where}: {exc}")
     if len(set(expert_ids)) != len(expert_ids):
@@ -261,15 +264,19 @@ def validate_case_dict(data: Any) -> tuple:
 
 
 def load_case(path: str) -> CaseFile:
+    return _load(path, validate_case_dict)
+
+
+def _load(path: str, validate) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CaseFormatError([f"invalid JSON: {exc}"]) from exc
-    case, problems = validate_case_dict(data)
+    value, problems = validate(data)
     if problems:
         raise CaseFormatError(problems)
-    return case
+    return value
 
 
 def _unknown_keys(raw: Mapping, known: tuple, where: str) -> list:
@@ -333,15 +340,7 @@ def validate_params_dict(data: Any) -> tuple:
 
 
 def load_params(path: str) -> ParamsFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise CaseFormatError([f"invalid JSON: {exc}"]) from exc
-    params, problems = validate_params_dict(data)
-    if problems:
-        raise CaseFormatError(problems)
-    return params
+    return _load(path, validate_params_dict)
 
 
 def case_summary(case: CaseFile) -> dict:

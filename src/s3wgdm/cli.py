@@ -189,9 +189,9 @@ def _grid_spec(raw: str) -> tuple:
             raise ValueError("step must be positive")
     except ValueError as exc:
         raise CaseFormatError([f"grid spec {raw!r}: {exc}"]) from exc
-    # stop is included up to a 1e-9 step tolerance; inf on overflow
-    span = (stop - start) / step + 1e-9
-    count = max(0, math.floor(span) + 1) if span <= MAX_GRID_POINTS else math.inf
+    # stop is included up to a 1e-9 step tolerance; the span may overflow to
+    # -inf or inf, so it is clamped first: no points, or one past the cap
+    count = math.floor(min(max((stop - start) / step + 1e-9, -1), MAX_GRID_POINTS)) + 1
     return name, count, lambda: [round(start + k * step, 12) for k in range(count)]
 
 

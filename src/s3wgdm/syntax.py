@@ -92,10 +92,10 @@ class CodeBook:
     A term text such as ``s_2<o_1>`` gets a code and its subscripts the
     first time it is seen, once its range check passes.  A cell text gets
     a code and its term codes the first time it parses; :attr:`texts` maps
-    it to that code.  Texts outside the fast path (see ``_TERM``) go
-    through the scanner, and cells given as subscript pairs (structured
-    cells and elements) get fresh codes.  Failures are not stored, so each
-    bad occurrence raises on its own.
+    it to that code.  :meth:`code_texts` codes a list of texts in bulk;
+    :meth:`text` codes one, through the scanner outside the fast path (see
+    ``_TERM``).  Cells of subscript pairs get fresh codes.  Failures are
+    not stored, so each bad occurrence raises on its own.
 
     :meth:`means` is every cell's linguistic expected value, computed with
     numpy from the term codes; :meth:`element` builds one cell's element
@@ -137,8 +137,8 @@ class CodeBook:
         which no term text holds, and checked at once: each is ``{``, term
         texts of the fast-path form (see ``_TERM``) split by commas, ``}``.
         Term texts new to the document are range-checked in first-seen
-        order.  Returns None, having stored no cell, if any cell fails; the
-        scanner then reads the cells one by one.
+        order.  Returns None, having stored no cell, if any cell fails, for
+        the caller to read those cells one by one and locate each failure.
         """
         try:
             distinct = dict.fromkeys(cells)

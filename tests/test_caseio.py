@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3wgdm import caseio
 from s3wgdm.caseio import (
     BULK_CELLS,
     CaseFormatError,
@@ -23,6 +26,9 @@ from s3wgdm.caseio import (
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value
 from s3wgdm.syntax import CodeBook, _scan_dhhfle, format_term
 from s3wgdm.tables import FusedDecisionTable
+
+
+GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def minimal_case(cell="{s_1<o_0>}"):
@@ -123,6 +129,44 @@ class TestCaseValidation:
         case, problems = validate_case_dict(doc)
         assert case is None
         assert problems == [f"{entry}[0]: id must be a string, got {value!r}"]
+
+    @pytest.mark.parametrize("path, where, known", [
+        ((), "", "scale, alternatives, attributes, experts"),
+        (("scale",), "scale: ", "tau, sigma_scale"),
+        (("attributes", 0), "attributes[0]: ", "id, weight, kind, align_with_concept"),
+        (("experts", 0), "experts[0]: ", "id, weight, table"),
+    ], ids=["top", "scale", "attribute", "expert"])
+    def test_unknown_keys_located(self, path, where, known):
+        doc = minimal_case()
+        entry = doc
+        for step in path:
+            entry = entry[step]
+        entry["align_with_concpt"] = False
+        entry["note"] = None
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert problems == [f"{where}unknown key {key!r}, expected one of {known}"
+                            for key in ("align_with_concpt", "note")]
+
+    @pytest.mark.parametrize("entry, known, needs", [
+        ("attributes", "id, weight, kind, align_with_concept", "'id' and 'weight'"),
+        ("experts", "id, weight, table", "'id', 'weight' and 'table'"),
+    ], ids=["attribute", "expert"])
+    def test_unknown_key_listed_before_a_missing_one(self, entry, known, needs):
+        doc = minimal_case()
+        doc[entry][0]["idd"] = doc[entry][0].pop("id")
+        _, problems = validate_case_dict(doc)
+        assert problems[:2] == [f"{entry}[0]: unknown key 'idd', expected one of {known}",
+                                f"{entry}[0]: needs {needs}"]
+
+    def test_bundled_and_generated_cases_hold_only_known_keys(self, sle_case_path):
+        spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        with open(sle_case_path) as fh:
+            bundled = json.load(fh)
+        for doc in (bundled, gen.case_dict(n=20, m=6, e=3, max_terms=3, seed=1)):
+            assert validate_case_dict(doc)[1] == []
 
     def test_load_reports_json_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -351,36 +395,79 @@ class TestIngestMatchesCellByCellScan:
         doc = TestParseOncePerDocument.repeated_case(text)
         assert_ingest_matches_reference(doc)
 
-    @pytest.mark.parametrize("last", ["{s_1<o_0>,s_4<o_0>}", "{s_1<o_0>", "{ s_1<o_0> }"],
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    @pytest.mark.parametrize("cell", ["{s_1<o_0>,s_4<o_0>}", "{s_1<o_0>", "{ s_1<o_0> }"],
                              ids=["off-scale", "malformed", "spaced"])
-    def test_table_of_several_chunks_with_one_odd_cell_in_the_last(self, last):
-        rng = random.Random(7)
-        values = ["0", "1", "-1.5", "2.25", "-0", "3", ".5", "0.1"]
-        n, m = 2 * (BULK_CELLS // 3) + 5, 3  # three chunks of whole rows
-
-        def text():
-            return "{" + ",".join(f"s_{rng.choice(values)}<o_{rng.choice(values)}>"
-                                  for _ in range(rng.randint(1, 3))) + "}"
-
-        good = {
-            "scale": {"tau": 3, "sigma_scale": 3},
-            "alternatives": [f"x{i}" for i in range(n)],
-            "attributes": [{"id": f"a{j}", "weight": 1 / m} for j in range(m)],
-            "experts": [{"id": f"E{k}", "weight": 0.5,
-                         "table": [[text() for _ in range(m)] for _ in range(n)]}
-                        for k in range(2)],
-        }
+    def test_table_of_several_chunks_with_one_odd_cell_in_the_last(self, cell, row):
+        # the odd cell sits in the first, a middle or the last of three chunks
+        good, n, m = several_chunks()
+        i = {"first": 0, "middle": n // 2, "last": n - 1}[row]
         odd = json.loads(json.dumps(good))
-        odd["experts"][1]["table"][-1][1] = last
+        odd["experts"][1]["table"][i][1] = cell
         assert_ingest_matches_reference(good)
         assert_ingest_matches_reference(odd)
         good_case, _ = validate_case_dict(good)
         odd_case, problems = validate_case_dict(odd)
-        assert len(problems) == (last != "{ s_1<o_0> }")
+        assert len(problems) == (cell != "{ s_1<o_0> }")
         if not problems:  # the per-cell route leaves the other cells' means as they were
+            others = np.ones((n, m), dtype=bool)
+            others[i, 1] = False
             want, got = good_case.experts[1].means, odd_case.experts[1].means
-            assert got[:-1].tobytes() == want[:-1].tobytes()
-            assert got[-1, ::2].tobytes() == want[-1, ::2].tobytes()
+            assert got[others].tobytes() == want[others].tobytes()
+
+    def test_only_a_refused_chunk_is_read_cell_by_cell(self, monkeypatch):
+        doc, _, m = several_chunks()
+        table = doc["experts"][1]["table"]
+        table[-1][1] = "{ s_1<o_0> }"
+        seen = []
+        cell_code = caseio._cell_code
+
+        def spy(raw, book):
+            seen.append(raw)
+            return cell_code(raw, book)
+
+        monkeypatch.setattr(caseio, "_cell_code", spy)
+        assert validate_case_dict(doc)[1] == []
+        assert seen == [cell for row in table[2 * (BULK_CELLS // m):] for cell in row]
+
+    def test_bad_cell_in_the_first_chunk_and_short_row_in_the_last(self):
+        doc, n, m = several_chunks()
+        table = doc["experts"][1]["table"]
+        table[5][0] = "{s_1<o_0>"
+        table[n - 2].pop()
+        with pytest.raises(ValueError) as bad_cell:
+            _scan_dhhfle("{s_1<o_0>", DHLTScale(3, 3))
+        assert validate_case_dict(doc)[1] == [
+            f"experts[1].table[5][0]: {bad_cell.value}",
+            f"experts[1]: row {n - 2} must have one cell per attribute"]
+
+    def test_non_list_row_inside_the_first_chunk(self):
+        # the chunk ends at the first misshapen row, so it never reaches the bulk coder
+        doc, n, m = several_chunks()
+        doc["experts"][1]["table"][3] = None
+        assert validate_case_dict(doc)[1] == [
+            "experts[1]: row 3 must have one cell per attribute"]
+
+
+def several_chunks():
+    """A good two-expert document whose tables take three bulk chunks each,
+    the last one short; returns it with its n and m."""
+    rng = random.Random(7)
+    values = ["0", "1", "-1.5", "2.25", "-0", "3", ".5", "0.1"]
+    n, m = 2 * (BULK_CELLS // 3) + 5, 3
+
+    def text():
+        return "{" + ",".join(f"s_{rng.choice(values)}<o_{rng.choice(values)}>"
+                              for _ in range(rng.randint(1, 3))) + "}"
+
+    return {
+        "scale": {"tau": 3, "sigma_scale": 3},
+        "alternatives": [f"x{i}" for i in range(n)],
+        "attributes": [{"id": f"a{j}", "weight": 1 / m} for j in range(m)],
+        "experts": [{"id": f"E{k}", "weight": 0.5,
+                     "table": [[text() for _ in range(m)] for _ in range(n)]}
+                    for k in range(2)],
+    }, n, m
 
 
 class TestParamsValidation:

@@ -53,6 +53,24 @@ class TestValidate:
         assert code == 1
         assert "outside" in err
 
+    @pytest.mark.parametrize("command", ["validate", "decide"])
+    def test_misspelt_case_key(self, capsys, tmp_path, sle_case_path, sle_params_path,
+                               command):
+        # ignored, the misspelt false would leave the column uncomplemented
+        with open(sle_case_path) as fh:
+            data = json.load(fh)
+        del data["attributes"][1]["align_with_concept"]
+        data["attributes"][1]["align_with_concpt"] = False
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        params = ["--params", sle_params_path] if command == "decide" else []
+        code, out, err = run_cli(capsys, command, "--case", str(bad), *params)
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            "  - attributes[1]: unknown key 'align_with_concpt', "
+            "expected one of id, weight, kind, align_with_concept"]
+
     def test_many_problems_all_reported(self, capsys, tmp_path):
         doc = {
             "scale": {"tau": 3, "sigma_scale": 3},
@@ -561,6 +579,20 @@ class TestSweep:
                                "--out", str(out_path))
         assert code == 1
         assert f"grid spec {grid!r}: values must be finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("grid", ["eta=1:0:0.5", "eta=1e300:0:1e-300",
+                                      "eta=1e308:-1e308:1"],
+                             ids=["descending", "span-overflows", "gap-overflows"])
+    def test_grid_with_no_points_rejected(self, capsys, tmp_path, sle_case_path,
+                                          sle_params_path, grid):
+        # a stop below the start, even where the span overflows to -inf
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", grid,
+                               "--out", str(out_path))
+        assert code == 1
+        assert f"grid spec {grid!r} produced no points" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("grids", [
