@@ -2,7 +2,7 @@
 """Sensitivity sweeps over the bundled case.
 
 Default: the gain fraction eta from 0 to 1 in steps of 0.1.  Pass extra
---grid specs to sweep sigma and kappa as well, e.g.
+--grid specs to sweep theta, delta, sigma and kappa as well, e.g.
 
     python scripts/sweep_params.py --grid sigma=0.1:1:0.1 --grid kappa=0.1:1:0.1
 """

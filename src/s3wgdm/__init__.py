@@ -47,6 +47,7 @@ from .neighborhood import (
     kernel_rows,
     kernel_similarity,
     membership_degrees,
+    shared_granule_statistics,
     similarity_blocks,
 )
 from .regret import (
@@ -70,6 +71,8 @@ from .engine import (
     rank,
     run_level,
     run_sequential,
+    sweep_outcomes,
+    walk,
 )
 from .caseio import CaseFile, CaseFormatError, ParamsFile, load_case, load_params
 

@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from .caseio import (
     CaseFormatError,
     ParamsFile,
@@ -38,9 +36,10 @@ from .engine import (
     LevelConfig,
     SweepMemo,
     baseline_full_fusion,
-    rank,
     run_sequential,
+    sweep_outcomes,
 )
+from .engine import rank  # noqa: F401  (bench/tracer.py times rank where cli looks it up)
 from .neighborhood import similarity_blocks
 from .tables import fuse_dhhflmwa, orient_to_concept
 
@@ -161,6 +160,8 @@ def cmd_fuse(args) -> int:
 # of the others will do
 _GRID_CHECKS = {
     "eta": lambda v: EngineParams(eta=v),
+    "theta": lambda v: EngineParams(theta=v),
+    "delta": lambda v: EngineParams(delta=v),
     "sigma": lambda v: LevelConfig(kappa=1.0, sigma=v),
     "kappa": lambda v: LevelConfig(kappa=v, sigma=1.0),
 }
@@ -174,7 +175,8 @@ def _grid_spec(raw: str) -> tuple:
     name, _, rest = raw.partition("=")
     name = name.strip()
     if name not in _GRID_CHECKS:
-        raise CaseFormatError([f"grid parameter must be eta, sigma or kappa, got {name!r}"])
+        raise CaseFormatError([f"grid parameter must be one of "
+                               f"{', '.join(_GRID_CHECKS)}, got {name!r}"])
     parts = rest.split(":")
     try:
         if len(parts) not in (1, 3):
@@ -234,7 +236,7 @@ def cmd_sweep(args) -> int:
     base_spec = _apply_overrides(load_params(args.params), args)
     grids = _parse_grid(args.grid)
     fused = _group_table(case)
-    memo = SweepMemo(fused, case.attributes)  # shared by every point's run
+    memo = SweepMemo(fused, case.attributes)  # shared by every point
     names = sorted(grids)
     n_levels = len(base_spec.levels)
     header = names[:]
@@ -242,28 +244,34 @@ def cmd_sweep(args) -> int:
         header += [f"{name.lower()}_{i}" for name in REGIONS]
     header.append("final_ranking")
 
-    rows = []
-    for values in itertools.product(*(grids[name] for name in names)):
+    points = list(itertools.product(*(grids[name] for name in names)))
+    base = base_spec.params
+    cuts, utilities = {}, {}  # each distinct configuration is built once
+    configs, params = [], []
+    for values in points:
         point = dict(zip(names, values))
-        spec = base_spec
-        if "eta" in point:
-            spec = replace(spec, params=replace(spec.params, eta=point["eta"]))
-        if "sigma" in point or "kappa" in point:
-            levels = tuple(
-                LevelConfig(kappa=point.get("kappa", c.kappa),
-                            sigma=point.get("sigma", c.sigma))
-                for c in spec.levels)
-            spec = replace(spec, levels=levels)
-        report = run_sequential(fused, case.attributes, spec.levels, spec.params,
-                                monotonicity_override=spec.monotonicity_override,
-                                memo=memo)
-        row = [repr(point[name]) for name in names]
-        for i in range(1, n_levels + 1):  # region counts after level i
-            counts = np.bincount(report.state_after(i)[0], minlength=len(REGIONS))
-            row += map(str, counts.tolist())
-        order = rank(report, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
-        row.append(">".join(order))
-        rows.append(row)
+        cut = (point.get("sigma"), point.get("kappa"))
+        if cut not in cuts:
+            cuts[cut] = tuple(LevelConfig(kappa=point.get("kappa", c.kappa),
+                                          sigma=point.get("sigma", c.sigma))
+                              for c in base_spec.levels)
+        utility = (point.get("eta", base.eta), point.get("theta", base.theta),
+                   point.get("delta", base.delta))
+        if utility not in utilities:
+            utilities[utility] = EngineParams(*utility)
+        configs.append(cuts[cut])
+        params.append(utilities[utility])
+
+    rows, rankings = [], {}  # each distinct ranking is joined once
+    outcomes = sweep_outcomes(memo, configs, params, base_spec.rank.key,
+                              base_spec.rank.neg_direction, base_spec.monotonicity_override)
+    for counts, orders in outcomes:
+        for tally, order in zip(counts.reshape(len(counts), -1).tolist(), orders):
+            key = order.tobytes()
+            if key not in rankings:
+                rankings[key] = ">".join(map(fused.alternatives.__getitem__, order.tolist()))
+            rows.append([str(c) for c in tally] + [rankings[key]])
+    rows = [[repr(v) for v in values] + row for values, row in zip(points, rows)]
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[run], help="run a parameter grid and emit CSV")
     p.add_argument("--grid", action="append", metavar="NAME=START:STOP:STEP",
-                   help="grid over eta, sigma or kappa (repeatable)")
+                   help="grid over eta, theta, delta, sigma or kappa (repeatable)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -6,12 +6,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .linguistic import DHLTScale, elementwise, superior_gradus_array
-from .neighborhood import granule_statistics, membership_degrees
+from .neighborhood import membership_degrees, shared_granule_statistics
 from .regret import comprehensive_utilities
 from .tables import (
     AttributeSpec,
@@ -100,7 +100,13 @@ def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = Fal
 
 @dataclass(frozen=True, eq=False)
 class GranularLevel:
-    """Everything computed at one decision level: one row per universe row."""
+    """Everything computed at one decision level: one row per universe row.
+
+    A level that :func:`run_level` computed for a group of points holds
+    each of ``sizes`` to ``region`` either once, shared by every point of
+    the group, or with a leading point axis, so that it broadcasts over the
+    points either way.
+    """
 
     index: int  # 1-based
     rows: np.ndarray  # the universe, as row indices into the group table
@@ -141,8 +147,7 @@ class DecisionReport:
     @cached_property
     def by_id(self) -> np.ndarray:
         """Table rows in the order of their sorted ids."""
-        ids = self.alternatives
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        return _by_id(self.alternatives)
 
     def ids(self, rows: np.ndarray) -> list:
         """The alternative ids of table ``rows``."""
@@ -183,9 +188,11 @@ def classify(expected: tuple) -> str:
 MEMO_BYTES = 128 << 20
 
 
-def _computed(key: tuple, compute: Callable):
-    """:meth:`SweepMemo.get` for a caller with no memo."""
-    return compute()
+# point x alternative cells one chunk of a sweep's points holds.  Per cell the
+# walk keeps a region code and a rank-key value, and a level's broadcast over
+# a group needs about 150 bytes more, so a chunk stays under 40 MB whatever
+# the grid and case sizes.
+SWEEP_CELLS = 1 << 18
 
 
 class SweepMemo:
@@ -199,8 +206,7 @@ class SweepMemo:
     A level index fixes its columns.  Universes are keyed by the bytes of
     their row-index arrays, parameters by their exact float values (-0.0
     and 0.0 share a key and give the same arrays).  Stored arrays are made
-    read-only, since every run that hits them shares them.  A run given no
-    memo builds one for the scores and level columns and stores nothing.
+    read-only, since every run that hits them shares them.
     """
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
@@ -234,52 +240,178 @@ class SweepMemo:
     def get(self, key: tuple, compute: Callable):
         """The array, or tuple of arrays, stored under ``key``; else
         ``compute()``'s, stored if it fits in the bytes left."""
-        found = self._arrays.get(key)
-        if found is None:
-            found = compute()
-            arrays = found if isinstance(found, tuple) else (found,)
+        return self.get_many([key], lambda missing: [compute()])[0]
+
+    def get_many(self, keys: Sequence[tuple], compute: Callable) -> list:
+        """:meth:`get` of each of the distinct ``keys``: those not stored
+        come from one ``compute(missing keys)`` call, in that order."""
+        found = {key: self._arrays.get(key) for key in keys}
+        missing = [key for key, value in found.items() if value is None]
+        if not missing:
+            return list(found.values())
+        for key, value in zip(missing, compute(missing)):
+            found[key] = value
+            arrays = value if isinstance(value, tuple) else (value,)
             size = sum(a.nbytes for a in arrays)
             if size <= self.free:
                 for a in arrays:
                     a.flags.writeable = False
-                self._arrays[key] = found
+                self._arrays[key] = value
                 self.free -= size
-        return found
+        return [found[key] for key in keys]
+
+
+class _Unstored(SweepMemo):
+    """The memo of a run given none: the table's scores and level columns,
+    and no arrays stored."""
+
+    def get_many(self, keys: Sequence[tuple], compute: Callable) -> list:
+        return compute(keys)
 
 
 def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
               varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
-              weights: Sequence[float], cfg: LevelConfig, params: EngineParams,
-              index: int = 1, memo: Optional[SweepMemo] = None,
-              key: tuple = ()) -> GranularLevel:
-    """Classify one level from its (universe x z) fused subscripts and
+              weights: Sequence[float], cfgs: Sequence[LevelConfig],
+              params: Sequence[EngineParams], index: int = 1,
+              memo: Optional[SweepMemo] = None, key: tuple = ()) -> GranularLevel:
+    """Classify one level for a group of points that share its universe.
+
+    The level runs on the universe's (universe x z) fused subscripts and
     their exponential scores; ``rows`` index the universe in the group
     table, ``weights`` are the renormalised attribute weights in column
-    order.  With a ``memo``, membership, granule statistics and utilities
-    are looked up under ``key``, which names the level and its universe
-    rows, plus the parameters each depends on."""
+    order, and ``cfgs[g]`` and ``params[g]`` are the level configuration
+    and parameters of the group's ``g``-th point.  Membership is computed
+    once, granule statistics once per distinct (sigma, kappa), utilities
+    once per distinct (eta, theta, delta); the points' expected utilities
+    and regions are then one broadcast over the points, and each returned
+    array that all points share is held once, without the point axis.
+    With a ``memo``, membership, granule statistics and utilities are
+    looked up under ``key``, which names the level and its universe rows,
+    plus the parameters each depends on.
+    """
     if not len(rows):
         raise ValueError("empty universe")
-    reuse = _computed if memo is None else memo.get
+    find = (lambda keys, compute: compute(keys)) if memo is None else memo.get_many
+    cut_of: dict = {}  # distinct (sigma, kappa) -> its index
+    cut = [cut_of.setdefault((c.sigma, c.kappa), len(cut_of)) for c in cfgs]
+    util_of: dict = {}  # distinct (eta, theta, delta) -> its index
+    util = [util_of.setdefault((p.eta, p.theta, p.delta), len(util_of)) for p in params]
 
-    def granules() -> tuple:
-        membership = reuse(("membership",) + key,
-                           lambda: membership_degrees(phi, varphi, weights, scale))
-        return granule_statistics(scores, membership, cfg.sigma, cfg.kappa)
+    def granules(missing: list) -> list:
+        (membership,) = find([("membership",) + key],
+                             lambda _: [membership_degrees(phi, varphi, weights, scale)])
+        return shared_granule_statistics(scores, membership, [m[1:3] for m in missing])
 
-    sizes, pr = reuse(("granules", cfg.sigma, cfg.kappa) + key, granules)
+    stats = find([("granules",) + c + key for c in cut_of], granules)
+    pr = _gathered([p for _, p in stats], cut)
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
         raise ValueError("conditional probability outside [0, 1]")
-    v = reuse(("utilities", params.eta, params.theta, params.delta) + key,
-              lambda: comprehensive_utilities(scores, weights, params.eta, params.theta,
-                                              params.delta))
+    v = _gathered(find([("utilities",) + u + key for u in util_of],
+                       lambda missing: [comprehensive_utilities(scores, weights, *m[1:4])
+                                        for m in missing]), util)
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
-    expected = v[:, :3] * pr[:, None] + v[:, 3:] * (1.0 - pr)[:, None]
-    acc, dfr, rej = expected.T
+    expected = v[..., :3] * pr[..., None] + v[..., 3:] * (1.0 - pr)[..., None]
+    acc, dfr, rej = expected[..., 0], expected[..., 1], expected[..., 2]
     region = np.where((acc >= dfr) & (acc >= rej), POS,
                       np.where((dfr >= acc) & (dfr >= rej), BND, NEG)).astype(np.int8)
-    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores, sizes=sizes,
-                         pr=pr, utilities=v, expected=expected, region=region)
+    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores,
+                         sizes=_gathered([s for s, _ in stats], cut), pr=pr, utilities=v,
+                         expected=expected, region=region)
+
+
+def _gathered(arrays: list, which: list) -> np.ndarray:
+    """``arrays[which[g]]`` for each point ``g``, along a new first axis;
+    the one array itself when there is one, shared by every point."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)[which]
+
+
+def _run_group(memo: SweepMemo, i: int, rows: np.ndarray, points: np.ndarray,
+               configs: Sequence[tuple], params: Sequence[EngineParams],
+               failures: dict) -> list:
+    """:func:`run_level` at level ``i`` for the ``points`` whose universe is
+    ``rows``, as ``[(points, level)]``.  A group of several points that
+    fails runs again one point at a time, so that each failure is its own
+    point's; a failing point goes into ``failures`` with its level named."""
+    key = (i, rows.tobytes())
+    try:
+        cols, z, weights = memo.level(i)
+        phi, varphi, scores = memo.get(("cells",) + key, lambda: memo.restrict(rows, cols))
+        # the universe goes first and positionally: bench/tracer.py reads it
+        level = run_level(rows, z, phi, varphi, scores, memo.fused.scale, weights,
+                          [configs[p][i - 1] for p in points.tolist()],
+                          [params[p] for p in points.tolist()], i, memo, key)
+    except Exception as exc:
+        if len(points) > 1:
+            return [run for g in range(len(points))
+                    for run in _run_group(memo, i, rows, points[g:g + 1], configs, params,
+                                          failures)]
+        # an input problem stays one, naming its level
+        failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
+                   else RuntimeError(f"decision level {i} failed: {exc}"))
+        failure.__cause__ = exc
+        failures[int(points[0])] = failure
+        return []
+    return [(points, level)]
+
+
+def walk(memo: SweepMemo, configs: Sequence[tuple], params: Sequence[EngineParams],
+         monotonicity_override: bool = False) -> Iterator[tuple]:
+    """The level loop of a set of runs ("points") over one group table.
+
+    Point ``p`` runs the levels ``configs[p]``, a tuple of
+    :class:`LevelConfig` as long as every other point's, with parameters
+    ``params[p]``.  At each level the points still running are grouped by
+    universe: points whose universes hold the same rows form one group,
+    whichever group they came from, and :func:`run_level` classifies each
+    group once.  A group's points split into next-level groups by their
+    BND rows.  Yields ``(level index, [(points, level), ...])`` for each
+    level that some point ran, as :func:`run_level` returned each level.
+
+    A point whose configuration fails the monotonicity check, or has more
+    levels than nested subsets, runs none; a point whose level fails stops
+    there.  Once the walk ends, the failure of the first failed point is
+    raised: the one a run of the points one at a time would stop at.
+    """
+    failures: dict = {}
+    checked: dict = {}  # distinct level configurations -> their problem, or None
+    for p, levels in enumerate(configs):
+        if levels not in checked:
+            checked[levels] = None
+            try:
+                check_level_monotonicity(levels, monotonicity_override)
+                if len(levels) > len(memo.subsets):
+                    raise ValueError(f"{len(levels)} levels configured but only "
+                                     f"{len(memo.subsets)} nested subsets exist")
+            except ValueError as exc:
+                checked[levels] = exc
+        if checked[levels] is not None:
+            failures[p] = checked[levels]
+    universe = np.arange(len(memo.fused.alternatives))
+    running = np.array([p for p in range(len(configs)) if p not in failures], dtype=np.intp)
+    groups = {universe.tobytes(): (universe, [running])} if len(running) else {}
+    for i in range(1, len(configs[0]) + 1):
+        ran, after = [], {}
+        for rows, parts in groups.values():
+            points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for points, level in _run_group(memo, i, rows, points, configs, params, failures):
+                ran.append((points, level))
+                bnd = level.region == BND
+                if bnd.ndim == 1:  # every point of the group has these regions
+                    splits = [(bnd, points)]
+                else:
+                    masks, which = np.unique(bnd, axis=0, return_inverse=True)
+                    splits = [(mask, points[which.reshape(-1) == j])
+                              for j, mask in enumerate(masks)]
+                for mask, members in splits:
+                    nxt = rows[mask]
+                    if len(nxt):
+                        after.setdefault(nxt.tobytes(), (nxt, []))[1].append(members)
+        if not ran:
+            break
+        yield i, ran
+        groups = after
+    if failures:
+        raise failures[min(failures)]
 
 
 def run_sequential(fused: FusedDecisionTable,
@@ -293,9 +425,10 @@ def run_sequential(fused: FusedDecisionTable,
 
     ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
     takes it.  It is scored once; each level restricts those arrays to its
-    universe (rows) and attribute subset (columns).  A ``memo`` built from
-    the same table and attributes carries the scores, level columns and
-    level arrays over from earlier runs; without one nothing is kept.
+    universe (rows) and attribute subset (columns).  This is the one-point
+    case of :func:`walk`.  A ``memo`` built from the same table and
+    attributes carries the scores, level columns and level arrays over from
+    earlier runs; without one nothing is kept.
     """
     if not fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
@@ -305,32 +438,63 @@ def run_sequential(fused: FusedDecisionTable,
                              or subsets not in (None, memo.subsets)):
         raise ValueError("the memo was built for another group table, "
                          "attribute list or subset chain")
-    shared = SweepMemo(fused, attrs, subsets) if memo is None else memo
-    reuse = _computed if memo is None else memo.get
-    check_level_monotonicity(levels, monotonicity_override)
-    if len(levels) > len(shared.subsets):
-        raise ValueError(f"{len(levels)} levels configured but only "
-                         f"{len(shared.subsets)} nested subsets exist")
-
-    rows = np.arange(len(fused.alternatives))
-    executed = []
-    for i, cfg in enumerate(levels, start=1):
-        if not len(rows):
-            break
-        key = (i, rows.tobytes())
-        try:
-            cols, z, weights = shared.level(i)
-            phi, varphi, scores = reuse(("cells",) + key, lambda: shared.restrict(rows, cols))
-            # the universe goes first and positionally: bench/tracer.py reads it
-            level = run_level(rows, z, phi, varphi, scores, fused.scale, weights, cfg,
-                              params, i, memo, key)
-        except ValueError as exc:  # an input problem stays one, naming its level
-            raise ValueError(f"decision level {i}: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"decision level {i} failed: {exc}") from exc
-        executed.append(level)
-        rows = level.rows[level.region == BND]
+    memo = _Unstored(fused, attrs, subsets) if memo is None else memo
+    # one point is one group, so its levels hold one row per universe row
+    executed = [ran[0][1]
+                for _, ran in walk(memo, [tuple(levels)], [params], monotonicity_override)]
     return DecisionReport(alternatives=fused.alternatives, levels=tuple(executed))
+
+
+def sweep_outcomes(memo: SweepMemo, configs: Sequence[tuple],
+                   params: Sequence[EngineParams], key: str = "accept",
+                   neg_direction: str = "desc",
+                   monotonicity_override: bool = False) -> Iterator[tuple]:
+    """The outcome of every point of a sweep, walked in chunks of at most
+    ``SWEEP_CELLS`` point x alternative cells (at least one point each).
+
+    Points are given as :func:`walk` takes them.  Per point the walk keeps
+    only each alternative's region code and rank-key value.  Yields per
+    chunk ``(counts, order)``: ``counts[p, i]`` holds point ``p``'s
+    cumulative region counts in ``REGIONS`` order once level ``i + 1``
+    ran, and ``order[p]`` its ranking as table rows, as :func:`rank` ranks.
+    """
+    n = len(memo.fused.alternatives)
+    column = RANK_KEYS.index(key)
+    id_order = np.argsort(_by_id(memo.fused.alternatives))
+    step = max(1, SWEEP_CELLS // n)
+    for start in range(0, len(configs), step):
+        chunk = slice(start, start + step)
+        size = len(configs[chunk])
+        region = np.full((size, n), BND, dtype=np.int8)
+        value = np.zeros((size, n))
+        counts = np.zeros((size, len(configs[0]), len(REGIONS)), dtype=np.int64)
+        offsets = len(REGIONS) * np.arange(size)[:, None]
+        for i, ran in walk(memo, configs[chunk], params[chunk], monotonicity_override):
+            for points, level in ran:
+                cells = np.ix_(points, level.rows)
+                region[cells] = level.region
+                value[cells] = level.expected[..., column]
+            # the state after level i stands until a later level changes it
+            counts[:, i - 1:] = np.bincount((region + offsets).ravel(),
+                                            minlength=size * len(REGIONS)).reshape(size, 1, -1)
+        yield counts, _ranked(region, value, np.broadcast_to(id_order, region.shape),
+                              neg_direction)
+
+
+def _by_id(alternatives: Sequence[str]) -> np.ndarray:
+    """Table rows in the order of their sorted ids."""
+    return np.array(sorted(range(len(alternatives)), key=alternatives.__getitem__),
+                    dtype=np.intp)
+
+
+def _ranked(region: np.ndarray, value: np.ndarray, id_order: np.ndarray,
+            neg_direction: str) -> np.ndarray:
+    """Table rows in ranking order along the last axis: by region, then by
+    rank-key value (descending, or ascending inside NEG for "asc"), then
+    by id; ``id_order``, shaped like ``region``, holds each row's position
+    among the sorted ids."""
+    signed = np.where((region == NEG) & (neg_direction == "asc"), value, -value)
+    return np.lexsort((id_order, signed, region), axis=-1)
 
 
 def rank(report: DecisionReport, key: str = "accept",
@@ -350,9 +514,7 @@ def rank(report: DecisionReport, key: str = "accept",
     upto = len(report.levels) if upto is None else max(1, min(upto, len(report.levels)))
     region, _, expected = report.state_after(upto)
     value = expected[:, RANK_KEYS.index(key)]
-    signed = np.where((region == NEG) & (neg_direction == "asc"), value, -value)
-    id_order = np.argsort(report.by_id)  # each row's position among the sorted ids
-    return report.ids(np.lexsort((id_order, signed, region)))  # region, signed key, id
+    return report.ids(_ranked(region, value, np.argsort(report.by_id), neg_direction))
 
 
 def baseline_full_fusion(fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],

@@ -76,25 +76,35 @@ def kernel_similarity(x_row: Sequence[DHHFLE], y_row: Sequence[DHHFLE],
     return math.exp(-d2 / (2.0 * sigma * sigma))
 
 
-def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel similarity of each row of ``block`` (k, m) to each row of
-    ``scores`` (n, m), as a (k, n) array.
-
-    Squared score gaps are taken directly and summed column by column, as
-    :func:`kernel_similarity` does, so identical rows score exactly 1.0.
-    """
-    if not sigma > 0:
-        raise ValueError(f"kernel width must be positive, got {sigma}")
+def squared_gaps(block: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Summed squared score gaps of each row of ``block`` (k, m) to each
+    row of ``scores`` (n, m), as a (k, n) array, taken directly and summed
+    column by column, as :func:`kernel_similarity` does."""
     d2 = np.zeros((len(block), len(scores)))
     gap = np.empty_like(d2)
     for j in range(scores.shape[1]):
         np.subtract.outer(block[:, j], scores[:, j], out=gap)
         gap *= gap
         d2 += gap
-    np.negative(d2, out=d2)
+    return d2
+
+
+def gap_similarity(d2: np.ndarray, sigma: float, out=None) -> np.ndarray:
+    """The kernel similarity ``exp(-d2 / (2 sigma^2))`` of summed squared
+    gaps, written to ``out`` if given."""
+    sim = np.negative(d2, out=out)
     with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-        d2 /= 2.0 * sigma * sigma
-    return np.exp(d2, out=d2)
+        sim /= 2.0 * sigma * sigma
+    return np.exp(sim, out=sim)
+
+
+def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel similarity of each row of ``block`` (k, m) to each row of
+    ``scores`` (n, m), as a (k, n) array; identical rows score exactly 1.0."""
+    if not sigma > 0:
+        raise ValueError(f"kernel width must be positive, got {sigma}")
+    d2 = squared_gaps(block, scores)
+    return gap_similarity(d2, sigma, out=d2)
 
 
 def similarity_blocks(scores: np.ndarray, sigma: float) -> Iterator[tuple]:
@@ -120,15 +130,57 @@ def granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
     A row's granule is every row at least ``kappa``-similar to it, compared
     with no tolerance; its probability is the mean membership over the
-    granule.  Only sizes are kept, never member sets.  One score column
-    of at least ``SORTED_MIN_ROWS`` rows takes the sorted path, anything
-    else the blocked kernel; both give the same sizes.
+    granule.  Only sizes are kept, never member sets.
     """
-    if not (0.0 <= kappa <= 1.0):
-        raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS:
-        return sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
-    return kernel_granule_statistics(scores, membership, sigma, kappa)
+    return shared_granule_statistics(scores, membership, [(sigma, kappa)])[0]
+
+
+def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
+                              cuts: Sequence[tuple]) -> list:
+    """:func:`granule_statistics` of one universe at each ``(sigma,
+    kappa)`` of ``cuts``, as a list of ``(sizes, pr)`` in ``cuts`` order.
+
+    One score column of at least ``SORTED_MIN_ROWS`` rows takes the sorted
+    path.  Otherwise a cut at kappa 0 holds the whole universe, since the
+    kernel never scores below 0: its sizes are k and its pr the mean
+    membership, which equals the kernel's row sums bit for bit.  The other
+    cuts share one blocked pass over the universe: each row block's squared
+    score gaps are summed once, each distinct sigma turns them into
+    similarities once, and each kappa cuts those with the arithmetic of
+    :func:`kernel_granule_statistics`, so every path gives the same sizes.
+    """
+    for _, kappa in cuts:
+        if not (0.0 <= kappa <= 1.0):
+            raise ValueError(f"cut threshold {kappa} outside [0, 1]")
+    k = len(scores)
+    if scores.shape[1] == 1 and k >= SORTED_MIN_ROWS:
+        return [sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
+                for sigma, kappa in cuts]
+    whole = None
+    kappas: dict = {}  # sigma -> kappa -> (sizes, pr) of the kernel cuts
+    for sigma, kappa in cuts:
+        if kappa == 0.0:
+            whole = whole or (np.full(k, k), np.full(k, membership.sum() / k))
+        else:
+            kappas.setdefault(sigma, {})[kappa] = (np.empty(k, dtype=int), np.empty(k))
+    step = max(1, BLOCK_CELLS // max(1, k))
+    for start in range(0, k if kappas else 0, step):
+        d2 = squared_gaps(scores[start:start + step], scores)
+        stop = start + len(d2)
+        for s, (sigma, stats) in enumerate(kappas.items()):
+            # the last sigma of the block may overwrite the gaps
+            sim = gap_similarity(d2, sigma, out=d2 if s == len(kappas) - 1 else None)
+            for kappa, (sizes, pr) in stats.items():
+                cut = sim >= kappa
+                sizes[start:stop] = np.count_nonzero(cut, axis=1)
+                # row sums rather than a matrix product: BLAS may sum
+                # identical rows in different orders, and duplicate rows
+                # must tie exactly
+                pr[start:stop] = np.where(cut, membership, 0.0).sum(axis=1)
+    for stats in kappas.values():
+        for sizes, pr in stats.values():
+            pr /= sizes
+    return [kappas[sigma][kappa] if kappa != 0.0 else whole for sigma, kappa in cuts]
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,

@@ -333,20 +333,31 @@ class TestOneFusionPerDecide:
     def test_sweep_computes_each_distinct_level_input_once(self, capsys, monkeypatch,
                                                            sle_case_path, sle_params_path):
         calls = dict.fromkeys(("superior_gradus_array", "run_level", "membership_degrees",
-                               "granule_statistics", "comprehensive_utilities"), 0)
+                               "shared_granule_statistics", "comprehensive_utilities"), 0)
         for name in calls:
             monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
+        cuts = []
+        shared = engine.shared_granule_statistics
+
+        def recording(scores, membership, pairs):
+            cuts.extend(pairs)
+            return shared(scores, membership, pairs)
+
+        monkeypatch.setattr(engine, "shared_granule_statistics", recording)
         argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path]
         for grid in SWEEP_GRID:
             argv += ["--grid", grid]
         code, _, err = run_cli(capsys, *argv)
         assert code == 0
         assert "swept 330 grid points" in err
-        # the table is scored once; the 800 levels run hold 23 distinct
-        # (level, universe) inputs, 307 with (sigma, kappa) and 44 with eta
-        assert calls == {"superior_gradus_array": 1, "run_level": 800,
-                         "membership_degrees": 23, "granule_statistics": 307,
+        # the table is scored once; the 800 levels the points run hold 23
+        # distinct (level, universe) inputs, each classified by one run_level
+        # call, whose one granule call computes that universe's share of the
+        # 307 distinct (universe, sigma, kappa); 44 add eta
+        assert calls == {"superior_gradus_array": 1, "run_level": 23,
+                         "membership_degrees": 23, "shared_granule_statistics": 23,
                          "comprehensive_utilities": 44}
+        assert len(cuts) == 307
 
 
 class TestKernelWidthUnderflow:
@@ -552,21 +563,86 @@ class TestSweep:
 
     def test_every_bad_grid_value_rejected_before_any_point(self, capsys, monkeypatch,
                                                             sle_case_path, sle_params_path):
-        calls = {"run_sequential": 0}
-        monkeypatch.setattr(cli, "run_sequential",
-                            counting(calls, "run_sequential", run_sequential))
+        calls = {"sweep_outcomes": 0}
+        monkeypatch.setattr(cli, "sweep_outcomes",
+                            counting(calls, "sweep_outcomes", engine.sweep_outcomes))
         code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
                                "--params", sle_params_path, "--grid", "eta=0.5:1.5:0.5",
-                               "--grid", "kappa=0:2:0.5", "--grid", "sigma=-0.5:0.5:0.5")
+                               "--grid", "kappa=0:2:0.5", "--grid", "sigma=-0.5:0.5:0.5",
+                               "--grid", "theta=0:1:0.5", "--grid", "delta=0:1000:500")
         assert code == 1
-        assert calls == {"run_sequential": 0}
+        assert calls == {"sweep_outcomes": 0}
         assert [line for line in err.splitlines() if line.startswith("  - ")] == [
             "  - grid spec 'eta=0.5:1.5:0.5': eta 1.5 outside [0, 1]",
             "  - grid spec 'kappa=0:2:0.5': kappa 1.5 outside [0, 1]",
             "  - grid spec 'kappa=0:2:0.5': kappa 2.0 outside [0, 1]",
             "  - grid spec 'sigma=-0.5:0.5:0.5': sigma must be positive and finite, got -0.5",
             "  - grid spec 'sigma=-0.5:0.5:0.5': sigma must be positive and finite, got 0.0",
+            "  - grid spec 'theta=0:1:0.5': theta 0.0 outside (0, 1)",
+            "  - grid spec 'theta=0:1:0.5': theta 1.0 outside (0, 1)",
+            "  - grid spec 'delta=0:1000:500': delta 1000.0 is too large: regret exp "
+            f"overflows above {engine.MAX_DELTA:.6g}",
         ]
+
+    def test_unknown_grid_parameter_rejected(self, capsys, sle_case_path, sle_params_path):
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path,
+                               "--params", sle_params_path, "--grid", "tau=0:1:0.5")
+        assert code == 1
+        assert "grid parameter must be one of eta, theta, delta, sigma, kappa, got 'tau'" \
+            in err
+
+    def test_chunked_sweep_writes_the_same_bytes(self, capsys, monkeypatch, tmp_path,
+                                                 sle_case_path, sle_params_path):
+        """A grid walked in chunks of one, three or all points writes the
+        same CSV: chunks share the memo, never each other's state."""
+        argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path,
+                "--grid", "eta=0:1:0.25", "--grid", "sigma=0.3:0.9:0.3",
+                "--grid", "kappa=0:1:0.5", "--grid", "theta=0.5:0.88:0.38"]
+        written = []
+        for cells in (engine.SWEEP_CELLS, 3 * 8, 1):  # the bundled case has 8 alternatives
+            monkeypatch.setattr(engine, "SWEEP_CELLS", cells)
+            out_path = tmp_path / f"sweep{cells}.csv"
+            code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+            assert code == 0
+            assert "swept 90 grid points" in err
+            written.append(out_path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.parametrize("error, code, message", [
+        (ValueError, 1, "invalid input: decision level 2: cut refused"),
+        (KeyError, 2, "error: decision level 2 failed: 'cut refused'"),
+    ])
+    def test_point_failing_inside_a_level(self, capsys, monkeypatch, tmp_path, sle_case_path,
+                                          sle_params_path, error, code, message):
+        """The sweep stops with the error a run of its points one at a time
+        stops at: that of the first failing point, at its first failing
+        level, even where a later point fails at an earlier level."""
+        shared = engine.shared_granule_statistics
+
+        def refusing(scores, membership, cuts):
+            # sigma 0.5 fails on level 2's universe, sigma 0.7 on level 1's
+            if any(sigma == (0.5 if len(scores) < 8 else 0.7) for sigma, _ in cuts):
+                raise error("cut refused")
+            return shared(scores, membership, cuts)
+
+        monkeypatch.setattr(engine, "shared_granule_statistics", refusing)
+        case, spec = load_case(sle_case_path), load_params(sle_params_path)
+        fused = oriented(case.experts, case.attributes)
+        with pytest.raises(Exception) as first:  # the first point: eta 0.6, sigma 0.5
+            for eta in (0.6, 1.0):
+                for sigma in (0.5, 0.6, 0.7):
+                    run_sequential(fused, case.attributes,
+                                   [LevelConfig(kappa=c.kappa, sigma=sigma)
+                                    for c in spec.levels],
+                                   replace(spec.params, eta=eta))
+        assert str(first.value) in message
+        out_path = tmp_path / "sweep.csv"
+        got, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
+                              sle_params_path, "--grid", "eta=0.6:1:0.4",
+                              "--grid", "sigma=0.5:0.7:0.1", "--out", str(out_path))
+        assert got == code
+        assert err.strip() == message
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("grid", ["eta=0:inf:1", "eta=nan:1:0.5", "sigma=0.1:1:nan",
                                       "kappa=-inf:1:0.5", "eta=nan"])
@@ -630,6 +706,8 @@ class TestSweep:
 # step of 1e-13 gives four copies of one value: repeated grid points.
 GRID_OPTIONS = {
     "eta": ("eta=0:1:0.5", "eta=0.6", "eta=0.3:0.3000000000003:1e-13"),
+    "theta": ("theta=0.5:0.9:0.2", "theta=0.88"),
+    "delta": ("delta=0:0.6:0.3", "delta=0", "delta=0.3:0.3000000000003:1e-13"),
     "sigma": ("sigma=0.3:0.9:0.3", "sigma=0.7", "sigma=0.5:0.5000000000003:1e-13"),
     "kappa": ("kappa=0:1:0.5", "kappa=0", "kappa=1", "kappa=0.9:0.9000000000003:1e-13"),
 }
@@ -663,7 +741,7 @@ def sweep_inputs(draw):
     params = {"eta": 0.6, "theta": draw(st.sampled_from([0.5, 0.88])),
               "delta": draw(st.sampled_from([0.0, 0.3])),
               "levels": [level] * draw(st.integers(1, len(set(raw_w))))}
-    names = draw(st.lists(st.sampled_from(sorted(GRID_OPTIONS)), min_size=1, max_size=3,
+    names = draw(st.lists(st.sampled_from(sorted(GRID_OPTIONS)), min_size=1, max_size=4,
                           unique=True))
     return case, params, [draw(st.sampled_from(GRID_OPTIONS[name])) for name in names]
 
@@ -692,7 +770,9 @@ def test_sweep_rows_match_fresh_runs(cap, inputs):
         memo = SweepMemo(fused, case.attributes)
         for row in rows:
             point = {name: float(row[name]) for name in GRID_OPTIONS if name in row}
-            params = replace(spec.params, eta=point.get("eta", spec.params.eta))
+            params = replace(spec.params, eta=point.get("eta", spec.params.eta),
+                             theta=point.get("theta", spec.params.theta),
+                             delta=point.get("delta", spec.params.delta))
             levels = [LevelConfig(kappa=point.get("kappa", c.kappa),
                                   sigma=point.get("sigma", c.sigma)) for c in spec.levels]
             fresh = run_sequential(fused, case.attributes, levels, params)
@@ -747,13 +827,14 @@ class TestSweepMemo:
     def test_full_memo_still_computes(self, sle_case, sle_group, sle_params, monkeypatch):
         monkeypatch.setattr(engine, "MEMO_BYTES", 0)
         memo = SweepMemo(sle_group, sle_case.attributes)
-        calls = {"granule_statistics": 0}
-        monkeypatch.setattr(engine, "granule_statistics",
-                            counting(calls, "granule_statistics", engine.granule_statistics))
+        calls = {"shared_granule_statistics": 0}
+        monkeypatch.setattr(engine, "shared_granule_statistics",
+                            counting(calls, "shared_granule_statistics",
+                                     engine.shared_granule_statistics))
         for _ in range(2):
             run_sequential(sle_group, sle_case.attributes, sle_params.levels,
                            sle_params.params, memo=memo)
-        assert calls == {"granule_statistics": 8}  # 4 levels, twice
+        assert calls == {"shared_granule_statistics": 8}  # 4 levels, twice
         assert memo.free == 0
 
 

@@ -20,6 +20,7 @@ from s3wgdm.neighborhood import (
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
+    shared_granule_statistics,
     sorted_granule_statistics,
 )
 from s3wgdm.tables import FusedDecisionTable
@@ -249,3 +250,57 @@ class TestSortedCut:
         for r, members in zip(rows, cut):
             assert sizes[r] == members.sum()
             assert abs(pr[r] - math.fsum(membership[members]) / sizes[r]) <= 1e-12
+
+
+@st.composite
+def universes(draw):
+    """Scores of k rows on 1 to 6 columns, drawn from a smaller pool of rows
+    so duplicate rows are common, some moved by up to 1e-8; memberships;
+    and one to five cuts, kappa 0 among them often."""
+    k = draw(st.integers(1, SORTED_MIN_ROWS + 16))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random((draw(st.integers(1, k)), m))
+    scores = pool[rng.integers(0, len(pool), k)]
+    near = rng.random(k) < draw(st.floats(0.0, 1.0))
+    scores[near] += rng.uniform(-1e-8, 1e-8, (near.sum(), m))
+    membership = rng.random(k)
+    membership[rng.random(k) < 0.2] = 1.0
+    sigma = st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3), st.just(0.7))
+    kappa = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+    cuts = draw(st.lists(st.tuples(sigma, kappa), min_size=1, max_size=5))
+    return scores, membership, cuts
+
+
+class TestSharedCuts:
+    """Cuts of one universe computed together, and kappa 0 in closed form,
+    give the kernel's sizes and probabilities bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(universes())
+    def test_matches_blocked_kernel(self, universe):
+        scores, membership, cuts = universe
+        got = shared_granule_statistics(scores, membership, cuts)
+        assert len(got) == len(cuts)
+        for (sizes, pr), (sigma, kappa) in zip(got, cuts):
+            ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+            assert np.array_equal(sizes, ref_sizes)
+            if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS:  # the sorted path
+                assert np.abs(pr - ref_pr).max() <= 1e-12
+            else:
+                assert np.array_equal(pr, ref_pr)
+            single = granule_statistics(scores, membership, sigma, kappa)
+            assert np.array_equal(single[0], sizes) and np.array_equal(single[1], pr)
+
+    @pytest.mark.parametrize("k", [1000, 1023, 1025, 4097])
+    def test_kappa_zero_at_size(self, k):
+        # the closed form's 1-D sum equals the kernel's 2-D row sums here too
+        rng = np.random.default_rng(k)
+        scores, membership = rng.random((k, 2)), rng.random(k)
+        ((sizes, pr),) = shared_granule_statistics(scores, membership, [(0.7, 0.0)])
+        ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
+        assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
+
+    def test_cut_threshold_checked(self):
+        with pytest.raises(ValueError, match="outside"):
+            shared_granule_statistics(np.zeros((2, 2)), np.zeros(2), [(0.7, 0.5), (0.7, 1.5)])
