@@ -64,7 +64,7 @@ from .engine import (
     EngineParams,
     GranularLevel,
     LevelConfig,
-    SweepMemo,
+    ScoredTable,
     baseline_full_fusion,
     classify,
     expected_perceived_utility,

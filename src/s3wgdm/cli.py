@@ -34,7 +34,7 @@ from .engine import (
     REGIONS,
     EngineParams,
     LevelConfig,
-    SweepMemo,
+    ScoredTable,
     baseline_full_fusion,
     run_sequential,
     sweep_outcomes,
@@ -236,7 +236,7 @@ def cmd_sweep(args) -> int:
     base_spec = _apply_overrides(load_params(args.params), args)
     grids = _parse_grid(args.grid)
     fused = _group_table(case)
-    memo = SweepMemo(fused, case.attributes)  # shared by every point
+    table = ScoredTable(fused, case.attributes)  # scored once, read by every point
     names = sorted(grids)
     n_levels = len(base_spec.levels)
     header = names[:]
@@ -263,7 +263,7 @@ def cmd_sweep(args) -> int:
         params.append(utilities[utility])
 
     rows, rankings = [], {}  # each distinct ranking is joined once
-    outcomes = sweep_outcomes(memo, configs, params, base_spec.rank.key,
+    outcomes = sweep_outcomes(table, configs, params, base_spec.rank.key,
                               base_spec.rank.neg_direction, base_spec.monotonicity_override)
     for counts, orders in outcomes:
         for tally, order in zip(counts.reshape(len(counts), -1).tolist(), orders):

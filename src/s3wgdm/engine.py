@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,13 +181,6 @@ def classify(expected: tuple) -> str:
     return REGIONS[NEG]
 
 
-# array bytes one SweepMemo stores; past it results are computed and returned
-# but not stored, so no output depends on it.  Stores grow about linearly in
-# n: a 6-point sweep of the generated seed-1 n=10^4 case stores 8.1 MiB, the
-# 330-point benchmark grid on the n=10^3 case 12.7 MiB.
-MEMO_BYTES = 128 << 20
-
-
 # point x alternative cells one chunk of a sweep's points holds.  Per cell the
 # walk keeps a region code and a rank-key value, and a level's broadcast over
 # a group needs about 150 bytes more, so a chunk stays under 40 MB whatever
@@ -195,19 +188,10 @@ MEMO_BYTES = 128 << 20
 SWEEP_CELLS = 1 << 18
 
 
-class SweepMemo:
-    """What the runs of one sweep share over one oriented group table.
-
-    The table is scored once, and each level's columns, attribute ids and
-    renormalised weights are found once.  :meth:`get` maps each pure level
-    input to its arrays: the level's subscripts and scores, and its
-    membership, by (level, universe rows); its granule statistics by those
-    plus (sigma, kappa); its utilities by those plus (eta, theta, delta).
-    A level index fixes its columns.  Universes are keyed by the bytes of
-    their row-index arrays, parameters by their exact float values (-0.0
-    and 0.0 share a key and give the same arrays).  Stored arrays are made
-    read-only, since every run that hits them shares them.
-    """
+class ScoredTable:
+    """One oriented group table, scored once, with each level's columns,
+    attribute ids and renormalised weights found once: what every run of
+    a sweep reads."""
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                  subsets: Optional[NestedSubsets] = None):
@@ -216,9 +200,7 @@ class SweepMemo:
         self.subsets = build_nested_subsets(attrs) if subsets is None else subsets
         self.phi, self.varphi = fused.subscripts()
         self.scores = superior_gradus_array(self.phi, self.varphi, fused.scale)
-        self.free = MEMO_BYTES  # bytes left to store
         self._levels: dict = {}
-        self._arrays: dict = {}
 
     def level(self, index: int) -> tuple:
         """Column indices, attribute ids and renormalised weights (in column
@@ -237,43 +219,11 @@ class SweepMemo:
         cells = np.ix_(rows, cols)
         return self.phi[cells], self.varphi[cells], self.scores[cells]
 
-    def get(self, key: tuple, compute: Callable):
-        """The array, or tuple of arrays, stored under ``key``; else
-        ``compute()``'s, stored if it fits in the bytes left."""
-        return self.get_many([key], lambda missing: [compute()])[0]
-
-    def get_many(self, keys: Sequence[tuple], compute: Callable) -> list:
-        """:meth:`get` of each of the distinct ``keys``: those not stored
-        come from one ``compute(missing keys)`` call, in that order."""
-        found = {key: self._arrays.get(key) for key in keys}
-        missing = [key for key, value in found.items() if value is None]
-        if not missing:
-            return list(found.values())
-        for key, value in zip(missing, compute(missing)):
-            found[key] = value
-            arrays = value if isinstance(value, tuple) else (value,)
-            size = sum(a.nbytes for a in arrays)
-            if size <= self.free:
-                for a in arrays:
-                    a.flags.writeable = False
-                self._arrays[key] = value
-                self.free -= size
-        return [found[key] for key in keys]
-
-
-class _Unstored(SweepMemo):
-    """The memo of a run given none: the table's scores and level columns,
-    and no arrays stored."""
-
-    def get_many(self, keys: Sequence[tuple], compute: Callable) -> list:
-        return compute(keys)
-
 
 def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
               varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
               weights: Sequence[float], cfgs: Sequence[LevelConfig],
-              params: Sequence[EngineParams], index: int = 1,
-              memo: Optional[SweepMemo] = None, key: tuple = ()) -> GranularLevel:
+              params: Sequence[EngineParams], index: int = 1) -> GranularLevel:
     """Classify one level for a group of points that share its universe.
 
     The level runs on the universe's (universe x z) fused subscripts and
@@ -285,30 +235,19 @@ def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
     once per distinct (eta, theta, delta); the points' expected utilities
     and regions are then one broadcast over the points, and each returned
     array that all points share is held once, without the point axis.
-    With a ``memo``, membership, granule statistics and utilities are
-    looked up under ``key``, which names the level and its universe rows,
-    plus the parameters each depends on.
     """
     if not len(rows):
         raise ValueError("empty universe")
-    find = (lambda keys, compute: compute(keys)) if memo is None else memo.get_many
     cut_of: dict = {}  # distinct (sigma, kappa) -> its index
     cut = [cut_of.setdefault((c.sigma, c.kappa), len(cut_of)) for c in cfgs]
     util_of: dict = {}  # distinct (eta, theta, delta) -> its index
     util = [util_of.setdefault((p.eta, p.theta, p.delta), len(util_of)) for p in params]
-
-    def granules(missing: list) -> list:
-        (membership,) = find([("membership",) + key],
-                             lambda _: [membership_degrees(phi, varphi, weights, scale)])
-        return shared_granule_statistics(scores, membership, [m[1:3] for m in missing])
-
-    stats = find([("granules",) + c + key for c in cut_of], granules)
+    membership = membership_degrees(phi, varphi, weights, scale)
+    stats = shared_granule_statistics(scores, membership, list(cut_of))
     pr = _gathered([p for _, p in stats], cut)
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
         raise ValueError("conditional probability outside [0, 1]")
-    v = _gathered(find([("utilities",) + u + key for u in util_of],
-                       lambda missing: [comprehensive_utilities(scores, weights, *m[1:4])
-                                        for m in missing]), util)
+    v = _gathered([comprehensive_utilities(scores, weights, *u) for u in util_of], util)
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
     expected = v[..., :3] * pr[..., None] + v[..., 3:] * (1.0 - pr)[..., None]
     acc, dfr, rej = expected[..., 0], expected[..., 1], expected[..., 2]
@@ -325,25 +264,24 @@ def _gathered(arrays: list, which: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)[which]
 
 
-def _run_group(memo: SweepMemo, i: int, rows: np.ndarray, points: np.ndarray,
+def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
                configs: Sequence[tuple], params: Sequence[EngineParams],
                failures: dict) -> list:
     """:func:`run_level` at level ``i`` for the ``points`` whose universe is
     ``rows``, as ``[(points, level)]``.  A group of several points that
     fails runs again one point at a time, so that each failure is its own
     point's; a failing point goes into ``failures`` with its level named."""
-    key = (i, rows.tobytes())
     try:
-        cols, z, weights = memo.level(i)
-        phi, varphi, scores = memo.get(("cells",) + key, lambda: memo.restrict(rows, cols))
+        cols, z, weights = table.level(i)
+        phi, varphi, scores = table.restrict(rows, cols)
         # the universe goes first and positionally: bench/tracer.py reads it
-        level = run_level(rows, z, phi, varphi, scores, memo.fused.scale, weights,
+        level = run_level(rows, z, phi, varphi, scores, table.fused.scale, weights,
                           [configs[p][i - 1] for p in points.tolist()],
-                          [params[p] for p in points.tolist()], i, memo, key)
+                          [params[p] for p in points.tolist()], i)
     except Exception as exc:
         if len(points) > 1:
             return [run for g in range(len(points))
-                    for run in _run_group(memo, i, rows, points[g:g + 1], configs, params,
+                    for run in _run_group(table, i, rows, points[g:g + 1], configs, params,
                                           failures)]
         # an input problem stays one, naming its level
         failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
@@ -354,7 +292,7 @@ def _run_group(memo: SweepMemo, i: int, rows: np.ndarray, points: np.ndarray,
     return [(points, level)]
 
 
-def walk(memo: SweepMemo, configs: Sequence[tuple], params: Sequence[EngineParams],
+def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EngineParams],
          monotonicity_override: bool = False) -> Iterator[tuple]:
     """The level loop of a set of runs ("points") over one group table.
 
@@ -379,21 +317,21 @@ def walk(memo: SweepMemo, configs: Sequence[tuple], params: Sequence[EngineParam
             checked[levels] = None
             try:
                 check_level_monotonicity(levels, monotonicity_override)
-                if len(levels) > len(memo.subsets):
+                if len(levels) > len(table.subsets):
                     raise ValueError(f"{len(levels)} levels configured but only "
-                                     f"{len(memo.subsets)} nested subsets exist")
+                                     f"{len(table.subsets)} nested subsets exist")
             except ValueError as exc:
                 checked[levels] = exc
         if checked[levels] is not None:
             failures[p] = checked[levels]
-    universe = np.arange(len(memo.fused.alternatives))
+    universe = np.arange(len(table.fused.alternatives))
     running = np.array([p for p in range(len(configs)) if p not in failures], dtype=np.intp)
     groups = {universe.tobytes(): (universe, [running])} if len(running) else {}
     for i in range(1, len(configs[0]) + 1):
         ran, after = [], {}
         for rows, parts in groups.values():
             points = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for points, level in _run_group(memo, i, rows, points, configs, params, failures):
+            for points, level in _run_group(table, i, rows, points, configs, params, failures):
                 ran.append((points, level))
                 bnd = level.region == BND
                 if bnd.ndim == 1:  # every point of the group has these regions
@@ -419,33 +357,26 @@ def run_sequential(fused: FusedDecisionTable,
                    levels: Sequence[LevelConfig],
                    params: EngineParams,
                    subsets: Optional[NestedSubsets] = None,
-                   monotonicity_override: bool = False,
-                   memo: Optional[SweepMemo] = None) -> DecisionReport:
+                   monotonicity_override: bool = False) -> DecisionReport:
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
     ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
     takes it.  It is scored once; each level restricts those arrays to its
     universe (rows) and attribute subset (columns).  This is the one-point
-    case of :func:`walk`.  A ``memo`` built from the same table and
-    attributes carries the scores, level columns and level arrays over from
-    earlier runs; without one nothing is kept.
+    case of :func:`walk`.
     """
     if not fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
-    if memo is not None and (memo.fused is not fused or memo.attrs != tuple(attrs)
-                             or subsets not in (None, memo.subsets)):
-        raise ValueError("the memo was built for another group table, "
-                         "attribute list or subset chain")
-    memo = _Unstored(fused, attrs, subsets) if memo is None else memo
+    table = ScoredTable(fused, attrs, subsets)
     # one point is one group, so its levels hold one row per universe row
     executed = [ran[0][1]
-                for _, ran in walk(memo, [tuple(levels)], [params], monotonicity_override)]
+                for _, ran in walk(table, [tuple(levels)], [params], monotonicity_override)]
     return DecisionReport(alternatives=fused.alternatives, levels=tuple(executed))
 
 
-def sweep_outcomes(memo: SweepMemo, configs: Sequence[tuple],
+def sweep_outcomes(table: ScoredTable, configs: Sequence[tuple],
                    params: Sequence[EngineParams], key: str = "accept",
                    neg_direction: str = "desc",
                    monotonicity_override: bool = False) -> Iterator[tuple]:
@@ -458,9 +389,9 @@ def sweep_outcomes(memo: SweepMemo, configs: Sequence[tuple],
     cumulative region counts in ``REGIONS`` order once level ``i + 1``
     ran, and ``order[p]`` its ranking as table rows, as :func:`rank` ranks.
     """
-    n = len(memo.fused.alternatives)
+    n = len(table.fused.alternatives)
     column = RANK_KEYS.index(key)
-    id_order = np.argsort(_by_id(memo.fused.alternatives))
+    id_order = np.argsort(_by_id(table.fused.alternatives))
     step = max(1, SWEEP_CELLS // n)
     for start in range(0, len(configs), step):
         chunk = slice(start, start + step)
@@ -469,7 +400,7 @@ def sweep_outcomes(memo: SweepMemo, configs: Sequence[tuple],
         value = np.zeros((size, n))
         counts = np.zeros((size, len(configs[0]), len(REGIONS)), dtype=np.int64)
         offsets = len(REGIONS) * np.arange(size)[:, None]
-        for i, ran in walk(memo, configs[chunk], params[chunk], monotonicity_override):
+        for i, ran in walk(table, configs[chunk], params[chunk], monotonicity_override):
             for points, level in ran:
                 cells = np.ix_(points, level.rows)
                 region[cells] = level.region

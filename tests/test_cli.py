@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import pathlib
@@ -6,18 +7,17 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import SWEEP_GRID, exit_levels, oriented, universe
-from hypothesis import given, settings
+from conftest import SWEEP_GRID, oriented, universe
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import cli, engine, tables
 from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
-from s3wgdm.engine import REGIONS, LevelConfig, SweepMemo, rank, run_sequential
+from s3wgdm.engine import REGIONS, LevelConfig, ScoredTable, rank, run_sequential
 
 
 def run_cli(capsys, *argv):
@@ -594,7 +594,7 @@ class TestSweep:
     def test_chunked_sweep_writes_the_same_bytes(self, capsys, monkeypatch, tmp_path,
                                                  sle_case_path, sle_params_path):
         """A grid walked in chunks of one, three or all points writes the
-        same CSV: chunks share the memo, never each other's state."""
+        same CSV: chunks are independent walks over one scored table."""
         argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path,
                 "--grid", "eta=0:1:0.25", "--grid", "sigma=0.3:0.9:0.3",
                 "--grid", "kappa=0:1:0.5", "--grid", "theta=0.5:0.88:0.38"]
@@ -746,18 +746,31 @@ def sweep_inputs(draw):
     return case, params, [draw(st.sampled_from(GRID_OPTIONS[name])) for name in names]
 
 
-@pytest.mark.parametrize("cap", [0, math.inf], ids=["nothing-stored", "unlimited"])
+def written(tmp, case_doc, params_doc):
+    """The case and params documents, written into ``tmp`` and loaded."""
+    (tmp / "case.json").write_text(json.dumps(case_doc))
+    (tmp / "params.json").write_text(json.dumps(params_doc))
+    return load_case(str(tmp / "case.json")), load_params(str(tmp / "params.json"))
+
+
+def point_run(spec, point):
+    """The level configurations and parameters of a grid ``point``."""
+    params = replace(spec.params, eta=point.get("eta", spec.params.eta),
+                     theta=point.get("theta", spec.params.theta),
+                     delta=point.get("delta", spec.params.delta))
+    levels = tuple(LevelConfig(kappa=point.get("kappa", c.kappa),
+                               sigma=point.get("sigma", c.sigma)) for c in spec.levels)
+    return levels, params
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(sweep_inputs())
-def test_sweep_rows_match_fresh_runs(cap, inputs):
-    """Every sweep row equals a fresh ``run_sequential`` at its point,
-    whether the sweep's memo stores nothing or everything; a memo shared
-    over the points gives the fresh runs' level values bit for bit."""
+def test_sweep_rows_match_fresh_runs(inputs):
+    """Every sweep row equals a fresh ``run_sequential`` at its point."""
     case_doc, params_doc, grids = inputs
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(engine, "MEMO_BYTES", cap):
+    with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        (tmp / "case.json").write_text(json.dumps(case_doc))
-        (tmp / "params.json").write_text(json.dumps(params_doc))
+        case, spec = written(tmp, case_doc, params_doc)
         argv = ["sweep", "--case", str(tmp / "case.json"), "--params",
                 str(tmp / "params.json"), "--out", str(tmp / "sweep.csv")]
         for grid in grids:
@@ -765,77 +778,123 @@ def test_sweep_rows_match_fresh_runs(cap, inputs):
         assert main(argv) == 0
         with open(tmp / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        case, spec = load_case(str(tmp / "case.json")), load_params(str(tmp / "params.json"))
-        fused = oriented(case.experts, case.attributes)
-        memo = SweepMemo(fused, case.attributes)
-        for row in rows:
-            point = {name: float(row[name]) for name in GRID_OPTIONS if name in row}
-            params = replace(spec.params, eta=point.get("eta", spec.params.eta),
-                             theta=point.get("theta", spec.params.theta),
-                             delta=point.get("delta", spec.params.delta))
-            levels = [LevelConfig(kappa=point.get("kappa", c.kappa),
-                                  sigma=point.get("sigma", c.sigma)) for c in spec.levels]
-            fresh = run_sequential(fused, case.attributes, levels, params)
-            for i in range(1, len(levels) + 1):
-                regions = fresh.regions_after(i)
-                assert [int(row[f"{r.lower()}_{i}"]) for r in REGIONS] == \
-                    [len(regions[r]) for r in REGIONS]
-            assert row["final_ranking"].split(">") == \
-                rank(fresh, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
-            reused = run_sequential(fused, case.attributes, levels, params, memo=memo)
-            assert exit_levels(reused) == exit_levels(fresh)
-            for got, want in zip(reused.levels, fresh.levels, strict=True):
-                assert np.array_equal(got.rows, want.rows)
-                assert np.array_equal(got.region, want.region)
-                assert np.array_equal(got.sizes, want.sizes)
-                assert np.array_equal(got.pr, want.pr)
-                assert np.array_equal(got.expected, want.expected)
+    fused = oriented(case.experts, case.attributes)
+    for row in rows:
+        levels, params = point_run(spec, {name: float(row[name])
+                                          for name in GRID_OPTIONS if name in row})
+        fresh = run_sequential(fused, case.attributes, levels, params)
+        for i in range(1, len(levels) + 1):
+            regions = fresh.regions_after(i)
+            assert [int(row[f"{r.lower()}_{i}"]) for r in REGIONS] == \
+                [len(regions[r]) for r in REGIONS]
+        assert row["final_ranking"].split(">") == \
+            rank(fresh, key=spec.rank.key, neg_direction=spec.rank.neg_direction)
 
 
-class TestSweepMemo:
-    def test_refuses_another_table(self, sle_case, sle_group, sle_params):
-        memo = SweepMemo(sle_group, sle_case.attributes)
-        other = oriented(sle_case.experts, sle_case.attributes)  # equal, but not the same
-        with pytest.raises(ValueError, match="another group table"):
-            run_sequential(other, sle_case.attributes, sle_params.levels,
-                           sle_params.params, memo=memo)
-        with pytest.raises(ValueError, match="another group table"):
-            run_sequential(sle_group, sle_case.attributes[::-1], sle_params.levels,
-                           sle_params.params, memo=memo)
+REPEATED_POINTS = (
+    {"scale": {"tau": 3, "sigma_scale": 3}, "alternatives": ["x1", "x2", "x3"],
+     "attributes": [{"id": "a1", "weight": 0.5, "align_with_concept": True},
+                    {"id": "a2", "weight": 0.5, "align_with_concept": False}],
+     "experts": [{"id": "E1", "weight": 1.0,
+                  "table": [["{s_1<o_0>}", "{s_0<o_1>}"], ["{s_1<o_0>}", "{s_0<o_1>}"],
+                            ["{s_-2<o_1>,s_0<o_0>}", "{s_2<o_-1>}"]]}]},
+    {"eta": 0.6, "theta": 0.88, "delta": 0.3, "levels": [{"kappa": 0.5, "sigma": 0.7}]},
+    ["eta=0.3:0.3000000000003:1e-13", "kappa=0:1:0.5"],
+)
 
-    def test_keys_hold_every_parameter(self, sle_case, sle_group, sle_params):
-        memo = SweepMemo(sle_group, sle_case.attributes)
-        base = sle_params.params
-        for params in (base, replace(base, theta=0.5), replace(base, delta=0.0)):
-            reused = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                                    params, memo=memo)
-            fresh = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                                   params)
-            assert len(reused.levels) == len(fresh.levels)
-            for got, want in zip(reused.levels, fresh.levels):
-                assert np.array_equal(got.expected, want.expected)
 
-    def test_stored_arrays_are_read_only(self, sle_case, sle_group, sle_params):
-        memo = SweepMemo(sle_group, sle_case.attributes)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(REPEATED_POINTS)
+@given(sweep_inputs())
+def test_walk_levels_match_fresh_runs(inputs):
+    """Each level :func:`engine.walk` yields for a group of points holds,
+    for every point of the group, the fresh ``run_sequential`` level of
+    that point bit for bit, and every point's every level is yielded once."""
+    case_doc, params_doc, grids = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        case, spec = written(pathlib.Path(tmp), case_doc, params_doc)
+    grid = _parse_grid(grids)
+    names = sorted(grid)
+    runs = [point_run(spec, dict(zip(names, values)))
+            for values in itertools.product(*(grid[name] for name in names))]
+    fused = oriented(case.experts, case.attributes)
+    fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
+    seen = []
+    table = ScoredTable(fused, case.attributes)
+    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs]):
+        for points, level in ran:
+            for g, p in enumerate(points.tolist()):
+                seen.append((p, i))
+                want = fresh[p].levels[i - 1]
+                assert np.array_equal(level.rows, want.rows)
+                for name in ("sizes", "pr", "expected", "region"):
+                    got = getattr(level, name)
+                    got = got[g] if got.ndim > getattr(want, name).ndim else got
+                    assert np.array_equal(got, getattr(want, name)), name
+    assert sorted(seen) == [(p, i) for p, report in enumerate(fresh)
+                            for i in range(1, len(report.levels) + 1)]
+
+
+class TestScoredTable:
+    def test_run_sequential_scores_the_table_once(self, monkeypatch, sle_case, sle_group,
+                                                  sle_params):
+        calls = {"superior_gradus_array": 0}
+        monkeypatch.setattr(engine, "superior_gradus_array",
+                            counting(calls, "superior_gradus_array",
+                                     engine.superior_gradus_array))
         report = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                                sle_params.params, memo=memo)
-        assert not report.levels[0].scores.flags.writeable
-        fresh = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                               sle_params.params)
-        assert fresh.levels[0].scores.flags.writeable
+                                sle_params.params)
+        assert len(report.levels) > 1
+        assert calls == {"superior_gradus_array": 1}
 
-    def test_full_memo_still_computes(self, sle_case, sle_group, sle_params, monkeypatch):
-        monkeypatch.setattr(engine, "MEMO_BYTES", 0)
-        memo = SweepMemo(sle_group, sle_case.attributes)
-        calls = {"shared_granule_statistics": 0}
-        monkeypatch.setattr(engine, "shared_granule_statistics",
-                            counting(calls, "shared_granule_statistics",
-                                     engine.shared_granule_statistics))
-        for _ in range(2):
-            run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                           sle_params.params, memo=memo)
-        assert calls == {"shared_granule_statistics": 8}  # 4 levels, twice
-        assert memo.free == 0
+    def test_restrict_matches_scoring_the_cells(self, sle_case, sle_group):
+        table = ScoredTable(sle_group, sle_case.attributes)
+        phi, varphi = sle_group.subscripts()
+        rows, cols = np.array([3, 0, 2]), [2, 0]
+        got_phi, got_varphi, got_scores = table.restrict(rows, cols)
+        cells = np.ix_(rows, cols)
+        assert np.array_equal(got_phi, phi[cells])
+        assert np.array_equal(got_varphi, varphi[cells])
+        assert np.array_equal(got_scores, engine.superior_gradus_array(
+            phi[cells], varphi[cells], sle_group.scale))
+
+    def test_level_columns_and_weights(self, sle_case, sle_group):
+        table = ScoredTable(sle_group, sle_case.attributes)
+        for i, subset in enumerate(table.subsets, start=1):
+            cols, z, weights = table.level(i)
+            assert table.level(i) is table.level(i)
+            assert z == tuple(sle_group.attributes[j] for j in cols)
+            assert set(z) == set(subset)
+            assert list(cols) == sorted(cols)
+            want = tables.renormalize_weights(sle_case.attributes, z)
+            assert weights == [want[a] for a in z]
+            assert math.isclose(sum(weights), 1.0)
+
+    def test_refuses_attribute_weights_off_one(self, sle_case, sle_group):
+        attrs = [replace(a, weight=2 * a.weight) for a in sle_case.attributes]
+        with pytest.raises(ValueError, match="attribute weights sum to"):
+            ScoredTable(sle_group, attrs)
+
+    def test_run_level_points_match_one_point_runs(self, monkeypatch, sle_case, sle_group,
+                                                   sle_params):
+        table = ScoredTable(sle_group, sle_case.attributes)
+        cols, z, weights = table.level(1)
+        rows = np.arange(len(sle_group.alternatives))
+        phi, varphi, scores = table.restrict(rows, cols)
+        base_cfg, base = sle_params.levels[0], sle_params.params
+        cfgs = [base_cfg, replace(base_cfg, kappa=0.5), base_cfg]
+        params = [base, base, replace(base, eta=0.25)]
+        alone = [engine.run_level(rows, z, phi, varphi, scores, sle_group.scale, weights,
+                                  [c], [p]) for c, p in zip(cfgs, params)]
+        calls = dict.fromkeys(("shared_granule_statistics", "comprehensive_utilities"), 0)
+        for name in calls:
+            monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
+        level = engine.run_level(rows, z, phi, varphi, scores, sle_group.scale, weights,
+                                 cfgs, params)
+        assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 2}
+        for g, want in enumerate(alone):
+            for name in ("sizes", "pr", "utilities", "expected", "region"):
+                assert np.array_equal(getattr(level, name)[g], getattr(want, name)), name
 
 
 class TestBaseline:
