@@ -10,7 +10,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .linguistic import DHLTScale, elementwise, superior_gradus_array
+from .linguistic import elementwise, superior_gradus_array
 from .neighborhood import membership_degrees, shared_granule_statistics
 from .regret import comprehensive_utilities
 from .tables import (
@@ -102,6 +102,8 @@ def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = Fal
 class GranularLevel:
     """Everything computed at one decision level: one row per universe row.
 
+    It runs on what :meth:`ScoredTable.gather` gives on its universe: the
+    scores and concept membership, which no point's parameters change.
     A level that :func:`run_level` computed for a group of points holds
     each of ``sizes`` to ``region`` either once, shared by every point of
     the group, or with a leading point axis, so that it broadcasts over the
@@ -190,8 +192,8 @@ SWEEP_CELLS = 1 << 18
 
 class ScoredTable:
     """One oriented group table, scored once, with each level's columns,
-    attribute ids and renormalised weights found once: what every run of
-    a sweep reads."""
+    attribute ids, renormalised weights and every row's concept membership
+    found once: what every run of a sweep reads."""
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                  subsets: Optional[NestedSubsets] = None):
@@ -203,38 +205,42 @@ class ScoredTable:
         self._levels: dict = {}
 
     def level(self, index: int) -> tuple:
-        """Column indices, attribute ids and renormalised weights (in column
-        order) of level ``index``, 1-based."""
+        """Column indices, attribute ids, renormalised weights (in column
+        order) and every table row's concept membership of level ``index``,
+        1-based: membership is per row, so one pass serves every universe."""
         found = self._levels.get(index)
         if found is None:
             order = self.fused.attributes
             cols = [j for j, a in enumerate(order) if a in self.subsets[index - 1]]
             z = tuple(order[j] for j in cols)
-            weights = renormalize_weights(self.attrs, z)
-            found = self._levels[index] = (cols, z, [weights[a] for a in z])
+            renormalized = renormalize_weights(self.attrs, z)
+            weights = [renormalized[a] for a in z]
+            membership = membership_degrees(self.phi[:, cols], self.varphi[:, cols], weights,
+                                            self.fused.scale)
+            found = self._levels[index] = (cols, z, weights, membership)
         return found
 
-    def restrict(self, rows: np.ndarray, cols: Sequence[int]) -> tuple:
-        """The subscripts and scores of the table's ``rows`` on ``cols``."""
-        cells = np.ix_(rows, cols)
-        return self.phi[cells], self.varphi[cells], self.scores[cells]
+    def gather(self, index: int, rows: np.ndarray) -> tuple:
+        """The scores and concept membership of level ``index`` on the
+        table's ``rows``: the inputs of that level on that universe."""
+        cols, _, _, membership = self.level(index)
+        return self.scores[np.ix_(rows, cols)], membership[rows]
 
 
-def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
-              varphi: np.ndarray, scores: np.ndarray, scale: DHLTScale,
-              weights: Sequence[float], cfgs: Sequence[LevelConfig],
+def run_level(rows: np.ndarray, z: Sequence[str], scores: np.ndarray,
+              membership: np.ndarray, weights: Sequence[float], cfgs: Sequence[LevelConfig],
               params: Sequence[EngineParams], index: int = 1) -> GranularLevel:
     """Classify one level for a group of points that share its universe.
 
-    The level runs on the universe's (universe x z) fused subscripts and
-    their exponential scores; ``rows`` index the universe in the group
+    The level runs on the universe's (universe x z) exponential scores and
+    its rows' concept membership; ``rows`` index the universe in the group
     table, ``weights`` are the renormalised attribute weights in column
     order, and ``cfgs[g]`` and ``params[g]`` are the level configuration
-    and parameters of the group's ``g``-th point.  Membership is computed
-    once, granule statistics once per distinct (sigma, kappa), utilities
-    once per distinct (eta, theta, delta); the points' expected utilities
-    and regions are then one broadcast over the points, and each returned
-    array that all points share is held once, without the point axis.
+    and parameters of the group's ``g``-th point.  Granule statistics are
+    computed once per distinct (sigma, kappa), utilities once per distinct
+    (eta, theta, delta); the points' expected utilities and regions are
+    then one broadcast over the points, and each returned array that all
+    points share is held once, without the point axis.
     """
     if not len(rows):
         raise ValueError("empty universe")
@@ -242,7 +248,6 @@ def run_level(rows: np.ndarray, z: Sequence[str], phi: np.ndarray,
     cut = [cut_of.setdefault((c.sigma, c.kappa), len(cut_of)) for c in cfgs]
     util_of: dict = {}  # distinct (eta, theta, delta) -> its index
     util = [util_of.setdefault((p.eta, p.theta, p.delta), len(util_of)) for p in params]
-    membership = membership_degrees(phi, varphi, weights, scale)
     stats = shared_granule_statistics(scores, membership, list(cut_of))
     pr = _gathered([p for _, p in stats], cut)
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
@@ -272,10 +277,10 @@ def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
     fails runs again one point at a time, so that each failure is its own
     point's; a failing point goes into ``failures`` with its level named."""
     try:
-        cols, z, weights = table.level(i)
-        phi, varphi, scores = table.restrict(rows, cols)
+        _, z, weights, _ = table.level(i)
+        scores, membership = table.gather(i, rows)
         # the universe goes first and positionally: bench/tracer.py reads it
-        level = run_level(rows, z, phi, varphi, scores, table.fused.scale, weights,
+        level = run_level(rows, z, scores, membership, weights,
                           [configs[p][i - 1] for p in points.tolist()],
                           [params[p] for p in points.tolist()], i)
     except Exception as exc:
@@ -301,9 +306,10 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
     ``params[p]``.  At each level the points still running are grouped by
     universe: points whose universes hold the same rows form one group,
     whichever group they came from, and :func:`run_level` classifies each
-    group once.  A group's points split into next-level groups by their
-    BND rows.  Yields ``(level index, [(points, level), ...])`` for each
-    level that some point ran, as :func:`run_level` returned each level.
+    group once.  Each point of a group then goes straight into its
+    next-level group, keyed by its own BND rows.  Yields ``(level index,
+    [(points, level), ...])`` for each level that some point ran, as
+    :func:`run_level` returned each level.
 
     A point whose configuration fails the monotonicity check, or has more
     levels than nested subsets, runs none; a point whose level fails stops
@@ -325,25 +331,20 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
         if checked[levels] is not None:
             failures[p] = checked[levels]
     universe = np.arange(len(table.fused.alternatives))
-    running = np.array([p for p in range(len(configs)) if p not in failures], dtype=np.intp)
-    groups = {universe.tobytes(): (universe, [running])} if len(running) else {}
+    running = [p for p in range(len(configs)) if p not in failures]
+    groups = {universe.tobytes(): (universe, running)} if running else {}
     for i in range(1, len(configs[0]) + 1):
         ran, after = [], {}
-        for rows, parts in groups.values():
-            points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for rows, members in groups.values():
+            points = np.array(members, dtype=np.intp)
             for points, level in _run_group(table, i, rows, points, configs, params, failures):
                 ran.append((points, level))
-                bnd = level.region == BND
-                if bnd.ndim == 1:  # every point of the group has these regions
-                    splits = [(bnd, points)]
-                else:
-                    masks, which = np.unique(bnd, axis=0, return_inverse=True)
-                    splits = [(mask, points[which.reshape(-1) == j])
-                              for j, mask in enumerate(masks)]
-                for mask, members in splits:
+                # each point's BND rows key it into its next-level group
+                bnd = np.broadcast_to(level.region == BND, (len(points), len(rows)))
+                for p, mask in zip(points.tolist(), bnd):
                     nxt = rows[mask]
                     if len(nxt):
-                        after.setdefault(nxt.tobytes(), (nxt, []))[1].append(members)
+                        after.setdefault(nxt.tobytes(), (nxt, []))[1].append(p)
         if not ran:
             break
         yield i, ran
@@ -361,8 +362,8 @@ def run_sequential(fused: FusedDecisionTable,
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
     ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
-    takes it.  It is scored once; each level restricts those arrays to its
-    universe (rows) and attribute subset (columns).  This is the one-point
+    takes it.  It is scored, and each level's membership found, once over
+    all rows; a level gathers both on its universe.  This is the one-point
     case of :func:`walk`.
     """
     if not fused.alternatives:  # every report has at least one level
@@ -451,15 +452,13 @@ def rank(report: DecisionReport, key: str = "accept",
 def baseline_full_fusion(fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                          params: Optional[EngineParams] = None) -> list:
     """One-shot comparator on the oriented group table: score each
-    alternative by the weighted utility of its per-attribute scores, rank
-    descending.
+    alternative by the weighted utility of its per-attribute scores (a
+    :class:`ScoredTable`'s, clipped to [0, 1]), rank descending.
 
     Without parameters the raw scores are averaged (utility exponent 1);
     with parameters the same risk-averse utility as the engine applies.
     """
-    check_attribute_weights(attrs)
-    phi, varphi = fused.subscripts()
-    scores = np.clip(superior_gradus_array(phi, varphi, fused.scale), 0.0, 1.0)
+    scores = np.clip(ScoredTable(fused, attrs).scores, 0.0, 1.0)
     if params is not None:
         scores = elementwise(math.pow, scores, params.theta)
     weight = {a.id: a.weight for a in attrs}

@@ -29,6 +29,7 @@ from s3wgdm.engine import (
     REGIONS,
     EngineParams,
     LevelConfig,
+    ScoredTable,
     baseline_full_fusion,
     classify,
     expected_perceived_utility,
@@ -49,6 +50,7 @@ from s3wgdm.neighborhood import (
     conditional_probability,
     cut_granules,
     kernel_similarity,
+    membership_degrees,
 )
 from s3wgdm.regret import (
     comprehensive_utility,
@@ -286,6 +288,26 @@ def test_fusion_and_baseline_match_cell_by_cell_reference(case):
     assert baseline_full_fusion(oriented, attrs) == reference_baseline(tables, attrs, None)
     assert baseline_full_fusion(oriented, attrs, params) == \
         reference_baseline(tables, attrs, params)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cases(), st.data())
+def test_membership_gathered_on_rows_is_bit_identical(case, data):
+    """A level's membership is found once over the whole table; it is
+    elementwise, so gathering it on any rows equals computing it on those
+    rows' subscripts, bit for bit."""
+    tables, attrs, _, _ = case
+    fused = oriented(tables, attrs)
+    table = ScoredTable(fused, attrs)
+    i = data.draw(st.integers(1, len(table.subsets)))
+    n = len(fused.alternatives)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                       unique=True)), dtype=np.intp)
+    cols, _, weights, _ = table.level(i)
+    phi, varphi = fused.subscripts()
+    cells = np.ix_(rows, cols)
+    want = membership_degrees(phi[cells], varphi[cells], weights, fused.scale)
+    assert np.array_equal(table.gather(i, rows)[1], want)
 
 
 def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):

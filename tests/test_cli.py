@@ -350,12 +350,13 @@ class TestOneFusionPerDecide:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0
         assert "swept 330 grid points" in err
-        # the table is scored once; the 800 levels the points run hold 23
-        # distinct (level, universe) inputs, each classified by one run_level
-        # call, whose one granule call computes that universe's share of the
-        # 307 distinct (universe, sigma, kappa); 44 add eta
+        # the table is scored once and each of the 4 levels' membership found
+        # once; the 800 levels the points run hold 23 distinct (level,
+        # universe) inputs, each classified by one run_level call, whose one
+        # granule call computes that universe's share of the 307 distinct
+        # (universe, sigma, kappa); 44 add eta
         assert calls == {"superior_gradus_array": 1, "run_level": 23,
-                         "membership_degrees": 23, "shared_granule_statistics": 23,
+                         "membership_degrees": 4, "shared_granule_statistics": 23,
                          "comprehensive_utilities": 44}
         assert len(cuts) == 307
 
@@ -835,6 +836,56 @@ def test_walk_levels_match_fresh_runs(inputs):
                             for i in range(1, len(report.levels) + 1)]
 
 
+# points whose level-2 groups differ but whose level-2 BND rows agree, so
+# that they meet again in one level-3 group
+MERGING_POINTS = (
+    {"scale": {"tau": 3, "sigma_scale": 3}, "alternatives": ["x1", "x2", "x3", "x4", "x5"],
+     "attributes": [{"id": f"a{j}", "weight": j / 6, "align_with_concept": True}
+                    for j in (1, 2, 3)],
+     "experts": [{"id": "E1", "weight": 1.0,
+                  "table": [["{s_1<o_-2>}", "{s_-2<o_3>}", "{s_2<o_1>}"],
+                            ["{s_3<o_-3>}", "{s_2<o_-3>}", "{s_-1<o_-3>}"],
+                            ["{s_3<o_-3>}", "{s_2<o_3>}", "{s_1<o_3>}"],
+                            ["{s_-3<o_1>}", "{s_3<o_0>}", "{s_-2<o_-2>}"],
+                            ["{s_3<o_-2>}", "{s_0<o_2>}", "{s_1<o_-2>}"]]}]},
+    {"eta": 0.6, "theta": 0.88, "delta": 0.3, "levels": [{"kappa": 0.5, "sigma": 0.7}] * 3},
+    ["kappa=0:1:0.5", "sigma=0.3:0.9:0.3"],
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(REPEATED_POINTS)
+@example(MERGING_POINTS)
+@given(sweep_inputs())
+def test_walk_groups_are_maximal(inputs):
+    """At every level :func:`engine.walk` yields, no two groups share a
+    universe, and each group holds exactly the points whose previous-level
+    BND rows, in a fresh ``run_sequential``, are that universe."""
+    case_doc, params_doc, grids = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        case, spec = written(pathlib.Path(tmp), case_doc, params_doc)
+    grid = _parse_grid(grids)
+    names = sorted(grid)
+    runs = [point_run(spec, dict(zip(names, values)))
+            for values in itertools.product(*(grid[name] for name in names))]
+    fused = oriented(case.experts, case.attributes)
+    fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
+    everything = tuple(range(len(fused.alternatives)))
+    table = ScoredTable(fused, case.attributes)
+    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs]):
+        got = {tuple(level.rows.tolist()): sorted(points.tolist()) for points, level in ran}
+        assert len(got) == len(ran)
+        want: dict = {}
+        for p, report in enumerate(fresh):
+            if i == 1:
+                want.setdefault(everything, []).append(p)
+            elif len(report.levels) >= i:
+                prev = report.levels[i - 2]
+                bnd = tuple(prev.rows[prev.region == engine.BND].tolist())
+                want.setdefault(bnd, []).append(p)
+        assert got == want
+
+
 class TestScoredTable:
     def test_run_sequential_scores_the_table_once(self, monkeypatch, sle_case, sle_group,
                                                   sle_params):
@@ -847,22 +898,25 @@ class TestScoredTable:
         assert len(report.levels) > 1
         assert calls == {"superior_gradus_array": 1}
 
-    def test_restrict_matches_scoring_the_cells(self, sle_case, sle_group):
+    def test_gather_matches_scoring_the_cells(self, sle_case, sle_group):
         table = ScoredTable(sle_group, sle_case.attributes)
         phi, varphi = sle_group.subscripts()
-        rows, cols = np.array([3, 0, 2]), [2, 0]
-        got_phi, got_varphi, got_scores = table.restrict(rows, cols)
-        cells = np.ix_(rows, cols)
-        assert np.array_equal(got_phi, phi[cells])
-        assert np.array_equal(got_varphi, varphi[cells])
-        assert np.array_equal(got_scores, engine.superior_gradus_array(
-            phi[cells], varphi[cells], sle_group.scale))
+        rows = np.array([3, 0, 2])
+        for i in range(1, len(table.subsets) + 1):
+            cols, _, weights, _ = table.level(i)
+            got_scores, got_membership = table.gather(i, rows)
+            cells = np.ix_(rows, cols)
+            assert np.array_equal(got_scores, engine.superior_gradus_array(
+                phi[cells], varphi[cells], sle_group.scale))
+            assert np.array_equal(got_membership, engine.membership_degrees(
+                phi[cells], varphi[cells], weights, sle_group.scale))
 
     def test_level_columns_and_weights(self, sle_case, sle_group):
         table = ScoredTable(sle_group, sle_case.attributes)
         for i, subset in enumerate(table.subsets, start=1):
-            cols, z, weights = table.level(i)
+            cols, z, weights, membership = table.level(i)
             assert table.level(i) is table.level(i)
+            assert membership.shape == (len(sle_group.alternatives),)
             assert z == tuple(sle_group.attributes[j] for j in cols)
             assert set(z) == set(subset)
             assert list(cols) == sorted(cols)
@@ -878,19 +932,18 @@ class TestScoredTable:
     def test_run_level_points_match_one_point_runs(self, monkeypatch, sle_case, sle_group,
                                                    sle_params):
         table = ScoredTable(sle_group, sle_case.attributes)
-        cols, z, weights = table.level(1)
+        _, z, weights, _ = table.level(1)
         rows = np.arange(len(sle_group.alternatives))
-        phi, varphi, scores = table.restrict(rows, cols)
+        scores, membership = table.gather(1, rows)
         base_cfg, base = sle_params.levels[0], sle_params.params
         cfgs = [base_cfg, replace(base_cfg, kappa=0.5), base_cfg]
         params = [base, base, replace(base, eta=0.25)]
-        alone = [engine.run_level(rows, z, phi, varphi, scores, sle_group.scale, weights,
-                                  [c], [p]) for c, p in zip(cfgs, params)]
+        alone = [engine.run_level(rows, z, scores, membership, weights, [c], [p])
+                 for c, p in zip(cfgs, params)]
         calls = dict.fromkeys(("shared_granule_statistics", "comprehensive_utilities"), 0)
         for name in calls:
             monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
-        level = engine.run_level(rows, z, phi, varphi, scores, sle_group.scale, weights,
-                                 cfgs, params)
+        level = engine.run_level(rows, z, scores, membership, weights, cfgs, params)
         assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 2}
         for g, want in enumerate(alone):
             for name in ("sizes", "pr", "utilities", "expected", "region"):

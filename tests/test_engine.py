@@ -202,10 +202,9 @@ class TestRunLevel:
             assert region["x1"] == region["x3"]
 
     def test_empty_universe_rejected(self):
-        empty = np.empty((0, 1))
         with pytest.raises(ValueError):
-            run_level(np.arange(0), ["a2"], empty, empty, empty, S33, [1.0], GOLDEN_CFG,
-                      GOLDEN)
+            run_level(np.arange(0), ["a2"], np.empty((0, 1)), np.empty(0), [1.0],
+                      GOLDEN_CFG, GOLDEN)
 
     def test_loop_calls_run_level_once_per_level(self, sle_case, sle_group, sle_params,
                                                  monkeypatch):
