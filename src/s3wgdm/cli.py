@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import replace
+
+import numpy as np
 
 from .caseio import (
     CaseFormatError,
@@ -113,10 +116,10 @@ def cmd_decide(args) -> int:
     case = load_case(args.case)
     spec = _apply_overrides(load_params(args.params), args)
     started = time.perf_counter()
-    fused = _group_table(case)
-    report = run_sequential(fused, case.attributes, spec.levels, spec.params,
+    table = ScoredTable(_group_table(case), case.attributes)  # read by both rankings
+    report = run_sequential(table, case.attributes, spec.levels, spec.params,
                             monotonicity_override=spec.monotonicity_override)
-    baseline = baseline_full_fusion(fused, case.attributes, spec.params)
+    baseline = baseline_full_fusion(table, case.attributes, spec.params)
     elapsed = time.perf_counter() - started
     metadata = {"deterministic": True, "elapsed_seconds": elapsed}
     data = report_dict(case, spec, report, baseline=baseline, metadata=metadata)
@@ -231,6 +234,23 @@ def _parse_grid(specs) -> dict:
     return grids
 
 
+def _distinct_points(grids: dict, names: list, index: np.ndarray, fields: tuple) -> tuple:
+    """The distinct combinations of the grid values of ``fields``, as
+    ``{field: value}`` dicts, and each point's index into them, where
+    ``index[a]`` holds each point's value index on grid ``names[a]``."""
+    swept = [f for f in fields if f in grids]
+    distinct, codes = [], []
+    for field in swept:
+        position: dict = {}  # value -> its index among the distinct values
+        code = np.array([position.setdefault(v, len(position)) for v in grids[field]])
+        distinct.append(list(position))
+        codes.append(code[index[names.index(field)]])
+    combos = [dict(zip(swept, values)) for values in itertools.product(*distinct)]
+    ids = (np.ravel_multi_index(codes, [len(d) for d in distinct]) if swept
+           else np.zeros(index.shape[1], dtype=np.intp))
+    return combos, ids
+
+
 def cmd_sweep(args) -> int:
     case = load_case(args.case)
     base_spec = _apply_overrides(load_params(args.params), args)
@@ -238,50 +258,47 @@ def cmd_sweep(args) -> int:
     fused = _group_table(case)
     table = ScoredTable(fused, case.attributes)  # scored once, read by every point
     names = sorted(grids)
-    n_levels = len(base_spec.levels)
-    header = names[:]
-    for i in range(1, n_levels + 1):
-        header += [f"{name.lower()}_{i}" for name in REGIONS]
-    header.append("final_ranking")
+    header = names + [f"{name.lower()}_{i}" for i in range(1, len(base_spec.levels) + 1)
+                      for name in REGIONS] + ["final_ranking"]
 
-    points = list(itertools.product(*(grids[name] for name in names)))
+    # each point's value index on each grid, the points in itertools.product order
+    index = np.indices([len(grids[name]) for name in names]).reshape(len(names), -1)
+    cuts, config_ids = _distinct_points(grids, names, index, ("sigma", "kappa"))
+    utilities, param_ids = _distinct_points(grids, names, index, ("eta", "theta", "delta"))
+    configs = [tuple(LevelConfig(kappa=cut.get("kappa", c.kappa), sigma=cut.get("sigma", c.sigma))
+                     for c in base_spec.levels) for cut in cuts]
     base = base_spec.params
-    cuts, utilities = {}, {}  # each distinct configuration is built once
-    configs, params = [], []
-    for values in points:
-        point = dict(zip(names, values))
-        cut = (point.get("sigma"), point.get("kappa"))
-        if cut not in cuts:
-            cuts[cut] = tuple(LevelConfig(kappa=point.get("kappa", c.kappa),
-                                          sigma=point.get("sigma", c.sigma))
-                              for c in base_spec.levels)
-        utility = (point.get("eta", base.eta), point.get("theta", base.theta),
-                   point.get("delta", base.delta))
-        if utility not in utilities:
-            utilities[utility] = EngineParams(*utility)
-        configs.append(cuts[cut])
-        params.append(utilities[utility])
+    params = [EngineParams(eta=u.get("eta", base.eta), theta=u.get("theta", base.theta),
+                           delta=u.get("delta", base.delta)) for u in utilities]
 
-    rows, rankings = [], {}  # each distinct ranking is joined once
-    outcomes = sweep_outcomes(table, configs, params, base_spec.rank.key,
-                              base_spec.rank.neg_direction, base_spec.monotonicity_override)
+    tallies, rankings, joined = [], [], {}  # each distinct ranking is joined once
+    outcomes = sweep_outcomes(table, configs, params, config_ids, param_ids,
+                              base_spec.rank.key, base_spec.rank.neg_direction,
+                              base_spec.monotonicity_override)
     for counts, orders in outcomes:
-        for tally, order in zip(counts.reshape(len(counts), -1).tolist(), orders):
+        tallies.append(counts.reshape(len(counts), -1))
+        for order in orders:
             key = order.tobytes()
-            if key not in rankings:
-                rankings[key] = ">".join(map(fused.alternatives.__getitem__, order.tolist()))
-            rows.append([str(c) for c in tally] + [rankings[key]])
-    rows = [[repr(v) for v in values] + row for values, row in zip(points, rows)]
+            if key not in joined:
+                joined[key] = ">".join(map(fused.alternatives.__getitem__, order.tolist()))
+            rankings.append(joined[key])
+    # the CSV's columns, each built in one pass over the points
+    counts = np.concatenate(tallies)
+    cells = list(map(str, counts.ravel().tolist()))
+    columns = [list(map([repr(v) for v in grids[name]].__getitem__, index[a].tolist()))
+               for a, name in enumerate(names)]
+    columns += [cells[c::counts.shape[1]] for c in range(counts.shape[1])]
+    columns.append(rankings)
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
     finally:
         if args.out:
             out.close()
-    print(f"swept {len(rows)} grid points", file=sys.stderr)
+    print(f"swept {len(rankings)} grid points", file=sys.stderr)
     return EXIT_OK
 
 
@@ -320,7 +337,11 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on its first use and kept: it holds
+    only the options, and :func:`main` looks each command's function up
+    as it runs it."""
     parser = argparse.ArgumentParser(
         prog="s3wgdm",
         description="Sequential three-way group decision-making over double "
@@ -329,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a case file and print its summary")
     p.add_argument("--case", required=True)
-    p.set_defaults(func=cmd_validate)
 
     run = argparse.ArgumentParser(add_help=False)  # the options decide and sweep share
     run.add_argument("--case", required=True)
@@ -345,32 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--dump-similarity", metavar="PREFIX",
                    help="write the per-level similarity matrices as CSV")
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("fuse", help="emit the fused group table only")
     p.add_argument("--case", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("sweep", parents=[run], help="run a parameter grid and emit CSV")
     p.add_argument("--grid", action="append", metavar="NAME=START:STOP:STEP",
                    help="grid over eta, theta, delta, sigma or kappa (repeatable)")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("baseline", help="one-shot full-fusion comparison ranking")
     p.add_argument("--case", required=True)
     p.add_argument("--out", help="write or extend a JSON report here")
-    p.set_defaults(func=cmd_baseline)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CaseFormatError as exc:
         print("invalid input:", file=sys.stderr)
         for problem in exc.problems:

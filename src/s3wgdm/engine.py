@@ -229,65 +229,77 @@ class ScoredTable:
 
 def run_level(rows: np.ndarray, z: Sequence[str], scores: np.ndarray,
               membership: np.ndarray, weights: Sequence[float], cfgs: Sequence[LevelConfig],
-              params: Sequence[EngineParams], index: int = 1) -> GranularLevel:
+              params: Sequence[EngineParams], cfg_ids: np.ndarray, param_ids: np.ndarray,
+              index: int = 1) -> GranularLevel:
     """Classify one level for a group of points that share its universe.
 
     The level runs on the universe's (universe x z) exponential scores and
     its rows' concept membership; ``rows`` index the universe in the group
     table, ``weights`` are the renormalised attribute weights in column
-    order, and ``cfgs[g]`` and ``params[g]`` are the level configuration
-    and parameters of the group's ``g``-th point.  Granule statistics are
-    computed once per distinct (sigma, kappa), utilities once per distinct
-    (eta, theta, delta); the points' expected utilities and regions are
-    then one broadcast over the points, and each returned array that all
-    points share is held once, without the point axis.
+    order, and the group's ``g``-th point runs the level configuration
+    ``cfgs[cfg_ids[g]]`` with parameters ``params[param_ids[g]]``.  The
+    granule statistics of every configuration the points use are one pass,
+    as are the utilities of every parameter set they use; the points'
+    expected utilities and regions are then one broadcast over the points,
+    and each returned array that all points share is held once, without
+    the point axis.
     """
     if not len(rows):
         raise ValueError("empty universe")
-    cut_of: dict = {}  # distinct (sigma, kappa) -> its index
-    cut = [cut_of.setdefault((c.sigma, c.kappa), len(cut_of)) for c in cfgs]
-    util_of: dict = {}  # distinct (eta, theta, delta) -> its index
-    util = [util_of.setdefault((p.eta, p.theta, p.delta), len(util_of)) for p in params]
-    stats = shared_granule_statistics(scores, membership, list(cut_of))
-    pr = _gathered([p for _, p in stats], cut)
+    used_cfgs, cut = _distinct(cfg_ids)
+    used_params, util = _distinct(param_ids)
+    sizes, pr = shared_granule_statistics(
+        scores, membership, [(cfgs[c].sigma, cfgs[c].kappa) for c in used_cfgs.tolist()])
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
         raise ValueError("conditional probability outside [0, 1]")
-    v = _gathered([comprehensive_utilities(scores, weights, *u) for u in util_of], util)
+    sizes, pr = _per_point(sizes, cut), _per_point(pr, cut)
+    v = _per_point(comprehensive_utilities(scores, weights, [
+        (params[u].eta, params[u].theta, params[u].delta) for u in used_params.tolist()]), util)
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
     expected = v[..., :3] * pr[..., None] + v[..., 3:] * (1.0 - pr)[..., None]
     acc, dfr, rej = expected[..., 0], expected[..., 1], expected[..., 2]
     region = np.where((acc >= dfr) & (acc >= rej), POS,
                       np.where((dfr >= acc) & (dfr >= rej), BND, NEG)).astype(np.int8)
-    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores,
-                         sizes=_gathered([s for s, _ in stats], cut), pr=pr, utilities=v,
-                         expected=expected, region=region)
+    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores, sizes=sizes,
+                         pr=pr, utilities=v, expected=expected, region=region)
 
 
-def _gathered(arrays: list, which: list) -> np.ndarray:
-    """``arrays[which[g]]`` for each point ``g``, along a new first axis;
-    the one array itself when there is one, shared by every point."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)[which]
+def _distinct(ids: np.ndarray) -> tuple:
+    """The distinct values of the non-negative ``ids``, in increasing
+    order, and each id's position among them."""
+    ids = np.asarray(ids, dtype=np.intp)
+    where = np.zeros(ids.max() + 1, dtype=np.intp)
+    where[ids] = 1
+    distinct = np.flatnonzero(where)
+    where[distinct] = np.arange(len(distinct))
+    return distinct, where[ids]
+
+
+def _per_point(array: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """``array[which[g]]`` for each point ``g``, along the first axis; the
+    one row itself when there is one, shared by every point."""
+    return array[0] if len(array) == 1 else array[which]
 
 
 def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
-               configs: Sequence[tuple], params: Sequence[EngineParams],
-               failures: dict) -> list:
+               cfgs: Sequence[LevelConfig], params: Sequence[EngineParams],
+               config_ids: np.ndarray, param_ids: np.ndarray, failures: dict) -> list:
     """:func:`run_level` at level ``i`` for the ``points`` whose universe is
-    ``rows``, as ``[(points, level)]``.  A group of several points that
-    fails runs again one point at a time, so that each failure is its own
-    point's; a failing point goes into ``failures`` with its level named."""
+    ``rows``, as ``[(points, level)]``; ``cfgs`` holds each configuration's
+    level ``i``.  A group of several points that fails runs again one point
+    at a time, so that each failure is its own point's; a failing point
+    goes into ``failures`` with its level named."""
     try:
         _, z, weights, _ = table.level(i)
         scores, membership = table.gather(i, rows)
         # the universe goes first and positionally: bench/tracer.py reads it
-        level = run_level(rows, z, scores, membership, weights,
-                          [configs[p][i - 1] for p in points.tolist()],
-                          [params[p] for p in points.tolist()], i)
+        level = run_level(rows, z, scores, membership, weights, cfgs, params,
+                          config_ids[points], param_ids[points], i)
     except Exception as exc:
         if len(points) > 1:
             return [run for g in range(len(points))
-                    for run in _run_group(table, i, rows, points[g:g + 1], configs, params,
-                                          failures)]
+                    for run in _run_group(table, i, rows, points[g:g + 1], cfgs, params,
+                                          config_ids, param_ids, failures)]
         # an input problem stays one, naming its level
         failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
                    else RuntimeError(f"decision level {i} failed: {exc}"))
@@ -298,46 +310,49 @@ def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
 
 
 def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EngineParams],
+         config_ids: np.ndarray, param_ids: np.ndarray,
          monotonicity_override: bool = False) -> Iterator[tuple]:
     """The level loop of a set of runs ("points") over one group table.
 
-    Point ``p`` runs the levels ``configs[p]``, a tuple of
-    :class:`LevelConfig` as long as every other point's, with parameters
-    ``params[p]``.  At each level the points still running are grouped by
-    universe: points whose universes hold the same rows form one group,
-    whichever group they came from, and :func:`run_level` classifies each
-    group once.  Each point of a group then goes straight into its
+    Point ``p`` runs the levels ``configs[config_ids[p]]``, a tuple of
+    :class:`LevelConfig` as long as every other, with parameters
+    ``params[param_ids[p]]``.  At each level the points still running are
+    grouped by universe: points whose universes hold the same rows form one
+    group, whichever group they came from, and :func:`run_level` classifies
+    each group once.  Each point of a group then goes straight into its
     next-level group, keyed by its own BND rows.  Yields ``(level index,
     [(points, level), ...])`` for each level that some point ran, as
     :func:`run_level` returned each level.
 
-    A point whose configuration fails the monotonicity check, or has more
-    levels than nested subsets, runs none; a point whose level fails stops
-    there.  Once the walk ends, the failure of the first failed point is
-    raised: the one a run of the points one at a time would stop at.
+    A configuration that fails the monotonicity check, or has more levels
+    than nested subsets, is found once, and its points run none; a point
+    whose level fails stops there.  Once the walk ends, the failure of the
+    first failed point is raised: the one a run of the points one at a time
+    would stop at.
     """
-    failures: dict = {}
-    checked: dict = {}  # distinct level configurations -> their problem, or None
-    for p, levels in enumerate(configs):
-        if levels not in checked:
-            checked[levels] = None
-            try:
-                check_level_monotonicity(levels, monotonicity_override)
-                if len(levels) > len(table.subsets):
-                    raise ValueError(f"{len(levels)} levels configured but only "
-                                     f"{len(table.subsets)} nested subsets exist")
-            except ValueError as exc:
-                checked[levels] = exc
-        if checked[levels] is not None:
-            failures[p] = checked[levels]
+    config_ids = np.asarray(config_ids, dtype=np.intp)
+    param_ids = np.asarray(param_ids, dtype=np.intp)
+    problems = []  # per configuration, its problem or None
+    for levels in configs:
+        try:
+            check_level_monotonicity(levels, monotonicity_override)
+            if len(levels) > len(table.subsets):
+                raise ValueError(f"{len(levels)} levels configured but only "
+                                 f"{len(table.subsets)} nested subsets exist")
+            problems.append(None)
+        except ValueError as exc:
+            problems.append(exc)
+    refused = np.array([problem is not None for problem in problems])[config_ids]
+    failures = {p: problems[config_ids[p]] for p in np.flatnonzero(refused).tolist()}
     universe = np.arange(len(table.fused.alternatives))
-    running = [p for p in range(len(configs)) if p not in failures]
-    groups = {universe.tobytes(): (universe, running)} if running else {}
+    running = np.flatnonzero(~refused)
+    groups = {universe.tobytes(): (universe, running)} if len(running) else {}
     for i in range(1, len(configs[0]) + 1):
+        cfgs = [levels[i - 1] for levels in configs]
         ran, after = [], {}
-        for rows, members in groups.values():
-            points = np.array(members, dtype=np.intp)
-            for points, level in _run_group(table, i, rows, points, configs, params, failures):
+        for rows, points in groups.values():
+            for points, level in _run_group(table, i, rows, np.asarray(points, dtype=np.intp),
+                                            cfgs, params, config_ids, param_ids, failures):
                 ran.append((points, level))
                 # each point's BND rows key it into its next-level group
                 bnd = np.broadcast_to(level.region == BND, (len(points), len(rows)))
@@ -353,7 +368,7 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
         raise failures[min(failures)]
 
 
-def run_sequential(fused: FusedDecisionTable,
+def run_sequential(fused: FusedDecisionTable | ScoredTable,
                    attrs: Sequence[AttributeSpec],
                    levels: Sequence[LevelConfig],
                    params: EngineParams,
@@ -362,24 +377,25 @@ def run_sequential(fused: FusedDecisionTable,
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
     ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
-    takes it.  It is scored, and each level's membership found, once over
-    all rows; a level gathers both on its universe.  This is the one-point
-    case of :func:`walk`.
+    takes it, or its :class:`ScoredTable`, whose attributes and nested
+    subsets then stand for ``attrs`` and ``subsets``.  It is scored, and
+    each level's membership found, once over all rows; a level gathers both
+    on its universe.  This is the one-point case of :func:`walk`.
     """
-    if not fused.alternatives:  # every report has at least one level
+    table = fused if isinstance(fused, ScoredTable) else ScoredTable(fused, attrs, subsets)
+    if not table.fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
-    table = ScoredTable(fused, attrs, subsets)
     # one point is one group, so its levels hold one row per universe row
-    executed = [ran[0][1]
-                for _, ran in walk(table, [tuple(levels)], [params], monotonicity_override)]
-    return DecisionReport(alternatives=fused.alternatives, levels=tuple(executed))
+    executed = [ran[0][1] for _, ran in walk(table, [tuple(levels)], [params], [0], [0],
+                                             monotonicity_override)]
+    return DecisionReport(alternatives=table.fused.alternatives, levels=tuple(executed))
 
 
 def sweep_outcomes(table: ScoredTable, configs: Sequence[tuple],
-                   params: Sequence[EngineParams], key: str = "accept",
-                   neg_direction: str = "desc",
+                   params: Sequence[EngineParams], config_ids: np.ndarray,
+                   param_ids: np.ndarray, key: str = "accept", neg_direction: str = "desc",
                    monotonicity_override: bool = False) -> Iterator[tuple]:
     """The outcome of every point of a sweep, walked in chunks of at most
     ``SWEEP_CELLS`` point x alternative cells (at least one point each).
@@ -394,14 +410,15 @@ def sweep_outcomes(table: ScoredTable, configs: Sequence[tuple],
     column = RANK_KEYS.index(key)
     id_order = np.argsort(_by_id(table.fused.alternatives))
     step = max(1, SWEEP_CELLS // n)
-    for start in range(0, len(configs), step):
+    for start in range(0, len(config_ids), step):
         chunk = slice(start, start + step)
-        size = len(configs[chunk])
+        size = len(config_ids[chunk])
         region = np.full((size, n), BND, dtype=np.int8)
         value = np.zeros((size, n))
         counts = np.zeros((size, len(configs[0]), len(REGIONS)), dtype=np.int64)
         offsets = len(REGIONS) * np.arange(size)[:, None]
-        for i, ran in walk(table, configs[chunk], params[chunk], monotonicity_override):
+        for i, ran in walk(table, configs, params, config_ids[chunk], param_ids[chunk],
+                           monotonicity_override):
             for points, level in ran:
                 cells = np.ix_(points, level.rows)
                 region[cells] = level.region
@@ -449,21 +466,23 @@ def rank(report: DecisionReport, key: str = "accept",
     return report.ids(_ranked(region, value, np.argsort(report.by_id), neg_direction))
 
 
-def baseline_full_fusion(fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
+def baseline_full_fusion(fused: FusedDecisionTable | ScoredTable, attrs: Sequence[AttributeSpec],
                          params: Optional[EngineParams] = None) -> list:
-    """One-shot comparator on the oriented group table: score each
-    alternative by the weighted utility of its per-attribute scores (a
-    :class:`ScoredTable`'s, clipped to [0, 1]), rank descending.
+    """One-shot comparator on the oriented group table, or its
+    :class:`ScoredTable`: score each alternative by the weighted utility of
+    its per-attribute scores (the table's, clipped to [0, 1]), rank
+    descending.
 
     Without parameters the raw scores are averaged (utility exponent 1);
     with parameters the same risk-averse utility as the engine applies.
     """
-    scores = np.clip(ScoredTable(fused, attrs).scores, 0.0, 1.0)
+    table = fused if isinstance(fused, ScoredTable) else ScoredTable(fused, attrs)
+    scores = np.clip(table.scores, 0.0, 1.0)
     if params is not None:
         scores = elementwise(math.pow, scores, params.theta)
-    weight = {a.id: a.weight for a in attrs}
+    weight = {a.id: a.weight for a in table.attrs}
     total = np.zeros(len(scores))
-    for j, attr_id in enumerate(fused.attributes):  # attribute order, as a scalar sum
+    for j, attr_id in enumerate(table.fused.attributes):  # attribute order, as a scalar sum
         total += weight[attr_id] * scores[:, j]
-    scored = sorted(zip(total.tolist(), fused.alternatives), key=lambda t: (-t[0], t[1]))
+    scored = sorted(zip(total.tolist(), table.fused.alternatives), key=lambda t: (-t[0], t[1]))
     return [alt for _, alt in scored]

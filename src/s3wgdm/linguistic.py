@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import cycle, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -224,15 +224,21 @@ def superior_gradus(h: DHHFLE, scale: DHLTScale) -> float:
     return sum(superior_gradus_term(t, scale) for t in h) / len(h)
 
 
-def elementwise(fn: Callable, values: np.ndarray, *args: float) -> np.ndarray:
+def elementwise(fn: Callable, values: np.ndarray, *args: float | np.ndarray) -> np.ndarray:
     """``fn(value, *args)`` for every element, through the ``math`` module.
+    An argument is a number or an array shaped like the last axes of
+    ``values``, repeated along the others as numpy broadcasts it.
 
     numpy's vectorised transcendental functions may differ from ``math``
     in the last bit; going through ``math`` keeps every array result equal
     to the scalar code's.
     """
+    for a in args:
+        if np.shape(a) != values.shape[values.ndim - np.ndim(a):]:
+            raise ValueError(f"argument shape {np.shape(a)} does not end {values.shape}")
     flat = values.ravel().tolist()
-    out = map(fn, flat, *(repeat(a) for a in args))
+    out = map(fn, flat, *(cycle(np.ravel(a).tolist()) if np.ndim(a) else repeat(a)
+                          for a in args))
     return np.fromiter(out, float, len(flat)).reshape(values.shape)
 
 

@@ -18,7 +18,9 @@ from .linguistic import (
 )
 from .tables import WEIGHT_TOL, FusedDecisionTable
 
-BLOCK_CELLS = 1 << 18  # similarity entries one row block of the kernel holds
+# entries one block of an array pass holds, per array: 512 KB of float64, so
+# the few arrays a block keeps live fit a per-core L2 cache of 2 MB
+BLOCK_CELLS = 1 << 16
 SORTED_MIN_ROWS = 64  # one-column universes this large take the sorted cut
 
 
@@ -79,23 +81,18 @@ def kernel_similarity(x_row: Sequence[DHHFLE], y_row: Sequence[DHHFLE],
 def squared_gaps(block: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Summed squared score gaps of each row of ``block`` (k, m) to each
     row of ``scores`` (n, m), as a (k, n) array, taken directly and summed
-    column by column, as :func:`kernel_similarity` does."""
-    d2 = np.zeros((len(block), len(scores)))
+    column by column, as :func:`kernel_similarity` does (its sum starts at
+    0.0, and 0.0 plus the first square is that square)."""
+    if not scores.shape[1]:  # no attributes: no gap
+        return np.zeros((len(block), len(scores)))
+    d2 = np.subtract.outer(block[:, 0], scores[:, 0])
+    d2 *= d2
     gap = np.empty_like(d2)
-    for j in range(scores.shape[1]):
+    for j in range(1, scores.shape[1]):
         np.subtract.outer(block[:, j], scores[:, j], out=gap)
         gap *= gap
         d2 += gap
     return d2
-
-
-def gap_similarity(d2: np.ndarray, sigma: float, out=None) -> np.ndarray:
-    """The kernel similarity ``exp(-d2 / (2 sigma^2))`` of summed squared
-    gaps, written to ``out`` if given."""
-    sim = np.negative(d2, out=out)
-    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-        sim /= 2.0 * sigma * sigma
-    return np.exp(sim, out=sim)
 
 
 def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarray:
@@ -103,8 +100,11 @@ def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarr
     ``scores`` (n, m), as a (k, n) array; identical rows score exactly 1.0."""
     if not sigma > 0:
         raise ValueError(f"kernel width must be positive, got {sigma}")
-    d2 = squared_gaps(block, scores)
-    return gap_similarity(d2, sigma, out=d2)
+    sim = squared_gaps(block, scores)
+    np.negative(sim, out=sim)
+    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+        sim /= 2.0 * sigma * sigma
+    return np.exp(sim, out=sim)
 
 
 def similarity_blocks(scores: np.ndarray, sigma: float) -> Iterator[tuple]:
@@ -132,55 +132,75 @@ def granule_statistics(scores: np.ndarray, membership: np.ndarray,
     with no tolerance; its probability is the mean membership over the
     granule.  Only sizes are kept, never member sets.
     """
-    return shared_granule_statistics(scores, membership, [(sigma, kappa)])[0]
+    sizes, pr = shared_granule_statistics(scores, membership, [(sigma, kappa)])
+    return sizes[0], pr[0]
 
 
 def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                              cuts: Sequence[tuple]) -> list:
+                              cuts: Sequence[tuple]) -> tuple:
     """:func:`granule_statistics` of one universe at each ``(sigma,
-    kappa)`` of ``cuts``, as a list of ``(sizes, pr)`` in ``cuts`` order.
+    kappa)`` of ``cuts``, as ``(sizes, pr)`` with one row per cut, in
+    ``cuts`` order.
 
     One score column of at least ``SORTED_MIN_ROWS`` rows takes the sorted
     path.  Otherwise a cut at kappa 0 holds the whole universe, since the
     kernel never scores below 0: its sizes are k and its pr the mean
     membership, which equals the kernel's row sums bit for bit.  The other
     cuts share one blocked pass over the universe: each row block's squared
-    score gaps are summed once, each distinct sigma turns them into
-    similarities once, and each kappa cuts those with the arithmetic of
-    :func:`kernel_granule_statistics`, so every path gives the same sizes.
+    score gaps are summed once, turned into similarities for every distinct
+    sigma as one array, and cut at every kappa in one comparison, with the
+    arithmetic of :func:`kernel_granule_statistics`, so every path gives the
+    same sizes.  Blocks split the rows, and the cuts where one row against
+    every cut would not fit, so each array holds at most ``BLOCK_CELLS``
+    entries (one row against the universe at least).
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
     k = len(scores)
     if scores.shape[1] == 1 and k >= SORTED_MIN_ROWS:
-        return [sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
-                for sigma, kappa in cuts]
-    whole = None
-    kappas: dict = {}  # sigma -> kappa -> (sizes, pr) of the kernel cuts
-    for sigma, kappa in cuts:
-        if kappa == 0.0:
-            whole = whole or (np.full(k, k), np.full(k, membership.sum() / k))
-        else:
-            kappas.setdefault(sigma, {})[kappa] = (np.empty(k, dtype=int), np.empty(k))
-    step = max(1, BLOCK_CELLS // max(1, k))
-    for start in range(0, k if kappas else 0, step):
-        d2 = squared_gaps(scores[start:start + step], scores)
-        stop = start + len(d2)
-        for s, (sigma, stats) in enumerate(kappas.items()):
-            # the last sigma of the block may overwrite the gaps
-            sim = gap_similarity(d2, sigma, out=d2 if s == len(kappas) - 1 else None)
-            for kappa, (sizes, pr) in stats.items():
-                cut = sim >= kappa
-                sizes[start:stop] = np.count_nonzero(cut, axis=1)
-                # row sums rather than a matrix product: BLAS may sum
-                # identical rows in different orders, and duplicate rows
-                # must tie exactly
-                pr[start:stop] = np.where(cut, membership, 0.0).sum(axis=1)
-    for stats in kappas.values():
-        for sizes, pr in stats.values():
-            pr /= sizes
-    return [kappas[sigma][kappa] if kappa != 0.0 else whole for sigma, kappa in cuts]
+        stats = [sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
+                 for sigma, kappa in cuts]
+        return np.array([s for s, _ in stats]), np.array([p for _, p in stats])
+    sigma, kappa = np.array(cuts, dtype=float).reshape(-1, 2).T
+    sizes = np.full((len(cuts), k), k)
+    pr = np.empty((len(cuts), k))
+    whole = kappa == 0.0
+    if whole.any():
+        pr[whole] = membership.sum() / k
+    # the kernel cuts in sigma order: a block of them needs a run of the sigmas
+    kernel = np.flatnonzero(~whole)
+    kernel = kernel[np.argsort(sigma[kernel], kind="stable")]
+    ordered = sigma[kernel]
+    new = np.ones(len(kernel), dtype=bool)  # new[c]: kernel cut c starts a distinct sigma
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    of = np.cumsum(new) - 1  # each kernel cut's distinct sigma
+    denom = 2.0 * ordered[new] * ordered[new]
+    step = max(1, BLOCK_CELLS // max(1, k * len(kernel)))  # rows per block
+    per = max(1, BLOCK_CELLS // max(1, k * step))  # cuts per block
+    for start in range(0, k if len(kernel) else 0, step):
+        # a block's rows run as one flat axis, so each sigma's and each
+        # kappa's operation is one contiguous loop
+        neg = squared_gaps(scores[start:start + step], scores).reshape(1, -1)
+        np.negative(neg, out=neg)
+        stop = start + neg.size // k
+        for first in range(0, len(kernel), per):
+            cut, s = kernel[first:first + per], of[first:first + per]
+            lo, hi = s[0], s[-1] + 1
+            last = first + per >= len(kernel)  # the last cuts of the block may overwrite the gaps
+            with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+                sim = np.divide(neg, denom[lo:hi, None],
+                                out=neg if last and hi - lo == 1 else None)
+            np.exp(sim, out=sim)
+            if hi - lo < len(cut):  # a sigma serves several kappas
+                sim = sim[s - lo]
+            member = (sim >= kappa[cut, None]).reshape(len(cut), -1, k)
+            sizes[cut, start:stop] = np.count_nonzero(member, axis=-1)
+            # row sums rather than a matrix product: BLAS may sum identical
+            # rows in different orders, and duplicate rows must tie exactly
+            pr[cut, start:stop] = np.where(member, membership, 0.0).sum(axis=-1)
+    pr[kernel] /= sizes[kernel]
+    return sizes, pr
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,

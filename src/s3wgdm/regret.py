@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linguistic import DHHFLE, DHLTScale, elementwise, superior_gradus
+from .neighborhood import BLOCK_CELLS
 
 CELLS = ("pp", "bp", "np", "pn", "bn", "nn")
 
@@ -101,19 +102,33 @@ def comprehensive_utility(per_attribute: Mapping[str, CellValues],
     return CellValues(**values)
 
 
-def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float], eta: float,
-                            theta: float, delta: float) -> np.ndarray:
+def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
+                            utilities: Sequence[tuple]) -> np.ndarray:
     """Comprehensive utilities of k alternatives scored on an attribute
-    subset: a (k, 6) array in ``CELLS`` order.
+    subset, under each ``(eta, theta, delta)`` of ``utilities``: a
+    (U, k, 6) array in ``CELLS`` order.
 
     :func:`direct_simplified_gains`, :func:`perceived_utility_units` and
-    :func:`comprehensive_utility` as one (k, |Z|, 6) broadcast, with the
-    attribute weights given in column order.
+    :func:`comprehensive_utility` as one (k, |Z|, 6, U) broadcast, with the
+    attribute weights given in column order.  The parameter sets run along
+    the last axis, where :func:`elementwise` repeats theta without copying
+    it, and go in blocks whose broadcast holds at most ``BLOCK_CELLS``
+    entries (one set at least), so memory does not grow with U.
     """
-    b = np.clip(scores, 0.0, 1.0)
-    zero = np.zeros_like(b)
-    gains = np.stack([b, eta * b, zero, zero, eta * (1.0 - b), 1.0 - b], axis=-1)
-    u = elementwise(math.pow, gains, theta)
-    u_ref = u[:, :, 0].max(axis=0)  # best full gain per attribute
-    perceived = u + (1.0 - elementwise(math.exp, -delta * (u - u_ref[:, None])))
-    return sum(w * perceived[:, j] for j, w in enumerate(weights))
+    b = np.clip(scores, 0.0, 1.0)[..., None]
+    sets = np.array(utilities, dtype=float).reshape(-1, 3)
+    out = np.empty((len(sets), len(b), len(CELLS)))
+    step = max(1, BLOCK_CELLS // max(1, b.size * len(CELLS)))
+    for start in range(0, len(sets), step):
+        eta, theta, delta = sets[start:start + step].T
+        gains = np.zeros(b.shape[:2] + (len(CELLS), len(eta)))
+        gains[:, :, 0] = b
+        gains[:, :, 1] = eta * b
+        gains[:, :, 4] = eta * (1.0 - b)
+        gains[:, :, 5] = 1.0 - b
+        u = elementwise(math.pow, gains, theta)
+        u_ref = u[:, :, 0].max(axis=0)  # best full gain per attribute
+        perceived = u + (1.0 - elementwise(math.exp, -delta * (u - u_ref[:, None])))
+        total = sum(w * perceived[:, j] for j, w in enumerate(weights))
+        out[start:start + step] = np.moveaxis(total, -1, 0)
+    return out

@@ -321,6 +321,24 @@ class TestOneFusionPerDecide:
         assert code == 0
         assert calls == {"fuse": 1, "orient": 1}
 
+    def test_decide_scores_once(self, capsys, tmp_path, monkeypatch, sle_case_path,
+                                sle_params_path):
+        """decide scores the group table once, and both rankings read it
+        through their cli names."""
+        calls = dict.fromkeys(("superior_gradus_array", "run_sequential",
+                               "baseline_full_fusion"), 0)
+        monkeypatch.setattr(engine, "superior_gradus_array",
+                            counting(calls, "superior_gradus_array",
+                                     engine.superior_gradus_array))
+        for name in ("run_sequential", "baseline_full_fusion"):
+            monkeypatch.setattr(cli, name, counting(calls, name, getattr(cli, name)))
+        code, _, _ = run_cli(capsys, "decide", "--case", sle_case_path,
+                             "--params", sle_params_path,
+                             "--out", str(tmp_path / "report.json"))
+        assert code == 0
+        assert calls == {"superior_gradus_array": 1, "run_sequential": 1,
+                         "baseline_full_fusion": 1}
+
     def test_sweep_fuses_and_orients_once(self, capsys, monkeypatch,
                                           sle_case_path, sle_params_path):
         calls = self.count_table_calls(monkeypatch)
@@ -354,11 +372,43 @@ class TestOneFusionPerDecide:
         # once; the 800 levels the points run hold 23 distinct (level,
         # universe) inputs, each classified by one run_level call, whose one
         # granule call computes that universe's share of the 307 distinct
-        # (universe, sigma, kappa); 44 add eta
+        # (universe, sigma, kappa), and whose one utility call every eta
+        # its points use
         assert calls == {"superior_gradus_array": 1, "run_level": 23,
                          "membership_degrees": 4, "shared_granule_statistics": 23,
-                         "comprehensive_utilities": 44}
+                         "comprehensive_utilities": 23}
         assert len(cuts) == 307
+
+
+class TestParserBuiltOnce:
+    def test_commands_are_looked_up_as_main_runs(self, capsys, monkeypatch, sle_case_path,
+                                                 sle_params_path):
+        """The parser is built once per process, and main finds each
+        command's function in the module when it runs it, so a replaced
+        cmd_decide is the one called after a first main."""
+        assert run_cli(capsys, "validate", "--case", sle_case_path)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_decide", lambda args: seen.append(args.case) or 0)
+        code, out, _ = run_cli(capsys, "decide", "--case", sle_case_path,
+                               "--params", sle_params_path)
+        assert (code, out, seen) == (0, "", [sle_case_path])
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [["decide", "--case", "case.json"], ["solve"], []])
+    def test_usage_errors_exit_2_with_the_same_text(self, capsys, argv):
+        texts = []
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert info.value.code == 2
+            texts.append(capsys.readouterr().err)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[0].startswith("usage: s3wgdm")
+        assert texts == [texts[0]] * 4
 
 
 class TestKernelWidthUnderflow:
@@ -822,7 +872,8 @@ def test_walk_levels_match_fresh_runs(inputs):
     fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
     seen = []
     table = ScoredTable(fused, case.attributes)
-    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs]):
+    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
+                              np.arange(len(runs)), np.arange(len(runs))):
         for points, level in ran:
             for g, p in enumerate(points.tolist()):
                 seen.append((p, i))
@@ -872,7 +923,8 @@ def test_walk_groups_are_maximal(inputs):
     fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
     everything = tuple(range(len(fused.alternatives)))
     table = ScoredTable(fused, case.attributes)
-    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs]):
+    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
+                              np.arange(len(runs)), np.arange(len(runs))):
         got = {tuple(level.rows.tolist()): sorted(points.tolist()) for points, level in ran}
         assert len(got) == len(ran)
         want: dict = {}
@@ -936,15 +988,18 @@ class TestScoredTable:
         rows = np.arange(len(sle_group.alternatives))
         scores, membership = table.gather(1, rows)
         base_cfg, base = sle_params.levels[0], sle_params.params
-        cfgs = [base_cfg, replace(base_cfg, kappa=0.5), base_cfg]
-        params = [base, base, replace(base, eta=0.25)]
-        alone = [engine.run_level(rows, z, scores, membership, weights, [c], [p])
-                 for c, p in zip(cfgs, params)]
+        cfgs = [base_cfg, replace(base_cfg, kappa=0.5)]
+        params = [base, replace(base, eta=0.25)]
+        cfg_ids, param_ids = [0, 1, 0], [0, 0, 1]  # per point, into cfgs and params
+        alone = [engine.run_level(rows, z, scores, membership, weights,
+                                  [cfgs[c]], [params[p]], [0], [0])
+                 for c, p in zip(cfg_ids, param_ids)]
         calls = dict.fromkeys(("shared_granule_statistics", "comprehensive_utilities"), 0)
         for name in calls:
             monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
-        level = engine.run_level(rows, z, scores, membership, weights, cfgs, params)
-        assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 2}
+        level = engine.run_level(rows, z, scores, membership, weights, cfgs, params,
+                                 cfg_ids, param_ids)
+        assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 1}
         for g, want in enumerate(alone):
             for name in ("sizes", "pr", "utilities", "expected", "region"):
                 assert np.array_equal(getattr(level, name)[g], getattr(want, name)), name

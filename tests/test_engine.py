@@ -204,7 +204,7 @@ class TestRunLevel:
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
             run_level(np.arange(0), ["a2"], np.empty((0, 1)), np.empty(0), [1.0],
-                      GOLDEN_CFG, GOLDEN)
+                      [GOLDEN_CFG], [GOLDEN], [0], [0])
 
     def test_loop_calls_run_level_once_per_level(self, sle_case, sle_group, sle_params,
                                                  monkeypatch):

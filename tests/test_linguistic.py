@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from s3wgdm.linguistic import (
     ScaleRangeError,
     add,
     complement,
+    elementwise,
     euclid_distance,
     f_inverse,
     f_scalar,
@@ -219,6 +221,22 @@ class TestSuperiorGradus:
         expected = (superior_gradus_term(DHLT(3, 0), S33)
                     + superior_gradus_term(DHLT(-3, 0), S33)) / 2
         assert superior_gradus(h, S33) == pytest.approx(expected, abs=1e-12)
+
+
+class TestElementwise:
+    def test_array_argument_repeats_along_leading_axes(self):
+        values = np.random.default_rng(5).random((3, 4, 2))
+        exponents = np.array([0.5, 0.88])
+        got = elementwise(math.pow, values, exponents)
+        assert got.tolist() == [[[math.pow(v, e) for v, e in zip(row, exponents)]
+                                 for row in block] for block in values.tolist()]
+        assert elementwise(math.pow, values, 0.88).tolist() == \
+            [[[math.pow(v, 0.88) for v in row] for row in block] for block in values.tolist()]
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 3, 4, 2)])
+    def test_argument_not_ending_the_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not end"):
+            elementwise(math.pow, np.ones((3, 4, 2)), np.ones(shape))
 
 
 class TestDistance:

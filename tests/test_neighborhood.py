@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3wgdm import neighborhood
 from s3wgdm.linguistic import DHLTScale, single, superior_gradus
 from s3wgdm.neighborhood import (
     SORTED_MIN_ROWS,
@@ -256,7 +257,8 @@ class TestSortedCut:
 def universes(draw):
     """Scores of k rows on 1 to 6 columns, drawn from a smaller pool of rows
     so duplicate rows are common, some moved by up to 1e-8; memberships;
-    and one to five cuts, kappa 0 among them often."""
+    and up to 40 cuts drawn from a few sigmas and kappas, so sigmas and
+    kappas repeat and kappa 0 is among them often."""
     k = draw(st.integers(1, SORTED_MIN_ROWS + 16))
     m = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -268,7 +270,10 @@ def universes(draw):
     membership[rng.random(k) < 0.2] = 1.0
     sigma = st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3), st.just(0.7))
     kappa = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
-    cuts = draw(st.lists(st.tuples(sigma, kappa), min_size=1, max_size=5))
+    sigmas = draw(st.lists(sigma, min_size=1, max_size=6))
+    kappas = draw(st.lists(kappa, min_size=1, max_size=6))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(sigmas), st.sampled_from(kappas)),
+                         min_size=1, max_size=40))
     return scores, membership, cuts
 
 
@@ -279,10 +284,23 @@ class TestSharedCuts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(universes())
     def test_matches_blocked_kernel(self, universe):
+        self.check_matches_blocked_kernel(universe)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(universes(), st.integers(1, 256))
+    def test_small_blocks_match_blocked_kernel(self, universe, cells):
+        """With blocks of a few cells, blocks split the cuts as well as the
+        rows, and the statistics stay the kernel's."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighborhood, "BLOCK_CELLS", cells)
+            self.check_matches_blocked_kernel(universe)
+
+    @staticmethod
+    def check_matches_blocked_kernel(universe):
         scores, membership, cuts = universe
-        got = shared_granule_statistics(scores, membership, cuts)
-        assert len(got) == len(cuts)
-        for (sizes, pr), (sigma, kappa) in zip(got, cuts):
+        got_sizes, got_pr = shared_granule_statistics(scores, membership, cuts)
+        assert got_sizes.shape == got_pr.shape == (len(cuts), len(scores))
+        for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
             ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
             assert np.array_equal(sizes, ref_sizes)
             if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS:  # the sorted path
@@ -297,7 +315,7 @@ class TestSharedCuts:
         # the closed form's 1-D sum equals the kernel's 2-D row sums here too
         rng = np.random.default_rng(k)
         scores, membership = rng.random((k, 2)), rng.random(k)
-        ((sizes, pr),) = shared_granule_statistics(scores, membership, [(0.7, 0.0)])
+        ((sizes,), (pr,)) = shared_granule_statistics(scores, membership, [(0.7, 0.0)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
 

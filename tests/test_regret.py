@@ -1,11 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from s3wgdm.linguistic import DHLTScale, single, superior_gradus
+from s3wgdm import regret
+from s3wgdm.linguistic import DHLTScale, elementwise, single, superior_gradus
 from s3wgdm.regret import (
+    CELLS,
     CellValues,
+    comprehensive_utilities,
     comprehensive_utility,
     direct_simplified_gains,
     perceived_utility_units,
@@ -181,3 +187,55 @@ class TestComprehensive:
     def test_weight_key_mismatch(self):
         with pytest.raises(ValueError):
             comprehensive_utility({"a": self._unit(0.5)}, {"b": 1.0})
+
+
+def one_parameter_set(scores, weights, eta, theta, delta):
+    """The comprehensive utilities of one (eta, theta, delta), with the
+    parameters as scalars: the gains, perceived utilities and weighted
+    sum of :func:`comprehensive_utilities`, one parameter set at a time."""
+    b = np.clip(scores, 0.0, 1.0)
+    zero = np.zeros_like(b)
+    gains = np.stack([b, eta * b, zero, zero, eta * (1.0 - b), 1.0 - b], axis=-1)
+    u = elementwise(math.pow, gains, theta)
+    u_ref = u[:, :, 0].max(axis=0)
+    perceived = u + (1.0 - elementwise(math.exp, -delta * (u - u_ref[:, None])))
+    return sum(w * perceived[:, j] for j, w in enumerate(weights))
+
+
+@st.composite
+def utility_inputs(draw):
+    """Scores of k rows on 1 to 6 attributes, some outside [0, 1], with
+    weights summing to about 1; and parameter sets, delta 0 among them
+    often, some repeated."""
+    k = draw(st.integers(1, 20))
+    z = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.uniform(-0.2, 1.2, (k, z))
+    scores[rng.random((k, z)) < 0.2] = 1.0
+    raw = rng.random(z) + 0.01
+    weights = (raw / raw.sum()).tolist()
+    triple = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True,
+                                                      exclude_max=True),
+                       st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+    triples = draw(st.lists(triple, min_size=1, max_size=8))
+    repeats = draw(st.lists(st.integers(0, len(triples) - 1), max_size=4))
+    return scores, weights, triples + [triples[r] for r in repeats]
+
+
+class TestBatchedUtilities:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(utility_inputs(), st.one_of(st.none(), st.integers(1, 600)))
+    def test_each_parameter_set_as_its_own_call(self, inputs, cells):
+        """The utilities of many (eta, theta, delta) in one call equal,
+        bit for bit, each one's own call and the scalar-parameter pass,
+        also where small blocks split the parameter sets."""
+        scores, weights, triples = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            if cells is not None:
+                patch.setattr(regret, "BLOCK_CELLS", cells)
+            got = comprehensive_utilities(scores, weights, triples)
+        assert got.shape == (len(triples), len(scores), len(CELLS))
+        for row, (eta, theta, delta) in zip(got, triples):
+            alone = comprehensive_utilities(scores, weights, [(eta, theta, delta)])
+            assert np.array_equal(row, alone[0])
+            assert np.array_equal(row, one_parameter_set(scores, weights, eta, theta, delta))
