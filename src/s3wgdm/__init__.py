@@ -43,7 +43,6 @@ from .neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
-    granule_statistics,
     kernel_rows,
     kernel_similarity,
     membership_degrees,

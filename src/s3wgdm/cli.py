@@ -72,9 +72,10 @@ def _apply_overrides(spec: ParamsFile, args) -> ParamsFile:
     return spec
 
 
-def _group_table(case):
-    """The oriented group table every engine call of a command reads."""
-    return orient_to_concept(fuse_dhhflmwa(case.experts), case.attributes)
+def _group_table(case) -> ScoredTable:
+    """The scored group table every engine call of a command reads."""
+    return ScoredTable(orient_to_concept(fuse_dhhflmwa(case.experts), case.attributes),
+                       case.attributes)
 
 
 def _print_report(out, data: dict) -> None:
@@ -116,10 +117,10 @@ def cmd_decide(args) -> int:
     case = load_case(args.case)
     spec = _apply_overrides(load_params(args.params), args)
     started = time.perf_counter()
-    table = ScoredTable(_group_table(case), case.attributes)  # read by both rankings
-    report = run_sequential(table, case.attributes, spec.levels, spec.params,
+    table = _group_table(case)  # read by both rankings
+    report = run_sequential(table, spec.levels, spec.params,
                             monotonicity_override=spec.monotonicity_override)
-    baseline = baseline_full_fusion(table, case.attributes, spec.params)
+    baseline = baseline_full_fusion(table, spec.params)
     elapsed = time.perf_counter() - started
     metadata = {"deterministic": True, "elapsed_seconds": elapsed}
     data = report_dict(case, spec, report, baseline=baseline, metadata=metadata)
@@ -255,8 +256,7 @@ def cmd_sweep(args) -> int:
     case = load_case(args.case)
     base_spec = _apply_overrides(load_params(args.params), args)
     grids = _parse_grid(args.grid)
-    fused = _group_table(case)
-    table = ScoredTable(fused, case.attributes)  # scored once, read by every point
+    table = _group_table(case)  # scored once, read by every point
     names = sorted(grids)
     header = names + [f"{name.lower()}_{i}" for i in range(1, len(base_spec.levels) + 1)
                       for name in REGIONS] + ["final_ranking"]
@@ -280,7 +280,7 @@ def cmd_sweep(args) -> int:
         for order in orders:
             key = order.tobytes()
             if key not in joined:
-                joined[key] = ">".join(map(fused.alternatives.__getitem__, order.tolist()))
+                joined[key] = ">".join(map(table.fused.alternatives.__getitem__, order.tolist()))
             rankings.append(joined[key])
     # the CSV's columns, each built in one pass over the points
     counts = np.concatenate(tallies)
@@ -329,7 +329,7 @@ def cmd_baseline(args) -> int:
         if problems:
             raise CaseFormatError([f"report {args.out}: {p}" for p in problems])
         data, params = existing, spec.params
-    order = baseline_full_fusion(_group_table(case), case.attributes, params)
+    order = baseline_full_fusion(_group_table(case), params)
     print("baseline ranking: " + " > ".join(order))
     if args.out:
         data["baseline_ranking"] = order

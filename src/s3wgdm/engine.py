@@ -102,7 +102,7 @@ def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = Fal
 class GranularLevel:
     """Everything computed at one decision level: one row per universe row.
 
-    It runs on what :meth:`ScoredTable.gather` gives on its universe: the
+    It runs on its universe's rows of :meth:`ScoredTable.level`: the
     scores and concept membership, which no point's parameters change.
     A level that :func:`run_level` computed for a group of points holds
     each of ``sizes`` to ``region`` either once, shared by every point of
@@ -220,32 +220,27 @@ class ScoredTable:
             found = self._levels[index] = (cols, z, weights, membership)
         return found
 
-    def gather(self, index: int, rows: np.ndarray) -> tuple:
-        """The scores and concept membership of level ``index`` on the
-        table's ``rows``: the inputs of that level on that universe."""
-        cols, _, _, membership = self.level(index)
-        return self.scores[np.ix_(rows, cols)], membership[rows]
 
+def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[LevelConfig],
+              params: Sequence[EngineParams], cfg_ids: np.ndarray,
+              param_ids: np.ndarray) -> GranularLevel:
+    """Classify level ``index`` of ``table`` for a group of points that
+    share its universe, the table's ``rows``.
 
-def run_level(rows: np.ndarray, z: Sequence[str], scores: np.ndarray,
-              membership: np.ndarray, weights: Sequence[float], cfgs: Sequence[LevelConfig],
-              params: Sequence[EngineParams], cfg_ids: np.ndarray, param_ids: np.ndarray,
-              index: int = 1) -> GranularLevel:
-    """Classify one level for a group of points that share its universe.
-
-    The level runs on the universe's (universe x z) exponential scores and
-    its rows' concept membership; ``rows`` index the universe in the group
-    table, ``weights`` are the renormalised attribute weights in column
-    order, and the group's ``g``-th point runs the level configuration
-    ``cfgs[cfg_ids[g]]`` with parameters ``params[param_ids[g]]``.  The
-    granule statistics of every configuration the points use are one pass,
-    as are the utilities of every parameter set they use; the points'
-    expected utilities and regions are then one broadcast over the points,
-    and each returned array that all points share is held once, without
-    the point axis.
+    The level runs on the universe's (universe x z) exponential scores, its
+    rows' concept membership and the renormalised attribute weights, all
+    read from ``table.level(index)``; the group's ``g``-th point runs the
+    level configuration ``cfgs[cfg_ids[g]]`` with parameters
+    ``params[param_ids[g]]``.  The granule statistics of every
+    configuration the points use are one pass, as are the utilities of
+    every parameter set they use; the points' expected utilities and
+    regions are then one broadcast over the points, and each returned
+    array that all points share is held once, without the point axis.
     """
     if not len(rows):
         raise ValueError("empty universe")
+    cols, z, weights, membership = table.level(index)
+    scores, membership = table.scores[np.ix_(rows, cols)], membership[rows]
     used_cfgs, cut = _distinct(cfg_ids)
     used_params, util = _distinct(param_ids)
     sizes, pr = shared_granule_statistics(
@@ -260,7 +255,7 @@ def run_level(rows: np.ndarray, z: Sequence[str], scores: np.ndarray,
     acc, dfr, rej = expected[..., 0], expected[..., 1], expected[..., 2]
     region = np.where((acc >= dfr) & (acc >= rej), POS,
                       np.where((dfr >= acc) & (dfr >= rej), BND, NEG)).astype(np.int8)
-    return GranularLevel(index=index, rows=rows, z=tuple(z), scores=scores, sizes=sizes,
+    return GranularLevel(index=index, rows=rows, z=z, scores=scores, sizes=sizes,
                          pr=pr, utilities=v, expected=expected, region=region)
 
 
@@ -290,11 +285,8 @@ def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
     at a time, so that each failure is its own point's; a failing point
     goes into ``failures`` with its level named."""
     try:
-        _, z, weights, _ = table.level(i)
-        scores, membership = table.gather(i, rows)
         # the universe goes first and positionally: bench/tracer.py reads it
-        level = run_level(rows, z, scores, membership, weights, cfgs, params,
-                          config_ids[points], param_ids[points], i)
+        level = run_level(rows, table, i, cfgs, params, config_ids[points], param_ids[points])
     except Exception as exc:
         if len(points) > 1:
             return [run for g in range(len(points))
@@ -368,21 +360,15 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
         raise failures[min(failures)]
 
 
-def run_sequential(fused: FusedDecisionTable | ScoredTable,
-                   attrs: Sequence[AttributeSpec],
-                   levels: Sequence[LevelConfig],
-                   params: EngineParams,
-                   subsets: Optional[NestedSubsets] = None,
+def run_sequential(table: ScoredTable, levels: Sequence[LevelConfig], params: EngineParams,
                    monotonicity_override: bool = False) -> DecisionReport:
     """Run the level-by-level loop; the boundary of each level feeds the next.
 
-    ``fused`` is the oriented group table, as :func:`baseline_full_fusion`
-    takes it, or its :class:`ScoredTable`, whose attributes and nested
-    subsets then stand for ``attrs`` and ``subsets``.  It is scored, and
-    each level's membership found, once over all rows; a level gathers both
-    on its universe.  This is the one-point case of :func:`walk`.
+    ``table`` is the scored group table, whose attributes and nested
+    subsets the levels take in order; a level reads its scores and
+    membership on its universe from it.  This is the one-point case of
+    :func:`walk`.
     """
-    table = fused if isinstance(fused, ScoredTable) else ScoredTable(fused, attrs, subsets)
     if not table.fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
@@ -466,17 +452,14 @@ def rank(report: DecisionReport, key: str = "accept",
     return report.ids(_ranked(region, value, np.argsort(report.by_id), neg_direction))
 
 
-def baseline_full_fusion(fused: FusedDecisionTable | ScoredTable, attrs: Sequence[AttributeSpec],
-                         params: Optional[EngineParams] = None) -> list:
-    """One-shot comparator on the oriented group table, or its
-    :class:`ScoredTable`: score each alternative by the weighted utility of
-    its per-attribute scores (the table's, clipped to [0, 1]), rank
-    descending.
+def baseline_full_fusion(table: ScoredTable, params: Optional[EngineParams] = None) -> list:
+    """One-shot comparator on the scored group table: score each
+    alternative by the weighted utility of its per-attribute scores (the
+    table's, clipped to [0, 1]), rank descending.
 
     Without parameters the raw scores are averaged (utility exponent 1);
     with parameters the same risk-averse utility as the engine applies.
     """
-    table = fused if isinstance(fused, ScoredTable) else ScoredTable(fused, attrs)
     scores = np.clip(table.scores, 0.0, 1.0)
     if params is not None:
         scores = elementwise(math.pow, scores, params.theta)

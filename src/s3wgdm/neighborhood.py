@@ -124,29 +124,21 @@ def build_similarity_matrix(table: FusedDecisionTable, z: Iterable[str],
                             values=kernel_rows(scores, scores, sigma), sigma=sigma)
 
 
-def granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                       sigma: float, kappa: float) -> tuple:
-    """Granule size and conditional probability of every row.
+def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
+                              cuts: Sequence[tuple]) -> tuple:
+    """Granule size and conditional probability of every row of one
+    universe at each ``(sigma, kappa)`` of ``cuts``, as ``(sizes, pr)``
+    with one row per cut, in ``cuts`` order.
 
     A row's granule is every row at least ``kappa``-similar to it, compared
     with no tolerance; its probability is the mean membership over the
     granule.  Only sizes are kept, never member sets.
-    """
-    sizes, pr = shared_granule_statistics(scores, membership, [(sigma, kappa)])
-    return sizes[0], pr[0]
 
-
-def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                              cuts: Sequence[tuple]) -> tuple:
-    """:func:`granule_statistics` of one universe at each ``(sigma,
-    kappa)`` of ``cuts``, as ``(sizes, pr)`` with one row per cut, in
-    ``cuts`` order.
-
-    One score column of at least ``SORTED_MIN_ROWS`` rows takes the sorted
-    path.  Otherwise a cut at kappa 0 holds the whole universe, since the
-    kernel never scores below 0: its sizes are k and its pr the mean
-    membership, which equals the kernel's row sums bit for bit.  The other
-    cuts share one blocked pass over the universe: each row block's squared
+    A cut at kappa 0 holds the whole universe, since the kernel never
+    scores below 0: its sizes are k and its pr the mean membership, which
+    equals the kernel's row sums bit for bit.  The other cuts of one score
+    column of at least ``SORTED_MIN_ROWS`` rows take the sorted path.  The
+    rest share one blocked pass over the universe: each row block's squared
     score gaps are summed once, turned into similarities for every distinct
     sigma as one array, and cut at every kappa in one comparison, with the
     arithmetic of :func:`kernel_granule_statistics`, so every path gives the
@@ -158,16 +150,17 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
     k = len(scores)
-    if scores.shape[1] == 1 and k >= SORTED_MIN_ROWS:
-        stats = [sorted_granule_statistics(scores[:, 0], membership, sigma, kappa)
-                 for sigma, kappa in cuts]
-        return np.array([s for s, _ in stats]), np.array([p for _, p in stats])
     sigma, kappa = np.array(cuts, dtype=float).reshape(-1, 2).T
     sizes = np.full((len(cuts), k), k)
     pr = np.empty((len(cuts), k))
     whole = kappa == 0.0
     if whole.any():
         pr[whole] = membership.sum() / k
+    if scores.shape[1] == 1 and k >= SORTED_MIN_ROWS:
+        for c in np.flatnonzero(~whole).tolist():
+            sizes[c], pr[c] = sorted_granule_statistics(scores[:, 0], membership,
+                                                        sigma[c], kappa[c])
+        return sizes, pr
     # the kernel cuts in sigma order: a block of them needs a run of the sigmas
     kernel = np.flatnonzero(~whole)
     kernel = kernel[np.argsort(sigma[kernel], kind="stable")]
@@ -205,8 +198,8 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
                               sigma: float, kappa: float) -> tuple:
-    """:func:`granule_statistics` by the blocked kernel: every pair of rows
-    is compared, in row blocks."""
+    """:func:`shared_granule_statistics` of one cut by the blocked kernel:
+    every pair of rows is compared, in row blocks."""
     sizes = np.empty(len(scores), dtype=int)
     pr = np.empty(len(scores))
     for start, sim in similarity_blocks(scores, sigma):
@@ -222,7 +215,8 @@ def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
 def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
                               sigma: float, kappa: float) -> tuple:
-    """:func:`granule_statistics` for one score column, in O(n log n).
+    """:func:`shared_granule_statistics` of one cut for one score column,
+    in O(n log n).
 
     In one dimension a granule is an interval of the sorted distinct
     scores (fixed-radius near neighbours by sorting).  Each interval is

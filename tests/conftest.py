@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from s3wgdm.caseio import load_case, load_params
-from s3wgdm.engine import REGIONS
+from s3wgdm.engine import REGIONS, ScoredTable
 from s3wgdm.linguistic import DHLTScale
 from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
@@ -34,8 +34,13 @@ def sle_params(sle_params_path):
 
 
 def oriented(tables, attrs):
-    """The oriented group table, the input of both engine entry points."""
+    """The oriented group table of the expert ``tables``."""
     return orient_to_concept(fuse_dhhflmwa(tables), attrs)
+
+
+def scored(tables, attrs):
+    """The scored group table, the input of every engine entry point."""
+    return ScoredTable(oriented(tables, attrs), attrs)
 
 
 def universe(report, level):
@@ -64,6 +69,13 @@ def exit_levels(report):
 @pytest.fixture(scope="session")
 def sle_group(sle_case):
     return oriented(sle_case.experts, sle_case.attributes)
+
+
+@pytest.fixture
+def sle_table(sle_case, sle_group):
+    """The bundled case's scored group table, new to each test, since it
+    keeps each level it finds."""
+    return ScoredTable(sle_group, sle_case.attributes)
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import level_regions, oriented, universe
+from conftest import level_regions, scored, universe
 
 from s3wgdm.cli import main as cli_main
 from s3wgdm.engine import (
     EngineParams,
     LevelConfig,
+    ScoredTable,
     baseline_full_fusion,
     rank,
     run_sequential,
@@ -90,14 +91,14 @@ def random_case(rng, n, m, e):
 
 @pytest.fixture(scope="module")
 def golden_report(sle_case, sle_group, sle_params):
-    return run_sequential(sle_group, sle_case.attributes,
+    return run_sequential(ScoredTable(sle_group, sle_case.attributes),
                           sle_params.levels, sle_params.params)
 
 
 class TestCriterion1Classification:
     def test_region_trajectory_and_runtime(self, sle_case, sle_group, sle_params):
         started = time.perf_counter()
-        report = run_sequential(sle_group, sle_case.attributes,
+        report = run_sequential(ScoredTable(sle_group, sle_case.attributes),
                                 sle_params.levels, sle_params.params)
         elapsed = time.perf_counter() - started
         for lvl in report.levels:
@@ -306,8 +307,8 @@ class TestCriterion7EngineStructure:
             params = EngineParams(eta=rng.uniform(0.3, 1.0),
                                   theta=rng.uniform(0.3, 0.95),
                                   delta=rng.uniform(0.0, 0.5))
-            fused = oriented(tables, attrs)
-            report = run_sequential(fused, attrs, levels, params)
+            table = scored(tables, attrs)
+            report = run_sequential(table, levels, params)
 
             pos_seen, neg_seen = set(), set()
             previous_bnd = None
@@ -333,7 +334,7 @@ class TestCriterion7EngineStructure:
                     shuffled.append(make_table(
                         t.expert_id, t.expert_weight, perm, t.attributes,
                         [t.cells[i] for i in idx], S33))
-                report2 = run_sequential(oriented(shuffled, attrs), attrs, levels, params)
+                report2 = run_sequential(scored(shuffled, attrs), levels, params)
                 assert (report2.regions_after(len(report2.levels))
                         == report.regions_after(len(report.levels)))
 
@@ -341,11 +342,10 @@ class TestCriterion7EngineStructure:
             # vacuous cut, one level over every attribute
             flat_params = EngineParams(eta=1.0, theta=params.theta, delta=0.0)
             all_ids = frozenset(a.id for a in attrs)
-            flat = run_sequential(
-                fused, attrs, [LevelConfig(kappa=0.0, sigma=sigma)], flat_params,
-                subsets=NestedSubsets((all_ids,)))
+            flat = run_sequential(ScoredTable(table.fused, attrs, NestedSubsets((all_ids,))),
+                                  [LevelConfig(kappa=0.0, sigma=sigma)], flat_params)
             engine_order = rank(flat, key="accept")
-            baseline_order = baseline_full_fusion(fused, attrs, flat_params)
+            baseline_order = baseline_full_fusion(table, flat_params)
             assert engine_order == baseline_order
         print("criterion 7: PASS - partitions, boundary hand-off, accumulation, "
               "permutation invariance, and the flat-run reduction hold on 200 "

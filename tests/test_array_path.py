@@ -201,7 +201,7 @@ def test_array_path_matches_scalar_reference(case):
     tables, attrs, levels, params = case
     fused = oriented(tables, attrs)
     assert same_bits(fused.means, as_means(reference_oriented(tables, attrs)))
-    got = run_sequential(fused, attrs, levels, params)
+    got = run_sequential(ScoredTable(fused, attrs), levels, params)
     want = reference_report(tables, attrs, levels, params)
     assert len(got.levels) == len(want.levels)
     for g, w in zip(got.levels, want.levels):
@@ -285,8 +285,9 @@ def test_fusion_and_baseline_match_cell_by_cell_reference(case):
     assert same_bits(got.means, as_means(reference_fused(tables)))
     oriented = orient_to_concept(got, attrs)
     assert same_bits(oriented.means, as_means(reference_oriented(tables, attrs)))
-    assert baseline_full_fusion(oriented, attrs) == reference_baseline(tables, attrs, None)
-    assert baseline_full_fusion(oriented, attrs, params) == \
+    table = ScoredTable(oriented, attrs)
+    assert baseline_full_fusion(table) == reference_baseline(tables, attrs, None)
+    assert baseline_full_fusion(table, params) == \
         reference_baseline(tables, attrs, params)
 
 
@@ -303,11 +304,11 @@ def test_membership_gathered_on_rows_is_bit_identical(case, data):
     n = len(fused.alternatives)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                        unique=True)), dtype=np.intp)
-    cols, _, weights, _ = table.level(i)
+    cols, _, weights, membership = table.level(i)
     phi, varphi = fused.subscripts()
     cells = np.ix_(rows, cols)
     want = membership_degrees(phi[cells], varphi[cells], weights, fused.scale)
-    assert np.array_equal(table.gather(i, rows)[1], want)
+    assert np.array_equal(membership[rows], want)
 
 
 def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):

@@ -527,14 +527,13 @@ class TestParamsValidation:
 
 
 class TestReportValidation:
-    def test_roundtrip_from_run(self, tmp_path, sle_case_path, sle_params_path, sle_group):
+    def test_roundtrip_from_run(self, tmp_path, sle_case_path, sle_params_path, sle_table):
         from s3wgdm.caseio import report_dict
         from s3wgdm.engine import run_sequential
 
         case = load_case(sle_case_path)
         spec = load_params(sle_params_path)
-        report = run_sequential(sle_group, case.attributes,
-                                spec.levels, spec.params)
+        report = run_sequential(sle_table, spec.levels, spec.params)
         data = report_dict(case, spec, report)
         assert validate_report_dict(data) == []
         # survives a JSON write/read cycle

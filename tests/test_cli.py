@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import SWEEP_GRID, oriented, universe
+from conftest import SWEEP_GRID, scored, universe
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -193,7 +193,7 @@ class TestDecide:
         assert ranking[4:] == ["x6", "x8", "x5", "x1"]
 
     def test_dump_similarity(self, capsys, tmp_path, sle_case_path, sle_params_path,
-                             sle_case, sle_group, sle_params):
+                             sle_table, sle_params):
         prefix = tmp_path / "sim"
         code, *_ = run_cli(capsys, "decide", "--case", sle_case_path,
                            "--params", sle_params_path,
@@ -206,8 +206,7 @@ class TestDecide:
         assert rows[0][1:] == [f"x{i}" for i in range(1, 9)]
         assert float(rows[1][1]) == 1.0
 
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         for level in report.levels:
             with open(tmp_path / f"sim.level{level.index}.csv") as fh:
                 header, *body = list(csv.reader(fh))
@@ -502,6 +501,64 @@ def test_string_override_rejected(capsys, tmp_path, sle_case_path, sle_params_pa
     assert "monotonicity_override must be true or false" in err
 
 
+class TestInputProblems:
+    """Each input problem exits 1 with its message, and is found before
+    any run starts."""
+
+    @staticmethod
+    def edited(tmp_path, path, edit):
+        """The JSON document at ``path``, changed by ``edit``, written to
+        ``tmp_path`` under the same name."""
+        with open(path) as fh:
+            data = json.load(fh)
+        edit(data)
+        out = tmp_path / pathlib.Path(path).name
+        out.write_text(json.dumps(data))
+        return str(out)
+
+    def test_monotonicity_override(self, capsys, tmp_path, sle_case_path, sle_params_path):
+        params = self.edited(tmp_path, sle_params_path,
+                             lambda d: d["levels"][1].update(kappa=0.5))
+        argv = ["decide", "--case", sle_case_path, "--params", params]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == ("invalid input: cut thresholds must be non-decreasing across levels "
+                       "(pass the monotonicity override to allow this)\n")
+        code, _, _ = run_cli(capsys, *argv, "--override-monotonicity")
+        assert code == 0
+
+    @pytest.mark.parametrize("edit, problems", [
+        (lambda d: (d["experts"][0].update(weight=1.5), d["experts"][1].update(weight=-0.7)),
+         ["experts[0]: expert weight 1.5 outside [0, 1]",
+          "experts[1]: expert weight -0.7 outside [0, 1]"]),
+        (lambda d: d["attributes"][1].update(id=d["attributes"][0]["id"]),
+         ["attribute ids are not unique"]),
+        (lambda d: d["experts"][1].update(id=d["experts"][0]["id"]),
+         ["expert ids are not unique"]),
+    ], ids=["expert-weights-outside", "duplicate-attributes", "duplicate-experts"])
+    def test_case_problems(self, capsys, tmp_path, sle_case_path, sle_params_path, edit,
+                           problems):
+        # weights 1.5, -0.7 and 0.2 still sum to 1: only their range is wrong
+        case = self.edited(tmp_path, sle_case_path, edit)
+        code, _, err = run_cli(capsys, "decide", "--case", case, "--params", sle_params_path)
+        assert code == 1
+        assert err.splitlines() == ["invalid input:"] + [f"  - {p}" for p in problems]
+
+    @pytest.mark.parametrize("grid, problem", [
+        ("eta", "grid spec 'eta' must look like name=start:stop:step"),
+        ("eta=0:1", "grid spec 'eta=0:1': expected start:stop:step"),
+        ("eta=0:1:0", "grid spec 'eta=0:1:0': step must be positive"),
+    ])
+    def test_malformed_grid(self, capsys, tmp_path, sle_case_path, sle_params_path, grid,
+                            problem):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
+                               sle_params_path, "--grid", grid, "--out", str(out_path))
+        assert code == 1
+        assert err.splitlines() == ["invalid input:", f"  - {problem}"]
+        assert not out_path.exists()
+
+
 class TestFuse:
     def test_stdout_is_the_out_file(self, capsys, tmp_path, sle_case_path):
         out_path = tmp_path / "fused.json"
@@ -678,13 +735,12 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "shared_granule_statistics", refusing)
         case, spec = load_case(sle_case_path), load_params(sle_params_path)
-        fused = oriented(case.experts, case.attributes)
+        table = scored(case.experts, case.attributes)
         with pytest.raises(Exception) as first:  # the first point: eta 0.6, sigma 0.5
             for eta in (0.6, 1.0):
                 for sigma in (0.5, 0.6, 0.7):
-                    run_sequential(fused, case.attributes,
-                                   [LevelConfig(kappa=c.kappa, sigma=sigma)
-                                    for c in spec.levels],
+                    run_sequential(table, [LevelConfig(kappa=c.kappa, sigma=sigma)
+                                           for c in spec.levels],
                                    replace(spec.params, eta=eta))
         assert str(first.value) in message
         out_path = tmp_path / "sweep.csv"
@@ -829,11 +885,11 @@ def test_sweep_rows_match_fresh_runs(inputs):
         assert main(argv) == 0
         with open(tmp / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-    fused = oriented(case.experts, case.attributes)
+    table = scored(case.experts, case.attributes)
     for row in rows:
         levels, params = point_run(spec, {name: float(row[name])
                                           for name in GRID_OPTIONS if name in row})
-        fresh = run_sequential(fused, case.attributes, levels, params)
+        fresh = run_sequential(table, levels, params)
         for i in range(1, len(levels) + 1):
             regions = fresh.regions_after(i)
             assert [int(row[f"{r.lower()}_{i}"]) for r in REGIONS] == \
@@ -868,10 +924,10 @@ def test_walk_levels_match_fresh_runs(inputs):
     names = sorted(grid)
     runs = [point_run(spec, dict(zip(names, values)))
             for values in itertools.product(*(grid[name] for name in names))]
-    fused = oriented(case.experts, case.attributes)
-    fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
+    fresh = [run_sequential(scored(case.experts, case.attributes), levels, params)
+             for levels, params in runs]
     seen = []
-    table = ScoredTable(fused, case.attributes)
+    table = scored(case.experts, case.attributes)
     for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
                               np.arange(len(runs)), np.arange(len(runs))):
         for points, level in ran:
@@ -919,10 +975,10 @@ def test_walk_groups_are_maximal(inputs):
     names = sorted(grid)
     runs = [point_run(spec, dict(zip(names, values)))
             for values in itertools.product(*(grid[name] for name in names))]
-    fused = oriented(case.experts, case.attributes)
-    fresh = [run_sequential(fused, case.attributes, levels, params) for levels, params in runs]
-    everything = tuple(range(len(fused.alternatives)))
-    table = ScoredTable(fused, case.attributes)
+    fresh = [run_sequential(scored(case.experts, case.attributes), levels, params)
+             for levels, params in runs]
+    table = scored(case.experts, case.attributes)
+    everything = tuple(range(len(table.fused.alternatives)))
     for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
                               np.arange(len(runs)), np.arange(len(runs))):
         got = {tuple(level.rows.tolist()): sorted(points.tolist()) for points, level in ran}
@@ -945,22 +1001,20 @@ class TestScoredTable:
         monkeypatch.setattr(engine, "superior_gradus_array",
                             counting(calls, "superior_gradus_array",
                                      engine.superior_gradus_array))
-        report = run_sequential(sle_group, sle_case.attributes, sle_params.levels,
-                                sle_params.params)
+        table = ScoredTable(sle_group, sle_case.attributes)
+        report = run_sequential(table, sle_params.levels, sle_params.params)
         assert len(report.levels) > 1
         assert calls == {"superior_gradus_array": 1}
 
-    def test_gather_matches_scoring_the_cells(self, sle_case, sle_group):
-        table = ScoredTable(sle_group, sle_case.attributes)
+    def test_gather_matches_scoring_the_cells(self, sle_table, sle_group):
         phi, varphi = sle_group.subscripts()
         rows = np.array([3, 0, 2])
-        for i in range(1, len(table.subsets) + 1):
-            cols, _, weights, _ = table.level(i)
-            got_scores, got_membership = table.gather(i, rows)
+        for i in range(1, len(sle_table.subsets) + 1):
+            cols, _, weights, membership = sle_table.level(i)
             cells = np.ix_(rows, cols)
-            assert np.array_equal(got_scores, engine.superior_gradus_array(
+            assert np.array_equal(sle_table.scores[cells], engine.superior_gradus_array(
                 phi[cells], varphi[cells], sle_group.scale))
-            assert np.array_equal(got_membership, engine.membership_degrees(
+            assert np.array_equal(membership[rows], engine.membership_degrees(
                 phi[cells], varphi[cells], weights, sle_group.scale))
 
     def test_level_columns_and_weights(self, sle_case, sle_group):
@@ -981,24 +1035,18 @@ class TestScoredTable:
         with pytest.raises(ValueError, match="attribute weights sum to"):
             ScoredTable(sle_group, attrs)
 
-    def test_run_level_points_match_one_point_runs(self, monkeypatch, sle_case, sle_group,
-                                                   sle_params):
-        table = ScoredTable(sle_group, sle_case.attributes)
-        _, z, weights, _ = table.level(1)
-        rows = np.arange(len(sle_group.alternatives))
-        scores, membership = table.gather(1, rows)
+    def test_run_level_points_match_one_point_runs(self, monkeypatch, sle_table, sle_params):
+        rows = np.arange(len(sle_table.fused.alternatives))
         base_cfg, base = sle_params.levels[0], sle_params.params
         cfgs = [base_cfg, replace(base_cfg, kappa=0.5)]
         params = [base, replace(base, eta=0.25)]
         cfg_ids, param_ids = [0, 1, 0], [0, 0, 1]  # per point, into cfgs and params
-        alone = [engine.run_level(rows, z, scores, membership, weights,
-                                  [cfgs[c]], [params[p]], [0], [0])
+        alone = [engine.run_level(rows, sle_table, 1, [cfgs[c]], [params[p]], [0], [0])
                  for c, p in zip(cfg_ids, param_ids)]
         calls = dict.fromkeys(("shared_granule_statistics", "comprehensive_utilities"), 0)
         for name in calls:
             monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
-        level = engine.run_level(rows, z, scores, membership, weights, cfgs, params,
-                                 cfg_ids, param_ids)
+        level = engine.run_level(rows, sle_table, 1, cfgs, params, cfg_ids, param_ids)
         assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 1}
         for g, want in enumerate(alone):
             for name in ("sizes", "pr", "utilities", "expected", "region"):

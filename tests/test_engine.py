@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import exit_levels, level_regions, oriented, per_id, universe
+from conftest import exit_levels, level_regions, per_id, scored, universe
 
 from s3wgdm import cli, engine
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
@@ -163,8 +163,8 @@ class TestRunLevel:
     """One level through ``run_sequential``; the empty universe goes to
     ``run_level`` itself, which the loop never calls with one."""
 
-    def test_reference_case_first_level(self, sle_case, sle_group):
-        report = run_sequential(sle_group, sle_case.attributes, [GOLDEN_CFG], GOLDEN)
+    def test_reference_case_first_level(self, sle_table):
+        report = run_sequential(sle_table, [GOLDEN_CFG], GOLDEN)
         (level,) = report.levels
         assert level.z == ("a2",)
         regions = level_regions(report, level)
@@ -175,7 +175,7 @@ class TestRunLevel:
     def test_single_alternative_no_regret_with_delta_zero(self):
         t = make_table("E1", 1.0, ["x"], ["a"], [[single(1, 0)]], S33)
         attrs = [attr("a", 1.0)]
-        report = run_sequential(oriented([t], attrs), attrs, [GOLDEN_CFG],
+        report = run_sequential(scored([t], attrs), [GOLDEN_CFG],
                                 EngineParams(eta=0.6, theta=0.88, delta=0.0))
         (level,) = report.levels
         assert level.rows.tolist() == [0]
@@ -194,19 +194,18 @@ class TestRunLevel:
             t = make_table("E1", 1.0, ["x1", "x2", "x3"], ["a1", "a2"],
                            [cellrow, other, cellrow], S33)
             attrs = [attr("a1", 0.5), attr("a2", 0.5)]  # tied, so Z1 holds both
-            report = run_sequential(oriented([t], attrs), attrs,
+            report = run_sequential(scored([t], attrs),
                                     [LevelConfig(kappa=rng.random(), sigma=0.7)], GOLDEN)
             (level,) = report.levels
             assert level.z == ("a1", "a2")
             region = per_id(report, level, level.region)
             assert region["x1"] == region["x3"]
 
-    def test_empty_universe_rejected(self):
+    def test_empty_universe_rejected(self, sle_table):
         with pytest.raises(ValueError):
-            run_level(np.arange(0), ["a2"], np.empty((0, 1)), np.empty(0), [1.0],
-                      [GOLDEN_CFG], [GOLDEN], [0], [0])
+            run_level(np.arange(0), sle_table, 1, [GOLDEN_CFG], [GOLDEN], [0], [0])
 
-    def test_loop_calls_run_level_once_per_level(self, sle_case, sle_group, sle_params,
+    def test_loop_calls_run_level_once_per_level(self, sle_table, sle_params,
                                                  monkeypatch):
         calls = []
 
@@ -215,8 +214,7 @@ class TestRunLevel:
             return run_level(*args, **kwargs)
 
         monkeypatch.setattr(engine, "run_level", recording)
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         assert len(report.levels) == 4
         assert [args[0].tolist() for args in calls] == \
             [level.rows.tolist() for level in report.levels]
@@ -224,9 +222,8 @@ class TestRunLevel:
 
 
 class TestRunSequential:
-    def test_reference_case_trajectory(self, sle_case, sle_group, sle_params):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+    def test_reference_case_trajectory(self, sle_table, sle_params):
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         levels = {lvl.index: level_regions(report, lvl) for lvl in report.levels}
         assert levels[1]["POS"] == {"x2"}
         assert levels[1]["NEG"] == {"x1", "x5", "x6"}
@@ -240,9 +237,8 @@ class TestRunSequential:
         assert exits["x4"] == 3
         assert exits["x3"] == 4
 
-    def test_single_level_is_plain_three_way(self, sle_case, sle_group):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                [GOLDEN_CFG], GOLDEN)
+    def test_single_level_is_plain_three_way(self, sle_case, sle_table):
+        report = run_sequential(sle_table, [GOLDEN_CFG], GOLDEN)
         assert len(report.levels) == 1
         regions = report.regions_after(1)
         assert sorted(sum(regions.values(), [])) == sorted(sle_case.alternatives)
@@ -254,7 +250,7 @@ class TestRunSequential:
             from s3wgdm.tables import build_nested_subsets
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.9, sigma=0.7)] * k
-            report = run_sequential(oriented(tables, attrs), attrs, levels, GOLDEN)
+            report = run_sequential(scored(tables, attrs), levels, GOLDEN)
             sizes = [len(lvl.rows) for lvl in report.levels]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             for earlier, later in zip(report.levels, report.levels[1:]):
@@ -275,7 +271,7 @@ class TestRunSequential:
         tables = [make_table("E1", 0.4, alts, ids, rows_e1, S33),
                   make_table("E2", 0.6, alts, ids, rows_e2, S33)]
         attrs = [attr("a1", 0.6), attr("a2", 0.4)]
-        report = run_sequential(oriented(tables, attrs), attrs,
+        report = run_sequential(scored(tables, attrs),
                                 [LevelConfig(kappa=1.0, sigma=0.7)], GOLDEN)
         level = report.levels[0]
         assert per_id(report, level, level.sizes) == {"x1": 2, "x2": 1, "x3": 2}
@@ -285,20 +281,24 @@ class TestRunSequential:
 
     def test_empty_case_rejected(self):
         attrs = [attr("a", 1.0)]
-        fused = oriented([make_table("E1", 1.0, [], ["a"], [], S33)], attrs)
+        table = scored([make_table("E1", 1.0, [], ["a"], [], S33)], attrs)
         with pytest.raises(ValueError, match="no alternatives"):
-            run_sequential(fused, attrs, [GOLDEN_CFG], GOLDEN)
+            run_sequential(table, [GOLDEN_CFG], GOLDEN)
 
-    def test_too_many_levels_rejected(self, sle_case, sle_group):
+    def test_no_levels_rejected(self, sle_table):
+        with pytest.raises(ValueError, match="^no level configuration$"):
+            run_sequential(sle_table, [], GOLDEN)
+
+    def test_too_many_levels_rejected(self, sle_table):
         levels = [GOLDEN_CFG] * 7
         with pytest.raises(ValueError):
-            run_sequential(sle_group, sle_case.attributes, levels, GOLDEN)
+            run_sequential(sle_table, levels, GOLDEN)
 
     @pytest.mark.parametrize("error, wrapped, code", [
         (ValueError("bad level input"), ValueError, 1),
         (KeyError("lost"), RuntimeError, 2),
     ])
-    def test_level_failure_names_its_level(self, monkeypatch, capsys, sle_case, sle_group,
+    def test_level_failure_names_its_level(self, monkeypatch, capsys, sle_table,
                                            sle_params, sle_case_path, sle_params_path,
                                            error, wrapped, code):
         """A ValueError inside a level stays an input problem (exit 1) and
@@ -314,7 +314,7 @@ class TestRunSequential:
         monkeypatch.setattr(engine, "run_level", failing_at_level_2)
         calls = []
         with pytest.raises(wrapped, match="^decision level 2") as info:
-            run_sequential(sle_group, sle_case.attributes, sle_params.levels, sle_params.params)
+            run_sequential(sle_table, sle_params.levels, sle_params.params)
         assert type(info.value) is wrapped and info.value.__cause__ is error
         if wrapped is ValueError:
             assert str(info.value) == "decision level 2: bad level input"
@@ -322,25 +322,23 @@ class TestRunSequential:
         assert cli.main(["decide", "--case", sle_case_path, "--params", sle_params_path]) == code
         assert "decision level 2" in capsys.readouterr().err
 
-    def test_monotonicity_enforced_and_overridable(self, sle_case, sle_group):
+    def test_monotonicity_enforced_and_overridable(self, sle_table):
         levels = [LevelConfig(0.9, 0.7), LevelConfig(0.5, 0.7)]
         with pytest.raises(ValueError):
-            run_sequential(sle_group, sle_case.attributes, levels, GOLDEN)
-        run_sequential(sle_group, sle_case.attributes, levels, GOLDEN,
+            run_sequential(sle_table, levels, GOLDEN)
+        run_sequential(sle_table, levels, GOLDEN,
                        monotonicity_override=True)
 
 
 class TestRank:
-    def test_reference_case_levels_two_and_three(self, sle_case, sle_group, sle_params):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+    def test_reference_case_levels_two_and_three(self, sle_table, sle_params):
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         expected = ["x2", "x4", "x7", "x3", "x1", "x5", "x8", "x6"]
         assert rank(report, neg_direction="asc", upto=2) == expected
         assert rank(report, neg_direction="asc", upto=3) == expected
 
-    def test_region_precedence(self, sle_case, sle_group, sle_params):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+    def test_region_precedence(self, sle_table, sle_params):
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         order = rank(report, neg_direction="asc")
         regions = report.regions_after(len(report.levels))
         region_of = {a: r for r, ids in regions.items() for a in ids}
@@ -348,9 +346,8 @@ class TestRank:
         # accepted block, then deferred, then rejected
         assert seen == sorted(seen, key=("POS", "BND", "NEG").index)
 
-    def test_neg_direction_flips_block(self, sle_case, sle_group, sle_params):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+    def test_neg_direction_flips_block(self, sle_table, sle_params):
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         asc = rank(report, neg_direction="asc")
         desc = rank(report, neg_direction="desc")
         assert asc[:4] == desc[:4]
@@ -361,7 +358,7 @@ class TestRank:
         t = make_table("E1", 1.0, ["x1", "x2", "x3"], ["a"],
                        [[single(0.5, 0)], [single(0.2, 0)], [single(0.8, 0)]], S33)
         attrs = [attr("a", 1.0)]
-        report = run_sequential(oriented([t], attrs), attrs,
+        report = run_sequential(scored([t], attrs),
                                 [LevelConfig(kappa=0.0, sigma=0.7)],
                                 EngineParams(eta=1.0, theta=0.88, delta=0.0))
         level = report.levels[0]
@@ -372,9 +369,8 @@ class TestRank:
         for block in blocks.values():
             assert block == sorted(block, key=lambda a: (-keys[a], a))
 
-    def test_invalid_options(self, sle_case, sle_group, sle_params):
-        report = run_sequential(sle_group, sle_case.attributes,
-                                sle_params.levels, sle_params.params)
+    def test_invalid_options(self, sle_table, sle_params):
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         with pytest.raises(ValueError):
             rank(report, key="reject")
         with pytest.raises(ValueError):
@@ -387,24 +383,23 @@ class TestBaseline:
                        [[single(-2, 0), single(-1, 0)],
                         [single(2, 0), single(3, 0)]], S33)
         attrs = [attr("a1", 0.5), attr("a2", 0.5)]
-        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["hi", "lo"]
+        assert baseline_full_fusion(scored([t], attrs)) == ["hi", "lo"]
 
     def test_ties_broken_by_id(self):
         row = [single(1, 0), single(0, 0)]
         t = make_table("E1", 1.0, ["b", "a"], ["a1", "a2"], [row, list(row)], S33)
         attrs = [attr("a1", 0.5), attr("a2", 0.5)]
-        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["a", "b"]
+        assert baseline_full_fusion(scored([t], attrs)) == ["a", "b"]
 
     def test_reference_case_total_order(self, sle_case):
-        order = baseline_full_fusion(oriented(sle_case.experts, sle_case.attributes),
-                                     sle_case.attributes)
+        order = baseline_full_fusion(scored(sle_case.experts, sle_case.attributes))
         assert sorted(order) == sorted(sle_case.alternatives)
         assert len(order) == 8
 
     def test_single_alternative(self):
         t = make_table("E1", 1.0, ["only"], ["a"], [[single(1, 2)]], S33)
         attrs = [attr("a", 1.0)]
-        assert baseline_full_fusion(oriented([t], attrs), attrs) == ["only"]
+        assert baseline_full_fusion(scored([t], attrs)) == ["only"]
 
 
 class TestOrderIndependence:
@@ -415,7 +410,7 @@ class TestOrderIndependence:
             from s3wgdm.tables import build_nested_subsets
             k = len(build_nested_subsets(attrs))
             levels = [LevelConfig(kappa=0.8, sigma=0.7)] * k
-            report = run_sequential(oriented(tables, attrs), attrs, levels, GOLDEN)
+            report = run_sequential(scored(tables, attrs), levels, GOLDEN)
             check_regions_and_ranking(report, tables, attrs, levels)
             base = report.regions_after(len(report.levels))
 
@@ -427,5 +422,5 @@ class TestOrderIndependence:
                 shuffled.append(make_table(
                     t.expert_id, t.expert_weight, perm, t.attributes,
                     [t.cells[i] for i in idx], S33))
-            report2 = run_sequential(oriented(shuffled, attrs), attrs, levels, GOLDEN)
+            report2 = run_sequential(scored(shuffled, attrs), levels, GOLDEN)
             assert report2.regions_after(len(report2.levels)) == base

@@ -17,7 +17,6 @@ from s3wgdm.neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
-    granule_statistics,
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
@@ -229,16 +228,18 @@ class TestSortedCut:
         order = np.argsort(values, kind="stable")
         same = values[order][1:] == values[order][:-1]
         assert np.array_equal(pr[order][1:][same], pr[order][:-1][same])
-        chosen = granule_statistics(values[:, None], membership, sigma, kappa)
-        expected = (sizes, pr) if len(values) >= SORTED_MIN_ROWS else (ref_sizes, ref_pr)
-        assert all(np.array_equal(a, b) for a, b in zip(chosen, expected))
+        # the engine's route: the sorted path for kappa > 0 at size, else the kernel's
+        chosen = shared_granule_statistics(values[:, None], membership, [(sigma, kappa)])
+        on_sorted = len(values) >= SORTED_MIN_ROWS and kappa > 0.0
+        expected = (sizes, pr) if on_sorted else (ref_sizes, ref_pr)
+        assert all(np.array_equal(a[0], b) for a, b in zip(chosen, expected))
 
     def test_many_columns_stay_on_the_kernel(self):
         rng = np.random.default_rng(3)
         scores, membership = rng.random((200, 2)), rng.random(200)
-        for got, ref in zip(granule_statistics(scores, membership, 0.7, 0.9),
+        for got, ref in zip(shared_granule_statistics(scores, membership, [(0.7, 0.9)]),
                             kernel_granule_statistics(scores, membership, 0.7, 0.9)):
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got[0], ref)
 
     def test_sums_hold_at_scale(self):
         # float64 prefix differences would be off by about 1e-12 here
@@ -303,12 +304,12 @@ class TestSharedCuts:
         for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
             ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
             assert np.array_equal(sizes, ref_sizes)
-            if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS:  # the sorted path
-                assert np.abs(pr - ref_pr).max() <= 1e-12
+            if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS and kappa > 0.0:
+                assert np.abs(pr - ref_pr).max() <= 1e-12  # the sorted path
             else:
                 assert np.array_equal(pr, ref_pr)
-            single = granule_statistics(scores, membership, sigma, kappa)
-            assert np.array_equal(single[0], sizes) and np.array_equal(single[1], pr)
+            single = shared_granule_statistics(scores, membership, [(sigma, kappa)])
+            assert np.array_equal(single[0][0], sizes) and np.array_equal(single[1][0], pr)
 
     @pytest.mark.parametrize("k", [1000, 1023, 1025, 4097])
     def test_kappa_zero_at_size(self, k):
@@ -318,6 +319,20 @@ class TestSharedCuts:
         ((sizes,), (pr,)) = shared_granule_statistics(scores, membership, [(0.7, 0.0)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kappa_zero_on_one_column(self, seed):
+        """A kappa-0 cut takes the closed form before one score column takes
+        the sorted path, so it stays the kernel's bit for bit there too."""
+        rng = np.random.default_rng(seed)
+        k = rng.integers(SORTED_MIN_ROWS, 400)
+        scores, membership = rng.random((k, 1)), rng.random(k)
+        (sizes, cut_sizes), (pr, cut_pr) = shared_granule_statistics(
+            scores, membership, [(0.7, 0.0), (0.7, 0.9)])
+        ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
+        assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
+        sorted_sizes, sorted_pr = sorted_granule_statistics(scores[:, 0], membership, 0.7, 0.9)
+        assert np.array_equal(cut_sizes, sorted_sizes) and np.array_equal(cut_pr, sorted_pr)
 
     def test_cut_threshold_checked(self):
         with pytest.raises(ValueError, match="outside"):
