@@ -11,7 +11,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .linguistic import elementwise, superior_gradus_array
-from .neighborhood import membership_degrees, shared_granule_statistics
+from .neighborhood import membership_degrees, ranges, shared_granule_statistics
 from .regret import comprehensive_utilities
 from .tables import (
     AttributeSpec,
@@ -100,33 +100,35 @@ def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = Fal
 
 @dataclass(frozen=True, eq=False)
 class GranularLevel:
-    """Everything computed at one decision level: one row per universe row.
+    """Everything computed at one decision level for a set of points.
 
-    It runs on its universe's rows of :meth:`ScoredTable.level`: the
-    scores and concept membership, which no point's parameters change.
-    A level that :func:`run_level` computed for a group of points holds
-    each of ``sizes`` to ``region`` either once, shared by every point of
-    the group, or with a leading point axis, so that it broadcasts over the
-    points either way.
+    Each point runs on its universe's rows of :meth:`ScoredTable.level`:
+    the scores and concept membership, which no point's parameters change.
+    ``rows`` holds the universes one after another; the other arrays from
+    ``sizes`` on hold one entry per cell, a (point, universe row) pair.  A
+    level run for one point holds one cell per universe row, in order.
     """
 
     index: int  # 1-based
-    rows: np.ndarray  # the universe, as row indices into the group table
+    rows: np.ndarray  # the universes, as row indices into the group table
     z: tuple
-    scores: np.ndarray  # exponential scores the level ran on, universe x z
+    scores: np.ndarray  # exponential scores the level ran on, rows x z
+    cell_point: np.ndarray  # each cell's point, by position among the points run
+    cell_row: np.ndarray  # each cell's universe row, by position in ``rows``
     sizes: np.ndarray  # granule sizes
     pr: np.ndarray  # conditional probabilities
-    utilities: np.ndarray  # comprehensive utilities, (k, 6) in regret.CELLS order
-    expected: np.ndarray  # expected utilities, (k, 3): accept, defer, reject
+    utilities: np.ndarray  # comprehensive utilities, (cells, 6) in regret.CELLS order
+    expected: np.ndarray  # expected utilities, (cells, 3): accept, defer, reject
     region: np.ndarray  # int8 region codes: POS, BND or NEG
 
 
 @dataclass(frozen=True, eq=False)
 class DecisionReport:
-    """Outcome of a full sequential run.  Each level's universe is the
-    previous level's BND, so writing the levels' rows into one array in
-    level order leaves each alternative with its value from the level that
-    decided it, or from the last level it was in."""
+    """Outcome of a full sequential run: one point, so each level holds
+    one cell per universe row.  Each level's universe is the previous
+    level's BND, so writing the levels' rows into one array in level order
+    leaves each alternative with its value from the level that decided it,
+    or from the last level it was in."""
 
     alternatives: tuple
     levels: tuple  # GranularLevel per executed level
@@ -184,9 +186,9 @@ def classify(expected: tuple) -> str:
 
 
 # point x alternative cells one chunk of a sweep's points holds.  Per cell the
-# walk keeps a region code and a rank-key value, and a level's broadcast over
-# a group needs about 150 bytes more, so a chunk stays under 40 MB whatever
-# the grid and case sizes.
+# walk keeps a region code, a rank-key value and a BND bit, and a level's
+# broadcast over its cells needs about 150 bytes more, so a chunk stays under
+# 40 MB whatever the grid and case sizes.
 SWEEP_CELLS = 1 << 18
 
 
@@ -222,83 +224,119 @@ class ScoredTable:
 
 
 def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[LevelConfig],
-              params: Sequence[EngineParams], cfg_ids: np.ndarray,
-              param_ids: np.ndarray) -> GranularLevel:
-    """Classify level ``index`` of ``table`` for a group of points that
-    share its universe, the table's ``rows``.
+              params: Sequence[EngineParams], cfg_ids: np.ndarray, param_ids: np.ndarray,
+              bounds: Optional[np.ndarray] = None,
+              groups: Optional[np.ndarray] = None) -> GranularLevel:
+    """Classify level ``index`` of ``table`` for a set of points in one pass.
 
-    The level runs on the universe's (universe x z) exponential scores, its
+    The points' universes, groups of table rows, run one after another in
+    ``rows``: group ``g``'s universe is ``rows[bounds[g]:bounds[g + 1]]``
+    (default: one universe, all of ``rows``).  Point ``p`` is in group
+    ``groups[p]`` (default 0) and runs the level configuration
+    ``cfgs[cfg_ids[p]]`` with parameters ``params[param_ids[p]]``.  Each
+    group runs on its universe's (universe x z) exponential scores, its
     rows' concept membership and the renormalised attribute weights, all
-    read from ``table.level(index)``; the group's ``g``-th point runs the
-    level configuration ``cfgs[cfg_ids[g]]`` with parameters
-    ``params[param_ids[g]]``.  The granule statistics of every
-    configuration the points use are one pass, as are the utilities of
-    every parameter set they use; the points' expected utilities and
-    regions are then one broadcast over the points, and each returned
-    array that all points share is held once, without the point axis.
+    read from ``table.level(index)``.
+
+    A level is one pass, whatever the number of groups: the bundled
+    330-point sweep grid makes 4 passes, one per level, where one pass
+    per universe group made 23.  :func:`shared_granule_statistics` finds
+    the granule statistics of every (group, configuration) pair the points
+    use: it packs the small universes into shared blocks of at most
+    ``neighborhood.BLOCK_CELLS`` (cut, pair) entries, each row compared
+    with its own universe only, and sums each pr over exactly its own
+    universe's k entries, the rows of each universe size together, since
+    numpy's pairwise sum depends on the length of the row it sums.
+    :func:`comprehensive_utilities` finds the utilities of every (group,
+    parameter set) pair in one broadcast over their rows, and the points'
+    expected utilities and regions are one broadcast over all (point,
+    universe row) cells.
     """
     if not len(rows):
         raise ValueError("empty universe")
+    bounds = np.array([0, len(rows)]) if bounds is None else np.asarray(bounds, dtype=np.intp)
+    groups = np.zeros(len(cfg_ids), dtype=np.intp) if groups is None else np.asarray(groups)
     cols, z, weights, membership = table.level(index)
-    scores, membership = table.scores[np.ix_(rows, cols)], membership[rows]
-    used_cfgs, cut = _distinct(cfg_ids)
-    used_params, util = _distinct(param_ids)
-    sizes, pr = shared_granule_statistics(
-        scores, membership, [(cfgs[c].sigma, cfgs[c].kappa) for c in used_cfgs.tolist()])
+    scores, membership = table.scores[rows][:, cols], membership[rows]
+    # the distinct (group, configuration) and (group, parameter set) pairs
+    cuts, cut_use = _uses(groups, cfg_ids, len(cfgs))
+    sets, set_use = _uses(groups, param_ids, len(params))
+    sizes, pr, cut_first = shared_granule_statistics(
+        scores, membership, [(c.sigma, c.kappa) for c in cfgs], bounds, cuts)
     if not ((pr >= 0.0) & (pr <= 1.0)).all():
         raise ValueError("conditional probability outside [0, 1]")
-    sizes, pr = _per_point(sizes, cut), _per_point(pr, cut)
-    v = _per_point(comprehensive_utilities(scores, weights, [
-        (params[u].eta, params[u].theta, params[u].delta) for u in used_params.tolist()]), util)
+    v = comprehensive_utilities(scores, weights, [(p.eta, p.theta, p.delta) for p in params],
+                                bounds, sets)
+    # every point's cells: its universe's rows, at its pairs' entries
+    k = bounds[1:] - bounds[:-1]
+    count = k[groups]
+    cut_at = ranges(cut_first[cut_use], count)
+    sizes, pr = sizes[cut_at], pr[cut_at]
+    set_first = k[sets[0]].cumsum() - k[sets[0]]
+    v = v[ranges(set_first[set_use], count)]
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
-    expected = v[..., :3] * pr[..., None] + v[..., 3:] * (1.0 - pr)[..., None]
-    acc, dfr, rej = expected[..., 0], expected[..., 1], expected[..., 2]
-    region = np.where((acc >= dfr) & (acc >= rej), POS,
-                      np.where((dfr >= acc) & (dfr >= rej), BND, NEG)).astype(np.int8)
-    return GranularLevel(index=index, rows=rows, z=z, scores=scores, sizes=sizes,
-                         pr=pr, utilities=v, expected=expected, region=region)
+    expected = v[:, :3] * pr[:, None]
+    expected += v[:, 3:] * (1.0 - pr)[:, None]
+    # the first maximizing action, in the order accept, defer, reject
+    region = expected.argmax(axis=1).astype(np.int8)
+    return GranularLevel(index=index, rows=rows, z=z, scores=scores,
+                         cell_point=np.arange(len(groups)).repeat(count),
+                         cell_row=ranges(bounds[groups], count),
+                         sizes=sizes, pr=pr, utilities=v, expected=expected, region=region)
 
 
-def _distinct(ids: np.ndarray) -> tuple:
-    """The distinct values of the non-negative ``ids``, in increasing
-    order, and each id's position among them."""
-    ids = np.asarray(ids, dtype=np.intp)
-    where = np.zeros(ids.max() + 1, dtype=np.intp)
-    where[ids] = 1
-    distinct = np.flatnonzero(where)
+def _uses(groups: np.ndarray, ids: np.ndarray, count: int) -> tuple:
+    """The distinct (group, id) pairs of the points, ids below ``count``, in
+    increasing order, as (their groups, their ids), and each point's pair's
+    position among them."""
+    pairs, use = _distinct(groups * count + np.asarray(ids, dtype=np.intp))
+    return np.divmod(pairs, count), use
+
+
+def _distinct(values: np.ndarray) -> tuple:
+    """The distinct non-negative ``values`` in increasing order, and each
+    value's position among them: by a table over the values' range where
+    that is not much longer than the values, else by sorting."""
+    top = int(values.max())
+    if top >= 8 * len(values) + 1024:
+        return np.unique(values, return_inverse=True)
+    where = np.zeros(top + 1, dtype=np.intp)
+    where[values] = 1
+    distinct = where.nonzero()[0]
     where[distinct] = np.arange(len(distinct))
-    return distinct, where[ids]
+    return distinct, where[values]
 
 
-def _per_point(array: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """``array[which[g]]`` for each point ``g``, along the first axis; the
-    one row itself when there is one, shared by every point."""
-    return array[0] if len(array) == 1 else array[which]
-
-
-def _run_group(table: ScoredTable, i: int, rows: np.ndarray, points: np.ndarray,
-               cfgs: Sequence[LevelConfig], params: Sequence[EngineParams],
-               config_ids: np.ndarray, param_ids: np.ndarray, failures: dict) -> list:
-    """:func:`run_level` at level ``i`` for the ``points`` whose universe is
-    ``rows``, as ``[(points, level)]``; ``cfgs`` holds each configuration's
-    level ``i``.  A group of several points that fails runs again one point
-    at a time, so that each failure is its own point's; a failing point
-    goes into ``failures`` with its level named."""
+def _run_level(table: ScoredTable, i: int, rows: np.ndarray, bounds: np.ndarray,
+               points: np.ndarray, groups: np.ndarray, cfgs: Sequence[LevelConfig],
+               params: Sequence[EngineParams], config_ids: np.ndarray, param_ids: np.ndarray,
+               failures: dict) -> list:
+    """:func:`run_level` at level ``i`` for the ``points``, as ``[(points,
+    level)]``; ``cfgs`` holds each configuration's level ``i``.  A call
+    that fails runs again one group at a time, and a group of several
+    points that fails one point at a time, so that each failure is its own
+    point's; a failing point goes into ``failures`` with its level named."""
     try:
-        # the universe goes first and positionally: bench/tracer.py reads it
-        level = run_level(rows, table, i, cfgs, params, config_ids[points], param_ids[points])
+        # the universes go first and positionally: bench/tracer.py reads them
+        return [(points, run_level(rows, table, i, cfgs, params, config_ids[points],
+                                   param_ids[points], bounds, groups))]
     except Exception as exc:
-        if len(points) > 1:
-            return [run for g in range(len(points))
-                    for run in _run_group(table, i, rows, points[g:g + 1], cfgs, params,
-                                          config_ids, param_ids, failures)]
-        # an input problem stays one, naming its level
-        failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
-                   else RuntimeError(f"decision level {i} failed: {exc}"))
-        failure.__cause__ = exc
-        failures[int(points[0])] = failure
-        return []
-    return [(points, level)]
+        if len(bounds) > 2:
+            parts = [(rows[bounds[g]:bounds[g + 1]], points[groups == g])
+                     for g in range(len(bounds) - 1)]
+        elif len(points) > 1:
+            parts = [(rows, points[p:p + 1]) for p in range(len(points))]
+        else:
+            # an input problem stays one, naming its level
+            failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
+                       else RuntimeError(f"decision level {i} failed: {exc}"))
+            failure.__cause__ = exc
+            failures[int(points[0])] = failure
+            return []
+    return [run for part, members in parts
+            for run in _run_level(table, i, part, np.array([0, len(part)]), members,
+                                  np.zeros(len(members), dtype=np.intp), cfgs, params,
+                                  config_ids, param_ids, failures)]
 
 
 def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EngineParams],
@@ -310,11 +348,13 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
     :class:`LevelConfig` as long as every other, with parameters
     ``params[param_ids[p]]``.  At each level the points still running are
     grouped by universe: points whose universes hold the same rows form one
-    group, whichever group they came from, and :func:`run_level` classifies
-    each group once.  Each point of a group then goes straight into its
-    next-level group, keyed by its own BND rows.  Yields ``(level index,
-    [(points, level), ...])`` for each level that some point ran, as
-    :func:`run_level` returned each level.
+    group, whichever group they came from.  A level is one pass: one
+    :func:`run_level` call classifies every group of the level at once.
+    The points' BND rows, as bit masks over the table rows, then regroup
+    every point in one step.  Yields ``(level index, [(points, level),
+    ...])`` for each level that some point ran, ``level`` a
+    :class:`GranularLevel` of those ``points``: one pair, unless a failing
+    call ran again in parts.
 
     A configuration that fails the monotonicity check, or has more levels
     than nested subsets, is found once, and its points run none; a point
@@ -336,26 +376,33 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
             problems.append(exc)
     refused = np.array([problem is not None for problem in problems])[config_ids]
     failures = {p: problems[config_ids[p]] for p in np.flatnonzero(refused).tolist()}
-    universe = np.arange(len(table.fused.alternatives))
-    running = np.flatnonzero(~refused)
-    groups = {universe.tobytes(): (universe, running)} if len(running) else {}
+    n = len(table.fused.alternatives)
+    points = np.flatnonzero(~refused)
+    rows, bounds, groups = np.arange(n), np.array([0, n]), np.zeros(len(points), dtype=np.intp)
     for i in range(1, len(configs[0]) + 1):
+        if not len(points):
+            break
         cfgs = [levels[i - 1] for levels in configs]
-        ran, after = [], {}
-        for rows, points in groups.values():
-            for points, level in _run_group(table, i, rows, np.asarray(points, dtype=np.intp),
-                                            cfgs, params, config_ids, param_ids, failures):
-                ran.append((points, level))
-                # each point's BND rows key it into its next-level group
-                bnd = np.broadcast_to(level.region == BND, (len(points), len(rows)))
-                for p, mask in zip(points.tolist(), bnd):
-                    nxt = rows[mask]
-                    if len(nxt):
-                        after.setdefault(nxt.tobytes(), (nxt, []))[1].append(p)
+        ran = _run_level(table, i, rows, bounds, points, groups, cfgs, params,
+                         config_ids, param_ids, failures)
         if not ran:
             break
         yield i, ran
-        groups = after
+        # each point's BND rows, packed into bytes, key it into its next-level group
+        bnd = np.zeros((len(config_ids), n), dtype=bool)
+        for members, level in ran:
+            cell = level.region == BND
+            bnd[members[level.cell_point[cell]], level.rows[level.cell_row[cell]]] = True
+        del ran, level  # the next level runs without this one held
+        points = bnd.any(axis=1).nonzero()[0]
+        if len(points) > 1:
+            keys = np.packbits(bnd[points], axis=1)
+            _, first, groups = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                         return_index=True, return_inverse=True)
+        else:  # no point, or a lone point in a group of its own
+            first = groups = np.zeros(len(points), dtype=np.intp)
+        owner, rows = bnd[points[first]].nonzero()
+        bounds = owner.searchsorted(np.arange(len(first) + 1))
     if failures:
         raise failures[min(failures)]
 
@@ -406,9 +453,10 @@ def sweep_outcomes(table: ScoredTable, configs: Sequence[tuple],
         for i, ran in walk(table, configs, params, config_ids[chunk], param_ids[chunk],
                            monotonicity_override):
             for points, level in ran:
-                cells = np.ix_(points, level.rows)
+                cells = points[level.cell_point], level.rows[level.cell_row]
                 region[cells] = level.region
-                value[cells] = level.expected[..., column]
+                value[cells] = level.expected[:, column]
+            del ran, level  # the walk runs the next level without this one held
             # the state after level i stands until a later level changes it
             counts[:, i - 1:] = np.bincount((region + offsets).ravel(),
                                             minlength=size * len(REGIONS)).reshape(size, 1, -1)

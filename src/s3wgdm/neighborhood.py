@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,18 +79,26 @@ def kernel_similarity(x_row: Sequence[DHHFLE], y_row: Sequence[DHHFLE],
     return math.exp(-d2 / (2.0 * sigma * sigma))
 
 
-def squared_gaps(block: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Summed squared score gaps of each row of ``block`` (k, m) to each
-    row of ``scores`` (n, m), as a (k, n) array, taken directly and summed
-    column by column, as :func:`kernel_similarity` does (its sum starts at
-    0.0, and 0.0 plus the first square is that square)."""
-    if not scores.shape[1]:  # no attributes: no gap
-        return np.zeros((len(block), len(scores)))
-    d2 = np.subtract.outer(block[:, 0], scores[:, 0])
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each start ``s`` and length ``n``, concatenated."""
+    if len(lengths) == 1:
+        return np.arange(starts[0], starts[0] + lengths[0])
+    ends = lengths.cumsum()
+    return (starts + lengths - ends).repeat(lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def squared_gaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Summed squared score gaps of the rows of ``left`` and ``right``, two
+    (..., m) arrays that numpy broadcasts together, taken directly and
+    summed column by column, as :func:`kernel_similarity` does (its sum
+    starts at 0.0, and 0.0 plus the first square is that square)."""
+    if not left.shape[-1]:  # no attributes: no gap
+        return np.zeros(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]))
+    d2 = np.subtract(left[..., 0], right[..., 0])
     d2 *= d2
     gap = np.empty_like(d2)
-    for j in range(1, scores.shape[1]):
-        np.subtract.outer(block[:, j], scores[:, j], out=gap)
+    for j in range(1, left.shape[-1]):
+        np.subtract(left[..., j], right[..., j], out=gap)
         gap *= gap
         d2 += gap
     return d2
@@ -100,7 +109,7 @@ def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarr
     ``scores`` (n, m), as a (k, n) array; identical rows score exactly 1.0."""
     if not sigma > 0:
         raise ValueError(f"kernel width must be positive, got {sigma}")
-    sim = squared_gaps(block, scores)
+    sim = squared_gaps(block[:, None], scores[None])
     np.negative(sim, out=sim)
     with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
         sim /= 2.0 * sigma * sigma
@@ -125,75 +134,181 @@ def build_similarity_matrix(table: FusedDecisionTable, z: Iterable[str],
 
 
 def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                              cuts: Sequence[tuple]) -> tuple:
-    """Granule size and conditional probability of every row of one
-    universe at each ``(sigma, kappa)`` of ``cuts``, as ``(sizes, pr)``
-    with one row per cut, in ``cuts`` order.
+                              cuts: Sequence[tuple], bounds: Optional[np.ndarray] = None,
+                              uses: Optional[tuple] = None) -> tuple:
+    """Granule size and conditional probability of every row of several
+    universes, each at the ``(sigma, kappa)`` cuts it uses, as ``(sizes,
+    pr, first)``: use ``u`` holds its universe's k rows, in order, at
+    ``first[u]:first[u] + k`` of ``sizes`` and ``pr``.
 
-    A row's granule is every row at least ``kappa``-similar to it, compared
-    with no tolerance; its probability is the mean membership over the
-    granule.  Only sizes are kept, never member sets.
+    The universes' rows of ``scores`` and ``membership`` run one universe
+    after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``.
+    ``uses`` pairs universes with cuts, as two arrays: universe ids and
+    indices into ``cuts``.  By default all rows are one universe that uses
+    every cut, in ``cuts`` order.
+
+    A row's granule is every row of its own universe at least
+    ``kappa``-similar to it, compared with no tolerance; its probability is
+    the mean membership over the granule.  Only sizes are kept, never
+    member sets.
 
     A cut at kappa 0 holds the whole universe, since the kernel never
     scores below 0: its sizes are k and its pr the mean membership, which
-    equals the kernel's row sums bit for bit.  The other cuts of one score
-    column of at least ``SORTED_MIN_ROWS`` rows take the sorted path.  The
-    rest share one blocked pass over the universe: each row block's squared
-    score gaps are summed once, turned into similarities for every distinct
-    sigma as one array, and cut at every kappa in one comparison, with the
-    arithmetic of :func:`kernel_granule_statistics`, so every path gives the
-    same sizes.  Blocks split the rows, and the cuts where one row against
-    every cut would not fit, so each array holds at most ``BLOCK_CELLS``
-    entries (one row against the universe at least).
+    equals the kernel's row sums bit for bit.  The other cuts of a
+    one-column universe of at least ``SORTED_MIN_ROWS`` rows take the
+    sorted path.  The rest share one blocked pass
+    (:func:`_kernel_statistics`) with the arithmetic of
+    :func:`kernel_granule_statistics`, so every path gives the same sizes.
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    k = len(scores)
-    sigma, kappa = np.array(cuts, dtype=float).reshape(-1, 2).T
-    sizes = np.full((len(cuts), k), k)
-    pr = np.empty((len(cuts), k))
-    whole = kappa == 0.0
-    if whole.any():
-        pr[whole] = membership.sum() / k
-    if scores.shape[1] == 1 and k >= SORTED_MIN_ROWS:
-        for c in np.flatnonzero(~whole).tolist():
-            sizes[c], pr[c] = sorted_granule_statistics(scores[:, 0], membership,
-                                                        sigma[c], kappa[c])
-        return sizes, pr
-    # the kernel cuts in sigma order: a block of them needs a run of the sigmas
-    kernel = np.flatnonzero(~whole)
-    kernel = kernel[np.argsort(sigma[kernel], kind="stable")]
-    ordered = sigma[kernel]
-    new = np.ones(len(kernel), dtype=bool)  # new[c]: kernel cut c starts a distinct sigma
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    of = np.cumsum(new) - 1  # each kernel cut's distinct sigma
-    denom = 2.0 * ordered[new] * ordered[new]
-    step = max(1, BLOCK_CELLS // max(1, k * len(kernel)))  # rows per block
-    per = max(1, BLOCK_CELLS // max(1, k * step))  # cuts per block
-    for start in range(0, k if len(kernel) else 0, step):
-        # a block's rows run as one flat axis, so each sigma's and each
-        # kappa's operation is one contiguous loop
-        neg = squared_gaps(scores[start:start + step], scores).reshape(1, -1)
-        np.negative(neg, out=neg)
-        stop = start + neg.size // k
-        for first in range(0, len(kernel), per):
-            cut, s = kernel[first:first + per], of[first:first + per]
-            lo, hi = s[0], s[-1] + 1
-            last = first + per >= len(kernel)  # the last cuts of the block may overwrite the gaps
-            with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-                sim = np.divide(neg, denom[lo:hi, None],
-                                out=neg if last and hi - lo == 1 else None)
-            np.exp(sim, out=sim)
-            if hi - lo < len(cut):  # a sigma serves several kappas
-                sim = sim[s - lo]
-            member = (sim >= kappa[cut, None]).reshape(len(cut), -1, k)
-            sizes[cut, start:stop] = np.count_nonzero(member, axis=-1)
-            # row sums rather than a matrix product: BLAS may sum identical
-            # rows in different orders, and duplicate rows must tie exactly
-            pr[cut, start:stop] = np.where(member, membership, 0.0).sum(axis=-1)
-    pr[kernel] /= sizes[kernel]
-    return sizes, pr
+    if bounds is None:
+        bounds, uses = (0, len(scores)), ([0] * len(cuts), range(len(cuts)))
+    bounds = np.asarray(bounds, dtype=np.intp)
+    length = (bounds[1:] - bounds[:-1]).tolist()  # each universe's size
+    one_column = scores.shape[1] == 1
+    whole: dict = {}  # universe size -> its kappa 0 uses, as (use, universe)
+    on_sorted, kernel = [], []  # (use, universe, cut)
+    universe, cut = (np.asarray(a).tolist() for a in uses)
+    for use, (u, c) in enumerate(zip(universe, cut)):
+        if cuts[c][1] == 0.0:
+            whole.setdefault(length[u], []).append((use, u))
+        elif one_column and length[u] >= SORTED_MIN_ROWS:
+            on_sorted.append((use, u, c))
+        else:
+            kernel.append((use, u, c))
+    first = [0] * len(universe)  # each use's first entry
+    parts, end = [(np.empty(0, dtype=np.intp), np.empty(0))], 0  # (sizes, pr), concatenated
+    for k, taken in whole.items():  # the whole universe: k rows and the mean membership
+        rows = bounds[[u for _, u in taken], None] + np.arange(k)
+        parts.append((np.full(k * len(taken), k), np.repeat(membership[rows].sum(axis=1) / k, k)))
+        for i, (use, _) in enumerate(taken):
+            first[use] = end + i * k
+        end += k * len(taken)
+    for use, u, c in on_sorted:
+        rows = slice(bounds[u], bounds[u + 1])
+        parts.append(sorted_granule_statistics(scores[rows, 0], membership[rows], *cuts[c]))
+        first[use], end = end, end + length[u]
+    if kernel:
+        for use_first, block in _kernel_statistics(scores, membership, bounds, cuts, kernel):
+            parts.append(block)
+            for use, offset in use_first:
+                first[use] = end + offset
+            end += len(block[0])
+    sizes, pr = zip(*parts)
+    return np.concatenate(sizes), np.concatenate(pr), np.array(first, dtype=np.intp)
+
+
+def _kernel_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
+                       cuts: Sequence[tuple], uses: list) -> Iterator[tuple]:
+    """Granule sizes and pr of ``uses``, ``(use, universe, cut)`` triples
+    with ``cut`` an index into ``cuts``, by the blocked kernel.  Per block
+    yields ``([(use, its first entry)], (sizes, pr))``.
+
+    The cuts a universe uses, in sigma order, form one item, split where
+    one row against its universe at all of them would not fit in
+    ``BLOCK_CELLS`` (cut, pair) entries.  An item too large for one block
+    is a block of its own, which takes its rows in steps; the others pack
+    into blocks in order of universe size.  A block computes every cut any
+    of its items uses for all of its rows, a (cut, row) array each.
+    """
+    per_universe: dict = {}
+    for use, u, c in uses:
+        per_universe.setdefault(u, []).append((cuts[c][0], c, use))
+    items = []  # universe size, universe, its (sigma, cut, use) in sigma order
+    for u, taken in per_universe.items():
+        k = int(bounds[u + 1] - bounds[u])
+        per = max(1, BLOCK_CELLS // k)  # cuts one row against its universe may take
+        taken.sort()
+        items += [(k, u, taken[i:i + per]) for i in range(0, len(taken), per)]
+    items.sort(key=lambda item: item[0])
+    blocks = []  # [items, their cut ids, their pairs]
+    for item in items:
+        k, _, taken = item
+        ids = {c for _, c, _ in taken}
+        if blocks and len(blocks[-1][1] | ids) * (blocks[-1][2] + k * k) <= BLOCK_CELLS:
+            blocks[-1][0].append(item)
+            blocks[-1][1] |= ids
+            blocks[-1][2] += k * k
+        else:
+            blocks.append([[item], ids, k * k])
+    for block, ids, _ in blocks:
+        ids = sorted(ids, key=lambda c: cuts[c][0])  # a run of cuts per distinct sigma
+        at = {c: i for i, c in enumerate(ids)}
+        rows = sum(k for k, *_ in block)
+        use_first, row = [], 0
+        for k, _, taken in block:
+            use_first += [(use, at[c] * rows + row) for _, c, use in taken]
+            row += k
+        counts, sums = _block_statistics(scores, membership, bounds, block,
+                                         [cuts[c] for c in ids])
+        yield use_first, (counts.ravel(), (sums / counts).ravel())
+
+
+def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
+                      block: list, cuts: list) -> tuple:
+    """Granule sizes and membership sums of every row of the universes of
+    ``block``, one after another, against its own universe at each
+    ``(sigma, kappa)`` of ``cuts``, a run of cuts per distinct sigma: two
+    (cuts, rows) arrays."""
+    k = np.array([item[0] for item in block])
+    first = bounds[[item[1] for item in block]]
+    sigmas = [sigma for sigma, _ in cuts]
+    new = [True] + [b != a for a, b in zip(sigmas, sigmas[1:])]  # starts a distinct sigma
+    arithmetic = (np.array([2.0 * s * s for s, fresh in zip(sigmas, new) if fresh]),
+                  np.array(list(itertools.accumulate(new))) - 1,  # each cut's distinct sigma
+                  np.array([kappa for _, kappa in cuts]))
+    counts = np.empty((len(cuts), int(k.sum())), dtype=np.intp)
+    sums = np.empty(counts.shape)
+    # row sums rather than a matrix product: BLAS may sum identical rows in
+    # different orders, and duplicate rows must tie exactly
+    if len(block) == 1:  # one universe: its rows in steps, against it as outer differences
+        rows, n = slice(first[0], first[0] + k[0]), int(k[0])
+        step = max(1, BLOCK_CELLS // (n * len(cuts)))
+        for start in range(0, n, step):
+            gaps = squared_gaps(scores[rows][start:start + step, None], scores[None, rows])
+            member = _members(gaps, *arithmetic).reshape(len(cuts), -1, n)
+            stop = start + member.shape[1]
+            counts[:, start:stop] = member.sum(axis=-1)
+            sums[:, start:stop] = np.where(member, membership[rows], 0.0).sum(axis=-1)
+        return counts, sums
+    # several universes in one step: each row against its own, pair by pair
+    size = np.repeat(k, k)  # each row's universe size
+    right = ranges(np.repeat(first, k), size)
+    member = _members(squared_gaps(scores[np.repeat(ranges(first, k), size)], scores[right]),
+                      *arithmetic)
+    weight = membership[right]
+    # numpy's pairwise sum depends on the row length, so each sum runs over
+    # exactly its own universe's k entries: the rows of each universe size
+    # (items come in size order) sum together, as one contiguous row each,
+    # never padded
+    lo = pair = 0
+    for n, same in itertools.groupby(k.tolist()):
+        hi = lo + n * len(list(same))
+        e0, pair = pair, pair + (hi - lo) * n
+        inside = member[:, e0:pair].reshape(len(cuts), hi - lo, n)
+        counts[:, lo:hi] = inside.sum(axis=-1)
+        sums[:, lo:hi] = np.where(inside, weight[e0:pair].reshape(-1, n), 0.0).sum(axis=-1)
+        lo = hi
+    return counts, sums
+
+
+def _members(gaps: np.ndarray, denom: np.ndarray, of: np.ndarray,
+             kappa: np.ndarray) -> np.ndarray:
+    """Whether each pair of ``gaps``, the squared score gaps, is in each
+    cut's granule, as a (cuts, pairs) array, with the arithmetic of
+    :func:`kernel_rows`: the negated gaps divided by each distinct
+    ``denom`` (2 sigma^2), exp, and for each cut the row of its sigma,
+    ``of``, compared with its ``kappa``."""
+    neg = gaps.reshape(1, -1)
+    np.negative(neg, out=neg)
+    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+        sim = np.divide(neg, denom[:, None], out=neg if len(denom) == 1 else None)
+    np.exp(sim, out=sim)
+    if len(denom) < len(of):  # a sigma serves several kappas
+        sim = sim[of]
+    return sim >= kappa[:, None]
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
@@ -215,8 +330,8 @@ def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
 def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
                               sigma: float, kappa: float) -> tuple:
-    """:func:`shared_granule_statistics` of one cut for one score column,
-    in O(n log n).
+    """:func:`shared_granule_statistics` of one cut at ``kappa`` in (0, 1]
+    for one score column, in O(n log n).
 
     In one dimension a granule is an interval of the sorted distinct
     scores (fixed-radius near neighbours by sorting).  Each interval is
@@ -237,24 +352,20 @@ def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
     starts = np.flatnonzero(new)  # sorted rows of distinct[k]: starts[k]:starts[k + 1]
     group = np.empty(n, dtype=np.intp)
     group[order] = np.cumsum(new[:n]) - 1
-    if kappa == 0.0:  # exp underflows to 0.0 >= 0: every granule is the universe
-        lo = np.zeros(len(distinct), dtype=np.intp)
-        hi = np.full(len(distinct), len(distinct))
-    else:
-        denom = 2.0 * sigma * sigma
-        # widened past -ln(kappa): at kappa = 1, gaps with gap^2 / denom
-        # below about 1e-16 also score exactly 1.0
-        t = -math.log(kappa)
-        reach = math.sqrt(denom) * math.sqrt(t * (1.0 + 1e-12) + 1e-14)
-        lo = np.searchsorted(distinct, distinct - reach, side="left")
-        hi = np.searchsorted(distinct, distinct + reach, side="right")
-        with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-            for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
-                todo = np.arange(len(distinct))
-                while todo.size:
-                    gap = distinct[todo] - distinct[end[todo] + offset]
-                    todo = todo[np.exp(-(gap * gap) / denom) < kappa]
-                    end[todo] += inward
+    denom = 2.0 * sigma * sigma
+    # widened past -ln(kappa): at kappa = 1, gaps with gap^2 / denom
+    # below about 1e-16 also score exactly 1.0
+    t = -math.log(kappa)
+    reach = math.sqrt(denom) * math.sqrt(t * (1.0 + 1e-12) + 1e-14)
+    lo = np.searchsorted(distinct, distinct - reach, side="left")
+    hi = np.searchsorted(distinct, distinct + reach, side="right")
+    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+        for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
+            todo = np.arange(len(distinct))
+            while todo.size:
+                gap = distinct[todo] - distinct[end[todo] + offset]
+                todo = todo[np.exp(-(gap * gap) / denom) < kappa]
+                end[todo] += inward
     # float64 prefix differences would carry about n * 1e-16 absolute error
     cum = np.zeros(n + 1, dtype=np.longdouble)
     np.cumsum(membership[order], dtype=np.longdouble, out=cum[1:])

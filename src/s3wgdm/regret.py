@@ -8,14 +8,16 @@ alternative fits the concept, ``pn, bn, nn`` when it does not.  The
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .linguistic import DHHFLE, DHLTScale, elementwise, superior_gradus
-from .neighborhood import BLOCK_CELLS
+from .neighborhood import BLOCK_CELLS, ranges
 
 CELLS = ("pp", "bp", "np", "pn", "bn", "nn")
 
@@ -103,32 +105,66 @@ def comprehensive_utility(per_attribute: Mapping[str, CellValues],
 
 
 def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
-                            utilities: Sequence[tuple]) -> np.ndarray:
-    """Comprehensive utilities of k alternatives scored on an attribute
-    subset, under each ``(eta, theta, delta)`` of ``utilities``: a
-    (U, k, 6) array in ``CELLS`` order.
+                            utilities: Sequence[tuple], bounds: Optional[np.ndarray] = None,
+                            uses: Optional[tuple] = None) -> np.ndarray:
+    """Comprehensive utilities of the rows of several universes scored on
+    an attribute subset, each under the ``(eta, theta, delta)`` sets of
+    ``utilities`` it uses: an (entries, 6) array in ``CELLS`` order.
+
+    The universes' rows of ``scores`` run one universe after another:
+    universe ``u`` is rows ``bounds[u]:bounds[u + 1]``.  ``uses`` pairs
+    universes with parameter sets, as two arrays: universe ids and indices
+    into ``utilities``.  The result holds each use's universe rows in
+    order, use after use.  Without ``bounds`` and ``uses`` all rows are
+    one universe that uses every set, and the result is (U, k, 6).
 
     :func:`direct_simplified_gains`, :func:`perceived_utility_units` and
-    :func:`comprehensive_utility` as one (k, |Z|, 6, U) broadcast, with the
-    attribute weights given in column order.  The parameter sets run along
-    the last axis, where :func:`elementwise` repeats theta without copying
-    it, and go in blocks whose broadcast holds at most ``BLOCK_CELLS``
-    entries (one set at least), so memory does not grow with U.
+    :func:`comprehensive_utility` as one broadcast over the (use, row)
+    entries, with the attribute weights given in column order and each
+    use's reference utility the best full gain over its own universe.  The
+    ``np`` and ``pn`` cells carry no gain, so their utility is 0.0 (as
+    ``math.pow(0.0, theta)`` is) and their perceived utility one regret
+    term per (use, attribute).  Uses go in blocks whose broadcast holds at
+    most ``BLOCK_CELLS`` entries (one use at least), so memory does not
+    grow with the number of uses.
     """
-    b = np.clip(scores, 0.0, 1.0)[..., None]
+    b = np.clip(scores, 0.0, 1.0)
     sets = np.array(utilities, dtype=float).reshape(-1, 3)
-    out = np.empty((len(sets), len(b), len(CELLS)))
-    step = max(1, BLOCK_CELLS // max(1, b.size * len(CELLS)))
-    for start in range(0, len(sets), step):
-        eta, theta, delta = sets[start:start + step].T
-        gains = np.zeros(b.shape[:2] + (len(CELLS), len(eta)))
-        gains[:, :, 0] = b
-        gains[:, :, 1] = eta * b
-        gains[:, :, 4] = eta * (1.0 - b)
-        gains[:, :, 5] = 1.0 - b
+    shape = None
+    if bounds is None:
+        bounds, uses = [0, len(b)], (np.zeros(len(sets), dtype=np.intp), range(len(sets)))
+        shape = (len(sets), len(b), len(CELLS))
+    bounds = np.asarray(bounds, dtype=np.intp)
+    universe, used = (np.asarray(a, dtype=np.intp) for a in uses)
+    k = (bounds[1:] - bounds[:-1])[universe]  # each use's universe size
+    sizes = k.tolist()
+    ends = list(itertools.accumulate(sizes))  # each use's last entry, plus one
+    out = np.empty((ends[-1] if ends else 0, len(CELLS)))
+    per = max(1, BLOCK_CELLS // max(1, 4 * b.shape[1]))  # entries a block may take
+    start = 0
+    while start < len(sizes):
+        lo = ends[start] - sizes[start]
+        stop = max(start + 1, bisect.bisect_right(ends, lo + per))
+        count = k[start:stop]
+        eta, theta, delta = sets[np.repeat(used[start:stop], count)].T
+        g = b[ranges(bounds[universe[start:stop]], count)].T
+        # the cells with a gain, per attribute and entry: pp, bp, bn, nn
+        gains = np.empty((4,) + g.shape)
+        gains[0] = g
+        np.multiply(eta, g, out=gains[1])
+        np.subtract(1.0, g, out=gains[3])
+        np.multiply(eta, gains[3], out=gains[2])
         u = elementwise(math.pow, gains, theta)
-        u_ref = u[:, :, 0].max(axis=0)  # best full gain per attribute
-        perceived = u + (1.0 - elementwise(math.exp, -delta * (u - u_ref[:, None])))
+        firsts = [end - size - lo for end, size in zip(ends[start:stop], sizes[start:stop])]
+        u_ref = np.maximum.reduceat(u[0], firsts, axis=1)  # per attribute and use
+        perceived = u + (1.0 - elementwise(math.exp, -delta * (u - np.repeat(u_ref, count, 1))))
         total = sum(w * perceived[:, j] for j, w in enumerate(weights))
-        out[start:start + step] = np.moveaxis(total, -1, 0)
-    return out
+        block = out[lo:ends[stop - 1]]
+        block[:, :2], block[:, 4:] = total[:2].T, total[2:].T
+        # np and pn: 0.0 + (1 - exp(-delta * (0.0 - u_ref))), once per use and
+        # attribute; delta * u_ref is that exponent bit for bit
+        regret = 1.0 - elementwise(math.exp, sets[used[start:stop], 2] * u_ref)
+        block[:, 2] = block[:, 3] = np.repeat(sum(w * regret[j] for j, w in enumerate(weights)),
+                                              count)
+        start = stop
+    return out.reshape(shape) if shape else out

@@ -356,9 +356,9 @@ class TestOneFusionPerDecide:
         cuts = []
         shared = engine.shared_granule_statistics
 
-        def recording(scores, membership, pairs):
-            cuts.extend(pairs)
-            return shared(scores, membership, pairs)
+        def recording(scores, membership, pairs, bounds, uses):
+            cuts.extend(zip(*uses))
+            return shared(scores, membership, pairs, bounds, uses)
 
         monkeypatch.setattr(engine, "shared_granule_statistics", recording)
         argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path]
@@ -369,13 +369,13 @@ class TestOneFusionPerDecide:
         assert "swept 330 grid points" in err
         # the table is scored once and each of the 4 levels' membership found
         # once; the 800 levels the points run hold 23 distinct (level,
-        # universe) inputs, each classified by one run_level call, whose one
-        # granule call computes that universe's share of the 307 distinct
-        # (universe, sigma, kappa), and whose one utility call every eta
-        # its points use
-        assert calls == {"superior_gradus_array": 1, "run_level": 23,
-                         "membership_degrees": 4, "shared_granule_statistics": 23,
-                         "comprehensive_utilities": 23}
+        # universe) inputs, and each level is one run_level call for all of
+        # its universes, whose one granule call computes that level's share
+        # of the 307 distinct (universe, sigma, kappa), and whose one utility
+        # call every (universe, eta) its points use
+        assert calls == {"superior_gradus_array": 1, "run_level": 4,
+                         "membership_degrees": 4, "shared_granule_statistics": 4,
+                         "comprehensive_utilities": 4}
         assert len(cuts) == 307
 
 
@@ -727,11 +727,12 @@ class TestSweep:
         level, even where a later point fails at an earlier level."""
         shared = engine.shared_granule_statistics
 
-        def refusing(scores, membership, cuts):
-            # sigma 0.5 fails on level 2's universe, sigma 0.7 on level 1's
-            if any(sigma == (0.5 if len(scores) < 8 else 0.7) for sigma, _ in cuts):
-                raise error("cut refused")
-            return shared(scores, membership, cuts)
+        def refusing(scores, membership, cuts, bounds, uses):
+            # sigma 0.5 fails on level 2's universes, sigma 0.7 on level 1's
+            for u, c in zip(*uses):
+                if cuts[c][0] == (0.5 if bounds[u + 1] - bounds[u] < 8 else 0.7):
+                    raise error("cut refused")
+            return shared(scores, membership, cuts, bounds, uses)
 
         monkeypatch.setattr(engine, "shared_granule_statistics", refusing)
         case, spec = load_case(sle_case_path), load_params(sle_params_path)
@@ -914,9 +915,10 @@ REPEATED_POINTS = (
 @example(REPEATED_POINTS)
 @given(sweep_inputs())
 def test_walk_levels_match_fresh_runs(inputs):
-    """Each level :func:`engine.walk` yields for a group of points holds,
-    for every point of the group, the fresh ``run_sequential`` level of
-    that point bit for bit, and every point's every level is yielded once."""
+    """Each level :func:`engine.walk` yields for a set of points holds, in
+    the cells of every one of its points, the fresh ``run_sequential``
+    level of that point bit for bit, and every point's every level is
+    yielded once."""
     case_doc, params_doc, grids = inputs
     with tempfile.TemporaryDirectory() as tmp:
         case, spec = written(pathlib.Path(tmp), case_doc, params_doc)
@@ -934,11 +936,10 @@ def test_walk_levels_match_fresh_runs(inputs):
             for g, p in enumerate(points.tolist()):
                 seen.append((p, i))
                 want = fresh[p].levels[i - 1]
-                assert np.array_equal(level.rows, want.rows)
-                for name in ("sizes", "pr", "expected", "region"):
-                    got = getattr(level, name)
-                    got = got[g] if got.ndim > getattr(want, name).ndim else got
-                    assert np.array_equal(got, getattr(want, name)), name
+                cells = level.cell_point == g
+                assert np.array_equal(level.rows[level.cell_row[cells]], want.rows)
+                for name in ("sizes", "pr", "utilities", "expected", "region"):
+                    assert np.array_equal(getattr(level, name)[cells], getattr(want, name)), name
     assert sorted(seen) == [(p, i) for p, report in enumerate(fresh)
                             for i in range(1, len(report.levels) + 1)]
 
@@ -966,8 +967,9 @@ MERGING_POINTS = (
 @given(sweep_inputs())
 def test_walk_groups_are_maximal(inputs):
     """At every level :func:`engine.walk` yields, no two groups share a
-    universe, and each group holds exactly the points whose previous-level
-    BND rows, in a fresh ``run_sequential``, are that universe."""
+    universe (each distinct universe is run once), and each group holds
+    exactly the points whose previous-level BND rows, in a fresh
+    ``run_sequential``, are that universe."""
     case_doc, params_doc, grids = inputs
     with tempfile.TemporaryDirectory() as tmp:
         case, spec = written(pathlib.Path(tmp), case_doc, params_doc)
@@ -981,8 +983,13 @@ def test_walk_groups_are_maximal(inputs):
     everything = tuple(range(len(table.fused.alternatives)))
     for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
                               np.arange(len(runs)), np.arange(len(runs))):
-        got = {tuple(level.rows.tolist()): sorted(points.tolist()) for points, level in ran}
-        assert len(got) == len(ran)
+        got: dict = {}
+        for points, level in ran:
+            for g, p in enumerate(points.tolist()):
+                universe = level.rows[level.cell_row[level.cell_point == g]]
+                got.setdefault(tuple(universe.tolist()), []).append(p)
+        assert sum(len(level.rows) for _, level in ran) == sum(map(len, got))
+        got = {universe: sorted(points) for universe, points in got.items()}
         want: dict = {}
         for p, report in enumerate(fresh):
             if i == 1:
@@ -1050,7 +1057,8 @@ class TestScoredTable:
         assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 1}
         for g, want in enumerate(alone):
             for name in ("sizes", "pr", "utilities", "expected", "region"):
-                assert np.array_equal(getattr(level, name)[g], getattr(want, name)), name
+                assert np.array_equal(getattr(level, name)[level.cell_point == g],
+                                      getattr(want, name)), name
 
 
 class TestBaseline:

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 from conftest import exit_levels, level_regions, per_id, scored, universe
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from s3wgdm import cli, engine
+from s3wgdm import cli, engine, neighborhood, regret
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
     BND,
@@ -23,8 +25,13 @@ from s3wgdm.engine import (
     run_sequential,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
+from s3wgdm.neighborhood import (
+    SORTED_MIN_ROWS,
+    kernel_granule_statistics,
+    sorted_granule_statistics,
+)
 from s3wgdm.regret import CELLS, CellValues
-from s3wgdm.tables import AttributeSpec, make_table
+from s3wgdm.tables import AttributeSpec, FusedDecisionTable, make_table
 
 S33 = DHLTScale(3, 3)
 
@@ -424,3 +431,128 @@ class TestOrderIndependence:
                     [t.cells[i] for i in idx], S33))
             report2 = run_sequential(scored(shuffled, attrs), levels, GOLDEN)
             assert report2.regions_after(len(report2.levels)) == base
+
+
+@st.composite
+def level_groups(draw):
+    """One level of a scored table of 1 to 150 rows, drawn from a smaller
+    pool so duplicate rows are common, some moved by up to 1e-8; 1 to 40
+    groups, each a universe of 1 to 150 of its rows with 1 to 4 points; and
+    the configurations and parameter sets the points draw from, with sigma
+    down to 1e-150 and kappa 0, anywhere in [0, 1] or 1.  Level 1 has one
+    score column, so its universes of at least ``SORTED_MIN_ROWS`` rows take
+    the sorted path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 150)), draw(st.integers(1, 4))
+    pool = rng.uniform(-3.0, 3.0, (draw(st.integers(1, n)), m, 2))
+    means = pool[rng.integers(0, len(pool), n)]
+    near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    means[near] += rng.uniform(-1e-8, 1e-8, (near.sum(), m, 2))
+    fused = FusedDecisionTable(alternatives=tuple(f"x{i}" for i in range(n)),
+                               attributes=tuple(f"a{j}" for j in range(m)),
+                               means=np.clip(means, -3.0, 3.0), scale=S33)
+    weights = np.arange(1, m + 1) / (m * (m + 1) / 2)  # distinct: one attribute per level
+    table = engine.ScoredTable(fused, [attr(a, w) for a, w in zip(fused.attributes, weights)])
+    index = 1 if draw(st.booleans()) else draw(st.integers(1, m))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 150)),
+                          min_size=1, max_size=40))
+    universes = [np.sort(rng.choice(n, min(k, n), replace=False)) for k in sizes]
+    sigma = st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3), st.just(1e-150))
+    kappa = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+    cfgs = [LevelConfig(kappa=draw(kappa), sigma=draw(sigma))
+            for _ in range(draw(st.integers(1, 6)))]
+    unit = st.floats(0.01, 0.99)
+    params = [EngineParams(eta=draw(unit), theta=draw(unit), delta=draw(st.floats(0.0, 5.0)))
+              for _ in range(draw(st.integers(1, 4)))]
+    groups = np.repeat(np.arange(len(universes)), rng.integers(1, 5, len(universes)))
+    cfg_ids = rng.integers(0, len(cfgs), len(groups))
+    param_ids = rng.integers(0, len(params), len(groups))
+    return table, index, universes, cfgs, params, groups, cfg_ids, param_ids
+
+
+def batched(universes):
+    """The groups' universes one after another, and their bounds."""
+    return np.concatenate(universes), np.cumsum([0] + [len(u) for u in universes])
+
+
+class TestBatchedLevel:
+    """One :func:`run_level` call over many groups, as :func:`engine.walk`
+    makes per level, equals each group run alone and the blocked kernel,
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(level_groups())
+    def test_matches_groups_alone_and_the_kernel(self, case):
+        self.check_matches_groups_alone_and_the_kernel(case)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(level_groups(), st.integers(1, 256))
+    def test_small_blocks_match_groups_alone(self, case, cells):
+        """With blocks of a few cells, universes and their cuts split
+        across blocks, and the results stay the same."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighborhood, "BLOCK_CELLS", cells)
+            patch.setattr(regret, "BLOCK_CELLS", cells)
+            self.check_matches_groups_alone_and_the_kernel(case)
+
+    @staticmethod
+    def check_matches_groups_alone_and_the_kernel(case):
+        table, index, universes, cfgs, params, groups, cfg_ids, param_ids = case
+        rows, bounds = batched(universes)
+        level = run_level(rows, table, index, cfgs, params, cfg_ids, param_ids, bounds, groups)
+        cols, _, _, membership = table.level(index)
+        for g, rows in enumerate(universes):
+            members = np.flatnonzero(groups == g)
+            alone = run_level(rows, table, index, cfgs, params, cfg_ids[members],
+                              param_ids[members])
+            scores = table.scores[rows][:, cols]
+            for a, p in enumerate(members.tolist()):
+                cells, want = level.cell_point == p, alone.cell_point == a
+                assert np.array_equal(level.rows[level.cell_row[cells]], rows)
+                for name in ("sizes", "pr", "utilities", "expected", "region"):
+                    assert np.array_equal(getattr(level, name)[cells],
+                                          getattr(alone, name)[want]), name
+                cfg = cfgs[cfg_ids[p]]
+                sizes, pr = kernel_granule_statistics(scores, membership[rows],
+                                                      cfg.sigma, cfg.kappa)
+                assert np.array_equal(level.sizes[cells], sizes)
+                if len(cols) == 1 and len(rows) >= SORTED_MIN_ROWS and cfg.kappa > 0.0:
+                    sizes, pr = sorted_granule_statistics(scores[:, 0], membership[rows],
+                                                          cfg.sigma, cfg.kappa)
+                    assert np.array_equal(level.sizes[cells], sizes)
+                assert np.array_equal(level.pr[cells], pr)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(level_groups(), st.data())
+    def test_a_failing_point_keeps_its_error(self, case, data):
+        """A point whose cut fails inside a batched call fails alone, with
+        its own error; every other point still runs, as it would alone."""
+        table, index, universes, cfgs, params, groups, cfg_ids, param_ids = case
+        bad = data.draw(st.integers(0, len(groups) - 1))
+        cfgs = cfgs + [LevelConfig(kappa=0.5, sigma=0.7)]  # only the bad point's
+        cfg_ids = np.where(np.arange(len(groups)) == bad, len(cfgs) - 1, cfg_ids)
+        shared = engine.shared_granule_statistics
+
+        def refusing(scores, membership, cuts, bounds, uses):
+            if len(cfgs) - 1 in np.asarray(uses[1]).tolist():
+                raise ValueError("cut refused")
+            return shared(scores, membership, cuts, bounds, uses)
+
+        failures = {}
+        rows, bounds = batched(universes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "shared_granule_statistics", refusing)
+            runs = engine._run_level(table, index, rows, bounds, np.arange(len(groups)),
+                                     groups, cfgs, params, cfg_ids, param_ids, failures)
+        assert list(failures) == [bad]
+        assert str(failures[bad]) == f"decision level {index}: cut refused"
+        assert sorted(p for points, _ in runs for p in points.tolist()) == \
+            [p for p in range(len(groups)) if p != bad]
+        for points, level in runs:
+            for a, p in enumerate(points.tolist()):
+                alone = run_level(universes[groups[p]], table, index, cfgs, params,
+                                  cfg_ids[p:p + 1], param_ids[p:p + 1])
+                cells = level.cell_point == a
+                for name in ("sizes", "pr", "utilities", "expected", "region"):
+                    assert np.array_equal(getattr(level, name)[cells],
+                                          getattr(alone, name)), name

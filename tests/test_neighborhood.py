@@ -197,10 +197,18 @@ class TestConditionalProbability:
             assert min(degrees.values()) - 1e-12 <= pr <= max(degrees.values()) + 1e-12
 
 
+def per_cut(scores, membership, cuts):
+    """:func:`shared_granule_statistics` of one universe, all rows, as
+    (cuts, rows) arrays in ``cuts`` order."""
+    sizes, pr, first = shared_granule_statistics(scores, membership, cuts)
+    at = first[:, None] + np.arange(len(scores))
+    return sizes[at], pr[at]
+
+
 @st.composite
 def one_column(draw):
     """A score column with repeated values and near-duplicates within 1e-8,
-    its memberships, sigma and kappa."""
+    its memberships, sigma and a kappa in (0, 1], the sorted path's domain."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = rng.random(draw(st.integers(1, n)))
@@ -210,7 +218,7 @@ def one_column(draw):
     membership = rng.random(n)
     membership[rng.random(n) < 0.2] = 1.0
     sigma = draw(st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3), st.just(1e-150)))
-    kappa = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+    kappa = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)))
     return values, membership, sigma, kappa
 
 
@@ -228,16 +236,19 @@ class TestSortedCut:
         order = np.argsort(values, kind="stable")
         same = values[order][1:] == values[order][:-1]
         assert np.array_equal(pr[order][1:][same], pr[order][:-1][same])
-        # the engine's route: the sorted path for kappa > 0 at size, else the kernel's
-        chosen = shared_granule_statistics(values[:, None], membership, [(sigma, kappa)])
-        on_sorted = len(values) >= SORTED_MIN_ROWS and kappa > 0.0
-        expected = (sizes, pr) if on_sorted else (ref_sizes, ref_pr)
-        assert all(np.array_equal(a[0], b) for a, b in zip(chosen, expected))
+        # the engine's route: the sorted path for kappa > 0 at size, else the
+        # kernel's, whose kappa 0 is the closed form
+        on_sorted = len(values) >= SORTED_MIN_ROWS
+        for cut, expected in (((sigma, kappa), (sizes, pr) if on_sorted else (ref_sizes, ref_pr)),
+                              ((sigma, 0.0), kernel_granule_statistics(values[:, None], membership,
+                                                                       sigma, 0.0))):
+            chosen = per_cut(values[:, None], membership, [cut])
+            assert all(np.array_equal(a[0], b) for a, b in zip(chosen, expected))
 
     def test_many_columns_stay_on_the_kernel(self):
         rng = np.random.default_rng(3)
         scores, membership = rng.random((200, 2)), rng.random(200)
-        for got, ref in zip(shared_granule_statistics(scores, membership, [(0.7, 0.9)]),
+        for got, ref in zip(per_cut(scores, membership, [(0.7, 0.9)]),
                             kernel_granule_statistics(scores, membership, 0.7, 0.9)):
             assert np.array_equal(got[0], ref)
 
@@ -299,7 +310,7 @@ class TestSharedCuts:
     @staticmethod
     def check_matches_blocked_kernel(universe):
         scores, membership, cuts = universe
-        got_sizes, got_pr = shared_granule_statistics(scores, membership, cuts)
+        got_sizes, got_pr = per_cut(scores, membership, cuts)
         assert got_sizes.shape == got_pr.shape == (len(cuts), len(scores))
         for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
             ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
@@ -308,7 +319,7 @@ class TestSharedCuts:
                 assert np.abs(pr - ref_pr).max() <= 1e-12  # the sorted path
             else:
                 assert np.array_equal(pr, ref_pr)
-            single = shared_granule_statistics(scores, membership, [(sigma, kappa)])
+            single = per_cut(scores, membership, [(sigma, kappa)])
             assert np.array_equal(single[0][0], sizes) and np.array_equal(single[1][0], pr)
 
     @pytest.mark.parametrize("k", [1000, 1023, 1025, 4097])
@@ -316,7 +327,7 @@ class TestSharedCuts:
         # the closed form's 1-D sum equals the kernel's 2-D row sums here too
         rng = np.random.default_rng(k)
         scores, membership = rng.random((k, 2)), rng.random(k)
-        ((sizes,), (pr,)) = shared_granule_statistics(scores, membership, [(0.7, 0.0)])
+        ((sizes,), (pr,)) = per_cut(scores, membership, [(0.7, 0.0)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
 
@@ -327,7 +338,7 @@ class TestSharedCuts:
         rng = np.random.default_rng(seed)
         k = rng.integers(SORTED_MIN_ROWS, 400)
         scores, membership = rng.random((k, 1)), rng.random(k)
-        (sizes, cut_sizes), (pr, cut_pr) = shared_granule_statistics(
+        (sizes, cut_sizes), (pr, cut_pr) = per_cut(
             scores, membership, [(0.7, 0.0), (0.7, 0.9)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
