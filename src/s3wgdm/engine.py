@@ -225,14 +225,12 @@ class ScoredTable:
 
 def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[LevelConfig],
               params: Sequence[EngineParams], cfg_ids: np.ndarray, param_ids: np.ndarray,
-              bounds: Optional[np.ndarray] = None,
-              groups: Optional[np.ndarray] = None) -> GranularLevel:
+              bounds: np.ndarray, groups: np.ndarray) -> GranularLevel:
     """Classify level ``index`` of ``table`` for a set of points in one pass.
 
     The points' universes, groups of table rows, run one after another in
-    ``rows``: group ``g``'s universe is ``rows[bounds[g]:bounds[g + 1]]``
-    (default: one universe, all of ``rows``).  Point ``p`` is in group
-    ``groups[p]`` (default 0) and runs the level configuration
+    ``rows``: group ``g``'s universe is ``rows[bounds[g]:bounds[g + 1]]``.
+    Point ``p`` is in group ``groups[p]`` and runs the level configuration
     ``cfgs[cfg_ids[p]]`` with parameters ``params[param_ids[p]]``.  Each
     group runs on its universe's (universe x z) exponential scores, its
     rows' concept membership and the renormalised attribute weights, all
@@ -254,8 +252,6 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     """
     if not len(rows):
         raise ValueError("empty universe")
-    bounds = np.array([0, len(rows)]) if bounds is None else np.asarray(bounds, dtype=np.intp)
-    groups = np.zeros(len(cfg_ids), dtype=np.intp) if groups is None else np.asarray(groups)
     cols, z, weights, membership = table.level(index)
     scores, membership = table.scores[rows][:, cols], membership[rows]
     # the distinct (group, configuration) and (group, parameter set) pairs
@@ -263,17 +259,15 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     sets, set_use = _uses(groups, param_ids, len(params))
     sizes, pr, cut_first = shared_granule_statistics(
         scores, membership, [(c.sigma, c.kappa) for c in cfgs], bounds, cuts)
-    if not ((pr >= 0.0) & (pr <= 1.0)).all():
+    if not (0.0 <= pr.min() and pr.max() <= 1.0):  # a NaN fails too
         raise ValueError("conditional probability outside [0, 1]")
-    v = comprehensive_utilities(scores, weights, [(p.eta, p.theta, p.delta) for p in params],
-                                bounds, sets)
-    # every point's cells: its universe's rows, at its pairs' entries
-    k = bounds[1:] - bounds[:-1]
-    count = k[groups]
-    cut_at = ranges(cut_first[cut_use], count)
-    sizes, pr = sizes[cut_at], pr[cut_at]
-    set_first = k[sets[0]].cumsum() - k[sets[0]]
-    v = v[ranges(set_first[set_use], count)]
+    v, set_first = comprehensive_utilities(
+        scores, weights, [(p.eta, p.theta, p.delta) for p in params], bounds, sets)
+    count = (bounds[1:] - bounds[:-1])[groups]  # each point's universe size
+    if len(groups) > 1:  # one point's cells are its two pairs' entries, in order
+        at = ranges(cut_first[cut_use], count)
+        sizes, pr = sizes[at], pr[at]
+        v = v[ranges(set_first[set_use], count)]
     # accept, defer, reject: the concept-state cell weighted by pr, the other by 1 - pr
     expected = v[:, :3] * pr[:, None]
     expected += v[:, 3:] * (1.0 - pr)[:, None]
@@ -289,22 +283,15 @@ def _uses(groups: np.ndarray, ids: np.ndarray, count: int) -> tuple:
     """The distinct (group, id) pairs of the points, ids below ``count``, in
     increasing order, as (their groups, their ids), and each point's pair's
     position among them."""
-    pairs, use = _distinct(groups * count + np.asarray(ids, dtype=np.intp))
-    return np.divmod(pairs, count), use
-
-
-def _distinct(values: np.ndarray) -> tuple:
-    """The distinct non-negative ``values`` in increasing order, and each
-    value's position among them: by a table over the values' range where
-    that is not much longer than the values, else by sorting."""
-    top = int(values.max())
-    if top >= 8 * len(values) + 1024:
-        return np.unique(values, return_inverse=True)
-    where = np.zeros(top + 1, dtype=np.intp)
-    where[values] = 1
-    distinct = where.nonzero()[0]
-    where[distinct] = np.arange(len(distinct))
-    return distinct, where[values]
+    keys = groups * count + ids
+    order = keys.argsort()
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)  # new[i]: sorted key i starts a distinct pair
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    use = np.empty(len(keys), dtype=np.intp)
+    use[order] = new.cumsum() - 1
+    return np.divmod(keys[new], count), use
 
 
 def _run_level(table: ScoredTable, i: int, rows: np.ndarray, bounds: np.ndarray,

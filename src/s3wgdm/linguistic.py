@@ -233,13 +233,14 @@ def elementwise(fn: Callable, values: np.ndarray, *args: float | np.ndarray) -> 
     in the last bit; going through ``math`` keeps every array result equal
     to the scalar code's.
     """
-    for a in args:
-        if np.shape(a) != values.shape[values.ndim - np.ndim(a):]:
-            raise ValueError(f"argument shape {np.shape(a)} does not end {values.shape}")
     flat = values.ravel().tolist()
-    out = map(fn, flat, *(cycle(np.ravel(a).tolist()) if np.ndim(a) else repeat(a)
-                          for a in args))
-    return np.fromiter(out, float, len(flat)).reshape(values.shape)
+    columns = []
+    for a in args:
+        a = np.asarray(a)
+        if a.shape != values.shape[values.ndim - a.ndim:]:
+            raise ValueError(f"argument shape {a.shape} does not end {values.shape}")
+        columns.append(cycle(a.ravel().tolist()) if a.ndim else repeat(a.item()))
+    return np.fromiter(map(fn, flat, *columns), float, len(flat)).reshape(values.shape)
 
 
 def superior_gradus_array(phi: np.ndarray, varphi: np.ndarray,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def build_similarity_matrix(table: FusedDecisionTable, z: Iterable[str],
 
 
 def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                              cuts: Sequence[tuple], bounds: Optional[np.ndarray] = None,
-                              uses: Optional[tuple] = None) -> tuple:
+                              cuts: Sequence[tuple], bounds: np.ndarray, uses: tuple) -> tuple:
     """Granule size and conditional probability of every row of several
     universes, each at the ``(sigma, kappa)`` cuts it uses, as ``(sizes,
     pr, first)``: use ``u`` holds its universe's k rows, in order, at
@@ -144,8 +143,7 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     The universes' rows of ``scores`` and ``membership`` run one universe
     after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``.
     ``uses`` pairs universes with cuts, as two arrays: universe ids and
-    indices into ``cuts``.  By default all rows are one universe that uses
-    every cut, in ``cuts`` order.
+    indices into ``cuts``.
 
     A row's granule is every row of its own universe at least
     ``kappa``-similar to it, compared with no tolerance; its probability is
@@ -163,14 +161,11 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    if bounds is None:
-        bounds, uses = (0, len(scores)), ([0] * len(cuts), range(len(cuts)))
-    bounds = np.asarray(bounds, dtype=np.intp)
     length = (bounds[1:] - bounds[:-1]).tolist()  # each universe's size
     one_column = scores.shape[1] == 1
     whole: dict = {}  # universe size -> its kappa 0 uses, as (use, universe)
     on_sorted, kernel = [], []  # (use, universe, cut)
-    universe, cut = (np.asarray(a).tolist() for a in uses)
+    universe, cut = (a.tolist() for a in uses)
     for use, (u, c) in enumerate(zip(universe, cut)):
         if cuts[c][1] == 0.0:
             whole.setdefault(length[u], []).append((use, u))
@@ -179,7 +174,7 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
         else:
             kernel.append((use, u, c))
     first = [0] * len(universe)  # each use's first entry
-    parts, end = [(np.empty(0, dtype=np.intp), np.empty(0))], 0  # (sizes, pr), concatenated
+    parts, end = [], 0  # (sizes, pr), concatenated
     for k, taken in whole.items():  # the whole universe: k rows and the mean membership
         rows = bounds[[u for _, u in taken], None] + np.arange(k)
         parts.append((np.full(k * len(taken), k), np.repeat(membership[rows].sum(axis=1) / k, k)))
@@ -252,19 +247,18 @@ def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nda
     ``block``, one after another, against its own universe at each
     ``(sigma, kappa)`` of ``cuts``, a run of cuts per distinct sigma: two
     (cuts, rows) arrays."""
-    k = np.array([item[0] for item in block])
-    first = bounds[[item[1] for item in block]]
     sigmas = [sigma for sigma, _ in cuts]
     new = [True] + [b != a for a, b in zip(sigmas, sigmas[1:])]  # starts a distinct sigma
     arithmetic = (np.array([2.0 * s * s for s, fresh in zip(sigmas, new) if fresh]),
                   np.array(list(itertools.accumulate(new))) - 1,  # each cut's distinct sigma
                   np.array([kappa for _, kappa in cuts]))
-    counts = np.empty((len(cuts), int(k.sum())), dtype=np.intp)
+    counts = np.empty((len(cuts), sum(item[0] for item in block)), dtype=np.intp)
     sums = np.empty(counts.shape)
     # row sums rather than a matrix product: BLAS may sum identical rows in
     # different orders, and duplicate rows must tie exactly
     if len(block) == 1:  # one universe: its rows in steps, against it as outer differences
-        rows, n = slice(first[0], first[0] + k[0]), int(k[0])
+        n, u, _ = block[0]
+        rows = slice(bounds[u], bounds[u] + n)
         step = max(1, BLOCK_CELLS // (n * len(cuts)))
         for start in range(0, n, step):
             gaps = squared_gaps(scores[rows][start:start + step, None], scores[None, rows])
@@ -274,6 +268,8 @@ def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nda
             sums[:, start:stop] = np.where(member, membership[rows], 0.0).sum(axis=-1)
         return counts, sums
     # several universes in one step: each row against its own, pair by pair
+    k = np.array([item[0] for item in block])
+    first = bounds[[item[1] for item in block]]
     size = np.repeat(k, k)  # each row's universe size
     right = ranges(np.repeat(first, k), size)
     member = _members(squared_gaps(scores[np.repeat(ranges(first, k), size)], scores[right]),

@@ -9,10 +9,9 @@ alternative fits the concept, ``pn, bn, nn`` when it does not.  The
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -105,18 +104,18 @@ def comprehensive_utility(per_attribute: Mapping[str, CellValues],
 
 
 def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
-                            utilities: Sequence[tuple], bounds: Optional[np.ndarray] = None,
-                            uses: Optional[tuple] = None) -> np.ndarray:
+                            utilities: Sequence[tuple], bounds: np.ndarray,
+                            uses: tuple) -> tuple:
     """Comprehensive utilities of the rows of several universes scored on
     an attribute subset, each under the ``(eta, theta, delta)`` sets of
-    ``utilities`` it uses: an (entries, 6) array in ``CELLS`` order.
+    ``utilities`` it uses, as ``(values, first)``: ``values`` is an
+    (entries, 6) array in ``CELLS`` order, and use ``u`` holds its
+    universe's k rows, in order, at ``first[u]:first[u] + k`` of it.
 
     The universes' rows of ``scores`` run one universe after another:
     universe ``u`` is rows ``bounds[u]:bounds[u + 1]``.  ``uses`` pairs
     universes with parameter sets, as two arrays: universe ids and indices
-    into ``utilities``.  The result holds each use's universe rows in
-    order, use after use.  Without ``bounds`` and ``uses`` all rows are
-    one universe that uses every set, and the result is (U, k, 6).
+    into ``utilities``.
 
     :func:`direct_simplified_gains`, :func:`perceived_utility_units` and
     :func:`comprehensive_utility` as one broadcast over the (use, row)
@@ -130,41 +129,40 @@ def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
     """
     b = np.clip(scores, 0.0, 1.0)
     sets = np.array(utilities, dtype=float).reshape(-1, 3)
-    shape = None
-    if bounds is None:
-        bounds, uses = [0, len(b)], (np.zeros(len(sets), dtype=np.intp), range(len(sets)))
-        shape = (len(sets), len(b), len(CELLS))
-    bounds = np.asarray(bounds, dtype=np.intp)
-    universe, used = (np.asarray(a, dtype=np.intp) for a in uses)
+    universe, used = uses
     k = (bounds[1:] - bounds[:-1])[universe]  # each use's universe size
-    sizes = k.tolist()
-    ends = list(itertools.accumulate(sizes))  # each use's last entry, plus one
-    out = np.empty((ends[-1] if ends else 0, len(CELLS)))
+    ends = k.cumsum()
+    first = ends - k
+    out = np.empty((int(ends[-1]), len(CELLS)))
+    sizes, ends = k.tolist(), ends.tolist()
     per = max(1, BLOCK_CELLS // max(1, 4 * b.shape[1]))  # entries a block may take
     start = 0
     while start < len(sizes):
         lo = ends[start] - sizes[start]
         stop = max(start + 1, bisect.bisect_right(ends, lo + per))
-        count = k[start:stop]
-        eta, theta, delta = sets[np.repeat(used[start:stop], count)].T
+        count, entries = k[start:stop], ends[stop - 1] - lo
+        eta, theta, delta = np.repeat(sets[used[start:stop]], count, axis=0).T
         g = b[ranges(bounds[universe[start:stop]], count)].T
-        # the cells with a gain, per attribute and entry: pp, bp, bn, nn
-        gains = np.empty((4,) + g.shape)
-        gains[0] = g
-        np.multiply(eta, g, out=gains[1])
-        np.subtract(1.0, g, out=gains[3])
-        np.multiply(eta, gains[3], out=gains[2])
+        # the cells with a gain, per attribute: pp, bp, bn, nn, each over the entries
+        gains = np.empty((len(g), 4, entries))
+        gains[:, 0] = g
+        np.multiply(eta, g, out=gains[:, 1])
+        np.subtract(1.0, g, out=gains[:, 3])
+        np.multiply(eta, gains[:, 3], out=gains[:, 2])
         u = elementwise(math.pow, gains, theta)
-        firsts = [end - size - lo for end, size in zip(ends[start:stop], sizes[start:stop])]
-        u_ref = np.maximum.reduceat(u[0], firsts, axis=1)  # per attribute and use
-        perceived = u + (1.0 - elementwise(math.exp, -delta * (u - np.repeat(u_ref, count, 1))))
-        total = sum(w * perceived[:, j] for j, w in enumerate(weights))
-        block = out[lo:ends[stop - 1]]
-        block[:, :2], block[:, 4:] = total[:2].T, total[2:].T
-        # np and pn: 0.0 + (1 - exp(-delta * (0.0 - u_ref))), once per use and
-        # attribute; delta * u_ref is that exponent bit for bit
-        regret = 1.0 - elementwise(math.exp, sets[used[start:stop], 2] * u_ref)
-        block[:, 2] = block[:, 3] = np.repeat(sum(w * regret[j] for j, w in enumerate(weights)),
-                                              count)
+        u_ref = np.maximum.reduceat(u[:, 0], first[start:stop] - lo, axis=1)  # per attribute and use
+        # the regret exponents -delta * (u - u_ref), per attribute: of the gain
+        # cells, then of np and pn (u = 0.0) once per use; delta * (u_ref - u)
+        # and delta * u_ref are those bit for bit, as only signs flip
+        exponent = np.concatenate((
+            (delta * (np.repeat(u_ref, count, axis=1)[:, None] - u)).reshape(len(g), -1),
+            sets[used[start:stop], 2] * u_ref), axis=1)
+        perceived = 1.0 - elementwise(math.exp, exponent)
+        perceived[:, :4 * entries] += u.reshape(len(g), -1)
+        total = sum(w * perceived[j] for j, w in enumerate(weights))
+        gained = total[:4 * entries].reshape(4, entries)
+        block = out[lo:lo + entries]
+        block[:, :2], block[:, 4:] = gained[:2].T, gained[2:].T
+        block[:, 2:4] = np.repeat(total[4 * entries:], count)[:, None]
         start = stop
-    return out.reshape(shape) if shape else out
+    return out, first

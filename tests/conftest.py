@@ -1,9 +1,10 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from s3wgdm.caseio import load_case, load_params
-from s3wgdm.engine import REGIONS, ScoredTable
+from s3wgdm.engine import REGIONS, ScoredTable, run_level
 from s3wgdm.linguistic import DHLTScale
 from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
@@ -41,6 +42,12 @@ def oriented(tables, attrs):
 def scored(tables, attrs):
     """The scored group table, the input of every engine entry point."""
     return ScoredTable(oriented(tables, attrs), attrs)
+
+
+def run_group(rows, table, index, cfgs, params, cfg_ids, param_ids):
+    """:func:`run_level` of points that all share one universe, ``rows``."""
+    return run_level(rows, table, index, cfgs, params, cfg_ids, param_ids,
+                     np.array([0, len(rows)]), np.zeros(len(cfg_ids), dtype=np.intp))
 
 
 def universe(report, level):

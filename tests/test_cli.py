@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import SWEEP_GRID, scored, universe
+from conftest import SWEEP_GRID, run_group, scored, universe
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1048,12 +1048,12 @@ class TestScoredTable:
         cfgs = [base_cfg, replace(base_cfg, kappa=0.5)]
         params = [base, replace(base, eta=0.25)]
         cfg_ids, param_ids = [0, 1, 0], [0, 0, 1]  # per point, into cfgs and params
-        alone = [engine.run_level(rows, sle_table, 1, [cfgs[c]], [params[p]], [0], [0])
+        alone = [run_group(rows, sle_table, 1, [cfgs[c]], [params[p]], [0], [0])
                  for c, p in zip(cfg_ids, param_ids)]
         calls = dict.fromkeys(("shared_granule_statistics", "comprehensive_utilities"), 0)
         for name in calls:
             monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
-        level = engine.run_level(rows, sle_table, 1, cfgs, params, cfg_ids, param_ids)
+        level = run_group(rows, sle_table, 1, cfgs, params, cfg_ids, param_ids)
         assert calls == {"shared_granule_statistics": 1, "comprehensive_utilities": 1}
         for g, want in enumerate(alone):
             for name in ("sizes", "pr", "utilities", "expected", "region"):

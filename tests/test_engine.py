@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import exit_levels, level_regions, per_id, scored, universe
+from conftest import exit_levels, level_regions, per_id, run_group, scored, universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,7 +210,7 @@ class TestRunLevel:
 
     def test_empty_universe_rejected(self, sle_table):
         with pytest.raises(ValueError):
-            run_level(np.arange(0), sle_table, 1, [GOLDEN_CFG], [GOLDEN], [0], [0])
+            run_group(np.arange(0), sle_table, 1, [GOLDEN_CFG], [GOLDEN], [0], [0])
 
     def test_loop_calls_run_level_once_per_level(self, sle_table, sle_params,
                                                  monkeypatch):
@@ -475,6 +475,22 @@ def batched(universes):
     return np.concatenate(universes), np.cumsum([0] + [len(u) for u in universes])
 
 
+class TestUses:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.integers(1, 10**6), st.integers(1, 10**4),
+           st.integers(0, 2**32 - 1))
+    def test_distinct_pairs_and_each_points_pair(self, points, count, groups, seed):
+        """The pairs come out distinct and in (group, id) order, and each
+        point finds its own, whatever the range of groups and ids."""
+        rng = np.random.default_rng(seed)
+        group = rng.integers(0, groups, points)
+        ids = rng.integers(0, count, points)
+        (pair_groups, pair_ids), use = engine._uses(group, ids, count)
+        want = sorted(set(zip(group.tolist(), ids.tolist())))
+        assert list(zip(pair_groups.tolist(), pair_ids.tolist())) == want
+        assert np.array_equal(pair_groups[use], group) and np.array_equal(pair_ids[use], ids)
+
+
 class TestBatchedLevel:
     """One :func:`run_level` call over many groups, as :func:`engine.walk`
     makes per level, equals each group run alone and the blocked kernel,
@@ -503,7 +519,7 @@ class TestBatchedLevel:
         cols, _, _, membership = table.level(index)
         for g, rows in enumerate(universes):
             members = np.flatnonzero(groups == g)
-            alone = run_level(rows, table, index, cfgs, params, cfg_ids[members],
+            alone = run_group(rows, table, index, cfgs, params, cfg_ids[members],
                               param_ids[members])
             scores = table.scores[rows][:, cols]
             for a, p in enumerate(members.tolist()):
@@ -550,7 +566,7 @@ class TestBatchedLevel:
             [p for p in range(len(groups)) if p != bad]
         for points, level in runs:
             for a, p in enumerate(points.tolist()):
-                alone = run_level(universes[groups[p]], table, index, cfgs, params,
+                alone = run_group(universes[groups[p]], table, index, cfgs, params,
                                   cfg_ids[p:p + 1], param_ids[p:p + 1])
                 cells = level.cell_point == a
                 for name in ("sizes", "pr", "utilities", "expected", "region"):

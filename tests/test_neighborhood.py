@@ -197,10 +197,17 @@ class TestConditionalProbability:
             assert min(degrees.values()) - 1e-12 <= pr <= max(degrees.values()) + 1e-12
 
 
+def one_universe(k, uses):
+    """The bounds and uses of one universe of ``k`` rows that uses each of
+    ``uses`` cuts or parameter sets once, in order."""
+    return np.array([0, k]), (np.zeros(uses, dtype=np.intp), np.arange(uses))
+
+
 def per_cut(scores, membership, cuts):
     """:func:`shared_granule_statistics` of one universe, all rows, as
     (cuts, rows) arrays in ``cuts`` order."""
-    sizes, pr, first = shared_granule_statistics(scores, membership, cuts)
+    sizes, pr, first = shared_granule_statistics(scores, membership, cuts, *one_universe(
+        len(scores), len(cuts)))
     at = first[:, None] + np.arange(len(scores))
     return sizes[at], pr[at]
 
@@ -347,4 +354,5 @@ class TestSharedCuts:
 
     def test_cut_threshold_checked(self):
         with pytest.raises(ValueError, match="outside"):
-            shared_granule_statistics(np.zeros((2, 2)), np.zeros(2), [(0.7, 0.5), (0.7, 1.5)])
+            shared_granule_statistics(np.zeros((2, 2)), np.zeros(2), [(0.7, 0.5), (0.7, 1.5)],
+                                      *one_universe(2, 2))

@@ -189,6 +189,15 @@ class TestComprehensive:
             comprehensive_utility({"a": self._unit(0.5)}, {"b": 1.0})
 
 
+def per_set(scores, weights, triples):
+    """:func:`comprehensive_utilities` of one universe, all rows, under each
+    of ``triples``: a (sets, rows, 6) array in ``triples`` order."""
+    k = len(scores)
+    values, first = comprehensive_utilities(scores, weights, triples, np.array([0, k]), (
+        np.zeros(len(triples), dtype=np.intp), np.arange(len(triples))))
+    return values[first[:, None] + np.arange(k)]
+
+
 def one_parameter_set(scores, weights, eta, theta, delta):
     """The comprehensive utilities of one (eta, theta, delta), with the
     parameters as scalars: the gains, perceived utilities and weighted
@@ -233,9 +242,9 @@ class TestBatchedUtilities:
         with pytest.MonkeyPatch.context() as patch:
             if cells is not None:
                 patch.setattr(regret, "BLOCK_CELLS", cells)
-            got = comprehensive_utilities(scores, weights, triples)
+            got = per_set(scores, weights, triples)
         assert got.shape == (len(triples), len(scores), len(CELLS))
         for row, (eta, theta, delta) in zip(got, triples):
-            alone = comprehensive_utilities(scores, weights, [(eta, theta, delta)])
+            alone = per_set(scores, weights, [(eta, theta, delta)])
             assert np.array_equal(row, alone[0])
             assert np.array_equal(row, one_parameter_set(scores, weights, eta, theta, delta))
