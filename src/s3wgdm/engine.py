@@ -84,15 +84,15 @@ class EngineParams:
 
 def check_level_monotonicity(levels: Sequence[LevelConfig], override: bool = False) -> None:
     """Cut thresholds may only grow and kernel widths only shrink across
-    levels, unless explicitly overridden."""
+    levels, compared exactly, unless explicitly overridden."""
     if override:
         return
     for a, b in zip(levels, levels[1:]):
-        if b.kappa < a.kappa - 1e-12:
+        if b.kappa < a.kappa:
             raise ValueError(
                 "cut thresholds must be non-decreasing across levels "
                 "(pass the monotonicity override to allow this)")
-        if b.sigma > a.sigma + 1e-12:
+        if b.sigma > a.sigma:
             raise ValueError(
                 "kernel widths must be non-increasing across levels "
                 "(pass the monotonicity override to allow this)")
@@ -294,93 +294,59 @@ def _uses(groups: np.ndarray, ids: np.ndarray, count: int) -> tuple:
     return np.divmod(keys[new], count), use
 
 
-def _run_level(table: ScoredTable, i: int, rows: np.ndarray, bounds: np.ndarray,
-               points: np.ndarray, groups: np.ndarray, cfgs: Sequence[LevelConfig],
-               params: Sequence[EngineParams], config_ids: np.ndarray, param_ids: np.ndarray,
-               failures: dict) -> list:
-    """:func:`run_level` at level ``i`` for the ``points``, as ``[(points,
-    level)]``; ``cfgs`` holds each configuration's level ``i``.  A call
-    that fails runs again one group at a time, and a group of several
-    points that fails one point at a time, so that each failure is its own
-    point's; a failing point goes into ``failures`` with its level named."""
-    try:
-        # the universes go first and positionally: bench/tracer.py reads them
-        return [(points, run_level(rows, table, i, cfgs, params, config_ids[points],
-                                   param_ids[points], bounds, groups))]
-    except Exception as exc:
-        if len(bounds) > 2:
-            parts = [(rows[bounds[g]:bounds[g + 1]], points[groups == g])
-                     for g in range(len(bounds) - 1)]
-        elif len(points) > 1:
-            parts = [(rows, points[p:p + 1]) for p in range(len(points))]
-        else:
-            # an input problem stays one, naming its level
-            failure = (ValueError(f"decision level {i}: {exc}") if isinstance(exc, ValueError)
-                       else RuntimeError(f"decision level {i} failed: {exc}"))
-            failure.__cause__ = exc
-            failures[int(points[0])] = failure
-            return []
-    return [run for part, members in parts
-            for run in _run_level(table, i, part, np.array([0, len(part)]), members,
-                                  np.zeros(len(members), dtype=np.intp), cfgs, params,
-                                  config_ids, param_ids, failures)]
-
-
 def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EngineParams],
          config_ids: np.ndarray, param_ids: np.ndarray,
          monotonicity_override: bool = False) -> Iterator[tuple]:
     """The level loop of a set of runs ("points") over one group table.
 
     Point ``p`` runs the levels ``configs[config_ids[p]]``, a tuple of
-    :class:`LevelConfig` as long as every other, with parameters
+    :class:`LevelConfig` as long as ``configs[0]``, with parameters
     ``params[param_ids[p]]``.  At each level the points still running are
     grouped by universe: points whose universes hold the same rows form one
     group, whichever group they came from.  A level is one pass: one
     :func:`run_level` call classifies every group of the level at once.
     The points' BND rows, as bit masks over the table rows, then regroup
-    every point in one step.  Yields ``(level index, [(points, level),
-    ...])`` for each level that some point ran, ``level`` a
-    :class:`GranularLevel` of those ``points``: one pair, unless a failing
-    call ran again in parts.
+    every point in one step.  Yields ``(level index, points, level)`` for
+    each level that some point ran, ``level`` the :class:`GranularLevel` of
+    those ``points``, whose cells' ``cell_point`` index into ``points``.
 
-    A configuration that fails the monotonicity check, or has more levels
-    than nested subsets, is found once, and its points run none; a point
-    whose level fails stops there.  Once the walk ends, the failure of the
-    first failed point is raised: the one a run of the points one at a time
-    would stop at.
+    Before any level runs, each configuration a point uses is checked, in
+    point order, and the first that fails the monotonicity check, has more
+    levels than nested subsets or differs in length from ``configs[0]`` is
+    raised.  A level that raises ends the walk with its error, naming the
+    level.
     """
     config_ids = np.asarray(config_ids, dtype=np.intp)
     param_ids = np.asarray(param_ids, dtype=np.intp)
-    problems = []  # per configuration, its problem or None
-    for levels in configs:
-        try:
-            check_level_monotonicity(levels, monotonicity_override)
-            if len(levels) > len(table.subsets):
-                raise ValueError(f"{len(levels)} levels configured but only "
-                                 f"{len(table.subsets)} nested subsets exist")
-            problems.append(None)
-        except ValueError as exc:
-            problems.append(exc)
-    refused = np.array([problem is not None for problem in problems])[config_ids]
-    failures = {p: problems[config_ids[p]] for p in np.flatnonzero(refused).tolist()}
+    for levels in map(configs.__getitem__, dict.fromkeys(config_ids.tolist())):
+        check_level_monotonicity(levels, monotonicity_override)
+        if len(levels) > len(table.subsets):
+            raise ValueError(f"{len(levels)} levels configured but only "
+                             f"{len(table.subsets)} nested subsets exist")
+        if len(levels) != len(configs[0]):
+            raise ValueError("level configurations differ in length: "
+                             f"{len(levels)} against {len(configs[0])}")
     n = len(table.fused.alternatives)
-    points = np.flatnonzero(~refused)
+    points = np.arange(len(config_ids))
     rows, bounds, groups = np.arange(n), np.array([0, n]), np.zeros(len(points), dtype=np.intp)
     for i in range(1, len(configs[0]) + 1):
         if not len(points):
             break
         cfgs = [levels[i - 1] for levels in configs]
-        ran = _run_level(table, i, rows, bounds, points, groups, cfgs, params,
-                         config_ids, param_ids, failures)
-        if not ran:
-            break
-        yield i, ran
+        try:
+            # the universes go first and positionally: bench/tracer.py reads them
+            level = run_level(rows, table, i, cfgs, params, config_ids[points],
+                              param_ids[points], bounds, groups)
+        except ValueError as exc:  # an input problem stays one, naming its level
+            raise ValueError(f"decision level {i}: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"decision level {i} failed: {exc}") from exc
+        yield i, points, level
         # each point's BND rows, packed into bytes, key it into its next-level group
         bnd = np.zeros((len(config_ids), n), dtype=bool)
-        for members, level in ran:
-            cell = level.region == BND
-            bnd[members[level.cell_point[cell]], level.rows[level.cell_row[cell]]] = True
-        del ran, level  # the next level runs without this one held
+        cell = level.region == BND
+        bnd[points[level.cell_point[cell]], level.rows[level.cell_row[cell]]] = True
+        del level  # the next level runs without this one held
         points = bnd.any(axis=1).nonzero()[0]
         if len(points) > 1:
             keys = np.packbits(bnd[points], axis=1)
@@ -390,8 +356,6 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
             first = groups = np.zeros(len(points), dtype=np.intp)
         owner, rows = bnd[points[first]].nonzero()
         bounds = owner.searchsorted(np.arange(len(first) + 1))
-    if failures:
-        raise failures[min(failures)]
 
 
 def run_sequential(table: ScoredTable, levels: Sequence[LevelConfig], params: EngineParams,
@@ -401,15 +365,16 @@ def run_sequential(table: ScoredTable, levels: Sequence[LevelConfig], params: En
     ``table`` is the scored group table, whose attributes and nested
     subsets the levels take in order; a level reads its scores and
     membership on its universe from it.  This is the one-point case of
-    :func:`walk`.
+    :func:`walk`: each level it yields is one of the report's levels, and
+    a level that fails raises its error, naming the level.
     """
     if not table.fused.alternatives:  # every report has at least one level
         raise ValueError("no alternatives")
     if not levels:
         raise ValueError("no level configuration")
     # one point is one group, so its levels hold one row per universe row
-    executed = [ran[0][1] for _, ran in walk(table, [tuple(levels)], [params], [0], [0],
-                                             monotonicity_override)]
+    executed = [level for _, _, level in walk(table, [tuple(levels)], [params], [0], [0],
+                                              monotonicity_override)]
     return DecisionReport(alternatives=table.fused.alternatives, levels=tuple(executed))
 
 
@@ -437,13 +402,12 @@ def sweep_outcomes(table: ScoredTable, configs: Sequence[tuple],
         value = np.zeros((size, n))
         counts = np.zeros((size, len(configs[0]), len(REGIONS)), dtype=np.int64)
         offsets = len(REGIONS) * np.arange(size)[:, None]
-        for i, ran in walk(table, configs, params, config_ids[chunk], param_ids[chunk],
-                           monotonicity_override):
-            for points, level in ran:
-                cells = points[level.cell_point], level.rows[level.cell_row]
-                region[cells] = level.region
-                value[cells] = level.expected[:, column]
-            del ran, level  # the walk runs the next level without this one held
+        for i, points, level in walk(table, configs, params, config_ids[chunk],
+                                     param_ids[chunk], monotonicity_override):
+            cells = points[level.cell_point], level.rows[level.cell_row]
+            region[cells] = level.region
+            value[cells] = level.expected[:, column]
+            del level  # the walk runs the next level without this one held
             # the state after level i stands until a later level changes it
             counts[:, i - 1:] = np.bincount((region + offsets).ravel(),
                                             minlength=size * len(REGIONS)).reshape(size, 1, -1)

@@ -722,32 +722,23 @@ class TestSweep:
     ])
     def test_point_failing_inside_a_level(self, capsys, monkeypatch, tmp_path, sle_case_path,
                                           sle_params_path, error, code, message):
-        """The sweep stops with the error a run of its points one at a time
-        stops at: that of the first failing point, at its first failing
-        level, even where a later point fails at an earlier level."""
+        """A fault inside a level of a sweep ends it with that level's
+        error, as ``decide`` reports it, and no CSV is written."""
         shared = engine.shared_granule_statistics
+        groups = []
 
         def refusing(scores, membership, cuts, bounds, uses):
-            # sigma 0.5 fails on level 2's universes, sigma 0.7 on level 1's
-            for u, c in zip(*uses):
-                if cuts[c][0] == (0.5 if bounds[u + 1] - bounds[u] < 8 else 0.7):
-                    raise error("cut refused")
+            if bounds[1] < 8:  # level 2 on: the bundled case's universes shrink
+                groups.append(len(bounds) - 1)
+                raise error("cut refused")
             return shared(scores, membership, cuts, bounds, uses)
 
         monkeypatch.setattr(engine, "shared_granule_statistics", refusing)
-        case, spec = load_case(sle_case_path), load_params(sle_params_path)
-        table = scored(case.experts, case.attributes)
-        with pytest.raises(Exception) as first:  # the first point: eta 0.6, sigma 0.5
-            for eta in (0.6, 1.0):
-                for sigma in (0.5, 0.6, 0.7):
-                    run_sequential(table, [LevelConfig(kappa=c.kappa, sigma=sigma)
-                                           for c in spec.levels],
-                                   replace(spec.params, eta=eta))
-        assert str(first.value) in message
         out_path = tmp_path / "sweep.csv"
         got, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
                               sle_params_path, "--grid", "eta=0.6:1:0.4",
                               "--grid", "sigma=0.5:0.7:0.1", "--out", str(out_path))
+        assert groups and groups[0] > 1  # the failing level holds several groups
         assert got == code
         assert err.strip() == message
         assert not out_path.exists()
@@ -930,16 +921,16 @@ def test_walk_levels_match_fresh_runs(inputs):
              for levels, params in runs]
     seen = []
     table = scored(case.experts, case.attributes)
-    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
-                              np.arange(len(runs)), np.arange(len(runs))):
-        for points, level in ran:
-            for g, p in enumerate(points.tolist()):
-                seen.append((p, i))
-                want = fresh[p].levels[i - 1]
-                cells = level.cell_point == g
-                assert np.array_equal(level.rows[level.cell_row[cells]], want.rows)
-                for name in ("sizes", "pr", "utilities", "expected", "region"):
-                    assert np.array_equal(getattr(level, name)[cells], getattr(want, name)), name
+    for i, points, level in engine.walk(table, [levels for levels, _ in runs],
+                                        [p for _, p in runs], np.arange(len(runs)),
+                                        np.arange(len(runs))):
+        for g, p in enumerate(points.tolist()):
+            seen.append((p, i))
+            want = fresh[p].levels[i - 1]
+            cells = level.cell_point == g
+            assert np.array_equal(level.rows[level.cell_row[cells]], want.rows)
+            for name in ("sizes", "pr", "utilities", "expected", "region"):
+                assert np.array_equal(getattr(level, name)[cells], getattr(want, name)), name
     assert sorted(seen) == [(p, i) for p, report in enumerate(fresh)
                             for i in range(1, len(report.levels) + 1)]
 
@@ -981,14 +972,14 @@ def test_walk_groups_are_maximal(inputs):
              for levels, params in runs]
     table = scored(case.experts, case.attributes)
     everything = tuple(range(len(table.fused.alternatives)))
-    for i, ran in engine.walk(table, [levels for levels, _ in runs], [p for _, p in runs],
-                              np.arange(len(runs)), np.arange(len(runs))):
+    for i, points, level in engine.walk(table, [levels for levels, _ in runs],
+                                        [p for _, p in runs], np.arange(len(runs)),
+                                        np.arange(len(runs))):
         got: dict = {}
-        for points, level in ran:
-            for g, p in enumerate(points.tolist()):
-                universe = level.rows[level.cell_row[level.cell_point == g]]
-                got.setdefault(tuple(universe.tolist()), []).append(p)
-        assert sum(len(level.rows) for _, level in ran) == sum(map(len, got))
+        for g, p in enumerate(points.tolist()):
+            universe = level.rows[level.cell_row[level.cell_point == g]]
+            got.setdefault(tuple(universe.tolist()), []).append(p)
+        assert len(level.rows) == sum(map(len, got))
         got = {universe: sorted(points) for universe, points in got.items()}
         want: dict = {}
         for p, report in enumerate(fresh):

@@ -138,6 +138,19 @@ class TestLevelConfig:
         with pytest.raises(ValueError):
             check_level_monotonicity(bad_sigma)
 
+    @pytest.mark.parametrize("levels, message", [
+        ([LevelConfig(0.5, 1e-160), LevelConfig(0.5, 1e-13)], "kernel widths"),
+        ([LevelConfig(0.9, 0.7), LevelConfig(0.9 - 1e-13, 0.7)], "cut thresholds"),
+    ], ids=["sigma-grows-by-1e-13", "kappa-falls-by-1e-13"])
+    def test_monotonicity_compares_exactly(self, levels, message):
+        """Levels compare exactly: a step the wrong way, however small,
+        is refused unless overridden, and equal levels pass."""
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            check_level_monotonicity(levels)
+        check_level_monotonicity(levels, override=True)
+        check_level_monotonicity([levels[0]] * 3)
+        check_level_monotonicity([levels[1]] * 3)
+
 
 class TestEngineParams:
     def test_ranges(self):
@@ -335,6 +348,42 @@ class TestRunSequential:
             run_sequential(sle_table, levels, GOLDEN)
         run_sequential(sle_table, levels, GOLDEN,
                        monotonicity_override=True)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("bad, message", [
+        ((LevelConfig(0.9, 0.7), LevelConfig(0.5, 0.7)), "^cut thresholds must be"),
+        ((GOLDEN_CFG,) * 7, "^7 levels configured but only 4 nested subsets exist$"),
+        ((GOLDEN_CFG,) * 3, "^level configurations differ in length: 3 against 2$"),
+    ], ids=["non-monotone", "too-many-levels", "unequal-lengths"])
+    def test_configurations_checked_before_any_level(self, monkeypatch, sle_table, bad,
+                                                     message):
+        """A later point's bad configuration is raised before any level
+        runs, even though the earlier points' configuration is sound."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return run_level(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_level", recording)
+        good = (GOLDEN_CFG, GOLDEN_CFG)
+        with pytest.raises(ValueError, match=message):
+            list(engine.walk(sle_table, [good, bad], [GOLDEN], [0, 0, 1, 0], [0, 0, 0, 0]))
+        assert calls == []
+        # a configuration no point uses is not checked
+        assert [i for i, _, _ in engine.walk(sle_table, [good, bad], [GOLDEN],
+                                             [0, 0], [0, 0])] == [1, 2]
+        assert len(calls) == 2
+
+    def test_first_bad_configuration_in_point_order_is_raised(self, sle_table):
+        non_monotone = (LevelConfig(0.9, 0.7), LevelConfig(0.5, 0.7))
+        longer = (GOLDEN_CFG,) * 3
+        configs = [(GOLDEN_CFG,) * 2, non_monotone, longer]
+        with pytest.raises(ValueError, match="^level configurations differ"):
+            list(engine.walk(sle_table, configs, [GOLDEN], [0, 2, 1], [0, 0, 0]))
+        with pytest.raises(ValueError, match="^cut thresholds must be"):
+            list(engine.walk(sle_table, configs, [GOLDEN], [0, 1, 2], [0, 0, 0]))
 
 
 class TestRank:
@@ -537,38 +586,3 @@ class TestBatchedLevel:
                                                           cfg.sigma, cfg.kappa)
                     assert np.array_equal(level.sizes[cells], sizes)
                 assert np.array_equal(level.pr[cells], pr)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(level_groups(), st.data())
-    def test_a_failing_point_keeps_its_error(self, case, data):
-        """A point whose cut fails inside a batched call fails alone, with
-        its own error; every other point still runs, as it would alone."""
-        table, index, universes, cfgs, params, groups, cfg_ids, param_ids = case
-        bad = data.draw(st.integers(0, len(groups) - 1))
-        cfgs = cfgs + [LevelConfig(kappa=0.5, sigma=0.7)]  # only the bad point's
-        cfg_ids = np.where(np.arange(len(groups)) == bad, len(cfgs) - 1, cfg_ids)
-        shared = engine.shared_granule_statistics
-
-        def refusing(scores, membership, cuts, bounds, uses):
-            if len(cfgs) - 1 in np.asarray(uses[1]).tolist():
-                raise ValueError("cut refused")
-            return shared(scores, membership, cuts, bounds, uses)
-
-        failures = {}
-        rows, bounds = batched(universes)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "shared_granule_statistics", refusing)
-            runs = engine._run_level(table, index, rows, bounds, np.arange(len(groups)),
-                                     groups, cfgs, params, cfg_ids, param_ids, failures)
-        assert list(failures) == [bad]
-        assert str(failures[bad]) == f"decision level {index}: cut refused"
-        assert sorted(p for points, _ in runs for p in points.tolist()) == \
-            [p for p in range(len(groups)) if p != bad]
-        for points, level in runs:
-            for a, p in enumerate(points.tolist()):
-                alone = run_group(universes[groups[p]], table, index, cfgs, params,
-                                  cfg_ids[p:p + 1], param_ids[p:p + 1])
-                cells = level.cell_point == a
-                for name in ("sizes", "pr", "utilities", "expected", "region"):
-                    assert np.array_equal(getattr(level, name)[cells],
-                                          getattr(alone, name)), name
