@@ -198,7 +198,7 @@ def _grid_spec(raw: str) -> tuple:
     # stop is included up to a 1e-9 step tolerance; the span may overflow to
     # -inf or inf, so it is clamped first: no points, or one past the cap
     count = math.floor(min(max((stop - start) / step + 1e-9, -1), MAX_GRID_POINTS)) + 1
-    return name, count, lambda: [round(start + k * step, 12) for k in range(count)]
+    return name, count, lambda: [float(f"{start + k * step:.12g}") for k in range(count)]
 
 
 def _parse_grid(specs) -> dict:

@@ -58,8 +58,11 @@ class LevelConfig:
             raise ValueError(f"kappa {self.kappa} outside [0, 1]")
         if not math.isfinite(self.sigma) or self.sigma <= 0:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if 2.0 * self.sigma * self.sigma == 0.0:  # the kernel's denominator
+        denom = 2.0 * self.sigma * self.sigma  # the kernel's denominator
+        if denom == 0.0:
             raise ValueError(f"sigma {self.sigma} is too small: 2 sigma^2 underflows to 0")
+        if denom == math.inf:  # every pair would score exactly 1.0
+            raise ValueError(f"sigma {self.sigma} is too large: 2 sigma^2 overflows to inf")
 
 
 @dataclass(frozen=True)
@@ -236,19 +239,17 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     rows' concept membership and the renormalised attribute weights, all
     read from ``table.level(index)``.
 
-    A level is one pass, whatever the number of groups: the bundled
-    330-point sweep grid makes 4 passes, one per level, where one pass
-    per universe group made 23.  :func:`shared_granule_statistics` finds
-    the granule statistics of every (group, configuration) pair the points
-    use: it packs the small universes into shared blocks of at most
-    ``neighborhood.BLOCK_CELLS`` (cut, pair) entries, each row compared
-    with its own universe only, and sums each pr over exactly its own
-    universe's k entries, the rows of each universe size together, since
-    numpy's pairwise sum depends on the length of the row it sums.
-    :func:`comprehensive_utilities` finds the utilities of every (group,
-    parameter set) pair in one broadcast over their rows, and the points'
-    expected utilities and regions are one broadcast over all (point,
-    universe row) cells.
+    A level is one pass, whatever the number of groups.
+    :func:`shared_granule_statistics` finds the granule statistics of every
+    (group, configuration) pair the points use: it packs the small universes
+    into shared blocks of at most ``neighborhood.BLOCK_CELLS`` (cut, pair)
+    entries, each row compared with its own universe only, and sums each pr
+    over exactly its own universe's k entries, the rows of each universe
+    size together, since numpy's pairwise sum depends on the length of the
+    row it sums.  :func:`comprehensive_utilities` finds the utilities of
+    every (group, parameter set) pair in one broadcast over their rows, and
+    the points' expected utilities and regions are one broadcast over all
+    (point, universe row) cells.
     """
     if not len(rows):
         raise ValueError("empty universe")

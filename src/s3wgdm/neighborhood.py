@@ -116,6 +116,31 @@ def kernel_rows(block: np.ndarray, scores: np.ndarray, sigma: float) -> np.ndarr
     return np.exp(sim, out=sim)
 
 
+_THRESHOLDS: dict = {}  # (sigma, kappa) -> T*, each cut searched once per process
+
+
+def cut_thresholds(cuts: Sequence[tuple]) -> np.ndarray:
+    """T*(sigma, kappa) of each ``(sigma, kappa)`` cut: the largest float64
+    ``d2`` for which the predicate of :func:`kernel_rows`,
+    ``np.exp(np.negative(d2) / (2 sigma^2)) >= kappa``, holds (inf at kappa
+    0).  Negation and division round correctly and exp is monotone, so a
+    pair is in a cut's granule exactly when its squared gap is at most T*.
+    The non-negative doubles are in order as bit patterns: the new cuts of
+    a call are found together by one 63-step bisection over those."""
+    new = [cut for cut in dict.fromkeys(cuts) if cut not in _THRESHOLDS]
+    if new:
+        sigma, kappa = np.array(new, dtype=float).T
+        lo = np.zeros(len(new), dtype=np.int64)  # passes: a gap of 0 scores 1.0
+        hi = np.full(len(new), np.float64(np.inf).view(np.int64) + 1)  # never tried
+        for _ in range(63):  # hi - lo starts below 2^63 and halves, rounded up
+            mid = lo + (hi - lo) // 2
+            with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
+                passes = np.exp(np.negative(mid.view(float)) / (2.0 * sigma * sigma)) >= kappa
+            lo, hi = np.where(passes, mid, lo), np.where(passes, hi, mid)
+        _THRESHOLDS.update(zip(new, lo.view(float).tolist()))
+    return np.array([_THRESHOLDS[cut] for cut in cuts])
+
+
 def similarity_blocks(scores: np.ndarray, sigma: float) -> Iterator[tuple]:
     """The kernel similarity of every row to every row, as ``(first row,
     block)`` pairs over row blocks of about ``BLOCK_CELLS`` entries, so
@@ -146,17 +171,17 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     indices into ``cuts``.
 
     A row's granule is every row of its own universe at least
-    ``kappa``-similar to it, compared with no tolerance; its probability is
-    the mean membership over the granule.  Only sizes are kept, never
-    member sets.
+    ``kappa``-similar to it: a squared score gap at most the cut's T*
+    (:func:`cut_thresholds`).  Its probability is the mean membership over
+    the granule.  Only sizes are kept, never member sets.
 
     A cut at kappa 0 holds the whole universe, since the kernel never
     scores below 0: its sizes are k and its pr the mean membership, which
     equals the kernel's row sums bit for bit.  The other cuts of a
     one-column universe of at least ``SORTED_MIN_ROWS`` rows take the
     sorted path.  The rest share one blocked pass
-    (:func:`_kernel_statistics`) with the arithmetic of
-    :func:`kernel_granule_statistics`, so every path gives the same sizes.
+    (:func:`_kernel_statistics`), so every path gives the sizes of
+    :func:`kernel_granule_statistics`.
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
@@ -186,7 +211,8 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
         parts.append(sorted_granule_statistics(scores[rows, 0], membership[rows], *cuts[c]))
         first[use], end = end, end + length[u]
     if kernel:
-        for use_first, block in _kernel_statistics(scores, membership, bounds, cuts, kernel):
+        limits = cut_thresholds(cuts)
+        for use_first, block in _kernel_statistics(scores, membership, bounds, limits, kernel):
             parts.append(block)
             for use, offset in use_first:
                 first[use] = end + offset
@@ -196,32 +222,31 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
 
 
 def _kernel_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
-                       cuts: Sequence[tuple], uses: list) -> Iterator[tuple]:
+                       limits: np.ndarray, uses: list) -> Iterator[tuple]:
     """Granule sizes and pr of ``uses``, ``(use, universe, cut)`` triples
-    with ``cut`` an index into ``cuts``, by the blocked kernel.  Per block
-    yields ``([(use, its first entry)], (sizes, pr))``.
+    with ``cut`` an index into ``limits``, the cuts' T*, by the blocked
+    pass.  Per block yields ``([(use, its first entry)], (sizes, pr))``.
 
-    The cuts a universe uses, in sigma order, form one item, split where
-    one row against its universe at all of them would not fit in
-    ``BLOCK_CELLS`` (cut, pair) entries.  An item too large for one block
-    is a block of its own, which takes its rows in steps; the others pack
-    into blocks in order of universe size.  A block computes every cut any
-    of its items uses for all of its rows, a (cut, row) array each.
+    The cuts a universe uses form one item, split where one row against
+    its universe at all of them would not fit in ``BLOCK_CELLS`` (cut,
+    pair) entries.  An item too large for one block is a block of its own,
+    which takes its rows in steps; the others pack into blocks in order of
+    universe size.  A block computes every cut any of its items uses for
+    all of its rows, a (cut, row) array each.
     """
     per_universe: dict = {}
     for use, u, c in uses:
-        per_universe.setdefault(u, []).append((cuts[c][0], c, use))
-    items = []  # universe size, universe, its (sigma, cut, use) in sigma order
+        per_universe.setdefault(u, []).append((c, use))
+    items = []  # universe size, universe, its (cut, use) pairs
     for u, taken in per_universe.items():
         k = int(bounds[u + 1] - bounds[u])
         per = max(1, BLOCK_CELLS // k)  # cuts one row against its universe may take
-        taken.sort()
         items += [(k, u, taken[i:i + per]) for i in range(0, len(taken), per)]
     items.sort(key=lambda item: item[0])
     blocks = []  # [items, their cut ids, their pairs]
     for item in items:
         k, _, taken = item
-        ids = {c for _, c, _ in taken}
+        ids = {c for c, _ in taken}
         if blocks and len(blocks[-1][1] | ids) * (blocks[-1][2] + k * k) <= BLOCK_CELLS:
             blocks[-1][0].append(item)
             blocks[-1][1] |= ids
@@ -229,40 +254,32 @@ def _kernel_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nd
         else:
             blocks.append([[item], ids, k * k])
     for block, ids, _ in blocks:
-        ids = sorted(ids, key=lambda c: cuts[c][0])  # a run of cuts per distinct sigma
         at = {c: i for i, c in enumerate(ids)}
         rows = sum(k for k, *_ in block)
         use_first, row = [], 0
         for k, _, taken in block:
-            use_first += [(use, at[c] * rows + row) for _, c, use in taken]
+            use_first += [(use, at[c] * rows + row) for c, use in taken]
             row += k
-        counts, sums = _block_statistics(scores, membership, bounds, block,
-                                         [cuts[c] for c in ids])
+        counts, sums = _block_statistics(scores, membership, bounds, block, limits[list(at)])
         yield use_first, (counts.ravel(), (sums / counts).ravel())
 
 
 def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
-                      block: list, cuts: list) -> tuple:
+                      block: list, limits: np.ndarray) -> tuple:
     """Granule sizes and membership sums of every row of the universes of
-    ``block``, one after another, against its own universe at each
-    ``(sigma, kappa)`` of ``cuts``, a run of cuts per distinct sigma: two
-    (cuts, rows) arrays."""
-    sigmas = [sigma for sigma, _ in cuts]
-    new = [True] + [b != a for a, b in zip(sigmas, sigmas[1:])]  # starts a distinct sigma
-    arithmetic = (np.array([2.0 * s * s for s, fresh in zip(sigmas, new) if fresh]),
-                  np.array(list(itertools.accumulate(new))) - 1,  # each cut's distinct sigma
-                  np.array([kappa for _, kappa in cuts]))
-    counts = np.empty((len(cuts), sum(item[0] for item in block)), dtype=np.intp)
+    ``block``, one after another, against its own universe at each cut of
+    ``limits``, the cuts' thresholds: two (cuts, rows) arrays."""
+    counts = np.empty((len(limits), sum(item[0] for item in block)), dtype=np.intp)
     sums = np.empty(counts.shape)
     # row sums rather than a matrix product: BLAS may sum identical rows in
     # different orders, and duplicate rows must tie exactly
     if len(block) == 1:  # one universe: its rows in steps, against it as outer differences
         n, u, _ = block[0]
         rows = slice(bounds[u], bounds[u] + n)
-        step = max(1, BLOCK_CELLS // (n * len(cuts)))
+        step = max(1, BLOCK_CELLS // (n * len(limits)))
         for start in range(0, n, step):
             gaps = squared_gaps(scores[rows][start:start + step, None], scores[None, rows])
-            member = _members(gaps, *arithmetic).reshape(len(cuts), -1, n)
+            member = gaps <= limits[:, None, None]
             stop = start + member.shape[1]
             counts[:, start:stop] = member.sum(axis=-1)
             sums[:, start:stop] = np.where(member, membership[rows], 0.0).sum(axis=-1)
@@ -272,8 +289,8 @@ def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nda
     first = bounds[[item[1] for item in block]]
     size = np.repeat(k, k)  # each row's universe size
     right = ranges(np.repeat(first, k), size)
-    member = _members(squared_gaps(scores[np.repeat(ranges(first, k), size)], scores[right]),
-                      *arithmetic)
+    member = squared_gaps(scores[np.repeat(ranges(first, k), size)],
+                          scores[right]) <= limits[:, None]
     weight = membership[right]
     # numpy's pairwise sum depends on the row length, so each sum runs over
     # exactly its own universe's k entries: the rows of each universe size
@@ -283,28 +300,11 @@ def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nda
     for n, same in itertools.groupby(k.tolist()):
         hi = lo + n * len(list(same))
         e0, pair = pair, pair + (hi - lo) * n
-        inside = member[:, e0:pair].reshape(len(cuts), hi - lo, n)
+        inside = member[:, e0:pair].reshape(len(limits), hi - lo, n)
         counts[:, lo:hi] = inside.sum(axis=-1)
         sums[:, lo:hi] = np.where(inside, weight[e0:pair].reshape(-1, n), 0.0).sum(axis=-1)
         lo = hi
     return counts, sums
-
-
-def _members(gaps: np.ndarray, denom: np.ndarray, of: np.ndarray,
-             kappa: np.ndarray) -> np.ndarray:
-    """Whether each pair of ``gaps``, the squared score gaps, is in each
-    cut's granule, as a (cuts, pairs) array, with the arithmetic of
-    :func:`kernel_rows`: the negated gaps divided by each distinct
-    ``denom`` (2 sigma^2), exp, and for each cut the row of its sigma,
-    ``of``, compared with its ``kappa``."""
-    neg = gaps.reshape(1, -1)
-    np.negative(neg, out=neg)
-    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-        sim = np.divide(neg, denom[:, None], out=neg if len(denom) == 1 else None)
-    np.exp(sim, out=sim)
-    if len(denom) < len(of):  # a sigma serves several kappas
-        sim = sim[of]
-    return sim >= kappa[:, None]
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
@@ -331,10 +331,10 @@ def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
 
     In one dimension a granule is an interval of the sorted distinct
     scores (fixed-radius near neighbours by sorting).  Each interval is
-    bracketed by ``searchsorted`` on a slightly widened radius, then each
-    end moves inward while the kernel's own cut, with the arithmetic of
-    :func:`kernel_rows`, fails; so sizes equal the kernel's.  Sums are
-    differences of long-double prefix sums of the sorted memberships.
+    bracketed by ``searchsorted`` at a radius no pair in the granule
+    reaches, then each end moves inward while the cut, ``gap * gap`` at
+    most :func:`cut_thresholds`, fails; so sizes equal the kernel's.  Sums
+    are differences of long-double prefix sums of the sorted memberships.
     Rows with equal scores share one interval, so they get identical
     probabilities.
     """
@@ -348,20 +348,19 @@ def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
     starts = np.flatnonzero(new)  # sorted rows of distinct[k]: starts[k]:starts[k + 1]
     group = np.empty(n, dtype=np.intp)
     group[order] = np.cumsum(new[:n]) - 1
-    denom = 2.0 * sigma * sigma
-    # widened past -ln(kappa): at kappa = 1, gaps with gap^2 / denom
-    # below about 1e-16 also score exactly 1.0
-    t = -math.log(kappa)
-    reach = math.sqrt(denom) * math.sqrt(t * (1.0 + 1e-12) + 1e-14)
+    limit = cut_thresholds([(sigma, kappa)])[0]
+    # rounding is monotone: a gap whose square rounds to at most T* has an
+    # exact square below the double after T*, and it and its exact score
+    # difference lie below the double after the rounded root of that
+    reach = np.nextafter(np.sqrt(np.nextafter(limit, np.inf)), np.inf)
     lo = np.searchsorted(distinct, distinct - reach, side="left")
     hi = np.searchsorted(distinct, distinct + reach, side="right")
-    with np.errstate(over="ignore"):  # a gap far beyond a tiny sigma scores 0
-        for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
-            todo = np.arange(len(distinct))
-            while todo.size:
-                gap = distinct[todo] - distinct[end[todo] + offset]
-                todo = todo[np.exp(-(gap * gap) / denom) < kappa]
-                end[todo] += inward
+    for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
+        todo = np.arange(len(distinct))
+        while todo.size:
+            gap = distinct[todo] - distinct[end[todo] + offset]
+            todo = todo[gap * gap > limit]
+            end[todo] += inward
     # float64 prefix differences would carry about n * 1e-16 absolute error
     cum = np.zeros(n + 1, dtype=np.longdouble)
     np.cumsum(membership[order], dtype=np.longdouble, out=cum[1:])

@@ -410,11 +410,16 @@ class TestParserBuiltOnce:
         assert texts == [texts[0]] * 4
 
 
-class TestKernelWidthUnderflow:
-    """A sigma with 2 sigma^2 == 0.0 would give identical rows a NaN
-    similarity; one just above it still runs."""
+# sigmas inside and past both limits of 2 sigma^2, and whether each is refused
+KERNEL_WIDTHS = [(1e-160, 0), (1e-200, 1), (9e153, 0), (1e154, 1), (1e200, 1)]
 
-    @pytest.mark.parametrize("sigma, code", [(1e-160, 0), (1e-200, 1)])
+
+class TestKernelWidthLimits:
+    """A sigma with 2 sigma^2 == 0.0 would give identical rows a NaN
+    similarity, and one with 2 sigma^2 == inf every pair a similarity of
+    exactly 1.0; sigmas just inside both limits still run."""
+
+    @pytest.mark.parametrize("sigma, code", KERNEL_WIDTHS)
     def test_decide(self, capsys, tmp_path, sle_case_path, sle_params_path, sigma, code):
         with open(sle_params_path) as fh:
             params = json.load(fh)
@@ -426,15 +431,16 @@ class TestKernelWidthUnderflow:
                               "--params", str(path))
         assert got == code
         if code:
-            assert f"  - levels[0]: sigma {sigma} is too small" in err
+            limit = "too small" if sigma < 1 else "too large"
+            assert f"  - levels[0]: sigma {sigma} is {limit}" in err
 
-    @pytest.mark.parametrize("sigma, code", [(1e-160, 0), (1e-200, 1)])
+    @pytest.mark.parametrize("sigma, code", KERNEL_WIDTHS)
     def test_sweep(self, capsys, sle_case_path, sle_params_path, sigma, code):
         got, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
                               sle_params_path, "--grid", f"sigma={sigma}")
         assert got == code
         if code:
-            assert f"sigma {sigma} is too small" in err
+            assert f"sigma {sigma} is {'too small' if sigma < 1 else 'too large'}" in err
 
 
 class TestNumericFieldsMustBeNumbers:
@@ -800,9 +806,25 @@ class TestSweep:
     def test_grid_at_the_cap_is_built(self):
         assert len(_parse_grid(["eta=0:0.99999:1e-5"])["eta"]) == MAX_GRID_POINTS
 
+    @pytest.mark.parametrize("grid, values", [
+        ("sigma=1e-13:5e-13:1e-13", [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]),
+        ("sigma=1e-13", [1e-13]),
+        ("eta=0:1:0.1", [k / 10 for k in range(11)]),
+    ])
+    def test_grid_values_keep_twelve_digits(self, capsys, tmp_path, sle_case_path,
+                                            sle_params_path, grid, values):
+        """A range's values are rounded to 12 significant digits, not 12
+        decimals, so small values survive and float noise still goes."""
+        assert _parse_grid([grid])[grid.partition("=")[0]] == values
+        code, _, err = run_cli(capsys, "sweep", "--case", sle_case_path, "--params",
+                               sle_params_path, "--grid", grid,
+                               "--out", str(tmp_path / "sweep.csv"))
+        assert code == 0 and f"swept {len(values)} grid points" in err
 
-# --grid specs per parameter.  Each range is rounded to 12 digits, so a
-# step of 1e-13 gives four copies of one value: repeated grid points.
+
+# --grid specs per parameter.  Each range is rounded to 12 significant
+# digits, so a step of 1e-13 near 0.3 gives four copies of one value:
+# repeated grid points.
 GRID_OPTIONS = {
     "eta": ("eta=0:1:0.5", "eta=0.6", "eta=0.3:0.3000000000003:1e-13"),
     "theta": ("theta=0.5:0.9:0.2", "theta=0.88"),

@@ -127,6 +127,15 @@ class TestLevelConfig:
         with pytest.raises(ValueError):
             LevelConfig(kappa=kappa, sigma=sigma)
 
+    def test_kernel_denominator_must_be_finite(self):
+        sigma = math.sqrt(sys.float_info.max / 2)
+        while 2.0 * sigma * sigma < math.inf:  # up to the first sigma whose 2 sigma^2 overflows
+            sigma = math.nextafter(sigma, math.inf)
+        with pytest.raises(ValueError, match="too large: 2 sigma\\^2 overflows to inf"):
+            LevelConfig(kappa=1.0, sigma=sigma)
+        widest = math.nextafter(sigma, 0.0)
+        assert LevelConfig(kappa=1.0, sigma=widest).sigma == widest
+
     def test_monotonicity_guard(self):
         ok = [LevelConfig(0.5, 0.9), LevelConfig(0.7, 0.7), LevelConfig(0.7, 0.7)]
         check_level_monotonicity(ok)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import neighborhood
@@ -17,6 +17,7 @@ from s3wgdm.neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
+    cut_thresholds,
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
@@ -270,6 +271,79 @@ class TestSortedCut:
         for r, members in zip(rows, cut):
             assert sizes[r] == members.sum()
             assert abs(pr[r] - math.fsum(membership[members]) / sizes[r]) <= 1e-12
+
+
+class TestCutThresholds:
+    """T*(sigma, kappa) is the last double on which the kernel's predicate
+    holds."""
+
+    SIGMAS = (1e-150, 1e-8, 0.1, 0.7, 10.0, 1e150)
+    KAPPAS = (5e-324, 1e-300, 0.5, 0.9, 1 - 1e-12, 1.0)
+
+    def test_predicate_holds_up_to_the_threshold(self):
+        """The predicate, in the arithmetic of :func:`kernel_rows`, holds on
+        T* and the 1,024 doubles below it and fails on the 1,024 above, for
+        every cut of one call searched together."""
+        cuts = [(sigma, kappa) for sigma in self.SIGMAS for kappa in self.KAPPAS]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighborhood, "_THRESHOLDS", {})
+            limits = cut_thresholds(cuts)
+        for (sigma, kappa), limit in zip(cuts, limits):
+            at = limit.view(np.int64)
+            bits = np.arange(max(at - 1024, 0), at + 1025)
+            sim = np.negative(bits.view(np.float64))
+            with np.errstate(over="ignore"):
+                sim /= 2.0 * sigma * sigma
+            holds = np.exp(sim, out=sim) >= kappa
+            assert np.array_equal(holds, bits <= at), (sigma, kappa)
+
+    def test_kappa_zero_keeps_every_gap(self):
+        assert np.all(cut_thresholds([(sigma, 0.0) for sigma in self.SIGMAS]) == math.inf)
+
+    @staticmethod
+    def root(target):
+        """A double whose rounded square is ``target``, or None."""
+        root = math.sqrt(target)
+        for g in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            if g * g == target:
+                return g
+        return None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3)),
+           st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)),
+           st.sampled_from([-1, 0, 1]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_pair_on_the_threshold(self, sigma, kappa, ulps, m, seed):
+        """One pair's squared gap on T*, one ulp above or one ulp below:
+        the live route, the blocked pass at 2 or more columns (one universe
+        alone, and two packed into one block) and the sorted path at one,
+        gives the kernel's sizes."""
+        (limit,) = cut_thresholds([(sigma, kappa)])
+        target = limit
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, ulps * math.inf)
+        gap = self.root(target)
+        assume(gap is not None)
+        rng = np.random.default_rng(seed)
+        k = rng.integers(SORTED_MIN_ROWS, 2 * SORTED_MIN_ROWS) if m == 1 else rng.integers(2, 80)
+        scores = rng.uniform(-2.0, 2.0, (k, m)) * gap  # other pairs near the cut too
+        scores[0], scores[1] = 0.0, 0.0
+        scores[1, 0] = gap
+        membership = rng.random(k)
+        assert (kernel_rows(scores[:1], scores[1:2], sigma)[0, 0] >= kappa) == (ulps <= 0)
+        ((sizes,), (pr,)) = per_cut(scores, membership, [(sigma, kappa)])
+        ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+        assert np.array_equal(sizes, ref_sizes)
+        if m == 1:  # the sorted path
+            assert np.abs(pr - ref_pr).max() <= 1e-12
+            return
+        assert np.array_equal(pr, ref_pr)
+        sizes, pr, first = shared_granule_statistics(
+            np.vstack([scores, scores]), np.tile(membership, 2), [(sigma, kappa)],
+            np.array([0, k, 2 * k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
+        for at in first.tolist():
+            assert np.array_equal(sizes[at:at + k], ref_sizes)
+            assert np.array_equal(pr[at:at + k], ref_pr)
 
 
 @st.composite
