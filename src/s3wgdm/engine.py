@@ -243,10 +243,8 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     :func:`shared_granule_statistics` finds the granule statistics of every
     (group, configuration) pair the points use: it packs the small universes
     into shared blocks of at most ``neighborhood.BLOCK_CELLS`` (cut, pair)
-    entries, each row compared with its own universe only, and sums each pr
-    over exactly its own universe's k entries, the rows of each universe
-    size together, since numpy's pairwise sum depends on the length of the
-    row it sums.  :func:`comprehensive_utilities` finds the utilities of
+    entries, each row compared with its own universe only.
+    :func:`comprehensive_utilities` finds the utilities of
     every (group, parameter set) pair in one broadcast over their rows, and
     the points' expected utilities and regions are one broadcast over all
     (point, universe row) cells.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -23,6 +22,8 @@ from .tables import WEIGHT_TOL, FusedDecisionTable
 # the few arrays a block keeps live fit a per-core L2 cache of 2 MB
 BLOCK_CELLS = 1 << 16
 SORTED_MIN_ROWS = 64  # one-column universes this large take the sorted cut
+LIMB_SCALES = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 96])  # 1 / the unit of each limb
+MAX_ROWS = 1 << 21  # the largest universe: its limb sums stay at most 2^53 units
 
 
 @dataclass(frozen=True)
@@ -30,11 +31,6 @@ class SimilarityMatrix:
     ids: tuple
     values: np.ndarray  # symmetric, unit diagonal, entries in [0, 1]
     sigma: float
-
-    def value(self, a: str, b: str) -> float:
-        i = self.ids.index(a)
-        j = self.ids.index(b)
-        return float(self.values[i, j])
 
 
 @dataclass(frozen=True)
@@ -158,6 +154,29 @@ def build_similarity_matrix(table: FusedDecisionTable, z: Iterable[str],
                             values=kernel_rows(scores, scores, sigma), sigma=sigma)
 
 
+def membership_parts(membership: np.ndarray) -> np.ndarray:
+    """Each membership ``v`` in [0, 1] as a row of an (n, 4) array: 1, then
+    three limbs, the floor multiples of 2^-32, 2^-64 and 2^-96 of what the
+    limbs before leave of ``v``: ``v = l1 + l2 + l3`` exactly from 2^-44 up,
+    and a smaller ``v`` drops its bits below 2^-96.  Each limb is under
+    2^32 of its unit (1 is 2^32), so over at most ``MAX_ROWS`` rows every
+    column sum is exact in float64, in any order."""
+    # v cut down to each limb's unit keeps some of its bits: exact, as are
+    # the differences of two cuts
+    cut = np.floor(membership[:, None] * LIMB_SCALES) / LIMB_SCALES
+    parts = np.ones((len(membership), 4))
+    parts[:, 1:] = cut
+    parts[:, 2:] -= cut[:, :-1]
+    return parts
+
+
+def granule_means(sums: np.ndarray) -> tuple:
+    """Granule sizes and conditional probabilities from (..., 4) column sums
+    of :func:`membership_parts`: pr is ``((S1 + S2) + S3) / size``."""
+    size = sums[..., 0]
+    return size.astype(np.intp), (sums[..., 1] + sums[..., 2] + sums[..., 3]) / size
+
+
 def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
                               cuts: Sequence[tuple], bounds: np.ndarray, uses: tuple) -> tuple:
     """Granule size and conditional probability of every row of several
@@ -166,62 +185,68 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     ``first[u]:first[u] + k`` of ``sizes`` and ``pr``.
 
     The universes' rows of ``scores`` and ``membership`` run one universe
-    after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``.
-    ``uses`` pairs universes with cuts, as two arrays: universe ids and
-    indices into ``cuts``.
+    after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``, at
+    most ``MAX_ROWS`` of them.  ``uses`` pairs universes with cuts, as two
+    arrays: universe ids and indices into ``cuts``.
 
     A row's granule is every row of its own universe at least
     ``kappa``-similar to it: a squared score gap at most the cut's T*
     (:func:`cut_thresholds`).  Its probability is the mean membership over
-    the granule.  Only sizes are kept, never member sets.
+    the granule, :func:`granule_means` of exact limb sums.  Only sizes are
+    kept, never member sets.
 
     A cut at kappa 0 holds the whole universe, since the kernel never
-    scores below 0: its sizes are k and its pr the mean membership, which
-    equals the kernel's row sums bit for bit.  The other cuts of a
-    one-column universe of at least ``SORTED_MIN_ROWS`` rows take the
-    sorted path.  The rest share one blocked pass
-    (:func:`_kernel_statistics`), so every path gives the sizes of
-    :func:`kernel_granule_statistics`.
+    scores below 0: its sizes are k and every row's sums the universe's.
+    The other cuts of a one-column universe of at least ``SORTED_MIN_ROWS``
+    rows take the sorted path.  The rest share one blocked pass
+    (:func:`_kernel_statistics`).  Every route gives the sizes and pr of
+    :func:`kernel_granule_statistics` bit for bit.
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    length = (bounds[1:] - bounds[:-1]).tolist()  # each universe's size
+    length = bounds[1:] - bounds[:-1]  # each universe's size
+    if length.max(initial=0) > MAX_ROWS:
+        raise ValueError(f"a universe of {int(length.max())} alternatives is larger than the "
+                         f"{MAX_ROWS} whose membership sums stay exact")
+    parts = membership_parts(membership)
     one_column = scores.shape[1] == 1
-    whole: dict = {}  # universe size -> its kappa 0 uses, as (use, universe)
-    on_sorted, kernel = [], []  # (use, universe, cut)
+    whole, on_sorted, kernel = [], [], []  # (use, universe) at kappa 0, (use, universe, cut)
     universe, cut = (a.tolist() for a in uses)
     for use, (u, c) in enumerate(zip(universe, cut)):
         if cuts[c][1] == 0.0:
-            whole.setdefault(length[u], []).append((use, u))
+            whole.append((use, u))
         elif one_column and length[u] >= SORTED_MIN_ROWS:
             on_sorted.append((use, u, c))
         else:
             kernel.append((use, u, c))
     first = [0] * len(universe)  # each use's first entry
-    parts, end = [], 0  # (sizes, pr), concatenated
-    for k, taken in whole.items():  # the whole universe: k rows and the mean membership
-        rows = bounds[[u for _, u in taken], None] + np.arange(k)
-        parts.append((np.full(k * len(taken), k), np.repeat(membership[rows].sum(axis=1) / k, k)))
-        for i, (use, _) in enumerate(taken):
-            first[use] = end + i * k
-        end += k * len(taken)
+    blocks, end = [], 0  # (sizes, pr), concatenated
+    if whole:  # each row's granule is its universe: one sum per use
+        taken = np.array([u for _, u in whole])
+        k = length[taken]
+        starts = np.cumsum(k) - k
+        sizes, pr = granule_means(np.add.reduceat(parts[ranges(bounds[taken], k)], starts))
+        blocks.append((sizes.repeat(k), pr.repeat(k)))
+        for (use, _), start in zip(whole, starts.tolist()):
+            first[use] = start
+        end = int(k.sum())
     for use, u, c in on_sorted:
         rows = slice(bounds[u], bounds[u + 1])
-        parts.append(sorted_granule_statistics(scores[rows, 0], membership[rows], *cuts[c]))
-        first[use], end = end, end + length[u]
+        blocks.append(sorted_granule_statistics(scores[rows, 0], parts[rows], *cuts[c]))
+        first[use], end = end, end + int(length[u])
     if kernel:
         limits = cut_thresholds(cuts)
-        for use_first, block in _kernel_statistics(scores, membership, bounds, limits, kernel):
-            parts.append(block)
+        for use_first, block in _kernel_statistics(scores, parts, bounds, limits, kernel):
+            blocks.append(block)
             for use, offset in use_first:
                 first[use] = end + offset
             end += len(block[0])
-    sizes, pr = zip(*parts)
+    sizes, pr = zip(*blocks)
     return np.concatenate(sizes), np.concatenate(pr), np.array(first, dtype=np.intp)
 
 
-def _kernel_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
+def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray,
                        limits: np.ndarray, uses: list) -> Iterator[tuple]:
     """Granule sizes and pr of ``uses``, ``(use, universe, cut)`` triples
     with ``cut`` an index into ``limits``, the cuts' T*, by the blocked
@@ -260,30 +285,26 @@ def _kernel_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nd
         for k, _, taken in block:
             use_first += [(use, at[c] * rows + row) for c, use in taken]
             row += k
-        counts, sums = _block_statistics(scores, membership, bounds, block, limits[list(at)])
-        yield use_first, (counts.ravel(), (sums / counts).ravel())
+        sums = _block_statistics(scores, parts, bounds, block, limits[list(at)])
+        yield use_first, tuple(a.ravel() for a in granule_means(sums))
 
 
-def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.ndarray,
-                      block: list, limits: np.ndarray) -> tuple:
-    """Granule sizes and membership sums of every row of the universes of
-    ``block``, one after another, against its own universe at each cut of
-    ``limits``, the cuts' thresholds: two (cuts, rows) arrays."""
-    counts = np.empty((len(limits), sum(item[0] for item in block)), dtype=np.intp)
-    sums = np.empty(counts.shape)
-    # row sums rather than a matrix product: BLAS may sum identical rows in
-    # different orders, and duplicate rows must tie exactly
+def _block_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray,
+                      block: list, limits: np.ndarray) -> np.ndarray:
+    """Column sums of :func:`membership_parts` over the granule of every row
+    of the universes of ``block``, one after another, against its own
+    universe at each cut of ``limits``, the cuts' thresholds: a (cuts,
+    rows, 4) array."""
     if len(block) == 1:  # one universe: its rows in steps, against it as outer differences
         n, u, _ = block[0]
         rows = slice(bounds[u], bounds[u] + n)
+        sums = np.empty((len(limits), n, 4))
         step = max(1, BLOCK_CELLS // (n * len(limits)))
         for start in range(0, n, step):
             gaps = squared_gaps(scores[rows][start:start + step, None], scores[None, rows])
-            member = gaps <= limits[:, None, None]
-            stop = start + member.shape[1]
-            counts[:, start:stop] = member.sum(axis=-1)
-            sums[:, start:stop] = np.where(member, membership[rows], 0.0).sum(axis=-1)
-        return counts, sums
+            member = (gaps <= limits[:, None, None]).astype(float)
+            sums[:, start:start + member.shape[1]] = member @ parts[rows]
+        return sums
     # several universes in one step: each row against its own, pair by pair
     k = np.array([item[0] for item in block])
     first = bounds[[item[1] for item in block]]
@@ -291,52 +312,34 @@ def _block_statistics(scores: np.ndarray, membership: np.ndarray, bounds: np.nda
     right = ranges(np.repeat(first, k), size)
     member = squared_gaps(scores[np.repeat(ranges(first, k), size)],
                           scores[right]) <= limits[:, None]
-    weight = membership[right]
-    # numpy's pairwise sum depends on the row length, so each sum runs over
-    # exactly its own universe's k entries: the rows of each universe size
-    # (items come in size order) sum together, as one contiguous row each,
-    # never padded
-    lo = pair = 0
-    for n, same in itertools.groupby(k.tolist()):
-        hi = lo + n * len(list(same))
-        e0, pair = pair, pair + (hi - lo) * n
-        inside = member[:, e0:pair].reshape(len(limits), hi - lo, n)
-        counts[:, lo:hi] = inside.sum(axis=-1)
-        sums[:, lo:hi] = np.where(inside, weight[e0:pair].reshape(-1, n), 0.0).sum(axis=-1)
-        lo = hi
-    return counts, sums
+    # a row's pairs lie together: one sum over each row's own universe
+    return np.add.reduceat(member[:, :, None] * parts[right], np.cumsum(size) - size, axis=1)
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
                               sigma: float, kappa: float) -> tuple:
     """:func:`shared_granule_statistics` of one cut by the blocked kernel:
     every pair of rows is compared, in row blocks."""
-    sizes = np.empty(len(scores), dtype=int)
-    pr = np.empty(len(scores))
+    parts = membership_parts(membership)
+    sums = np.empty((len(scores), 4))
     for start, sim in similarity_blocks(scores, sigma):
-        cut = sim >= kappa
-        stop = start + len(cut)
-        sizes[start:stop] = np.count_nonzero(cut, axis=1)
-        # row sums rather than a matrix product: BLAS may sum identical
-        # rows in different orders, and duplicate rows must tie exactly
-        pr[start:stop] = np.where(cut, membership, 0.0).sum(axis=1)
-    pr /= sizes
-    return sizes, pr
+        sums[start:start + len(sim)] = (sim >= kappa).astype(float) @ parts
+    return granule_means(sums)
 
 
-def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
+def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
                               sigma: float, kappa: float) -> tuple:
-    """:func:`shared_granule_statistics` of one cut at ``kappa`` in (0, 1]
-    for one score column, in O(n log n).
+    """:func:`shared_granule_statistics` of one cut for one score column,
+    in O(n log n), with the memberships given as :func:`membership_parts`.
 
     In one dimension a granule is an interval of the sorted distinct
     scores (fixed-radius near neighbours by sorting).  Each interval is
     bracketed by ``searchsorted`` at a radius no pair in the granule
     reaches, then each end moves inward while the cut, ``gap * gap`` at
     most :func:`cut_thresholds`, fails; so sizes equal the kernel's.  Sums
-    are differences of long-double prefix sums of the sorted memberships.
-    Rows with equal scores share one interval, so they get identical
-    probabilities.
+    are differences of prefix sums of the sorted limbs, exact like every
+    limb sum.  Rows with equal scores share one interval, so they get
+    identical probabilities.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
@@ -361,13 +364,9 @@ def sorted_granule_statistics(values: np.ndarray, membership: np.ndarray,
             gap = distinct[todo] - distinct[end[todo] + offset]
             todo = todo[gap * gap > limit]
             end[todo] += inward
-    # float64 prefix differences would carry about n * 1e-16 absolute error
-    cum = np.zeros(n + 1, dtype=np.longdouble)
-    np.cumsum(membership[order], dtype=np.longdouble, out=cum[1:])
-    first, last = starts[lo], starts[hi]
-    sizes = last - first
-    # the exact mean lies in [0, 1]; long-double rounding may step past 1
-    pr = np.minimum((cum[last] - cum[first]).astype(float) / sizes, 1.0)
+    cum = np.zeros((n + 1, 4))
+    np.cumsum(parts[order], axis=0, out=cum[1:])
+    sizes, pr = granule_means(cum[starts[hi]] - cum[starts[lo]])
     return sizes[group], pr[group]
 
 

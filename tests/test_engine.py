@@ -25,11 +25,7 @@ from s3wgdm.engine import (
     run_sequential,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
-from s3wgdm.neighborhood import (
-    SORTED_MIN_ROWS,
-    kernel_granule_statistics,
-    sorted_granule_statistics,
-)
+from s3wgdm.neighborhood import kernel_granule_statistics
 from s3wgdm.regret import CELLS, CellValues
 from s3wgdm.tables import AttributeSpec, FusedDecisionTable, make_table
 
@@ -590,8 +586,4 @@ class TestBatchedLevel:
                 sizes, pr = kernel_granule_statistics(scores, membership[rows],
                                                       cfg.sigma, cfg.kappa)
                 assert np.array_equal(level.sizes[cells], sizes)
-                if len(cols) == 1 and len(rows) >= SORTED_MIN_ROWS and cfg.kappa > 0.0:
-                    sizes, pr = sorted_granule_statistics(scores[:, 0], membership[rows],
-                                                          cfg.sigma, cfg.kappa)
-                    assert np.array_equal(level.sizes[cells], sizes)
                 assert np.array_equal(level.pr[cells], pr)

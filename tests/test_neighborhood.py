@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from s3wgdm import neighborhood
 from s3wgdm.linguistic import DHLTScale, single, superior_gradus
 from s3wgdm.neighborhood import (
+    MAX_ROWS,
     SORTED_MIN_ROWS,
     ConceptMembership,
     NeighborhoodGranule,
@@ -21,6 +22,7 @@ from s3wgdm.neighborhood import (
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
+    membership_parts,
     shared_granule_statistics,
     sorted_granule_statistics,
 )
@@ -235,19 +237,19 @@ class TestSortedCut:
     @given(one_column())
     def test_matches_blocked_kernel(self, column):
         values, membership, sigma, kappa = column
-        sizes, pr = sorted_granule_statistics(values, membership, sigma, kappa)
+        sizes, pr = sorted_granule_statistics(values, membership_parts(membership),
+                                              sigma, kappa)
         ref_sizes, ref_pr = kernel_granule_statistics(values[:, None], membership,
                                                       sigma, kappa)
         assert np.array_equal(sizes, ref_sizes)
-        assert np.abs(pr - ref_pr).max() <= 1e-12
+        assert np.array_equal(pr, ref_pr)
         # duplicate rows share one interval, so their probabilities tie exactly
         order = np.argsort(values, kind="stable")
         same = values[order][1:] == values[order][:-1]
         assert np.array_equal(pr[order][1:][same], pr[order][:-1][same])
-        # the engine's route: the sorted path for kappa > 0 at size, else the
-        # kernel's, whose kappa 0 is the closed form
-        on_sorted = len(values) >= SORTED_MIN_ROWS
-        for cut, expected in (((sigma, kappa), (sizes, pr) if on_sorted else (ref_sizes, ref_pr)),
+        # the engine's route, the sorted path for kappa > 0 at size, else the
+        # blocked pass, whose kappa 0 is the closed form, gives the same
+        for cut, expected in (((sigma, kappa), (ref_sizes, ref_pr)),
                               ((sigma, 0.0), kernel_granule_statistics(values[:, None], membership,
                                                                        sigma, 0.0))):
             chosen = per_cut(values[:, None], membership, [cut])
@@ -261,16 +263,18 @@ class TestSortedCut:
             assert np.array_equal(got[0], ref)
 
     def test_sums_hold_at_scale(self):
-        # float64 prefix differences would be off by about 1e-12 here
+        # plain float64 prefix differences would be off by about 1e-12 here;
+        # prefix sums of the limbs are exact
         rng = np.random.default_rng(4)
         values, membership = rng.random(50_000), rng.random(50_000)
         sigma, kappa = 1e-6, 0.9
-        sizes, pr = sorted_granule_statistics(values, membership, sigma, kappa)
+        sizes, pr = sorted_granule_statistics(values, membership_parts(membership),
+                                              sigma, kappa)
         rows = rng.choice(len(values), 50, replace=False)
         cut = kernel_rows(values[rows, None], values[:, None], sigma) >= kappa
         for r, members in zip(rows, cut):
             assert sizes[r] == members.sum()
-            assert abs(pr[r] - math.fsum(membership[members]) / sizes[r]) <= 1e-12
+            assert pr[r] == math.fsum(membership[members]) / sizes[r]
 
 
 class TestCutThresholds:
@@ -315,9 +319,10 @@ class TestCutThresholds:
            st.sampled_from([-1, 0, 1]), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_pair_on_the_threshold(self, sigma, kappa, ulps, m, seed):
         """One pair's squared gap on T*, one ulp above or one ulp below:
-        the live route, the blocked pass at 2 or more columns (one universe
-        alone, and two packed into one block) and the sorted path at one,
-        gives the kernel's sizes."""
+        the live route, the blocked pass at 2 or more columns and the sorted
+        path at one, each on one universe alone and on two together (packed
+        into one block at 2 or more columns), gives the kernel's sizes and
+        probabilities."""
         (limit,) = cut_thresholds([(sigma, kappa)])
         target = limit
         for _ in range(abs(ulps)):
@@ -334,9 +339,6 @@ class TestCutThresholds:
         ((sizes,), (pr,)) = per_cut(scores, membership, [(sigma, kappa)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
         assert np.array_equal(sizes, ref_sizes)
-        if m == 1:  # the sorted path
-            assert np.abs(pr - ref_pr).max() <= 1e-12
-            return
         assert np.array_equal(pr, ref_pr)
         sizes, pr, first = shared_granule_statistics(
             np.vstack([scores, scores]), np.tile(membership, 2), [(sigma, kappa)],
@@ -396,16 +398,13 @@ class TestSharedCuts:
         for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
             ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
             assert np.array_equal(sizes, ref_sizes)
-            if scores.shape[1] == 1 and len(scores) >= SORTED_MIN_ROWS and kappa > 0.0:
-                assert np.abs(pr - ref_pr).max() <= 1e-12  # the sorted path
-            else:
-                assert np.array_equal(pr, ref_pr)
+            assert np.array_equal(pr, ref_pr)
             single = per_cut(scores, membership, [(sigma, kappa)])
             assert np.array_equal(single[0][0], sizes) and np.array_equal(single[1][0], pr)
 
     @pytest.mark.parametrize("k", [1000, 1023, 1025, 4097])
     def test_kappa_zero_at_size(self, k):
-        # the closed form's 1-D sum equals the kernel's 2-D row sums here too
+        # the closed form's reduceat equals the kernel's matrix product here too
         rng = np.random.default_rng(k)
         scores, membership = rng.random((k, 2)), rng.random(k)
         ((sizes,), (pr,)) = per_cut(scores, membership, [(0.7, 0.0)])
@@ -423,10 +422,132 @@ class TestSharedCuts:
             scores, membership, [(0.7, 0.0), (0.7, 0.9)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
-        sorted_sizes, sorted_pr = sorted_granule_statistics(scores[:, 0], membership, 0.7, 0.9)
+        sorted_sizes, sorted_pr = sorted_granule_statistics(scores[:, 0],
+                                                            membership_parts(membership), 0.7, 0.9)
         assert np.array_equal(cut_sizes, sorted_sizes) and np.array_equal(cut_pr, sorted_pr)
 
     def test_cut_threshold_checked(self):
         with pytest.raises(ValueError, match="outside"):
             shared_granule_statistics(np.zeros((2, 2)), np.zeros(2), [(0.7, 0.5), (0.7, 1.5)],
                                       *one_universe(2, 2))
+
+
+class TestMembershipParts:
+    """Each membership splits into a count of 1 and three fixed-point limbs
+    whose sums are exact; the edge cases are decided rules."""
+
+    def test_zero_and_one(self):
+        assert np.array_equal(membership_parts(np.array([0.0, 1.0])),
+                              [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        for v in (0.0, 1.0):
+            ((sizes,), (pr,)) = per_cut(np.zeros((5, 1)), np.full(5, v), [(0.7, 0.0)])
+            assert np.array_equal(sizes, [5] * 5) and np.array_equal(pr, [v] * 5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(2.0 ** -44, 1.0))
+    def test_limbs_hold_a_membership_exactly(self, v):
+        """From 2^-44 up, the limbs add back to the membership exactly, in
+        order, and each is a whole number of its unit, fewer than 2^32 of
+        them (2^32 units of 2^-32 only for a membership of 1)."""
+        (count, *limbs), = membership_parts(np.array([v])).tolist()
+        assert count == 1.0
+        assert limbs[0] + limbs[1] + limbs[2] == math.fsum(limbs) == v
+        for limb, scale in zip(limbs, neighborhood.LIMB_SCALES):
+            units = limb * scale
+            assert units == int(units) and 0 <= units < 2**32 or limb == v == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(5e-324, 2.0 ** -44, exclude_max=True))
+    def test_tiny_memberships_drop_bits_below_2_96(self, v):
+        """Below 2^-44 a membership counts as its floor multiple of 2^-96:
+        5e-324 counts as 0, and 2^-50 exactly."""
+        limbs = membership_parts(np.array([v]))[0, 1:].tolist()
+        assert math.fsum(limbs) == math.floor(v * 2.0**96) / 2.0**96
+        assert v - math.fsum(limbs) < 2.0**-96
+
+    def test_tiny_membership_rule_in_a_granule(self):
+        membership = np.array([5e-324, 2.0**-50, 2.0**-50 + 2.0**-100])
+        ((sizes,), (pr,)) = per_cut(np.zeros((3, 2)), membership, [(0.7, 1.0)])
+        assert np.array_equal(sizes, [3] * 3) and np.array_equal(pr, [2.0**-49 / 3] * 3)
+
+    def test_largest_universe(self):
+        """Up to ``MAX_ROWS`` rows every limb sum, at most 2^32 units a row,
+        is a whole number of units that float64 holds exactly; one row more
+        and it need not be, so a larger universe is refused before any work."""
+        assert MAX_ROWS == 2**21
+        units = MAX_ROWS * 2**32  # MAX_ROWS memberships of 1
+        assert float(units) == units == 2**53
+        units = (MAX_ROWS + 1) * (2**32 - 1)  # odd and above 2^53
+        assert float(units) != units
+        one_row = np.zeros((1, 2)), np.zeros(1), [(0.7, 0.5)]
+        uses = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+        with pytest.raises(ValueError, match=f"universe of {MAX_ROWS + 1} alternatives"):
+            shared_granule_statistics(*one_row, np.array([0, MAX_ROWS + 1]), uses)
+
+
+@st.composite
+def routed_universe(draw):
+    """One universe of k rows on 1 to 6 columns, k on both sides of
+    ``SORTED_MIN_ROWS``, drawn from a smaller pool so duplicate rows are
+    common; memberships with 0 and 1 among them and, in some universes,
+    values from 2^-60 to 2^-12, where the third limb holds bits and, below
+    2^-44, drops some; one cut at kappa 0, random or 1; a permutation of
+    the rows; and a second universe on the same columns."""
+    k = draw(st.one_of(st.integers(1, 20),
+                       st.integers(SORTED_MIN_ROWS - 2, 2 * SORTED_MIN_ROWS)))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random((draw(st.integers(1, k)), m))
+    scores = pool[rng.integers(0, len(pool), k)]
+    membership = rng.random(k)
+    membership[rng.random(k) < 0.2] = 1.0
+    membership[rng.random(k) < 0.1] = 0.0
+    if draw(st.booleans()):
+        tiny = rng.random(k) < 0.3
+        membership[tiny] = 2.0 ** -rng.uniform(12.0, 60.0, tiny.sum())
+    sigma = draw(st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3)))
+    kappa = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+    j = draw(st.integers(1, 2 * SORTED_MIN_ROWS))
+    other = rng.random((j, m)), rng.random(j)
+    return scores, membership, sigma, kappa, rng.permutation(k), other
+
+
+class TestEveryRoute:
+    """The same universe through the blocked pass alone, the blocked pass
+    packed with a second universe, the sorted path, the kappa-0 closed form
+    and the engine's own choice gives the kernel's sizes and pr bit for
+    bit, in any row order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(routed_universe())
+    def test_routes_agree(self, case):
+        scores, membership, sigma, kappa, perm, (other_scores, other_membership) = case
+        cut = [(sigma, kappa)]
+        k, j = len(scores), len(other_scores)
+        ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+        got = {"engine": per_cut(scores, membership, cut)}
+        with pytest.MonkeyPatch.context() as patch:
+            # every cut off the sorted path: kappa 0 takes the closed form,
+            # the others the blocked pass, both universes in one block
+            patch.setattr(neighborhood, "SORTED_MIN_ROWS", k + j + 1)
+            got["alone"] = per_cut(scores, membership, cut)
+            sizes, pr, first = shared_granule_statistics(
+                np.vstack([other_scores, scores]), np.concatenate([other_membership, membership]),
+                cut, np.array([0, j, j + k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
+            at = first[1] + np.arange(k)
+            got["packed"] = sizes[at][None], pr[at][None]
+        if scores.shape[1] == 1:
+            sizes, pr = sorted_granule_statistics(scores[:, 0], membership_parts(membership),
+                                                  sigma, kappa)
+            got["sorted"] = sizes[None], pr[None]
+        sizes, pr = per_cut(scores[perm], membership[perm], cut)
+        got["permuted"] = sizes[:, np.argsort(perm)], pr[:, np.argsort(perm)]
+        for route, ((sizes,), (pr,)) in got.items():
+            assert np.array_equal(sizes, ref_sizes), route
+            assert np.array_equal(pr, ref_pr), route
+        # no membership below 2^-12 but 0: the third limb is 0 everywhere and
+        # pr is the correctly rounded sum over the size
+        if np.all((membership == 0.0) | (membership >= 2.0**-12)):
+            members = kernel_rows(scores, scores, sigma) >= kappa
+            for r in range(k):
+                assert ref_pr[r] == math.fsum(membership[members[r]]) / ref_sizes[r]
