@@ -241,9 +241,11 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
 
     A level is one pass, whatever the number of groups.
     :func:`shared_granule_statistics` finds the granule statistics of every
-    (group, configuration) pair the points use: it packs the small universes
-    into shared blocks of at most ``neighborhood.BLOCK_CELLS`` (cut, pair)
-    entries, each row compared with its own universe only.
+    (group, configuration) pair the points use, each row compared with its
+    own universe only, at the cuts that universe uses: it packs whole small
+    universes into shared blocks, and a universe too large for one block
+    of ``neighborhood.BLOCK_CELLS`` entries takes its rows in steps, one
+    row at least, each over all of its cuts.
     :func:`comprehensive_utilities` finds the utilities of
     every (group, parameter set) pair in one broadcast over their rows, and
     the points' expected utilities and regions are one broadcast over all

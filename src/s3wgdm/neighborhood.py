@@ -182,7 +182,8 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     """Granule size and conditional probability of every row of several
     universes, each at the ``(sigma, kappa)`` cuts it uses, as ``(sizes,
     pr, first)``: use ``u`` holds its universe's k rows, in order, at
-    ``first[u]:first[u] + k`` of ``sizes`` and ``pr``.
+    ``first[u]:first[u] + k`` of ``sizes`` and ``pr``, the uses one after
+    another in their given order.
 
     The universes' rows of ``scores`` and ``membership`` run one universe
     after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``, at
@@ -192,12 +193,13 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     A row's granule is every row of its own universe at least
     ``kappa``-similar to it: a squared score gap at most the cut's T*
     (:func:`cut_thresholds`).  Its probability is the mean membership over
-    the granule, :func:`granule_means` of exact limb sums.  Only sizes are
-    kept, never member sets.
+    the granule.  Every route writes each entry's exact limb sums into one
+    (entries, 4) array, and :func:`granule_means` turns them into sizes
+    and pr once.  Only sizes are kept, never member sets.
 
     A cut at kappa 0 holds the whole universe, since the kernel never
-    scores below 0: its sizes are k and every row's sums the universe's.
-    The other cuts of a one-column universe of at least ``SORTED_MIN_ROWS``
+    scores below 0: each of its rows takes its universe's total.  The
+    other cuts of a one-column universe of at least ``SORTED_MIN_ROWS``
     rows take the sorted path.  The rest share one blocked pass
     (:func:`_kernel_statistics`).  Every route gives the sizes and pr of
     :func:`kernel_granule_statistics` bit for bit.
@@ -210,110 +212,79 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
         raise ValueError(f"a universe of {int(length.max())} alternatives is larger than the "
                          f"{MAX_ROWS} whose membership sums stay exact")
     parts = membership_parts(membership)
-    one_column = scores.shape[1] == 1
-    whole, on_sorted, kernel = [], [], []  # (use, universe) at kappa 0, (use, universe, cut)
-    universe, cut = (a.tolist() for a in uses)
-    for use, (u, c) in enumerate(zip(universe, cut)):
-        if cuts[c][1] == 0.0:
-            whole.append((use, u))
-        elif one_column and length[u] >= SORTED_MIN_ROWS:
-            on_sorted.append((use, u, c))
-        else:
-            kernel.append((use, u, c))
-    first = [0] * len(universe)  # each use's first entry
-    blocks, end = [], 0  # (sizes, pr), concatenated
-    if whole:  # each row's granule is its universe: one sum per use
-        taken = np.array([u for _, u in whole])
-        k = length[taken]
-        starts = np.cumsum(k) - k
-        sizes, pr = granule_means(np.add.reduceat(parts[ranges(bounds[taken], k)], starts))
-        blocks.append((sizes.repeat(k), pr.repeat(k)))
-        for (use, _), start in zip(whole, starts.tolist()):
-            first[use] = start
-        end = int(k.sum())
-    for use, u, c in on_sorted:
-        rows = slice(bounds[u], bounds[u + 1])
-        blocks.append(sorted_granule_statistics(scores[rows, 0], parts[rows], *cuts[c]))
-        first[use], end = end, end + int(length[u])
-    if kernel:
-        limits = cut_thresholds(cuts)
-        for use_first, block in _kernel_statistics(scores, parts, bounds, limits, kernel):
-            blocks.append(block)
-            for use, offset in use_first:
-                first[use] = end + offset
-            end += len(block[0])
-    sizes, pr = zip(*blocks)
-    return np.concatenate(sizes), np.concatenate(pr), np.array(first, dtype=np.intp)
+    universe, cut = uses
+    low, k = bounds[universe], length[universe]  # each use's universe's first row and size
+    ends = np.cumsum(k)
+    first = ends - k
+    sums = np.empty((int(ends[-1]) + 1, 4))  # the last row takes the blocked pass's padding
+    limits = cut_thresholds(cuts)[cut]  # each use's T*
+    whole = np.array([kappa == 0.0 for _, kappa in cuts])[cut]
+    on_sorted = ~whole & (k >= SORTED_MIN_ROWS) & (scores.shape[1] == 1)
+    if whole.any():  # each row's granule is its universe
+        at = np.flatnonzero(whole)
+        n = k[at]
+        total = np.add.reduceat(parts[ranges(low[at], n)], np.cumsum(n) - n)
+        sums[ranges(first[at], n)] = total.repeat(n, axis=0)
+    for use in np.flatnonzero(on_sorted).tolist():
+        rows = slice(low[use], low[use] + k[use])
+        sums[first[use]:ends[use]] = sorted_granule_statistics(scores[rows, 0], parts[rows],
+                                                               limits[use])
+    kernel = np.flatnonzero(~(whole | on_sorted))
+    if len(kernel):
+        _kernel_statistics(scores, parts, bounds, universe[kernel], limits[kernel], first[kernel],
+                           sums)
+    return (*granule_means(sums[:-1]), first)
 
 
 def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray,
-                       limits: np.ndarray, uses: list) -> Iterator[tuple]:
-    """Granule sizes and pr of ``uses``, ``(use, universe, cut)`` triples
-    with ``cut`` an index into ``limits``, the cuts' T*, by the blocked
-    pass.  Per block yields ``([(use, its first entry)], (sizes, pr))``.
+                       universe: np.ndarray, limits: np.ndarray, first: np.ndarray,
+                       sums: np.ndarray) -> None:
+    """Write the limb sums of uses, given as their universes, their cuts'
+    T* and their first entries, into ``sums`` by the blocked pass.
 
-    The cuts a universe uses form one item, split where one row against
-    its universe at all of them would not fit in ``BLOCK_CELLS`` (cut,
-    pair) entries.  An item too large for one block is a block of its own,
-    which takes its rows in steps; the others pack into blocks in order of
-    universe size.  A block computes every cut any of its items uses for
-    all of its rows, a (cut, row) array each.
+    Universes pack whole into blocks in order of size while the block's
+    uses times its largest universe's pairs stay within ``BLOCK_CELLS``.
+    A block takes each row's squared gaps to its own universe once for
+    all of its cuts and sums the granules by matrix products, written
+    straight to the uses' entries: one product per row step for a lone
+    universe, whose uses share its limbs, and one per use for several,
+    which are padded to the block's largest, the padding's limb rows
+    zero.  A universe too large for one block is a block of its own,
+    which takes its rows in steps, one row at least, over all of its cuts.
     """
-    per_universe: dict = {}
-    for use, u, c in uses:
-        per_universe.setdefault(u, []).append((c, use))
-    items = []  # universe size, universe, its (cut, use) pairs
-    for u, taken in per_universe.items():
-        k = int(bounds[u + 1] - bounds[u])
-        per = max(1, BLOCK_CELLS // k)  # cuts one row against its universe may take
-        items += [(k, u, taken[i:i + per]) for i in range(0, len(taken), per)]
-    items.sort(key=lambda item: item[0])
-    blocks = []  # [items, their cut ids, their pairs]
-    for item in items:
-        k, _, taken = item
-        ids = {c for c, _ in taken}
-        if blocks and len(blocks[-1][1] | ids) * (blocks[-1][2] + k * k) <= BLOCK_CELLS:
-            blocks[-1][0].append(item)
-            blocks[-1][1] |= ids
-            blocks[-1][2] += k * k
+    size = (bounds[1:] - bounds[:-1])[universe]
+    order = np.lexsort((universe, size))  # each universe's uses together, small universes first
+    universe, size, limits, first = universe[order], size[order], limits[order], first[order]
+    new = np.concatenate(([True], universe[1:] != universe[:-1]))  # use i starts a universe
+    heads = np.flatnonzero(new)
+    low, size = bounds[universe[heads]], size[heads]  # each universe's first row and size
+    ends = heads.tolist() + [len(new)]  # the uses of universe i: ends[i]:ends[i + 1]
+    blocks = []  # [first universe, end universe]
+    for i, width in enumerate(size.tolist()):
+        if blocks and (ends[i + 1] - ends[blocks[-1][0]]) * width * width <= BLOCK_CELLS:
+            blocks[-1][1] = i + 1
         else:
-            blocks.append([[item], ids, k * k])
-    for block, ids, _ in blocks:
-        at = {c: i for i, c in enumerate(ids)}
-        rows = sum(k for k, *_ in block)
-        use_first, row = [], 0
-        for k, _, taken in block:
-            use_first += [(use, at[c] * rows + row) for c, use in taken]
-            row += k
-        sums = _block_statistics(scores, parts, bounds, block, limits[list(at)])
-        yield use_first, tuple(a.ravel() for a in granule_means(sums))
-
-
-def _block_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray,
-                      block: list, limits: np.ndarray) -> np.ndarray:
-    """Column sums of :func:`membership_parts` over the granule of every row
-    of the universes of ``block``, one after another, against its own
-    universe at each cut of ``limits``, the cuts' thresholds: a (cuts,
-    rows, 4) array."""
-    if len(block) == 1:  # one universe: its rows in steps, against it as outer differences
-        n, u, _ = block[0]
-        rows = slice(bounds[u], bounds[u] + n)
-        sums = np.empty((len(limits), n, 4))
-        step = max(1, BLOCK_CELLS // (n * len(limits)))
-        for start in range(0, n, step):
-            gaps = squared_gaps(scores[rows][start:start + step, None], scores[None, rows])
-            member = (gaps <= limits[:, None, None]).astype(float)
-            sums[:, start:start + member.shape[1]] = member @ parts[rows]
-        return sums
-    # several universes in one step: each row against its own, pair by pair
-    k = np.array([item[0] for item in block])
-    first = bounds[[item[1] for item in block]]
-    size = np.repeat(k, k)  # each row's universe size
-    right = ranges(np.repeat(first, k), size)
-    member = squared_gaps(scores[np.repeat(ranges(first, k), size)],
-                          scores[right]) <= limits[:, None]
-    # a row's pairs lie together: one sum over each row's own universe
-    return np.add.reduceat(member[:, :, None] * parts[right], np.cumsum(size) - size, axis=1)
+            blocks.append([i, i + 1])
+    for i, j in blocks:
+        a, b, width = ends[i], ends[j], int(size[j - 1])
+        col = np.arange(width)
+        if j - i == 1:  # one universe: its rows as they are, its uses sharing its weights
+            rows, pick = slice(low[i], low[i] + width), slice(None)
+            block, weights = scores[None, rows], parts[None, rows]
+            at = first[a:b, None] + col
+        else:  # padded to the largest: zero limb rows, whose entries go to the last row
+            pad = col >= size[i:j, None]
+            rows = low[i:j, None] + np.where(pad, 0, col)
+            pick = np.cumsum(new[a:b]) - 1  # each use's universe in the block
+            block, weights = scores[rows], np.where(pad[..., None], 0.0, parts[rows])[pick]
+            at = np.where(pad[pick], len(sums) - 1, first[a:b, None] + col)
+        step = max(1, BLOCK_CELLS // ((b - a) * width))
+        for row in range(0, width, step):
+            gaps = squared_gaps(block[:, row:row + step, None], block[:, None])
+            member = (gaps[pick] <= limits[a:b, None, None]).astype(float)
+            # a lone universe's uses share its limbs, so they take one matrix product
+            sums[at[:, row:row + step]] = (member.reshape(len(weights), -1, width)
+                                           @ weights).reshape(b - a, -1, 4)
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
@@ -327,19 +298,20 @@ def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     return granule_means(sums)
 
 
-def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
-                              sigma: float, kappa: float) -> tuple:
-    """:func:`shared_granule_statistics` of one cut for one score column,
-    in O(n log n), with the memberships given as :func:`membership_parts`.
+def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray, limit: float) -> np.ndarray:
+    """The limb sums of :func:`shared_granule_statistics` for one score
+    column at one cut, given as its T* (:func:`cut_thresholds`), in
+    O(n log n), with the memberships given as :func:`membership_parts`:
+    an (n, 4) array.
 
     In one dimension a granule is an interval of the sorted distinct
     scores (fixed-radius near neighbours by sorting).  Each interval is
     bracketed by ``searchsorted`` at a radius no pair in the granule
     reaches, then each end moves inward while the cut, ``gap * gap`` at
-    most :func:`cut_thresholds`, fails; so sizes equal the kernel's.  Sums
-    are differences of prefix sums of the sorted limbs, exact like every
-    limb sum.  Rows with equal scores share one interval, so they get
-    identical probabilities.
+    most ``limit``, fails; so sizes equal the kernel's.  Sums are
+    differences of prefix sums of the sorted limbs, exact like every limb
+    sum.  Rows with equal scores share one interval, so they get identical
+    sums.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
@@ -351,7 +323,6 @@ def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
     starts = np.flatnonzero(new)  # sorted rows of distinct[k]: starts[k]:starts[k + 1]
     group = np.empty(n, dtype=np.intp)
     group[order] = np.cumsum(new[:n]) - 1
-    limit = cut_thresholds([(sigma, kappa)])[0]
     # rounding is monotone: a gap whose square rounds to at most T* has an
     # exact square below the double after T*, and it and its exact score
     # difference lie below the double after the rounded root of that
@@ -366,8 +337,7 @@ def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
             end[todo] += inward
     cum = np.zeros((n + 1, 4))
     np.cumsum(parts[order], axis=0, out=cum[1:])
-    sizes, pr = granule_means(cum[starts[hi]] - cum[starts[lo]])
-    return sizes[group], pr[group]
+    return (cum[starts[hi]] - cum[starts[lo]])[group]
 
 
 def cut_granules(sim: SimilarityMatrix, kappa: float) -> list:

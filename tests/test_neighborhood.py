@@ -19,6 +19,7 @@ from s3wgdm.neighborhood import (
     conditional_probability,
     cut_granules,
     cut_thresholds,
+    granule_means,
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
@@ -237,8 +238,8 @@ class TestSortedCut:
     @given(one_column())
     def test_matches_blocked_kernel(self, column):
         values, membership, sigma, kappa = column
-        sizes, pr = sorted_granule_statistics(values, membership_parts(membership),
-                                              sigma, kappa)
+        sizes, pr = granule_means(sorted_granule_statistics(
+            values, membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
         ref_sizes, ref_pr = kernel_granule_statistics(values[:, None], membership,
                                                       sigma, kappa)
         assert np.array_equal(sizes, ref_sizes)
@@ -268,8 +269,8 @@ class TestSortedCut:
         rng = np.random.default_rng(4)
         values, membership = rng.random(50_000), rng.random(50_000)
         sigma, kappa = 1e-6, 0.9
-        sizes, pr = sorted_granule_statistics(values, membership_parts(membership),
-                                              sigma, kappa)
+        sizes, pr = granule_means(sorted_granule_statistics(
+            values, membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
         rows = rng.choice(len(values), 50, replace=False)
         cut = kernel_rows(values[rows, None], values[:, None], sigma) >= kappa
         for r, members in zip(rows, cut):
@@ -384,8 +385,8 @@ class TestSharedCuts:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(universes(), st.integers(1, 256))
     def test_small_blocks_match_blocked_kernel(self, universe, cells):
-        """With blocks of a few cells, blocks split the cuts as well as the
-        rows, and the statistics stay the kernel's."""
+        """With blocks of a few cells, a universe takes its rows in steps
+        over all of its cuts, and the statistics stay the kernel's."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(neighborhood, "BLOCK_CELLS", cells)
             self.check_matches_blocked_kernel(universe)
@@ -422,9 +423,50 @@ class TestSharedCuts:
             scores, membership, [(0.7, 0.0), (0.7, 0.9)])
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
-        sorted_sizes, sorted_pr = sorted_granule_statistics(scores[:, 0],
-                                                            membership_parts(membership), 0.7, 0.9)
+        sorted_sizes, sorted_pr = granule_means(sorted_granule_statistics(
+            scores[:, 0], membership_parts(membership), cut_thresholds([(0.7, 0.9)])[0]))
         assert np.array_equal(cut_sizes, sorted_sizes) and np.array_equal(cut_pr, sorted_pr)
+
+    def test_entries_follow_the_uses(self):
+        """Each use's entries follow the uses in their given order, and no
+        entry is kept for a (cut, universe) pair that no use names: two
+        universes on 2 columns, one of 3 rows at two cuts, one of 4 rows at
+        a third, packed into one block."""
+        rng = np.random.default_rng(11)
+        scores, membership = rng.random((7, 2)), rng.random(7)
+        cuts = [(0.7, 0.5), (0.3, 0.9), (1.0, 0.8)]
+        sizes, pr, first = shared_granule_statistics(
+            scores, membership, cuts, np.array([0, 3, 7]), (np.array([0, 0, 1]), np.arange(3)))
+        assert first.tolist() == [0, 3, 6] and len(sizes) == len(pr) == 10
+        for at, rows, cut in ((0, slice(0, 3), cuts[0]), (3, slice(0, 3), cuts[1]),
+                              (6, slice(3, 7), cuts[2])):
+            ref_sizes, ref_pr = kernel_granule_statistics(scores[rows], membership[rows], *cut)
+            k = len(ref_sizes)
+            assert np.array_equal(sizes[at:at + k], ref_sizes)
+            assert np.array_equal(pr[at:at + k], ref_pr)
+
+    def test_gaps_once_for_all_cuts(self):
+        """A universe too large for one block takes its rows in steps over
+        all of its cuts at once: each row's squared gaps are taken once,
+        whatever the number of cuts."""
+        rng = np.random.default_rng(12)
+        scores, membership = rng.random((40, 2)), rng.random(40)
+        cuts = [(0.1 * (1 + i), 0.9) for i in range(10)]
+        left_rows = []
+        squared_gaps = neighborhood.squared_gaps
+
+        def counting(left, right):
+            left_rows.append(left.shape[0])
+            return squared_gaps(left, right)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighborhood, "BLOCK_CELLS", 256)
+            patch.setattr(neighborhood, "squared_gaps", counting)
+            got_sizes, got_pr = per_cut(scores, membership, cuts)
+        assert sum(left_rows) == 40
+        for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
+            ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+            assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
 
     def test_cut_threshold_checked(self):
         with pytest.raises(ValueError, match="outside"):
@@ -537,8 +579,8 @@ class TestEveryRoute:
             at = first[1] + np.arange(k)
             got["packed"] = sizes[at][None], pr[at][None]
         if scores.shape[1] == 1:
-            sizes, pr = sorted_granule_statistics(scores[:, 0], membership_parts(membership),
-                                                  sigma, kappa)
+            sizes, pr = granule_means(sorted_granule_statistics(
+                scores[:, 0], membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
             got["sorted"] = sizes[None], pr[None]
         sizes, pr = per_cut(scores[perm], membership[perm], cut)
         got["permuted"] = sizes[:, np.argsort(perm)], pr[:, np.argsort(perm)]
