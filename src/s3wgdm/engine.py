@@ -242,10 +242,11 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     A level is one pass, whatever the number of groups.
     :func:`shared_granule_statistics` finds the granule statistics of every
     (group, configuration) pair the points use, each row compared with its
-    own universe only, at the cuts that universe uses: it packs whole small
-    universes into shared blocks, and a universe too large for one block
-    of ``neighborhood.BLOCK_CELLS`` entries takes its rows in steps, one
-    row at least, each over all of its cuts.
+    own universe only.  A universe of ``neighborhood.SORTED_MIN_ROWS`` rows
+    or more is sorted once for all of its cuts whose granules are intervals
+    of one score column (one column, or kappa 0); the rest share one
+    blocked pass, whole small universes packed into blocks of
+    ``neighborhood.BLOCK_CELLS`` entries, a larger one in row steps.
     :func:`comprehensive_utilities` finds the utilities of
     every (group, parameter set) pair in one broadcast over their rows, and
     the points' expected utilities and regions are one broadcast over all

@@ -21,7 +21,7 @@ from .tables import WEIGHT_TOL, FusedDecisionTable
 # entries one block of an array pass holds, per array: 512 KB of float64, so
 # the few arrays a block keeps live fit a per-core L2 cache of 2 MB
 BLOCK_CELLS = 1 << 16
-SORTED_MIN_ROWS = 64  # one-column universes this large take the sorted cut
+SORTED_MIN_ROWS = 64  # universes this large whose granules are intervals take the sorted cut
 LIMB_SCALES = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 96])  # 1 / the unit of each limb
 MAX_ROWS = 1 << 21  # the largest universe: its limb sums stay at most 2^53 units
 
@@ -197,12 +197,12 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     (entries, 4) array, and :func:`granule_means` turns them into sizes
     and pr once.  Only sizes are kept, never member sets.
 
-    A cut at kappa 0 holds the whole universe, since the kernel never
-    scores below 0: each of its rows takes its universe's total.  The
-    other cuts of a one-column universe of at least ``SORTED_MIN_ROWS``
-    rows take the sorted path.  The rest share one blocked pass
-    (:func:`_kernel_statistics`).  Every route gives the sizes and pr of
-    :func:`kernel_granule_statistics` bit for bit.
+    Two routes cut the granules.  Where they are intervals of score
+    column 0, on one column or at a T* of inf (kappa 0, where each granule
+    is the whole universe), a universe of at least ``SORTED_MIN_ROWS``
+    rows takes the sorted path, sorted once for all of those cuts.  The
+    rest share one blocked pass (:func:`_kernel_statistics`).  Both give
+    the sizes and pr of :func:`kernel_granule_statistics` bit for bit.
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
@@ -213,24 +213,18 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
                          f"{MAX_ROWS} whose membership sums stay exact")
     parts = membership_parts(membership)
     universe, cut = uses
-    low, k = bounds[universe], length[universe]  # each use's universe's first row and size
+    k = length[universe]  # each use's universe's size
     ends = np.cumsum(k)
     first = ends - k
     sums = np.empty((int(ends[-1]) + 1, 4))  # the last row takes the blocked pass's padding
     limits = cut_thresholds(cuts)[cut]  # each use's T*
-    whole = np.array([kappa == 0.0 for _, kappa in cuts])[cut]
-    on_sorted = ~whole & (k >= SORTED_MIN_ROWS) & (scores.shape[1] == 1)
-    if whole.any():  # each row's granule is its universe
-        at = np.flatnonzero(whole)
-        n = k[at]
-        total = np.add.reduceat(parts[ranges(low[at], n)], np.cumsum(n) - n)
-        sums[ranges(first[at], n)] = total.repeat(n, axis=0)
-    for use in np.flatnonzero(on_sorted).tolist():
-        rows = slice(low[use], low[use] + k[use])
-        sums[first[use]:ends[use]] = sorted_granule_statistics(scores[rows, 0], parts[rows],
-                                                               limits[use])
-    kernel = np.flatnonzero(~(whole | on_sorted))
-    if len(kernel):
+    interval = (k >= SORTED_MIN_ROWS) & ((scores.shape[1] == 1) | (limits == np.inf))
+    for u in sorted(set(universe[interval].tolist())):  # sorted once for all of its cuts
+        these, rows = np.flatnonzero(interval & (universe == u)), slice(bounds[u], bounds[u + 1])
+        sums[first[these, None] + np.arange(length[u])] = sorted_granule_statistics(
+            scores[rows, 0], parts[rows], limits[these])
+    kernel = ~interval
+    if kernel.any():
         _kernel_statistics(scores, parts, bounds, universe[kernel], limits[kernel], first[kernel],
                            sums)
     return (*granule_means(sums[:-1]), first)
@@ -271,20 +265,20 @@ def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray
         if j - i == 1:  # one universe: its rows as they are, its uses sharing its weights
             rows, pick = slice(low[i], low[i] + width), slice(None)
             block, weights = scores[None, rows], parts[None, rows]
-            at = first[a:b, None] + col
         else:  # padded to the largest: zero limb rows, whose entries go to the last row
             pad = col >= size[i:j, None]
             rows = low[i:j, None] + np.where(pad, 0, col)
             pick = np.cumsum(new[a:b]) - 1  # each use's universe in the block
             block, weights = scores[rows], np.where(pad[..., None], 0.0, parts[rows])[pick]
-            at = np.where(pad[pick], len(sums) - 1, first[a:b, None] + col)
         step = max(1, BLOCK_CELLS // ((b - a) * width))
         for row in range(0, width, step):
             gaps = squared_gaps(block[:, row:row + step, None], block[:, None])
             member = (gaps[pick] <= limits[a:b, None, None]).astype(float)
+            at = first[a:b, None] + col[row:row + step]  # this step's entries
+            if j - i > 1:
+                at[pad[pick, row:row + step]] = len(sums) - 1
             # a lone universe's uses share its limbs, so they take one matrix product
-            sums[at[:, row:row + step]] = (member.reshape(len(weights), -1, width)
-                                           @ weights).reshape(b - a, -1, 4)
+            sums[at] = (member.reshape(len(weights), -1, width) @ weights).reshape(b - a, -1, 4)
 
 
 def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
@@ -298,20 +292,22 @@ def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     return granule_means(sums)
 
 
-def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray, limit: float) -> np.ndarray:
+def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
+                              limits: np.ndarray) -> np.ndarray:
     """The limb sums of :func:`shared_granule_statistics` for one score
-    column at one cut, given as its T* (:func:`cut_thresholds`), in
-    O(n log n), with the memberships given as :func:`membership_parts`:
-    an (n, 4) array.
+    column at several cuts, given as their T* (:func:`cut_thresholds`),
+    with the memberships given as :func:`membership_parts`: a (cuts, n, 4)
+    array, in O(n log n) per cut.
 
     In one dimension a granule is an interval of the sorted distinct
-    scores (fixed-radius near neighbours by sorting).  Each interval is
-    bracketed by ``searchsorted`` at a radius no pair in the granule
-    reaches, then each end moves inward while the cut, ``gap * gap`` at
-    most ``limit``, fails; so sizes equal the kernel's.  Sums are
-    differences of prefix sums of the sorted limbs, exact like every limb
-    sum.  Rows with equal scores share one interval, so they get identical
-    sums.
+    scores (fixed-radius near neighbours by sorting), so the column is
+    sorted once for all the cuts.  Each interval is bracketed by
+    ``searchsorted`` at a radius no pair in the granule reaches (the whole
+    column at a T* of inf), then each end moves inward while the cut,
+    ``gap * gap`` at most T*, fails; so sizes equal the kernel's.  Sums
+    are differences of prefix sums of the sorted limbs, exact like every
+    limb sum.  Rows with equal scores share one interval, so they get
+    identical sums.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
@@ -323,21 +319,22 @@ def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray, limit: floa
     starts = np.flatnonzero(new)  # sorted rows of distinct[k]: starts[k]:starts[k + 1]
     group = np.empty(n, dtype=np.intp)
     group[order] = np.cumsum(new[:n]) - 1
+    center, limit = np.tile(distinct, len(limits)), limits.repeat(len(distinct))  # per cut
     # rounding is monotone: a gap whose square rounds to at most T* has an
     # exact square below the double after T*, and it and its exact score
     # difference lie below the double after the rounded root of that
-    reach = np.nextafter(np.sqrt(np.nextafter(limit, np.inf)), np.inf)
-    lo = np.searchsorted(distinct, distinct - reach, side="left")
-    hi = np.searchsorted(distinct, distinct + reach, side="right")
+    reach = np.nextafter(np.sqrt(np.nextafter(limits, np.inf)), np.inf)[:, None]
+    lo = np.searchsorted(distinct, distinct - reach, side="left").ravel()  # (cut, distinct)
+    hi = np.searchsorted(distinct, distinct + reach, side="right").ravel()
     for end, inward, offset in ((lo, 1, 0), (hi, -1, -1)):
-        todo = np.arange(len(distinct))
+        todo = np.arange(len(end))
         while todo.size:
-            gap = distinct[todo] - distinct[end[todo] + offset]
-            todo = todo[gap * gap > limit]
+            gap = center[todo] - distinct[end[todo] + offset]
+            todo = todo[gap * gap > limit[todo]]
             end[todo] += inward
     cum = np.zeros((n + 1, 4))
     np.cumsum(parts[order], axis=0, out=cum[1:])
-    return (cum[starts[hi]] - cum[starts[lo]])[group]
+    return (cum[starts[hi]] - cum[starts[lo]]).reshape(len(limits), -1, 4)[:, group]
 
 
 def cut_granules(sim: SimilarityMatrix, kappa: float) -> list:

@@ -495,7 +495,7 @@ def level_groups(draw):
     the configurations and parameter sets the points draw from, with sigma
     down to 1e-150 and kappa 0, anywhere in [0, 1] or 1.  Level 1 has one
     score column, so its universes of at least ``SORTED_MIN_ROWS`` rows take
-    the sorted path."""
+    the sorted path; at any level, so do such universes' kappa-0 cuts."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 150)), draw(st.integers(1, 4))
     pool = rng.uniform(-3.0, 3.0, (draw(st.integers(1, n)), m, 2))

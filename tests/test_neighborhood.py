@@ -216,6 +216,21 @@ def per_cut(scores, membership, cuts):
     return sizes[at], pr[at]
 
 
+def sorted_calls(scores, membership, cuts):
+    """:func:`per_cut`, with the number of cuts of each call the engine
+    makes to :func:`sorted_granule_statistics`."""
+    calls = []
+    sorted_path = neighborhood.sorted_granule_statistics
+
+    def counting(values, parts, limits):
+        calls.append(len(limits))
+        return sorted_path(values, parts, limits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighborhood, "sorted_granule_statistics", counting)
+        return calls, per_cut(scores, membership, cuts)
+
+
 @st.composite
 def one_column(draw):
     """A score column with repeated values and near-duplicates within 1e-8,
@@ -233,13 +248,39 @@ def one_column(draw):
     return values, membership, sigma, kappa
 
 
+@st.composite
+def cut_columns(draw):
+    """Scores of 1 to 200 rows drawn from a smaller pool, so duplicate
+    scores are common, some moved by up to 1e-8; memberships; and 1 to 30
+    cuts drawn from a few sigmas and kappas 0, random or 1, so T* repeats.
+    One column at any kappa, or 2 to 6 columns with every kappa 0, where
+    granules are intervals of column 0."""
+    n = draw(st.integers(1, 200))
+    m = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random((draw(st.integers(1, n)), m))
+    scores = pool[rng.integers(0, len(pool), n)]
+    near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    scores[near] += rng.uniform(-1e-8, 1e-8, (near.sum(), m))
+    membership = rng.random(n)
+    membership[rng.random(n) < 0.2] = 1.0
+    sigmas = draw(st.lists(st.one_of(st.floats(0.05, 1.5), st.floats(1e-150, 1e-3)),
+                           min_size=1, max_size=4))
+    kappa = st.just(0.0) if m > 1 else st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                                  st.just(1.0))
+    kappas = draw(st.lists(kappa, min_size=1, max_size=4))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(sigmas), st.sampled_from(kappas)),
+                         min_size=1, max_size=30))
+    return scores, membership, cuts
+
+
 class TestSortedCut:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(one_column())
     def test_matches_blocked_kernel(self, column):
         values, membership, sigma, kappa = column
         sizes, pr = granule_means(sorted_granule_statistics(
-            values, membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
+            values, membership_parts(membership), cut_thresholds([(sigma, kappa)]))[0])
         ref_sizes, ref_pr = kernel_granule_statistics(values[:, None], membership,
                                                       sigma, kappa)
         assert np.array_equal(sizes, ref_sizes)
@@ -248,8 +289,8 @@ class TestSortedCut:
         order = np.argsort(values, kind="stable")
         same = values[order][1:] == values[order][:-1]
         assert np.array_equal(pr[order][1:][same], pr[order][:-1][same])
-        # the engine's route, the sorted path for kappa > 0 at size, else the
-        # blocked pass, whose kappa 0 is the closed form, gives the same
+        # the engine's route, the sorted path at size (kappa 0 among it), else
+        # the blocked pass, gives the same
         for cut, expected in (((sigma, kappa), (ref_sizes, ref_pr)),
                               ((sigma, 0.0), kernel_granule_statistics(values[:, None], membership,
                                                                        sigma, 0.0))):
@@ -270,12 +311,29 @@ class TestSortedCut:
         values, membership = rng.random(50_000), rng.random(50_000)
         sigma, kappa = 1e-6, 0.9
         sizes, pr = granule_means(sorted_granule_statistics(
-            values, membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
+            values, membership_parts(membership), cut_thresholds([(sigma, kappa)]))[0])
         rows = rng.choice(len(values), 50, replace=False)
         cut = kernel_rows(values[rows, None], values[:, None], sigma) >= kappa
         for r, members in zip(rows, cut):
             assert sizes[r] == members.sum()
             assert pr[r] == math.fsum(membership[members]) / sizes[r]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cut_columns())
+    def test_many_cuts_sorted_once(self, column):
+        """One call over 1 to 30 cuts, T* repeated among them, gives bit for
+        bit what the sorted path gives at each cut alone and what the
+        kernel gives; at kappa 0 on several columns, column 0 alone."""
+        scores, membership, cuts = column
+        parts, limits = membership_parts(membership), cut_thresholds(cuts)
+        together = sorted_granule_statistics(scores[:, 0], parts, limits)
+        assert together.shape == (len(cuts), len(scores), 4)
+        for i, (sigma, kappa) in enumerate(cuts):
+            alone = sorted_granule_statistics(scores[:, 0], parts, limits[i:i + 1])
+            assert np.array_equal(together[i], alone[0])
+            sizes, pr = granule_means(together[i])
+            ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+            assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
 
 
 class TestCutThresholds:
@@ -374,8 +432,9 @@ def universes(draw):
 
 
 class TestSharedCuts:
-    """Cuts of one universe computed together, and kappa 0 in closed form,
-    give the kernel's sizes and probabilities bit for bit."""
+    """Cuts of one universe computed together, kappa 0 on the sorted path
+    at size and on the blocked pass below it, give the kernel's sizes and
+    probabilities bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(universes())
@@ -405,7 +464,8 @@ class TestSharedCuts:
 
     @pytest.mark.parametrize("k", [1000, 1023, 1025, 4097])
     def test_kappa_zero_at_size(self, k):
-        # the closed form's reduceat equals the kernel's matrix product here too
+        # on 2 columns at size, kappa 0 takes the sorted path: its prefix-sum
+        # differences equal the kernel's matrix product here too
         rng = np.random.default_rng(k)
         scores, membership = rng.random((k, 2)), rng.random(k)
         ((sizes,), (pr,)) = per_cut(scores, membership, [(0.7, 0.0)])
@@ -414,8 +474,9 @@ class TestSharedCuts:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_kappa_zero_on_one_column(self, seed):
-        """A kappa-0 cut takes the closed form before one score column takes
-        the sorted path, so it stays the kernel's bit for bit there too."""
+        """A kappa-0 cut and a kappa-0.9 cut of one score column share one
+        sort on the sorted path, and each stays bit for bit what the kernel
+        and the sorted path at that cut alone give."""
         rng = np.random.default_rng(seed)
         k = rng.integers(SORTED_MIN_ROWS, 400)
         scores, membership = rng.random((k, 1)), rng.random(k)
@@ -424,7 +485,7 @@ class TestSharedCuts:
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
         assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
         sorted_sizes, sorted_pr = granule_means(sorted_granule_statistics(
-            scores[:, 0], membership_parts(membership), cut_thresholds([(0.7, 0.9)])[0]))
+            scores[:, 0], membership_parts(membership), cut_thresholds([(0.7, 0.9)]))[0])
         assert np.array_equal(cut_sizes, sorted_sizes) and np.array_equal(cut_pr, sorted_pr)
 
     def test_entries_follow_the_uses(self):
@@ -464,6 +525,33 @@ class TestSharedCuts:
             patch.setattr(neighborhood, "squared_gaps", counting)
             got_sizes, got_pr = per_cut(scores, membership, cuts)
         assert sum(left_rows) == 40
+        for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
+            ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
+            assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("k", [SORTED_MIN_ROWS, 150])
+    def test_kappa_zero_takes_the_sorted_path(self, k, m):
+        """At kappa 0 every granule is the universe, an interval of score
+        column 0 whatever the columns, so a universe of ``SORTED_MIN_ROWS``
+        rows or more on 2 to 6 columns takes the sorted path."""
+        rng = np.random.default_rng(k * m)
+        scores, membership = rng.random((k, m)), rng.random(k)
+        calls, (got_sizes, got_pr) = sorted_calls(scores, membership, [(0.7, 0.0)])
+        assert calls == [1]
+        ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, 0.7, 0.0)
+        assert np.array_equal(got_sizes[0], ref_sizes) and np.array_equal(got_pr[0], ref_pr)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_universe_sorted_once(self, m):
+        """A universe's interval cuts, here 6 on one column (kappa 0 among
+        them) or the kappa-0 cuts of 3 columns, are sorted in one call; on 3
+        columns the kappa > 0 cuts take the blocked pass."""
+        rng = np.random.default_rng(m)
+        scores, membership = rng.random((100, m)), rng.random(100)
+        cuts = [(0.7, 0.9), (0.1, 0.0), (0.7, 0.0), (0.3, 0.5), (0.7, 0.9), (1.0, 1.0)]
+        calls, (got_sizes, got_pr) = sorted_calls(scores, membership, cuts)
+        assert calls == [6 if m == 1 else 2]
         for sizes, pr, (sigma, kappa) in zip(got_sizes, got_pr, cuts):
             ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
             assert np.array_equal(sizes, ref_sizes) and np.array_equal(pr, ref_pr)
@@ -556,9 +644,9 @@ def routed_universe(draw):
 
 class TestEveryRoute:
     """The same universe through the blocked pass alone, the blocked pass
-    packed with a second universe, the sorted path, the kappa-0 closed form
-    and the engine's own choice gives the kernel's sizes and pr bit for
-    bit, in any row order."""
+    packed with a second universe, the sorted path (on one column, or on
+    column 0 at kappa 0) and the engine's own choice gives the kernel's
+    sizes and pr bit for bit, in any row order."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(routed_universe())
@@ -569,8 +657,8 @@ class TestEveryRoute:
         ref_sizes, ref_pr = kernel_granule_statistics(scores, membership, sigma, kappa)
         got = {"engine": per_cut(scores, membership, cut)}
         with pytest.MonkeyPatch.context() as patch:
-            # every cut off the sorted path: kappa 0 takes the closed form,
-            # the others the blocked pass, both universes in one block
+            # every cut off the sorted path, kappa 0 too: the blocked pass,
+            # both universes in one block
             patch.setattr(neighborhood, "SORTED_MIN_ROWS", k + j + 1)
             got["alone"] = per_cut(scores, membership, cut)
             sizes, pr, first = shared_granule_statistics(
@@ -578,9 +666,9 @@ class TestEveryRoute:
                 cut, np.array([0, j, j + k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
             at = first[1] + np.arange(k)
             got["packed"] = sizes[at][None], pr[at][None]
-        if scores.shape[1] == 1:
+        if scores.shape[1] == 1 or kappa == 0.0:
             sizes, pr = granule_means(sorted_granule_statistics(
-                scores[:, 0], membership_parts(membership), cut_thresholds([(sigma, kappa)])[0]))
+                scores[:, 0], membership_parts(membership), cut_thresholds([(sigma, kappa)]))[0])
             got["sorted"] = sizes[None], pr[None]
         sizes, pr = per_cut(scores[perm], membership[perm], cut)
         got["permuted"] = sizes[:, np.argsort(perm)], pr[:, np.argsort(perm)]
