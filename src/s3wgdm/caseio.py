@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, fields
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -379,7 +380,7 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
     levels = []
     for level in report.levels:
         ids = report.ids(level.rows)  # universe order, which the text summary prints in
-        codes = level.region.tolist()
+        accept, defer, reject = level.expected.T.tolist()
         levels.append({
             "index": level.index,
             "attributes": list(level.z),
@@ -387,10 +388,10 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
             "sigma": spec.levels[level.index - 1].sigma,
             "universe": ids,
             "conditional_probability": dict(zip(ids, level.pr.tolist())),
-            "expected_utility": {a: {"accept": acc, "defer": dfr, "reject": rej}
-                                 for a, (acc, dfr, rej) in zip(ids, level.expected.tolist())},
-            "regions": {name: sorted(a for a, c in zip(ids, codes) if c == code)
-                        for code, name in enumerate(REGIONS)},
+            "expected_utility": dict(zip(ids, [{"accept": a, "defer": d, "reject": r}
+                                               for a, d, r in zip(accept, defer, reject)])),
+            "regions": report.regions(level.rows, level.region),
+            # the state after this level is built once, for both of these
             "cumulative_regions": report.regions_after(level.index),
             "ranking_after": rank(report, key=spec.rank.key,
                                   neg_direction=spec.rank.neg_direction,
@@ -459,12 +460,18 @@ def dump_json(data: Any, fh) -> None:
     """The one JSON layout every command writes: byte for byte ``json.dump``
     with ``indent=2, sort_keys=True, allow_nan=False``, then a newline.
     Each container of scalars is one call to CPython's C encoder and goes
-    out as one chunk; the document is never held as one string."""
+    out as one chunk, and each table (see :func:`_table`) one call and
+    slices of ``BULK_CELLS`` leaves; the document is never held as one
+    string."""
     fh.writelines(_chunks(data, 0, ""))
     fh.write("\n")
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+# a flat list's items with NUL between them: no JSON text holds a raw NUL,
+# since the encoder escapes it, so the text splits back into one per item
+_LEAVES = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", "\0", True, False, False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,11 +488,29 @@ def _chunks(obj: Any, depth: int, lead: str):
     encode, inner, outer = _layout(depth)
     is_dict = isinstance(obj, dict)
     container = is_dict or isinstance(obj, (list, tuple))
-    if not container or set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+    kinds = set(map(type, obj.values() if is_dict else obj)) if container else _SCALARS
+    if kinds <= _SCALARS:
         # the item separator indents the items; only the brackets need new lines
         text = "".join(encode(obj, 0))
         yield lead + (text[0] + inner + text[1:-1] + outer + text[-1] if container and obj
                       else text)
+        return
+    table = _table(obj) if is_dict and kinds == {dict} else None
+    if table is not None:
+        names, leaves = table
+        parts = "".join(_LEAVES(leaves, 0))[1:-1].split("\0")
+        field = "," + _layout(depth + 1)[1]
+        entry = inner + "%s: {" + "".join(  # a key text may hold a % sign
+            field + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+            for name in names)[1:] + inner + "}"
+        width = len(names) + 1
+        step = max(1, BULK_CELLS // width) * width  # whole entries of at most BULK_CELLS leaves
+        lead += "{"
+        for start in range(0, len(parts), step):
+            chunk = tuple(parts[start:start + step])
+            yield lead + ",".join([entry] * (len(chunk) // width)) % chunk
+            lead = ","
+        yield outer + "}"
         return
     lead += "{" if is_dict else "["
     items = (((_key(k) + ": ", v) for k, v in sorted(obj.items())) if is_dict
@@ -496,8 +521,34 @@ def _chunks(obj: Any, depth: int, lead: str):
     yield outer + ("}" if is_dict else "]")
 
 
+def _table(obj: dict) -> Optional[tuple]:
+    """A dict whose values are non-empty dicts of one set of str keys,
+    holding only scalars, as its sorted inner keys and its leaves: per
+    entry in key order, the key's text, then its values in inner key
+    order.  None for any other dict of dicts."""
+    first = next(iter(obj.values()))
+    if not first or set(map(type, first)) != {str} or set(map(len, obj.values())) != {len(first)}:
+        return None
+    names = sorted(first)
+    keys = sorted(obj)
+    values = list(map(obj.__getitem__, keys))
+    try:  # a value of the right length that lacks a key has another key set
+        columns = [list(map(itemgetter(name), values)) for name in names]
+    except KeyError:
+        return None
+    leaves = list(chain.from_iterable(zip(map(_key_text, keys), *columns)))
+    return (names, leaves) if set(map(type, leaves)) <= _SCALARS else None
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as the string ``json`` writes it as, before quoting."""
+    if isinstance(key, str):
+        return key
+    if not isinstance(key, (int, float, type(None))):  # a bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return "".join(_layout(0)[0](key, 0))
+
+
 def _key(key: Any) -> str:
     """A dict key's text; other keys than strings convert as ``json`` converts them."""
-    if not isinstance(key, (str, int, float, type(None))):  # a bool is an int
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else "".join(_layout(0)[0](key, 0)))
+    return encode_basestring_ascii(_key_text(key))

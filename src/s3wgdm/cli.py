@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,10 +53,8 @@ EXIT_RUNTIME = 2
 
 # a sweep grid with more points than this is rejected before it is built
 MAX_GRID_POINTS = 100_000
-
-
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
+# one alternative's line of the text summary; "%.6g" writes what "{:.6g}" does
+_ALTERNATIVE_LINE = "    %s: pr=%.6g accept=%.6g defer=%.6g reject=%.6g\n"
 
 
 def _apply_overrides(spec: ParamsFile, args) -> ParamsFile:
@@ -79,22 +78,21 @@ def _group_table(case) -> ScoredTable:
 
 
 def _print_report(out, data: dict) -> None:
-    """Text summary of a report dict as ``report_dict`` built it."""
+    """Text summary of a report dict as ``report_dict`` built it: one
+    write per level, each alternative's line filled from one template."""
     for level in data["levels"]:
-        print(f"level {level['index']}: attributes {{{', '.join(level['attributes'])}}} "
-              f"kappa={_sig6(level['kappa'])} sigma={_sig6(level['sigma'])}", file=out)
         regions = level["regions"]
-        print(f"  POS {regions['POS']}  BND {regions['BND']}  "
-              f"NEG {regions['NEG']}", file=out)
-        for alt, pr in level["conditional_probability"].items():
-            eu = level["expected_utility"][alt]
-            print(f"    {alt}: pr={_sig6(pr)} accept={_sig6(eu['accept'])} "
-                  f"defer={_sig6(eu['defer'])} reject={_sig6(eu['reject'])}",
-                  file=out)
+        pr = level["conditional_probability"]
+        utilities = list(map(level["expected_utility"].__getitem__, pr))
+        values = itertools.chain.from_iterable(zip(pr, pr.values(), *(
+            map(itemgetter(action), utilities) for action in ("accept", "defer", "reject"))))
+        out.write("level %s: attributes {%s} kappa=%.6g sigma=%.6g\n" % (
+            level["index"], ", ".join(level["attributes"]), level["kappa"], level["sigma"])
+            + f"  POS {regions['POS']}  BND {regions['BND']}  NEG {regions['NEG']}\n"
+            + _ALTERNATIVE_LINE * len(pr) % tuple(values))
     final = data["final"]["regions"]
-    print(f"final regions: POS {final['POS']}  BND {final['BND']}  "
-          f"NEG {final['NEG']}", file=out)
-    print("final ranking: " + " > ".join(data["final"]["ranking"]), file=out)
+    out.write(f"final regions: POS {final['POS']}  BND {final['BND']}  NEG {final['NEG']}\n"
+              "final ranking: " + " > ".join(data["final"]["ranking"]) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -311,8 +309,8 @@ def cmd_baseline(args) -> int:
         fh = None
     if fh is not None:  # an existing file must be a decide report to extend
         with fh:
-            try:
-                existing = json.load(fh)
+            try:  # a non-finite number would stop the rewrite half way: refuse it here
+                existing = json.load(fh, parse_float=_finite, parse_constant=_finite)
             except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, or too deep
                 raise CaseFormatError(
                     [f"report {args.out}: not a decide report: {exc}"]) from exc
@@ -335,6 +333,15 @@ def cmd_baseline(args) -> int:
         data["baseline_ranking"] = order
         write_json(args.out, data)
     return EXIT_OK
+
+
+def _finite(text: str) -> float:
+    """A JSON number's value, refused when it is not finite: ``NaN``,
+    ``Infinity``, or a literal too large for a float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -140,30 +141,50 @@ class DecisionReport:
         """Per alternative, in table order, once ``upto`` levels ran (default
         all): its region code, the index of the level its values come from,
         and its (accept, defer, reject) expected utilities at that level.
-        Before any level ran every alternative is deferred, at level 0."""
+        Before any level ran every alternative is deferred, at level 0.
+        The arrays are read-only and shared by every caller."""
+        return self._states[len(self.levels[:upto])]
+
+    @cached_property
+    def _states(self) -> tuple:
+        """The state after each number of levels, 0 to all, each built
+        once from the one before it."""
         n = len(self.alternatives)
-        region = np.full(n, BND, dtype=np.int8)
-        level = np.zeros(n, dtype=np.int64)
-        expected = np.zeros((n, 3))
-        for lvl in self.levels[:upto]:
-            region[lvl.rows] = lvl.region
-            level[lvl.rows] = lvl.index
-            expected[lvl.rows] = lvl.expected
-        return region, level, expected
+        state = (np.full(n, BND, dtype=np.int8), np.zeros(n, dtype=np.int64), np.zeros((n, 3)))
+        states = [state]
+        for lvl in self.levels:
+            state = tuple(a.copy() for a in state)
+            for array, value in zip(state, (lvl.region, lvl.index, lvl.expected)):
+                array[lvl.rows] = value
+            states.append(state)
+        for array in chain.from_iterable(states):
+            array.flags.writeable = False
+        return tuple(states)
 
     @cached_property
     def by_id(self) -> np.ndarray:
         """Table rows in the order of their sorted ids."""
         return _by_id(self.alternatives)
 
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Each table row's position among the sorted ids."""
+        return np.argsort(self.by_id)
+
     def ids(self, rows: np.ndarray) -> list:
         """The alternative ids of table ``rows``."""
-        return [self.alternatives[r] for r in rows.tolist()]
+        return list(map(self.alternatives.__getitem__, rows.tolist()))
+
+    def regions(self, rows: np.ndarray, codes: np.ndarray) -> dict:
+        """Region name -> the sorted ids of table ``rows`` whose region
+        ``codes`` name it."""
+        named = self.ids(rows[np.lexsort((self.id_order[rows], codes))])
+        ends = np.cumsum(np.bincount(codes, minlength=len(REGIONS))).tolist()
+        return {name: named[start:end] for name, start, end in zip(REGIONS, [0] + ends, ends)}
 
     def regions_after(self, upto: int) -> dict:
         """Cumulative regions once ``upto`` levels ran: region -> sorted ids."""
-        region = self.state_after(upto)[0][self.by_id]
-        return {name: self.ids(self.by_id[region == code]) for code, name in enumerate(REGIONS)}
+        return self.regions(self.by_id, self.state_after(upto)[0][self.by_id])
 
 
 def expected_perceived_utility(v, pr: float) -> tuple:
@@ -450,7 +471,7 @@ def rank(report: DecisionReport, key: str = "accept",
     upto = len(report.levels) if upto is None else max(1, min(upto, len(report.levels)))
     region, _, expected = report.state_after(upto)
     value = expected[:, RANK_KEYS.index(key)]
-    return report.ids(_ranked(region, value, np.argsort(report.by_id), neg_direction))
+    return report.ids(_ranked(region, value, report.id_order, neg_direction))
 
 
 def baseline_full_fusion(table: ScoredTable, params: Optional[EngineParams] = None) -> list:

@@ -86,6 +86,11 @@ BUNDLED_BASELINE_SHA256 = "806443c5ac8739e431c1845d8b41d1a134f1be2fee98c5bad1597
 GENERATED_SHAPE = {"n": 300, "m": 6, "e": 3, "max_terms": 3, "seed": 1}
 GENERATED_FUSE_SHA256 = "f08fca31b394328f02442e8902cdf5108828923ef478f8bc6e64195d8284e2dc"
 GENERATED_BASELINE_SHA256 = "7c6d53540e1daef125018899ac96cbff0dc2112fada6f81cec5401468ff878ad"
+# SHA-256 of the generated case's ``decide --out`` report (without
+# ``metadata.elapsed_seconds``, re-dumped as above) and of its stdout, with
+# the bundled parameters
+GENERATED_REPORT_SHA256 = "a5cc015a830d7a8773a592177cc6e77def3c45b85b2716d75972c27cda56c31b"
+GENERATED_STDOUT_SHA256 = "9fbeabdfcf8ca919a0fa54fe1167e80ae68a1ec95644de959554c36ae1af43e4"
 GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
@@ -322,19 +327,27 @@ def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_pa
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_REPORT_SHA256
 
 
-@pytest.mark.parametrize("generated", [False, True], ids=["bundled", "generated"])
-def test_decide_out_is_the_stdlib_layout(generated, tmp_path, capsys, sle_case_path,
-                                         sle_params_path):
+@pytest.mark.parametrize("generated, report_sha256, stdout_sha256", [
+    (False, BUNDLED_REPORT_SHA256, BUNDLED_STDOUT_SHA256),
+    (True, GENERATED_REPORT_SHA256, GENERATED_STDOUT_SHA256),
+], ids=["bundled", "generated"])
+def test_decide_out_is_the_stdlib_layout(generated, report_sha256, stdout_sha256, tmp_path,
+                                         capsys, sle_case_path, sle_params_path):
     """The bytes ``decide --out`` writes, not only the data they hold, are
-    the standard library's pretty-printed layout of that data."""
+    the standard library's pretty-printed layout of that data, and that
+    data and the text summary keep their pinned bytes."""
     case_path = generated_case_path(tmp_path) if generated else sle_case_path
     out = tmp_path / "report.json"
     assert cli_main(["decide", "--case", case_path, "--params", sle_params_path,
                      "--out", str(out)]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True,
-                              allow_nan=False) + "\n"
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    del report["metadata"]["elapsed_seconds"]
+    pinned = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == report_sha256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
 
 
 def test_bundled_stdout_is_pinned(capsys, sle_case_path, sle_params_path):

@@ -608,7 +608,83 @@ def holding(bad):
         max_leaves=6)
 
 
+# key texts of tables, with the % sign of the writer's entry templates
+table_text = st.text(st.characters() | st.sampled_from('"\\%\n\x00é😀'), max_size=6)
+
+
+@st.composite
+def tables(draw, leaves=json_scalars, misses=True):
+    """Dicts whose values are non-empty dicts of one set of str keys that
+    hold only ``leaves``, or with ``misses`` near-misses of them too: one
+    inner dict empty, of another key set or of other than str keys, or
+    one leaf a numpy scalar or a container.  Each is placed at a random depth of a
+    document."""
+    names = draw(st.lists(table_text, min_size=1, max_size=4, unique=True))
+    entry = st.fixed_dictionaries({name: leaves for name in names})
+    table = draw(st.dictionaries(table_text, entry, min_size=1, max_size=6)
+                 | st.dictionaries(numeric_keys, entry, min_size=1, max_size=6)
+                 | st.dictionaries(st.none(), entry, min_size=1, max_size=1))
+    miss = draw(st.sampled_from([None, "empty", "other keys", "int keys", "numpy", "nested"]
+                                if misses else [None]))
+    if miss is not None:
+        key = draw(st.sampled_from(sorted(table, key=repr)))
+        inner = table[key]
+        if miss == "empty":
+            table[key] = {}
+        elif miss == "other keys":
+            inner[draw(table_text.filter(lambda t: t not in inner))] = inner.pop(names[-1])
+        elif miss == "int keys":
+            table[key] = {i: value for i, value in enumerate(inner.values())}
+        elif miss == "numpy":
+            inner[names[0]] = np.float64(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        else:
+            inner[names[0]] = draw(json_documents.filter(lambda d: isinstance(d, (list, dict))))
+    wrap = draw(st.sampled_from([lambda t: t, lambda t: {"t": t, "a": [1]}, lambda t: [[t], {}]]))
+    return wrap(table)
+
+
 class TestDumpJsonIsTheStdlibLayout:
+    @given(tables())
+    @settings(max_examples=400, deadline=None)
+    def test_random_tables(self, doc):
+        assert dumped(doc) == stdlib_layout(doc)
+
+    @given(tables(st.sampled_from([float("nan"), float("inf"), float("-inf")]), misses=False))
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_refused_in_tables(self, doc):
+        with pytest.raises(ValueError):
+            stdlib_layout(doc)
+        with pytest.raises(ValueError):
+            dumped(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {float("nan"): {"a": 1}}, {"t": {1: {"a": 1}, float("inf"): {"a": 2}}},
+        {"t": {"x": {"a": 1, "b": {1}}}}])
+    def test_tables_with_bad_keys_or_leaves_refused(self, doc):
+        error = TypeError if isinstance(doc.get("t", {}).get("x"), dict) else ValueError
+        with pytest.raises(error):
+            stdlib_layout(doc)
+        with pytest.raises(error):
+            dumped(doc)
+
+    def test_a_table_is_one_encoder_call(self, monkeypatch):
+        """A 1,000-entry table is one call to the leaf encoder, written in
+        slices of at most ``BULK_CELLS`` leaves, and the other encoders
+        never see it: a fallback to the per-entry route fails here."""
+        table = {f"x{i}": {"accept": i / 7, "defer": -i / 3, "reject": float(i)}
+                 for i in range(1000)}
+        doc = {"expected_utility": table}
+        calls = []
+        encode = caseio._LEAVES
+        monkeypatch.setattr(caseio, "_LEAVES",
+                            lambda items, level: calls.append(len(items)) or encode(items, level))
+        assert dumped(doc) == stdlib_layout(doc)
+        assert calls == [4000]
+        pieces = list(caseio._chunks(doc, 0, ""))
+        assert len(pieces) == 2 + -(-1000 // (BULK_CELLS // 4))
+        entries = [piece.count('"accept"') for piece in pieces]
+        assert sum(entries) == 1000 and max(entries) == BULK_CELLS // 4
+
     @given(json_documents)
     @settings(max_examples=400, deadline=None)
     def test_random_documents(self, doc):

@@ -1,8 +1,10 @@
 import csv
+import io
 import itertools
 import json
 import math
 import pathlib
+import re
 import tempfile
 import time
 import tracemalloc
@@ -137,6 +139,24 @@ class TestValidate:
         assert code == 2
 
 
+def printed_line_by_line(data: dict) -> str:
+    """The text summary as ``print`` and "{:.6g}" write it, line by line."""
+    out = io.StringIO()
+    for level in data["levels"]:
+        print(f"level {level['index']}: attributes {{{', '.join(level['attributes'])}}} "
+              f"kappa={level['kappa']:.6g} sigma={level['sigma']:.6g}", file=out)
+        regions = level["regions"]
+        print(f"  POS {regions['POS']}  BND {regions['BND']}  NEG {regions['NEG']}", file=out)
+        for alt, pr in level["conditional_probability"].items():
+            eu = level["expected_utility"][alt]
+            print(f"    {alt}: pr={pr:.6g} accept={eu['accept']:.6g} "
+                  f"defer={eu['defer']:.6g} reject={eu['reject']:.6g}", file=out)
+    final = data["final"]["regions"]
+    print(f"final regions: POS {final['POS']}  BND {final['BND']}  NEG {final['NEG']}", file=out)
+    print("final ranking: " + " > ".join(data["final"]["ranking"]), file=out)
+    return out.getvalue()
+
+
 class TestDecide:
     def test_reference_run(self, capsys, tmp_path, sle_case_path, sle_params_path):
         out_path = tmp_path / "report.json"
@@ -218,6 +238,40 @@ class TestDecide:
             kappa = sle_params.levels[level.index - 1].kappa
             sizes = (sim >= kappa).sum(axis=1).tolist()
             assert sizes == level.sizes.tolist()
+
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(5e-324)
+    @example(-2.2250738585072e-308)
+    @example(1e300)
+    @settings(max_examples=500, deadline=None)
+    def test_percent_template_is_format_spec(self, x):
+        """The text summary fills "%.6g" templates where it once formatted
+        with "{:.6g}": both must write every double alike."""
+        assert "%.6g" % x == f"{x:.6g}"
+
+    @pytest.mark.parametrize("rename", [False, True], ids=["bundled", "percent-ids"])
+    def test_text_summary_is_one_print_per_line(self, rename, capsys, tmp_path, sle_case_path,
+                                                sle_params_path):
+        """The text summary, written a level at a time from templates, is
+        the text of printing its report a line at a time, also when the ids
+        hold the templates' own % signs."""
+        case_path = tmp_path / "case.json"
+        text = pathlib.Path(sle_case_path).read_text()
+        if rename:
+            text = re.sub(r'"a(\d)"', r'"%.6g%%\1"', re.sub(r'"x(\d)"', r'"%s%\1"', text))
+        case_path.write_text(text)
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "decide", "--case", str(case_path),
+                               "--params", sle_params_path, "--out", str(report_path))
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert ("%s%1: pr=" in out and "attributes {%.6g%%" in out) == rename
+        assert out == printed_line_by_line(report)
 
     def test_bad_levels_flag(self, capsys, sle_case_path, sle_params_path):
         code, _, err = run_cli(capsys, "decide", "--case", sle_case_path,
@@ -1144,6 +1198,26 @@ class TestBaseline:
         assert code == 1
         assert out == ""
         assert f"final.exit_level does not list the case's {n} alternatives" in err
+        assert report_path.read_bytes() == before
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_report_with_non_finite_number_left_unchanged(self, capsys, tmp_path, number,
+                                                         sle_case_path, sle_params_path):
+        """A number the writer would refuse half way through the rewrite is
+        refused as the report is read, before anything is written."""
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "decide", "--case", sle_case_path,
+                "--params", sle_params_path, "--out", str(report_path))
+        report = json.loads(report_path.read_text())
+        report["metadata"]["note"] = "@"
+        report_path.write_text(json.dumps(report, indent=2).replace('"@"', number))
+        before = report_path.read_bytes()
+        code, out, err = run_cli(capsys, "baseline", "--case", sle_case_path,
+                                 "--out", str(report_path))
+        assert code == 1
+        assert out == ""
+        assert f"report {report_path}: not a decide report: {number} is not a finite number" \
+            in err
         assert report_path.read_bytes() == before
 
     def test_report_with_invalid_parameters_left_unchanged(self, capsys, tmp_path,
