@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
@@ -157,7 +157,7 @@ def validate_case_dict(data: Any) -> tuple:
 
     alternatives = data.get("alternatives")
     if (not isinstance(alternatives, list) or not alternatives
-            or not all(isinstance(a, str) for a in alternatives)):
+            or not all(map(isinstance, alternatives, repeat(str)))):
         problems.append("'alternatives' must be a non-empty list of ids")
         alternatives = []
     if len(set(alternatives)) != len(alternatives):

@@ -489,5 +489,5 @@ def baseline_full_fusion(table: ScoredTable, params: Optional[EngineParams] = No
     total = np.zeros(len(scores))
     for j, attr_id in enumerate(table.fused.attributes):  # attribute order, as a scalar sum
         total += weight[attr_id] * scores[:, j]
-    scored = sorted(zip(total.tolist(), table.fused.alternatives), key=lambda t: (-t[0], t[1]))
-    return [alt for _, alt in scored]
+    # descending by total, ties by id; -0.0 and 0.0 compare equal
+    return [alt for _, alt in sorted(zip((-total).tolist(), table.fused.alternatives))]

@@ -23,12 +23,14 @@ from .linguistic import DHLT, DHHFLE, DHLTScale
 
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
-# Fast path (CodeBook.code_texts): a whole element with no whitespace and
-# ASCII digits only, read as "{", terms split at commas, "}".  A number can
-# never be followed by a character it could also contain, and no term holds
-# a comma, a brace or a newline, so this accepts exactly the texts of that
-# form the scanner accepts, with the same terms.  Everything else goes to
-# the scanner, the only source of syntax errors.
+# Fast path (CodeBook._split): whole elements with no whitespace and ASCII
+# digits only, joined by a NUL; each "}NUL{" joint is made a comma and a NUL
+# and the whole split at commas, so every part must be a term, after one NUL
+# where a text opens.  A number is never followed by a character it could
+# also contain, and no term holds a brace, a comma or a NUL: with braces at
+# both ends, one joint and one NUL-led part per joiner, this accepts exactly
+# the "{" terms "}" texts the scanner accepts, with the same terms.  All else
+# goes to the scanner, the only source of syntax errors.
 _ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
 
@@ -98,18 +100,20 @@ class CodeBook:
     not stored, so each bad occurrence raises on its own.
 
     :meth:`means` is every cell's linguistic expected value, computed with
-    numpy from the term codes; :meth:`element` builds one cell's element
-    on demand.
+    numpy from the term codes, kept in arrays; :meth:`element` builds one
+    cell's element on demand.
     """
 
     def __init__(self, scale: DHLTScale):
         self.scale = scale
         self.texts: dict = {}  # cell text -> cell code
-        self._terms: dict = {}  # term text -> term code
+        self._terms: dict = {}  # term text -> 2 * term code, NUL and term text -> that + 1
         self._phi: list = []  # term code -> subscripts
         self._varphi: list = []
-        self._flat: list = []  # the term codes of every cell, cell after cell
-        self._starts: list = []  # cell code -> its first position in _flat
+        self._cells = self._size = 0  # cells coded so far, and their terms
+        self._flat: list = []  # arrays of the term codes of every cell, cell after cell
+        self._starts: list = []  # arrays of each cell's first position in the joined _flat
+        self._loose: tuple = ([], [])  # the same of the cells since coded one by one
         self._means = None
 
     def _term(self, phi: float, varphi: float) -> int:
@@ -120,66 +124,87 @@ class CodeBook:
 
     def _cell(self, term_codes: list) -> int:
         self._means = None
-        self._starts.append(len(self._flat))
-        self._flat += term_codes
-        return len(self._starts) - 1
+        self._loose[0].extend(term_codes)
+        self._loose[1].append(self._size)
+        self._size += len(term_codes)
+        self._cells += 1
+        return self._cells - 1
+
+    def _flush(self) -> None:
+        if self._loose[1]:
+            self._flat.append(np.array(self._loose[0], np.intp))
+            self._starts.append(np.array(self._loose[1], np.intp))
+            self._loose = ([], [])
+
+    def _arrays(self) -> tuple:
+        """Every cell's term codes and starts, joined once per change."""
+        if self._loose[1] or len(self._starts) != 1:
+            self._flush()
+            self._flat = [np.concatenate([np.empty(0, np.intp), *self._flat])]
+            self._starts = [np.concatenate([np.empty(0, np.intp), *self._starts])]
+        return self._flat[0], self._starts[0]
 
     def text(self, text: str) -> int:
         """The code of a cell text, parsed the first time it is seen."""
-        if text not in self.texts and self.code_texts([text]) is None:
-            self.texts[text] = self._cell(self.parse(text))
+        if text not in self.texts:
+            split = self._split([text])
+            self.texts[text] = self._cell(self.parse(text) if split is None else split[0].tolist())
         return self.texts[text]
 
     def code_texts(self, cells: list) -> np.ndarray | None:
-        """The codes of a list of cell texts, the new ones coded in bulk.
-
-        The distinct new texts, in first-seen order, are joined by a newline,
-        which no term text holds, and checked at once: each is ``{``, term
-        texts of the fast-path form (see ``_TERM``) split by commas, ``}``.
-        Term texts new to the document are range-checked in first-seen
-        order.  Returns None, having stored no cell, if any cell fails, for
-        the caller to read those cells one by one and locate each failure.
+        """The codes of a list of cell texts, the new ones coded in bulk by
+        :meth:`_split`.  Returns None, having stored no cell, if it fails,
+        for the caller to read the cells one by one and locate each failure.
         """
+        texts = self.texts
         try:
-            distinct = dict.fromkeys(cells)
+            new = list(dict.fromkeys(filterfalse(texts.__contains__, cells)))
         except TypeError:  # an unhashable cell
             return None
-        texts = self.texts
-        new = list(filterfalse(texts.__contains__, distinct))
         if new:
-            try:
-                doc = "\n".join(new)
-            except TypeError:  # a cell that is not a string
+            split = self._split(new)
+            if split is None:
                 return None
-            k = len(new)
-            pieces = doc[1:-1].split("}\n{")
-            if not (len(pieces) == k == doc.count("{") == doc.count("}") == doc.count("\n") + 1
-                    and doc.startswith("{") and doc.endswith("}")):
-                return None
-            terms = self._terms
-            parts = ",".join(pieces).split(",")
-            try:
-                flat = list(map(terms.__getitem__, parts))
-            except KeyError:  # term texts new to the document, checked in order
-                for part in filterfalse(terms.__contains__, dict.fromkeys(parts)):
-                    match = _TERM.fullmatch(part)
-                    if match is None:
-                        return None
-                    try:
-                        terms[part] = self._term(float(match[1]), float(match[2]))
-                    except ValueError:  # off the scale
-                        return None
-                flat = list(map(terms.__getitem__, parts))
-            starts = [len(self._flat)]
-            if k > 1:  # all ASCII now; a text starts after each newline separator
-                seps = np.frombuffer(doc.encode(), np.uint8)
-                seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
-                starts += (np.flatnonzero(seps == ord("\n")) + (starts[0] + 1)).tolist()
+            self._flush()
             self._means = None
-            self._starts += starts
-            self._flat += flat
-            texts.update(zip(new, range(len(self._starts) - k, len(self._starts))))
+            self._flat.append(split[0])
+            self._starts.append(split[1] + self._size)
+            self._size += len(split[0])
+            self._cells += len(new)
+            texts.update(zip(new, range(self._cells - len(new), self._cells)))
         return np.fromiter(map(texts.__getitem__, cells), np.intp, len(cells))
+
+    def _split(self, new: list) -> tuple | None:
+        """The term codes of distinct cell texts, text after text, and the
+        first position of each text's terms, read by the fast path (see
+        ``_TERM``); None if any text fails it.  Term texts new to the
+        document are range-checked in first-seen order.  A part's code
+        carries its leading NUL in the low bit."""
+        try:
+            doc = "\0".join(new)
+        except TypeError:  # a cell that is not a string
+            return None
+        body = doc[1:-1].replace("}\0{", ",\0")
+        if len(doc) - len(body) != len(new) + 1 or not (doc.startswith("{") and doc.endswith("}")):
+            return None
+        parts = body.split(",")
+        terms = self._terms
+        try:
+            flat = np.fromiter(map(terms.__getitem__, parts), np.intp, len(parts))
+        except KeyError:  # term texts new to the document, checked in order
+            for part in filterfalse(terms.__contains__, dict.fromkeys(parts)):
+                match = _TERM.fullmatch(part, part.startswith("\0"))
+                if match is None:
+                    return None
+                try:
+                    code = self._term(float(match[1]), float(match[2]))
+                except ValueError:  # off the scale
+                    return None
+                terms[match[0]], terms["\0" + match[0]] = 2 * code, 2 * code + 1
+            flat = np.fromiter(map(terms.__getitem__, parts), np.intp, len(parts))
+        flat[0] |= 1  # the first text opens with no NUL
+        starts = np.flatnonzero(flat & 1)
+        return (flat >> 1, starts) if len(starts) == len(new) else None
 
     def pairs(self, pairs: Iterable) -> int:
         """A fresh code for a cell of ``(phi, varphi)`` pairs, each checked
@@ -194,9 +219,10 @@ class CodeBook:
 
     def element(self, code: int) -> DHHFLE:
         """The element of one cell code, built on each call."""
-        stop = self._starts[code + 1] if code + 1 < len(self._starts) else len(self._flat)
+        flat, starts = self._arrays()
+        stop = starts[code + 1] if code + 1 < len(starts) else len(flat)
         return DHHFLE(DHLT(self._phi[t], self._varphi[t])
-                      for t in self._flat[self._starts[code]:stop])
+                      for t in flat[starts[code]:stop].tolist())
 
     def means(self) -> np.ndarray:
         """The (K, 2) array of each cell's mean ``phi`` and ``varphi``.
@@ -208,11 +234,10 @@ class CodeBook:
         and the work stays linear in the number of terms.
         """
         if self._means is None:
-            flat = np.array(self._flat, dtype=np.intp)
-            bounds = np.array(self._starts + [len(flat)], dtype=np.intp)
-            counts = bounds[1:] - bounds[:-1]
+            flat, starts = self._arrays()
+            counts = np.diff(starts, append=len(flat))
             order = np.argsort(-counts, kind="stable")
-            starts, counts = bounds[:-1][order], counts[order]
+            starts, counts = starts[order], counts[order]
             terms = np.array([self._phi, self._varphi]).reshape(2, -1).T
             # longer[p]: how many cells have more than p terms
             longer = len(counts) - np.cumsum(np.bincount(counts))

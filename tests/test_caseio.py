@@ -252,9 +252,12 @@ number = st.one_of(
     st.sampled_from(["0.1", "0.2", "-0.7", "2.35", "-1.15", "1e-1"]))
 term = st.builds(lambda p, v: f"s_{p}<o_{v}>", number, number)
 canonical = st.lists(term, min_size=1, max_size=3).map(lambda ts: "{" + ",".join(ts) + "}")
-# texts that border on the bulk check: its separator inside one cell,
-# stray, missing or reversed braces, a missing term, and a full-width digit
-BULK_BORDER = ["{s_1<o_0>}\n{s_2<o_0>}", "{}", "{s_1<o_0>}}", "{{s_1<o_0>}",
+# texts that border on the bulk check: two cells in one, joined as the bulk
+# pass joins them or by a newline, a NUL that marks a text's first term
+# inside or around a cell, stray, missing or reversed braces, a missing
+# term, and a full-width digit
+BULK_BORDER = ["{s_1<o_0>}\n{s_2<o_0>}", "{s_1<o_0>}\0{s_2<o_0>}", "{s_1<o_0>,\0s_2<o_0>}",
+               "\0{s_1<o_0>}", "{s_1<o_0>}\0", "\0", "{}", "{s_1<o_0>}}", "{{s_1<o_0>}",
                "{s_1<o_0>,}", "", "}s_1<o_0>{", "{s_\uff12<o_0>}"]
 cell_raw = st.one_of(
     canonical, canonical, canonical,
@@ -394,6 +397,42 @@ class TestIngestMatchesCellByCellScan:
         assert_ingest_matches_reference(minimal_case(text))
         doc = TestParseOncePerDocument.repeated_case(text)
         assert_ingest_matches_reference(doc)
+
+    @pytest.mark.parametrize("texts", [("{s_1<o_0>,", "s_2<o_0>}"), ("{", "s_1<o_0>}"),
+                                       ("{s_1<o_0>", "}")])
+    def test_texts_that_join_into_one_good_element(self, texts):
+        # side by side in one bulk pass, joined by its NUL, these two read
+        # as the terms of a single cell; each is malformed on its own
+        doc = TestParseOncePerDocument.repeated_case(*texts)
+        assert_ingest_matches_reference(doc)
+        assert len(validate_case_dict(doc)[1]) == 8  # every cell, at its place
+
+    @pytest.mark.parametrize("text", BULK_BORDER)
+    def test_refused_list_stores_no_cell(self, text):
+        book = CodeBook(DHLTScale(3, 3))
+        book.code_texts(["{s_1<o_0>}", "{s_0<o_0>,s_1<o_1>}"])
+        texts, cells = dict(book.texts), len(book.means())
+        assert book.code_texts(["{s_2<o_0>}", text, "{s_0<o_0>}", "{s_1<o_0>}"]) is None
+        assert book.texts == texts and len(book.means()) == cells
+
+    def test_reading_every_cell_joins_the_chunks_once(self, monkeypatch):
+        doc, n, m = several_chunks()
+        doc["experts"][1]["table"][n // 2][1] = "{ s_1<o_0> }"  # one chunk cell by cell
+        case, _ = validate_case_dict(doc)
+        joins = []  # the chunk arrays at each join: a join moves the loose cells first
+        flush = CodeBook._flush
+
+        def spy(book):
+            joins.append(len(book._flat))
+            flush(book)
+
+        monkeypatch.setattr(CodeBook, "_flush", spy)
+        cells = [c for table in case.experts for row in table.cells for c in row]
+        assert [table.means.shape for table in case.experts] == [(n, m, 2)] * 2
+        # three bulk chunks per table, the refused one's cells moved in one run
+        assert len(cells) == 2 * n * m and joins == [6]
+        want_tables, _ = reference_ingest(doc)
+        assert [bits(c) for c in cells] == [bits(c) for table in want_tables for c in table]
 
     @pytest.mark.parametrize("row", ["first", "middle", "last"])
     @pytest.mark.parametrize("cell", ["{s_1<o_0>,s_4<o_0>}", "{s_1<o_0>", "{ s_1<o_0> }"],

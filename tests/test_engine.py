@@ -452,6 +452,22 @@ class TestBaseline:
         attrs = [attr("a1", 0.5), attr("a2", 0.5)]
         assert baseline_full_fusion(scored([t], attrs)) == ["a", "b"]
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])] * 2),
+                    min_size=1, max_size=6))
+    def test_equal_and_signed_zero_scores_keep_the_order(self, rows):
+        # ties, zero totals and -0.0 scores: descending by total, then by id,
+        # as a sort keyed by (-total, id)
+        ids = [f"x{len(rows) - i}" for i in range(len(rows))]
+        t = make_table("E1", 1.0, ids, ["a1", "a2"],
+                       [[single(0, 0), single(0, 0)] for _ in rows], S33)
+        table = scored([t], [attr("a1", 0.5), attr("a2", 0.5)])
+        table.scores = np.array(rows)
+        for params, theta in ((None, 1.0), (EngineParams(eta=0.6, theta=0.88, delta=0.3), 0.88)):
+            total = [0.0 + 0.5 * math.pow(a, theta) + 0.5 * math.pow(b, theta) for a, b in rows]
+            want = [a for _, a in sorted(zip(total, ids), key=lambda t: (-t[0], t[1]))]
+            assert baseline_full_fusion(table, params) == want
+
     def test_reference_case_total_order(self, sle_case):
         order = baseline_full_fusion(scored(sle_case.experts, sle_case.attributes))
         assert sorted(order) == sorted(sle_case.alternatives)

@@ -189,3 +189,62 @@ class TestCodeBookMeans:
 
     def test_empty_book(self):
         assert CodeBook(S33).means().shape == (0, 2)
+
+
+# on-scale subscripts, signed zeros among them; a few cells of a small pool
+# so that bulk lists repeat texts already coded
+SUBSCRIPT = ["0", "-0", "1", "-1.5", "2.25", "3", ".5", "0.1"]
+book_text = st.lists(st.tuples(st.sampled_from(SUBSCRIPT), st.sampled_from(SUBSCRIPT)),
+                     min_size=1, max_size=3).map(
+    lambda ts: "{" + ",".join(f"s_{p}<o_{v}>" for p, v in ts) + "}")
+book_step = st.one_of(
+    st.tuples(st.just("bulk"), st.lists(book_text, min_size=1, max_size=6)),
+    st.tuples(st.just("text"), book_text.map(lambda t: t.replace(",", " , ") + " ")),
+    st.tuples(st.just("pairs"), st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.7, -3.0]),
+                                                   st.sampled_from([0.0, 1.5, -2.0])),
+                                         min_size=1, max_size=3)),
+    st.tuples(st.just("read"), st.none()),
+)
+
+
+class TestArrayBook:
+    """Cells coded in bulk, one text at a time and as subscript pairs, in
+    any order, with reads between, read as each cell on its own would."""
+
+    @staticmethod
+    def check(book, want):
+        assert [[(t.phi.hex(), t.varphi.hex()) for t in book.element(c)]
+                for c in range(len(want))] == \
+            [[(float(p).hex(), float(v).hex()) for p, v in cell] for cell in want]
+        means = [(sum(p for p, _ in cell) / len(cell), sum(v for _, v in cell) / len(cell))
+                 for cell in want]
+        assert book.means().tobytes() == np.array(means).reshape(-1, 2).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(book_step, min_size=1, max_size=8))
+    def test_interleaved_steps_match_each_cell_alone(self, steps):
+        book, want, coded = CodeBook(S33), [], {}
+
+        def alone(text):
+            return [(t.phi, t.varphi) for t in syntax._scan_dhhfle(text, S33)]
+
+        for kind, arg in steps:
+            if kind == "bulk":
+                codes = book.code_texts(arg)
+                assert codes is not None
+                for text in arg:
+                    if text not in coded:
+                        coded[text] = len(want)
+                        want.append(alone(text))
+                assert codes.tolist() == [coded[text] for text in arg]
+            elif kind == "text":
+                if arg not in coded:
+                    coded[arg] = len(want)
+                    want.append(alone(arg))
+                assert book.text(arg) == coded[arg]
+            elif kind == "pairs":
+                assert book.pairs(arg) == len(want)
+                want.append(arg)
+            else:
+                self.check(book, want)
+        self.check(book, want)
