@@ -26,11 +26,12 @@ _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 # Fast path (CodeBook._split): whole elements with no whitespace and ASCII
 # digits only, joined by a NUL; each "}NUL{" joint is made a comma and a NUL
 # and the whole split at commas, so every part must be a term, after one NUL
-# where a text opens.  A number is never followed by a character it could
-# also contain, and no term holds a brace, a comma or a NUL: with braces at
-# both ends, one joint and one NUL-led part per joiner, this accepts exactly
-# the "{" terms "}" texts the scanner accepts, with the same terms.  All else
-# goes to the scanner, the only source of syntax errors.
+# where a text other than the first opens.  A number is never followed by a
+# character it could also contain, and no term holds a brace, a comma or a
+# NUL: with braces at both ends, one joint and one NUL-led part per joiner
+# and none first, this accepts exactly the "{" terms "}" texts the scanner
+# accepts, with the same terms.  All else goes to the scanner, the only
+# source of syntax errors.
 _ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
 
@@ -185,7 +186,8 @@ class CodeBook:
         except TypeError:  # a cell that is not a string
             return None
         body = doc[1:-1].replace("}\0{", ",\0")
-        if len(doc) - len(body) != len(new) + 1 or not (doc.startswith("{") and doc.endswith("}")):
+        if (len(doc) - len(body) != len(new) + 1 or body.startswith("\0")
+                or not (doc.startswith("{") and doc.endswith("}"))):
             return None
         parts = body.split(",")
         terms = self._terms
@@ -202,7 +204,7 @@ class CodeBook:
                     return None
                 terms[match[0]], terms["\0" + match[0]] = 2 * code, 2 * code + 1
             flat = np.fromiter(map(terms.__getitem__, parts), np.intp, len(parts))
-        flat[0] |= 1  # the first text opens with no NUL
+        flat[0] |= 1  # the first text, which opens with no NUL
         starts = np.flatnonzero(flat & 1)
         return (flat >> 1, starts) if len(starts) == len(new) else None
 

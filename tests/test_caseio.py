@@ -254,11 +254,11 @@ term = st.builds(lambda p, v: f"s_{p}<o_{v}>", number, number)
 canonical = st.lists(term, min_size=1, max_size=3).map(lambda ts: "{" + ",".join(ts) + "}")
 # texts that border on the bulk check: two cells in one, joined as the bulk
 # pass joins them or by a newline, a NUL that marks a text's first term
-# inside or around a cell, stray, missing or reversed braces, a missing
+# inside, around or at the start of a cell, stray, missing or reversed braces, a missing
 # term, and a full-width digit
 BULK_BORDER = ["{s_1<o_0>}\n{s_2<o_0>}", "{s_1<o_0>}\0{s_2<o_0>}", "{s_1<o_0>,\0s_2<o_0>}",
-               "\0{s_1<o_0>}", "{s_1<o_0>}\0", "\0", "{}", "{s_1<o_0>}}", "{{s_1<o_0>}",
-               "{s_1<o_0>,}", "", "}s_1<o_0>{", "{s_\uff12<o_0>}"]
+               "\0{s_1<o_0>}", "{s_1<o_0>}\0", "{\0s_1<o_0>}", "\0", "{}", "{s_1<o_0>}}",
+               "{{s_1<o_0>}", "{s_1<o_0>,}", "", "}s_1<o_0>{", "{s_\uff12<o_0>}"]
 cell_raw = st.one_of(
     canonical, canonical, canonical,
     canonical.map(lambda t: t.replace("{", "{ ").replace(",", " ,\n ")),  # the scanner
