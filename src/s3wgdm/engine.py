@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .linguistic import elementwise, superior_gradus_array
-from .neighborhood import membership_degrees, ranges, shared_granule_statistics
+from .neighborhood import membership_degrees, membership_parts, ranges, shared_granule_statistics
 from .regret import comprehensive_utilities
 from .tables import (
     AttributeSpec,
@@ -219,7 +219,7 @@ SWEEP_CELLS = 1 << 18
 class ScoredTable:
     """One oriented group table, scored once, with each level's columns,
     attribute ids, renormalised weights and every row's concept membership
-    found once: what every run of a sweep reads."""
+    and its limbs found once: what every run of a sweep reads."""
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                  subsets: Optional[NestedSubsets] = None):
@@ -231,19 +231,21 @@ class ScoredTable:
         self._levels: dict = {}
 
     def level(self, index: int) -> tuple:
-        """Column indices, attribute ids, renormalised weights (in column
-        order) and every table row's concept membership of level ``index``,
-        1-based: membership is per row, so one pass serves every universe."""
+        """Column indices, attribute ids, renormalised weights (in column order), and
+        every table row's concept membership and its limbs (:func:`membership_parts`) of
+        level ``index``, 1-based: found once per table, read-only, for every run on it."""
         found = self._levels.get(index)
         if found is None:
             order = self.fused.attributes
-            cols = [j for j, a in enumerate(order) if a in self.subsets[index - 1]]
+            cols = np.flatnonzero([a in self.subsets[index - 1] for a in order])
             z = tuple(order[j] for j in cols)
             renormalized = renormalize_weights(self.attrs, z)
             weights = [renormalized[a] for a in z]
             membership = membership_degrees(self.phi[:, cols], self.varphi[:, cols], weights,
                                             self.fused.scale)
-            found = self._levels[index] = (cols, z, weights, membership)
+            parts = membership_parts(membership)
+            membership.flags.writeable = parts.flags.writeable = False
+            found = self._levels[index] = (cols, z, weights, membership, parts)
         return found
 
 
@@ -255,33 +257,28 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     The points' universes, groups of table rows, run one after another in
     ``rows``: group ``g``'s universe is ``rows[bounds[g]:bounds[g + 1]]``.
     Point ``p`` is in group ``groups[p]`` and runs the level configuration
-    ``cfgs[cfg_ids[p]]`` with parameters ``params[param_ids[p]]``.  Each
-    group runs on its universe's (universe x z) exponential scores, its
-    rows' concept membership and the renormalised attribute weights, all
-    read from ``table.level(index)``.
+    ``cfgs[cfg_ids[p]]`` with parameters ``params[param_ids[p]]``.  The
+    universes' scores, column by column, and membership limbs are gathered
+    from ``table.level(index)``, which splits the limbs once per table.
 
-    A level is one pass, whatever the number of groups.
-    :func:`shared_granule_statistics` finds the granule statistics of every
-    (group, configuration) pair the points use, each row compared with its
-    own universe only.  A universe of ``neighborhood.SORTED_MIN_ROWS`` rows
-    or more is sorted once for all of its cuts whose granules are intervals
-    of one score column (one column, or kappa 0); the rest share one
-    blocked pass, whole small universes packed into blocks of
-    ``neighborhood.BLOCK_CELLS`` entries, a larger one in row steps.
-    :func:`comprehensive_utilities` finds the utilities of
-    every (group, parameter set) pair in one broadcast over their rows, and
-    the points' expected utilities and regions are one broadcast over all
-    (point, universe row) cells.
+    One :func:`shared_granule_statistics` call finds the granule statistics
+    of every distinct (group, configuration) pair the points use, and one
+    :func:`comprehensive_utilities` call the utilities of every distinct
+    (group, parameter set) pair; a lone point's pairs are its own, so it
+    neither sorts nor gathers them.  The points' expected utilities and
+    regions are one broadcast over all (point, universe row) cells.
     """
     if not len(rows):
         raise ValueError("empty universe")
-    cols, z, weights, membership = table.level(index)
-    scores, membership = table.scores[rows][:, cols], membership[rows]
-    # the distinct (group, configuration) and (group, parameter set) pairs
-    cuts, cut_use = _uses(groups, cfg_ids, len(cfgs))
-    sets, set_use = _uses(groups, param_ids, len(params))
+    cols, z, weights, _, parts = table.level(index)
+    scores, parts = table.scores.T[cols[:, None], rows].T, parts[rows]
+    if len(groups) > 1:  # the distinct (group, configuration) and (group, parameter set) pairs
+        cuts, cut_use = _uses(groups, cfg_ids, len(cfgs))
+        sets, set_use = _uses(groups, param_ids, len(params))
+    else:  # a lone point's two pairs are its own: sorting one key is the identity
+        cuts, sets = (groups, np.asarray(cfg_ids)), (groups, np.asarray(param_ids))
     sizes, pr, cut_first = shared_granule_statistics(
-        scores, membership, [(c.sigma, c.kappa) for c in cfgs], bounds, cuts)
+        scores, parts, [(c.sigma, c.kappa) for c in cfgs], bounds, cuts)
     if not (0.0 <= pr.min() and pr.max() <= 1.0):  # a NaN fails too
         raise ValueError("conditional probability outside [0, 1]")
     v, set_first = comprehensive_utilities(
@@ -366,19 +363,20 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         yield i, points, level
         # each point's BND rows, packed into bytes, key it into its next-level group
-        bnd = np.zeros((len(config_ids), n), dtype=bool)
-        cell = level.region == BND
-        bnd[points[level.cell_point[cell]], level.rows[level.cell_row[cell]]] = True
+        bnd = np.zeros((len(points), n), dtype=bool)
+        bnd[level.cell_point, level.rows[level.cell_row]] = level.region == BND
         del level  # the next level runs without this one held
-        points = bnd.any(axis=1).nonzero()[0]
+        running = bnd.any(axis=1)
+        points, bnd = points[running], bnd[running]
         if len(points) > 1:
-            keys = np.packbits(bnd[points], axis=1)
+            keys = np.packbits(bnd, axis=1)
             _, first, groups = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
                                          return_index=True, return_inverse=True)
+            bnd = bnd[first]
         else:  # no point, or a lone point in a group of its own
-            first = groups = np.zeros(len(points), dtype=np.intp)
-        owner, rows = bnd[points[first]].nonzero()
-        bounds = owner.searchsorted(np.arange(len(first) + 1))
+            groups = np.zeros(len(points), dtype=np.intp)
+        owner, rows = bnd.nonzero()
+        bounds = owner.searchsorted(np.arange(len(bnd) + 1))
 
 
 def run_sequential(table: ScoredTable, levels: Sequence[LevelConfig], params: EngineParams,

@@ -21,7 +21,7 @@ from .tables import WEIGHT_TOL, FusedDecisionTable
 # entries one block of an array pass holds, per array: 512 KB of float64, so
 # the few arrays a block keeps live fit a per-core L2 cache of 2 MB
 BLOCK_CELLS = 1 << 16
-SORTED_MIN_ROWS = 64  # universes this large whose granules are intervals take the sorted cut
+SORTED_MIN_ROWS = 128  # universes this large whose granules are intervals take the sorted cut
 LIMB_SCALES = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 96])  # 1 / the unit of each limb
 MAX_ROWS = 1 << 21  # the largest universe: its limb sums stay at most 2^53 units
 
@@ -177,7 +177,7 @@ def granule_means(sums: np.ndarray) -> tuple:
     return size.astype(np.intp), (sums[..., 1] + sums[..., 2] + sums[..., 3]) / size
 
 
-def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
+def shared_granule_statistics(scores: np.ndarray, parts: np.ndarray,
                               cuts: Sequence[tuple], bounds: np.ndarray, uses: tuple) -> tuple:
     """Granule size and conditional probability of every row of several
     universes, each at the ``(sigma, kappa)`` cuts it uses, as ``(sizes,
@@ -185,9 +185,10 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     ``first[u]:first[u] + k`` of ``sizes`` and ``pr``, the uses one after
     another in their given order.
 
-    The universes' rows of ``scores`` and ``membership`` run one universe
-    after another: universe ``u`` is rows ``bounds[u]:bounds[u + 1]``, at
-    most ``MAX_ROWS`` of them.  ``uses`` pairs universes with cuts, as two
+    The universes' rows of ``scores`` and of ``parts``, their memberships'
+    limbs (:func:`membership_parts`), run one universe after another:
+    universe ``u`` is rows ``bounds[u]:bounds[u + 1]``, at most
+    ``MAX_ROWS`` of them.  ``uses`` pairs universes with cuts, as two
     arrays: universe ids and indices into ``cuts``.
 
     A row's granule is every row of its own universe at least
@@ -207,34 +208,34 @@ def shared_granule_statistics(scores: np.ndarray, membership: np.ndarray,
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
             raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    length = bounds[1:] - bounds[:-1]  # each universe's size
-    if length.max(initial=0) > MAX_ROWS:
-        raise ValueError(f"a universe of {int(length.max())} alternatives is larger than the "
-                         f"{MAX_ROWS} whose membership sums stay exact")
-    parts = membership_parts(membership)
     universe, cut = uses
-    k = length[universe]  # each use's universe's size
-    ends = np.cumsum(k)
+    low = bounds[universe]  # each use's universe's first row and size
+    k = bounds[universe + 1] - low
+    largest = int(k.max())
+    if largest > MAX_ROWS:
+        raise ValueError(f"a universe of {largest} alternatives is larger than the "
+                         f"{MAX_ROWS} whose membership sums stay exact")
+    ends = k.cumsum()
     first = ends - k
     sums = np.empty((int(ends[-1]) + 1, 4))  # the last row takes the blocked pass's padding
     limits = cut_thresholds(cuts)[cut]  # each use's T*
-    interval = (k >= SORTED_MIN_ROWS) & ((scores.shape[1] == 1) | (limits == np.inf))
-    for u in sorted(set(universe[interval].tolist())):  # sorted once for all of its cuts
-        these, rows = np.flatnonzero(interval & (universe == u)), slice(bounds[u], bounds[u + 1])
-        sums[first[these, None] + np.arange(length[u])] = sorted_granule_statistics(
-            scores[rows, 0], parts[rows], limits[these])
-    kernel = ~interval
-    if kernel.any():
-        _kernel_statistics(scores, parts, bounds, universe[kernel], limits[kernel], first[kernel],
-                           sums)
+    rest = slice(None)  # the uses of the blocked pass: all, when no universe is sorted
+    if largest >= SORTED_MIN_ROWS:
+        interval = (k >= SORTED_MIN_ROWS) & ((scores.shape[1] == 1) | (limits == np.inf))
+        for u in sorted(set(universe[interval].tolist())):  # sorted once for all of its cuts
+            these, rows = np.flatnonzero(interval & (universe == u)), slice(*bounds[u:u + 2])
+            sums[first[these, None] + np.arange(k[these[0]])] = sorted_granule_statistics(
+                scores[rows, 0], parts[rows], limits[these])
+        rest = ~interval
+    _kernel_statistics(scores, parts, low[rest], k[rest], limits[rest], first[rest], sums)
     return (*granule_means(sums[:-1]), first)
 
 
-def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray,
-                       universe: np.ndarray, limits: np.ndarray, first: np.ndarray,
-                       sums: np.ndarray) -> None:
-    """Write the limb sums of uses, given as their universes, their cuts'
-    T* and their first entries, into ``sums`` by the blocked pass.
+def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, low: np.ndarray, size: np.ndarray,
+                       limits: np.ndarray, first: np.ndarray, sums: np.ndarray) -> None:
+    """Write the limb sums of uses, given as their universes' first rows
+    and sizes (equal for uses of one universe), their cuts' T* and their
+    first entries, into ``sums`` by the blocked pass.
 
     Universes pack whole into blocks in order of size while the block's
     uses times its largest universe's pairs stay within ``BLOCK_CELLS``.
@@ -246,29 +247,28 @@ def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, bounds: np.ndarray
     zero.  A universe too large for one block is a block of its own,
     which takes its rows in steps, one row at least, over all of its cuts.
     """
-    size = (bounds[1:] - bounds[:-1])[universe]
-    order = np.lexsort((universe, size))  # each universe's uses together, small universes first
-    universe, size, limits, first = universe[order], size[order], limits[order], first[order]
-    new = np.concatenate(([True], universe[1:] != universe[:-1]))  # use i starts a universe
-    heads = np.flatnonzero(new)
-    low, size = bounds[universe[heads]], size[heads]  # each universe's first row and size
-    ends = heads.tolist() + [len(new)]  # the uses of universe i: ends[i]:ends[i + 1]
+    order = np.lexsort((low, size))  # each universe's uses together, small universes first
+    low, size, limits, first = low[order], size[order], limits[order], first[order]
+    keys = list(zip(low.tolist(), size.tolist()))  # each use's universe
+    # the uses of universe i: ends[i]:ends[i + 1]
+    ends = [a for a in range(len(keys)) if not a or keys[a] != keys[a - 1]] + [len(keys)]
     blocks = []  # [first universe, end universe]
-    for i, width in enumerate(size.tolist()):
-        if blocks and (ends[i + 1] - ends[blocks[-1][0]]) * width * width <= BLOCK_CELLS:
+    for i, a in enumerate(ends[:-1]):
+        if blocks and (ends[i + 1] - ends[blocks[-1][0]]) * keys[a][1] ** 2 <= BLOCK_CELLS:
             blocks[-1][1] = i + 1
         else:
             blocks.append([i, i + 1])
     for i, j in blocks:
-        a, b, width = ends[i], ends[j], int(size[j - 1])
+        a, b, width = ends[i], ends[j], keys[ends[j] - 1][1]
         col = np.arange(width)
         if j - i == 1:  # one universe: its rows as they are, its uses sharing its weights
-            rows, pick = slice(low[i], low[i] + width), slice(None)
+            rows, pick = slice(keys[a][0], keys[a][0] + width), slice(None)
             block, weights = scores[None, rows], parts[None, rows]
         else:  # padded to the largest: zero limb rows, whose entries go to the last row
-            pad = col >= size[i:j, None]
-            rows = low[i:j, None] + np.where(pad, 0, col)
-            pick = np.cumsum(new[a:b]) - 1  # each use's universe in the block
+            heads = ends[i:j]
+            pad = col >= size[heads, None]
+            rows = low[heads, None] + np.where(pad, 0, col)
+            pick = np.arange(j - i).repeat(np.diff(ends[i:j + 1]))  # each use's universe
             block, weights = scores[rows], np.where(pad[..., None], 0.0, parts[rows])[pick]
         step = max(1, BLOCK_CELLS // ((b - a) * width))
         for row in range(0, width, step):
@@ -381,9 +381,10 @@ def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence[fl
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
-    mean_phi = sum(w * phi[:, j] for j, w in enumerate(weights))
-    mean_varphi = sum(w * varphi[:, j] for j, w in enumerate(weights))
-    return np.clip(superior_gradus_array(mean_phi, mean_varphi, scale), 0.0, 1.0)
+    # each weighted column added in turn from 0.0 (numpy reduces a C-ordered outer axis in order)
+    both = np.concatenate((phi, varphi)).T.copy() * np.array(weights)[:, None]
+    mean = np.add.reduce(both, axis=0, initial=0.0)
+    return superior_gradus_array(mean[:len(phi)], mean[len(phi):], scale).clip(0.0, 1.0)
 
 
 def conditional_probability(granule: NeighborhoodGranule,

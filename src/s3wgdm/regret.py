@@ -127,13 +127,13 @@ def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
     most ``BLOCK_CELLS`` entries (one use at least), so memory does not
     grow with the number of uses.
     """
-    b = np.clip(scores, 0.0, 1.0)
+    b = scores.clip(0.0, 1.0)
     sets = np.array(utilities, dtype=float).reshape(-1, 3)
     universe, used = uses
     k = (bounds[1:] - bounds[:-1])[universe]  # each use's universe size
     ends = k.cumsum()
     first = ends - k
-    out = np.empty((int(ends[-1]), len(CELLS)))
+    out = np.empty((len(CELLS), int(ends[-1])))  # cell by cell: returned transposed
     sizes, ends = k.tolist(), ends.tolist()
     per = max(1, BLOCK_CELLS // max(1, 4 * b.shape[1]))  # entries a block may take
     start = 0
@@ -141,8 +141,9 @@ def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
         lo = ends[start] - sizes[start]
         stop = max(start + 1, bisect.bisect_right(ends, lo + per))
         count, entries = k[start:stop], ends[stop - 1] - lo
-        eta, theta, delta = np.repeat(sets[used[start:stop]], count, axis=0).T
-        g = b[ranges(bounds[universe[start:stop]], count)].T
+        chosen = sets[used[start:stop]]  # each use's parameter set
+        eta, theta, delta = chosen.T.repeat(count, axis=1)  # per entry
+        g = b.T[:, ranges(bounds[universe[start:stop]], count)]
         # the cells with a gain, per attribute: pp, bp, bn, nn, each over the entries
         gains = np.empty((len(g), 4, entries))
         gains[:, 0] = g
@@ -155,14 +156,14 @@ def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
         # cells, then of np and pn (u = 0.0) once per use; delta * (u_ref - u)
         # and delta * u_ref are those bit for bit, as only signs flip
         exponent = np.concatenate((
-            (delta * (np.repeat(u_ref, count, axis=1)[:, None] - u)).reshape(len(g), -1),
-            sets[used[start:stop], 2] * u_ref), axis=1)
+            (delta * (u_ref.repeat(count, axis=1)[:, None] - u)).reshape(len(g), -1),
+            chosen[:, 2] * u_ref), axis=1)
         perceived = 1.0 - elementwise(math.exp, exponent)
         perceived[:, :4 * entries] += u.reshape(len(g), -1)
-        total = sum(w * perceived[j] for j, w in enumerate(weights))
-        gained = total[:4 * entries].reshape(4, entries)
-        block = out[lo:lo + entries]
-        block[:, :2], block[:, 4:] = gained[:2].T, gained[2:].T
-        block[:, 2:4] = np.repeat(total[4 * entries:], count)[:, None]
+        # weighted and summed attribute by attribute, from 0.0, as a scalar sum
+        total = np.add.reduce(perceived * np.array(weights)[:, None], axis=0, initial=0.0)
+        cells, block = total[:4 * entries].reshape(4, entries), out[:, lo:lo + entries]
+        block[:2], block[4:] = cells[:2], cells[2:]
+        block[2:4] = total[4 * entries:].repeat(count)
         start = stop
-    return out, first
+    return out.T, first

@@ -309,7 +309,7 @@ def test_membership_gathered_on_rows_is_bit_identical(case, data):
     n = len(fused.alternatives)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                        unique=True)), dtype=np.intp)
-    cols, _, weights, membership = table.level(i)
+    cols, _, weights, membership, _ = table.level(i)
     phi, varphi = fused.subscripts()
     cells = np.ix_(rows, cols)
     want = membership_degrees(phi[cells], varphi[cells], weights, fused.scale)

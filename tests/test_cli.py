@@ -410,9 +410,9 @@ class TestOneFusionPerDecide:
         cuts = []
         shared = engine.shared_granule_statistics
 
-        def recording(scores, membership, pairs, bounds, uses):
+        def recording(scores, parts, pairs, bounds, uses):
             cuts.extend(zip(*uses))
-            return shared(scores, membership, pairs, bounds, uses)
+            return shared(scores, parts, pairs, bounds, uses)
 
         monkeypatch.setattr(engine, "shared_granule_statistics", recording)
         argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path]
@@ -787,11 +787,11 @@ class TestSweep:
         shared = engine.shared_granule_statistics
         groups = []
 
-        def refusing(scores, membership, cuts, bounds, uses):
+        def refusing(scores, parts, cuts, bounds, uses):
             if bounds[1] < 8:  # level 2 on: the bundled case's universes shrink
                 groups.append(len(bounds) - 1)
                 raise error("cut refused")
-            return shared(scores, membership, cuts, bounds, uses)
+            return shared(scores, parts, cuts, bounds, uses)
 
         monkeypatch.setattr(engine, "shared_granule_statistics", refusing)
         out_path = tmp_path / "sweep.csv"
@@ -1084,7 +1084,7 @@ class TestScoredTable:
         phi, varphi = sle_group.subscripts()
         rows = np.array([3, 0, 2])
         for i in range(1, len(sle_table.subsets) + 1):
-            cols, _, weights, membership = sle_table.level(i)
+            cols, _, weights, membership, _ = sle_table.level(i)
             cells = np.ix_(rows, cols)
             assert np.array_equal(sle_table.scores[cells], engine.superior_gradus_array(
                 phi[cells], varphi[cells], sle_group.scale))
@@ -1094,9 +1094,10 @@ class TestScoredTable:
     def test_level_columns_and_weights(self, sle_case, sle_group):
         table = ScoredTable(sle_group, sle_case.attributes)
         for i, subset in enumerate(table.subsets, start=1):
-            cols, z, weights, membership = table.level(i)
+            cols, z, weights, membership, parts = table.level(i)
             assert table.level(i) is table.level(i)
             assert membership.shape == (len(sle_group.alternatives),)
+            assert np.array_equal(parts, engine.membership_parts(membership))
             assert z == tuple(sle_group.attributes[j] for j in cols)
             assert set(z) == set(subset)
             assert list(cols) == sorted(cols)

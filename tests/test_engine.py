@@ -391,6 +391,56 @@ class TestWalk:
             list(engine.walk(sle_table, configs, [GOLDEN], [0, 1, 2], [0, 0, 0]))
 
 
+class TestLimbsSplitOnce:
+    """Each level's memberships are split into limbs once per table, by
+    :meth:`ScoredTable.level`, and every run and sweep chunk gathers its
+    rows from that one read-only split."""
+
+    @staticmethod
+    def counting_splits(monkeypatch):
+        calls = []
+        split = engine.membership_parts
+
+        def counting(membership):
+            calls.append(len(membership))
+            return split(membership)
+
+        monkeypatch.setattr(engine, "membership_parts", counting)
+        return calls
+
+    def test_one_split_per_level_of_a_run(self, monkeypatch, sle_table, sle_params):
+        calls = self.counting_splits(monkeypatch)
+        report = run_sequential(sle_table, sle_params.levels, sle_params.params)
+        assert len(report.levels) == 4
+        assert calls == [8] * 4  # every row of the table, once per level
+        run_sequential(sle_table, sle_params.levels, sle_params.params)
+        assert len(calls) == 4
+
+    def test_sweep_chunks_share_each_split(self, monkeypatch, sle_table, sle_params):
+        configs = [tuple(LevelConfig(kappa=kappa, sigma=c.sigma) for c in sle_params.levels)
+                   for kappa in (0.5, 1.0)]
+        params = [EngineParams(eta=eta, theta=sle_params.params.theta,
+                               delta=sle_params.params.delta) for eta in (0.2, 0.6, 1.0)]
+        config_ids, param_ids = np.repeat([0, 1], 3), np.tile([0, 1, 2], 2)
+        whole = list(engine.sweep_outcomes(sle_table, configs, params, config_ids, param_ids))
+        assert len(whole) == 1
+        table = engine.ScoredTable(sle_table.fused, sle_table.attrs)
+        calls = self.counting_splits(monkeypatch)
+        # two points a chunk: three chunks, each walking the levels its points reach
+        monkeypatch.setattr(engine, "SWEEP_CELLS", 2 * len(table.fused.alternatives))
+        chunks = list(engine.sweep_outcomes(table, configs, params, config_ids, param_ids))
+        assert len(chunks) == 3
+        assert len(calls) == 4  # one split per level, not one per level and chunk
+        for got, want in zip(np.concatenate([c for c, _ in chunks]), whole[0][0]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(np.concatenate([o for _, o in chunks]), whole[0][1])
+        for i in range(1, 5):
+            membership, parts = table.level(i)[3:]
+            assert not membership.flags.writeable and not parts.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                parts[0, 1] = 0.5
+
+
 class TestRank:
     def test_reference_case_levels_two_and_three(self, sle_table, sle_params):
         report = run_sequential(sle_table, sle_params.levels, sle_params.params)
@@ -586,7 +636,7 @@ class TestBatchedLevel:
         table, index, universes, cfgs, params, groups, cfg_ids, param_ids = case
         rows, bounds = batched(universes)
         level = run_level(rows, table, index, cfgs, params, cfg_ids, param_ids, bounds, groups)
-        cols, _, _, membership = table.level(index)
+        cols, _, _, membership, _ = table.level(index)
         for g, rows in enumerate(universes):
             members = np.flatnonzero(groups == g)
             alone = run_group(rows, table, index, cfgs, params, cfg_ids[members],

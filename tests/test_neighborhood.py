@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import neighborhood
-from s3wgdm.linguistic import DHLTScale, single, superior_gradus
+from s3wgdm.linguistic import DHLTScale, single, superior_gradus, superior_gradus_array
 from s3wgdm.neighborhood import (
     MAX_ROWS,
     SORTED_MIN_ROWS,
@@ -23,6 +23,7 @@ from s3wgdm.neighborhood import (
     kernel_granule_statistics,
     kernel_rows,
     kernel_similarity,
+    membership_degrees,
     membership_parts,
     shared_granule_statistics,
     sorted_granule_statistics,
@@ -210,8 +211,8 @@ def one_universe(k, uses):
 def per_cut(scores, membership, cuts):
     """:func:`shared_granule_statistics` of one universe, all rows, as
     (cuts, rows) arrays in ``cuts`` order."""
-    sizes, pr, first = shared_granule_statistics(scores, membership, cuts, *one_universe(
-        len(scores), len(cuts)))
+    sizes, pr, first = shared_granule_statistics(scores, membership_parts(membership), cuts,
+                                                 *one_universe(len(scores), len(cuts)))
     at = first[:, None] + np.arange(len(scores))
     return sizes[at], pr[at]
 
@@ -400,7 +401,7 @@ class TestCutThresholds:
         assert np.array_equal(sizes, ref_sizes)
         assert np.array_equal(pr, ref_pr)
         sizes, pr, first = shared_granule_statistics(
-            np.vstack([scores, scores]), np.tile(membership, 2), [(sigma, kappa)],
+            np.vstack([scores, scores]), membership_parts(np.tile(membership, 2)), [(sigma, kappa)],
             np.array([0, k, 2 * k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
         for at in first.tolist():
             assert np.array_equal(sizes[at:at + k], ref_sizes)
@@ -497,7 +498,8 @@ class TestSharedCuts:
         scores, membership = rng.random((7, 2)), rng.random(7)
         cuts = [(0.7, 0.5), (0.3, 0.9), (1.0, 0.8)]
         sizes, pr, first = shared_granule_statistics(
-            scores, membership, cuts, np.array([0, 3, 7]), (np.array([0, 0, 1]), np.arange(3)))
+            scores, membership_parts(membership), cuts, np.array([0, 3, 7]),
+            (np.array([0, 0, 1]), np.arange(3)))
         assert first.tolist() == [0, 3, 6] and len(sizes) == len(pr) == 10
         for at, rows, cut in ((0, slice(0, 3), cuts[0]), (3, slice(0, 3), cuts[1]),
                               (6, slice(3, 7), cuts[2])):
@@ -548,7 +550,8 @@ class TestSharedCuts:
         them) or the kappa-0 cuts of 3 columns, are sorted in one call; on 3
         columns the kappa > 0 cuts take the blocked pass."""
         rng = np.random.default_rng(m)
-        scores, membership = rng.random((100, m)), rng.random(100)
+        k = SORTED_MIN_ROWS + 36  # a universe large enough to sort
+        scores, membership = rng.random((k, m)), rng.random(k)
         cuts = [(0.7, 0.9), (0.1, 0.0), (0.7, 0.0), (0.3, 0.5), (0.7, 0.9), (1.0, 1.0)]
         calls, (got_sizes, got_pr) = sorted_calls(scores, membership, cuts)
         assert calls == [6 if m == 1 else 2]
@@ -558,8 +561,27 @@ class TestSharedCuts:
 
     def test_cut_threshold_checked(self):
         with pytest.raises(ValueError, match="outside"):
-            shared_granule_statistics(np.zeros((2, 2)), np.zeros(2), [(0.7, 0.5), (0.7, 1.5)],
-                                      *one_universe(2, 2))
+            shared_granule_statistics(np.zeros((2, 2)), membership_parts(np.zeros(2)),
+                                      [(0.7, 0.5), (0.7, 1.5)], *one_universe(2, 2))
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16])
+def test_membership_adds_columns_in_order(m):
+    """A row's weighted subscripts are added column by column from 0.0,
+    as :func:`concept_membership` adds them, on wide attribute subsets
+    too, where numpy's own sum over a contiguous axis takes another order."""
+    rng = np.random.default_rng(m)
+    for k in (1, 2, 5):
+        raw = rng.random(m) + 0.01
+        weights = (raw / raw.sum()).tolist()
+        # large weighted terms that nearly cancel, so the order of the sum shows
+        phi = rng.choice([-1.0, 1.0], (k, m)) * rng.uniform(1e3, 3e3, (k, m))
+        phi[:, -1] = (rng.uniform(-1, 1, k) - phi[:, :-1] @ weights[:-1]) / weights[-1]
+        varphi = rng.uniform(-3, 3, (k, m))
+        mean_phi = sum(w * phi[:, j] for j, w in enumerate(weights))
+        mean_varphi = sum(w * varphi[:, j] for j, w in enumerate(weights))
+        want = np.clip(superior_gradus_array(mean_phi, mean_varphi, S33), 0.0, 1.0)
+        assert np.array_equal(membership_degrees(phi, varphi, weights, S33), want)
 
 
 class TestMembershipParts:
@@ -609,7 +631,7 @@ class TestMembershipParts:
         assert float(units) == units == 2**53
         units = (MAX_ROWS + 1) * (2**32 - 1)  # odd and above 2^53
         assert float(units) != units
-        one_row = np.zeros((1, 2)), np.zeros(1), [(0.7, 0.5)]
+        one_row = np.zeros((1, 2)), membership_parts(np.zeros(1)), [(0.7, 0.5)]
         uses = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
         with pytest.raises(ValueError, match=f"universe of {MAX_ROWS + 1} alternatives"):
             shared_granule_statistics(*one_row, np.array([0, MAX_ROWS + 1]), uses)
@@ -662,8 +684,8 @@ class TestEveryRoute:
             patch.setattr(neighborhood, "SORTED_MIN_ROWS", k + j + 1)
             got["alone"] = per_cut(scores, membership, cut)
             sizes, pr, first = shared_granule_statistics(
-                np.vstack([other_scores, scores]), np.concatenate([other_membership, membership]),
-                cut, np.array([0, j, j + k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
+                np.vstack([other_scores, scores]),
+                membership_parts(np.concatenate([other_membership, membership])), cut, np.array([0, j, j + k]), (np.arange(2), np.zeros(2, dtype=np.intp)))
             at = first[1] + np.arange(k)
             got["packed"] = sizes[at][None], pr[at][None]
         if scores.shape[1] == 1 or kappa == 0.0:

@@ -213,11 +213,11 @@ def one_parameter_set(scores, weights, eta, theta, delta):
 
 @st.composite
 def utility_inputs(draw):
-    """Scores of k rows on 1 to 6 attributes, some outside [0, 1], with
+    """Scores of k rows on 1 to 12 attributes, some outside [0, 1], with
     weights summing to about 1; and parameter sets, delta 0 among them
     often, some repeated."""
     k = draw(st.integers(1, 20))
-    z = draw(st.integers(1, 6))
+    z = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scores = rng.uniform(-0.2, 1.2, (k, z))
     scores[rng.random((k, z)) < 0.2] = 1.0
