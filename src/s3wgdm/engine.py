@@ -107,7 +107,7 @@ class GranularLevel:
     """Everything computed at one decision level for a set of points.
 
     Each point runs on its universe's rows of :meth:`ScoredTable.level`:
-    the scores and concept membership, which no point's parameters change.
+    the scores and membership limbs, which no point's parameters change.
     ``rows`` holds the universes one after another; the other arrays from
     ``sizes`` on hold one entry per cell, a (point, universe row) pair.  A
     level run for one point holds one cell per universe row, in order.
@@ -218,8 +218,8 @@ SWEEP_CELLS = 1 << 18
 
 class ScoredTable:
     """One oriented group table, scored once, with each level's columns,
-    attribute ids, renormalised weights and every row's concept membership
-    and its limbs found once: what every run of a sweep reads."""
+    attribute ids, renormalised weights and the limbs of every row's concept
+    membership found once: what every run of a sweep reads."""
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                  subsets: Optional[NestedSubsets] = None):
@@ -232,7 +232,7 @@ class ScoredTable:
 
     def level(self, index: int) -> tuple:
         """Column indices, attribute ids, renormalised weights (in column order), and
-        every table row's concept membership and its limbs (:func:`membership_parts`) of
+        the limbs (:func:`membership_parts`) of every table row's concept membership of
         level ``index``, 1-based: found once per table, read-only, for every run on it."""
         found = self._levels.get(index)
         if found is None:
@@ -241,11 +241,10 @@ class ScoredTable:
             z = tuple(order[j] for j in cols)
             renormalized = renormalize_weights(self.attrs, z)
             weights = [renormalized[a] for a in z]
-            membership = membership_degrees(self.phi[:, cols], self.varphi[:, cols], weights,
-                                            self.fused.scale)
-            parts = membership_parts(membership)
-            membership.flags.writeable = parts.flags.writeable = False
-            found = self._levels[index] = (cols, z, weights, membership, parts)
+            parts = membership_parts(membership_degrees(
+                self.phi[:, cols], self.varphi[:, cols], weights, self.fused.scale))
+            parts.flags.writeable = False
+            found = self._levels[index] = (cols, z, weights, parts)
         return found
 
 
@@ -270,7 +269,7 @@ def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[L
     """
     if not len(rows):
         raise ValueError("empty universe")
-    cols, z, weights, _, parts = table.level(index)
+    cols, z, weights, parts = table.level(index)
     scores, parts = table.scores.T[cols[:, None], rows].T, parts[rows]
     if len(groups) > 1:  # the distinct (group, configuration) and (group, parameter set) pairs
         cuts, cut_use = _uses(groups, cfg_ids, len(cfgs))

@@ -21,7 +21,7 @@ from .tables import WEIGHT_TOL, FusedDecisionTable
 # entries one block of an array pass holds, per array: 512 KB of float64, so
 # the few arrays a block keeps live fit a per-core L2 cache of 2 MB
 BLOCK_CELLS = 1 << 16
-SORTED_MIN_ROWS = 128  # universes this large whose granules are intervals take the sorted cut
+SORTED_MIN_ROWS = 64  # universes this large whose granules are intervals take the sorted cut
 LIMB_SCALES = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 96])  # 1 / the unit of each limb
 MAX_ROWS = 1 << 21  # the largest universe: its limb sums stay at most 2^53 units
 

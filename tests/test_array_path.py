@@ -51,6 +51,7 @@ from s3wgdm.neighborhood import (
     cut_granules,
     kernel_similarity,
     membership_degrees,
+    membership_parts,
 )
 from s3wgdm.regret import (
     comprehensive_utility,
@@ -299,9 +300,9 @@ def test_fusion_and_baseline_match_cell_by_cell_reference(case):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cases(), st.data())
 def test_membership_gathered_on_rows_is_bit_identical(case, data):
-    """A level's membership is found once over the whole table; it is
-    elementwise, so gathering it on any rows equals computing it on those
-    rows' subscripts, bit for bit."""
+    """A level's membership limbs are found once over the whole table;
+    membership and its split are elementwise, so gathering the limbs on
+    any rows equals computing them on those rows' subscripts, bit for bit."""
     tables, attrs, _, _ = case
     fused = oriented(tables, attrs)
     table = ScoredTable(fused, attrs)
@@ -309,11 +310,11 @@ def test_membership_gathered_on_rows_is_bit_identical(case, data):
     n = len(fused.alternatives)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                        unique=True)), dtype=np.intp)
-    cols, _, weights, membership, _ = table.level(i)
+    cols, _, weights, parts = table.level(i)
     phi, varphi = fused.subscripts()
     cells = np.ix_(rows, cols)
-    want = membership_degrees(phi[cells], varphi[cells], weights, fused.scale)
-    assert np.array_equal(membership[rows], want)
+    want = membership_parts(membership_degrees(phi[cells], varphi[cells], weights, fused.scale))
+    assert np.array_equal(parts[rows], want)
 
 
 def test_bundled_report_is_pinned(tmp_path, capsys, sle_case_path, sle_params_path):

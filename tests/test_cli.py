@@ -1084,18 +1084,20 @@ class TestScoredTable:
         phi, varphi = sle_group.subscripts()
         rows = np.array([3, 0, 2])
         for i in range(1, len(sle_table.subsets) + 1):
-            cols, _, weights, membership, _ = sle_table.level(i)
+            cols, _, weights, parts = sle_table.level(i)
             cells = np.ix_(rows, cols)
             assert np.array_equal(sle_table.scores[cells], engine.superior_gradus_array(
                 phi[cells], varphi[cells], sle_group.scale))
-            assert np.array_equal(membership[rows], engine.membership_degrees(
-                phi[cells], varphi[cells], weights, sle_group.scale))
+            assert np.array_equal(parts[rows], engine.membership_parts(engine.membership_degrees(
+                phi[cells], varphi[cells], weights, sle_group.scale)))
 
     def test_level_columns_and_weights(self, sle_case, sle_group):
         table = ScoredTable(sle_group, sle_case.attributes)
         for i, subset in enumerate(table.subsets, start=1):
-            cols, z, weights, membership, parts = table.level(i)
+            cols, z, weights, parts = table.level(i)
             assert table.level(i) is table.level(i)
+            membership = engine.membership_degrees(table.phi[:, cols], table.varphi[:, cols],
+                                                   weights, sle_group.scale)
             assert membership.shape == (len(sle_group.alternatives),)
             assert np.array_equal(parts, engine.membership_parts(membership))
             assert z == tuple(sle_group.attributes[j] for j in cols)

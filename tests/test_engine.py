@@ -25,7 +25,7 @@ from s3wgdm.engine import (
     run_sequential,
 )
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
-from s3wgdm.neighborhood import kernel_granule_statistics
+from s3wgdm.neighborhood import kernel_granule_statistics, membership_degrees
 from s3wgdm.regret import CELLS, CellValues
 from s3wgdm.tables import AttributeSpec, FusedDecisionTable, make_table
 
@@ -435,8 +435,8 @@ class TestLimbsSplitOnce:
             assert np.array_equal(got, want)
         assert np.array_equal(np.concatenate([o for _, o in chunks]), whole[0][1])
         for i in range(1, 5):
-            membership, parts = table.level(i)[3:]
-            assert not membership.flags.writeable and not parts.flags.writeable
+            parts = table.level(i)[3]
+            assert not parts.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 parts[0, 1] = 0.5
 
@@ -636,7 +636,9 @@ class TestBatchedLevel:
         table, index, universes, cfgs, params, groups, cfg_ids, param_ids = case
         rows, bounds = batched(universes)
         level = run_level(rows, table, index, cfgs, params, cfg_ids, param_ids, bounds, groups)
-        cols, _, _, membership, _ = table.level(index)
+        cols, _, weights, _ = table.level(index)
+        membership = membership_degrees(table.phi[:, cols], table.varphi[:, cols], weights,
+                                        table.fused.scale)
         for g, rows in enumerate(universes):
             members = np.flatnonzero(groups == g)
             alone = run_group(rows, table, index, cfgs, params, cfg_ids[members],
