@@ -1098,7 +1098,7 @@ class TestScoredTable:
             assert table.level(i) is table.level(i)
             membership = engine.membership_degrees(table.phi[:, cols], table.varphi[:, cols],
                                                    weights, sle_group.scale)
-            assert membership.shape == (len(sle_group.alternatives),)
+            assert parts.shape == (len(sle_group.alternatives), 4)
             assert np.array_equal(parts, engine.membership_parts(membership))
             assert z == tuple(sle_group.attributes[j] for j in cols)
             assert set(z) == set(subset)
