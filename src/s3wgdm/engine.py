@@ -23,22 +23,6 @@ from .tables import (
     renormalize_weights,
 )
 
-# The scalar reference steps and the table steps stay importable from this
-# module, where bench/tracer.py looks them up; the engine runs the array path.
-from .linguistic import superior_gradus  # noqa: F401
-from .neighborhood import (  # noqa: F401
-    build_similarity_matrix,
-    concept_membership,
-    conditional_probability,
-    cut_granules,
-)
-from .regret import (  # noqa: F401
-    comprehensive_utility,
-    direct_simplified_gains,
-    perceived_utility_units,
-)
-from .tables import extract, fuse_dhhflmwa, orient_to_concept  # noqa: F401
-
 REGIONS = ("POS", "BND", "NEG")  # region names; a region's code is its index
 POS, BND, NEG = range(3)  # region codes
 RANK_KEYS = ("accept", "defer")  # the expected utility a ranking sorts by
@@ -185,28 +169,6 @@ class DecisionReport:
     def regions_after(self, upto: int) -> dict:
         """Cumulative regions once ``upto`` levels ran: region -> sorted ids."""
         return self.regions(self.by_id, self.state_after(upto)[0][self.by_id])
-
-
-def expected_perceived_utility(v, pr: float) -> tuple:
-    """Expected perceived utility of accepting, deferring, rejecting (v: CellValues)."""
-    if not (0.0 <= pr <= 1.0):
-        raise ValueError(f"conditional probability {pr} outside [0, 1]")
-    against = 1.0 - pr
-    return (
-        v.pp * pr + v.pn * against,
-        v.bp * pr + v.bn * against,
-        v.np * pr + v.nn * against,
-    )
-
-
-def classify(expected: tuple) -> str:
-    """Region name of the first maximizing action in the order accept, defer, reject."""
-    e_acc, e_def, e_rej = expected
-    if e_acc >= e_def and e_acc >= e_rej:
-        return REGIONS[POS]
-    if e_def >= e_acc and e_def >= e_rej:
-        return REGIONS[BND]
-    return REGIONS[NEG]
 
 
 # point x alternative cells one chunk of a sweep's points holds.  Per cell the
@@ -488,3 +450,20 @@ def baseline_full_fusion(table: ScoredTable, params: Optional[EngineParams] = No
         total += weight[attr_id] * scores[:, j]
     # descending by total, ties by id; -0.0 and 0.0 compare equal
     return [alt for _, alt in sorted(zip((-total).tolist(), table.fused.alternatives))]
+
+
+# The scalar reference steps and the table steps stay importable from this
+# module, where bench/tracer.py looks them up; the engine runs the array path.
+# They come last: s3wgdm.reference imports this module's region codes.
+from .linguistic import superior_gradus  # noqa: E402,F401
+from .reference import (  # noqa: E402,F401
+    build_similarity_matrix,
+    comprehensive_utility,
+    concept_membership,
+    conditional_probability,
+    cut_granules,
+    direct_simplified_gains,
+    extract,
+    perceived_utility_units,
+)
+from .tables import fuse_dhhflmwa, orient_to_concept  # noqa: E402,F401

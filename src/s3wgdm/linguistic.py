@@ -9,9 +9,8 @@ non-empty collection of such terms.
 The decision method uses only the linguistic expected value (mean
 subscripts), the mirror complement (negated subscripts) and the
 exponential score (``superior_gradus`` and its array form).  The
-unit-interval laws here, ``add`` and ``complement`` through the monotone
-transform ``f`` and its inverse, plus ``euclid_distance``, are a small
-reference algebra that the engine never calls.
+unit-interval laws of the terms are the scalar reference in
+:mod:`s3wgdm.reference`.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ _SLACK = 1e-12
 
 class ScaleRangeError(ValueError):
     """A subscript falls outside the governing scale."""
-
-
-class LengthMismatchError(ValueError):
-    """Two hesitant elements have incompatible term counts."""
 
 
 @dataclass(frozen=True)
@@ -117,101 +112,6 @@ class DHHFLE:
         return self
 
 
-def single(phi: float, varphi: float = 0.0) -> DHHFLE:
-    """Convenience constructor for a one-term element."""
-    return DHHFLE([DHLT(float(phi), float(varphi))])
-
-
-@dataclass(frozen=True)
-class HFEValue:
-    """Hesitant fuzzy element: membership degrees in the unit interval."""
-
-    gammas: tuple
-
-    def __post_init__(self) -> None:
-        gs = tuple(float(g) for g in self.gammas)
-        for g in gs:
-            if not (-_SLACK <= g <= 1 + _SLACK):
-                raise ValueError(f"membership degree {g} outside [0, 1]")
-        object.__setattr__(self, "gammas", gs)
-
-
-def f_scalar(phi: float, varphi: float, scale: DHLTScale) -> float:
-    """Map one term to its degree in [0, 1].
-
-    At extreme corners (for example a strongly negative secondary
-    subscript on the bottom primary term) the affine image saturates at
-    the interval bound, so the map is strictly increasing only where it
-    is not saturated.
-    """
-    scale.check(phi, varphi)
-    tau, vs = scale.tau, scale.sigma_scale
-    g = (varphi + (tau + phi) * vs) / (2.0 * vs * tau)
-    if g < 0.0:
-        g = 0.0
-    elif g > 1.0:
-        g = 1.0
-    return g
-
-
-def f_inverse(gamma: float, scale: DHLTScale) -> DHLT:
-    """Map a degree back to a canonical term.
-
-    When ``2*tau*gamma - tau`` lands on an integer the representation
-    with a zero secondary subscript is returned; otherwise the primary
-    subscript is the floor and the secondary subscript is non-negative.
-    """
-    if not (-_SLACK <= gamma <= 1 + _SLACK):
-        raise ValueError(f"degree {gamma} outside [0, 1]")
-    gamma = min(1.0, max(0.0, gamma))
-    tau, vs = scale.tau, scale.sigma_scale
-    v = 2.0 * tau * gamma - tau
-    nearest = round(v)
-    if abs(v - nearest) <= TOL:
-        return DHLT(float(nearest), 0.0)
-    fl = math.floor(v)
-    return DHLT(float(fl), vs * (v - fl))
-
-
-def to_hfe(h: DHHFLE, scale: DHLTScale) -> HFEValue:
-    return HFEValue(tuple(f_scalar(t.phi, t.varphi, scale) for t in h))
-
-
-def from_hfe(value: HFEValue, scale: DHLTScale) -> DHHFLE:
-    return DHHFLE([f_inverse(g, scale) for g in value.gammas])
-
-
-def add(h1: DHHFLE, h2: DHHFLE, scale: DHLTScale) -> DHHFLE:
-    """Probabilistic-sum addition over the cross product of term pairs."""
-    g1 = to_hfe(h1, scale).gammas
-    g2 = to_hfe(h2, scale).gammas
-    out = [a + b - a * b for a in g1 for b in g2]
-    return from_hfe(HFEValue(tuple(out)), scale)
-
-
-def complement(h: DHHFLE, scale: DHLTScale) -> DHHFLE:
-    gs = to_hfe(h, scale).gammas
-    return from_hfe(HFEValue(tuple(1.0 - g for g in gs)), scale)
-
-
-def mirror(h: DHHFLE) -> DHHFLE:
-    """Complement by negating both subscripts.
-
-    Gives exactly the same degrees as the unit-interval complement but
-    keeps the term representation, so applying it twice restores the
-    original element verbatim.
-    """
-    return DHHFLE([DHLT(-t.phi, -t.varphi) for t in h])
-
-
-def linguistic_expected_value(h: DHHFLE) -> DHHFLE:
-    """Collapse a hesitant element to the single term of mean subscripts."""
-    n = len(h)
-    phi = sum(t.phi for t in h) / n
-    varphi = sum(t.varphi for t in h) / n
-    return DHHFLE([DHLT(phi, varphi)])
-
-
 def superior_gradus_term(t: DHLT, scale: DHLTScale) -> float:
     """Exponential score of one term; raw, may slightly leave [0, 1] at corners."""
     tau, vs = scale.tau, scale.sigma_scale
@@ -251,17 +151,3 @@ def superior_gradus_array(phi: np.ndarray, varphi: np.ndarray,
     alpha = phi / (2.0 * tau) + 0.5
     beta = varphi / (2.0 * vs * tau)
     return (elementwise(math.exp, alpha) + beta - 1.0) / (math.e - 1.0)
-
-
-def euclid_distance(h1: DHHFLE, h2: DHHFLE, scale: DHLTScale) -> float:
-    """Root mean squared difference of elementwise degrees.
-
-    Requires equal term counts; normalize with the expected value first
-    when the counts differ.
-    """
-    if len(h1) != len(h2):
-        raise LengthMismatchError(
-            f"term counts differ: {len(h1)} vs {len(h2)}")
-    g1 = to_hfe(h1, scale).gammas
-    g2 = to_hfe(h2, scale).gammas
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(g1, g2)) / len(g1))

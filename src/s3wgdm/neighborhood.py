@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linguistic import (
-    DHHFLE,
-    DHLT,
-    DHLTScale,
-    superior_gradus,
-    superior_gradus_array,
-    superior_gradus_term,
-)
-from .tables import WEIGHT_TOL, FusedDecisionTable
+from .linguistic import DHLTScale, superior_gradus_array
+from .tables import WEIGHT_TOL
+
+from .linguistic import superior_gradus  # noqa: F401  (bench/tracer.py counts its calls here)
 
 # entries one block of an array pass holds, per array: 512 KB of float64, so
 # the few arrays a block keeps live fit a per-core L2 cache of 2 MB
@@ -24,55 +17,6 @@ BLOCK_CELLS = 1 << 16
 SORTED_MIN_ROWS = 64  # universes this large whose granules are intervals take the sorted cut
 LIMB_SCALES = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 96])  # 1 / the unit of each limb
 MAX_ROWS = 1 << 21  # the largest universe: its limb sums stay at most 2^53 units
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    ids: tuple
-    values: np.ndarray  # symmetric, unit diagonal, entries in [0, 1]
-    sigma: float
-
-
-@dataclass(frozen=True)
-class NeighborhoodGranule:
-    center: str
-    members: frozenset
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.center not in self.members:
-            raise ValueError("granule must contain its center")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class ConceptMembership:
-    """Degree of each alternative toward the target concept."""
-
-    degrees: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        for k, v in self.degrees.items():
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"membership of {k} is {v}, outside [0, 1]")
-
-    def __getitem__(self, alternative: str) -> float:
-        return self.degrees[alternative]
-
-
-def kernel_similarity(x_row: Sequence[DHHFLE], y_row: Sequence[DHHFLE],
-                      scale: DHLTScale, sigma: float) -> float:
-    """Gaussian kernel on the gap between exponential score profiles."""
-    if sigma <= 0:
-        raise ValueError(f"kernel width must be positive, got {sigma}")
-    if len(x_row) != len(y_row):
-        raise ValueError("rows cover different attribute counts")
-    d2 = 0.0
-    for hx, hy in zip(x_row, y_row):
-        d2 += (superior_gradus(hx, scale) - superior_gradus(hy, scale)) ** 2
-    return math.exp(-d2 / (2.0 * sigma * sigma))
 
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -86,8 +30,8 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def squared_gaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Summed squared score gaps of the rows of ``left`` and ``right``, two
     (..., m) arrays that numpy broadcasts together, taken directly and
-    summed column by column, as :func:`kernel_similarity` does (its sum
-    starts at 0.0, and 0.0 plus the first square is that square)."""
+    summed column by column, as :func:`reference.kernel_similarity` does
+    (its sum starts at 0.0, and 0.0 plus the first square is that square)."""
     if not left.shape[-1]:  # no attributes: no gap
         return np.zeros(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]))
     d2 = np.subtract(left[..., 0], right[..., 0])
@@ -146,14 +90,6 @@ def similarity_blocks(scores: np.ndarray, sigma: float) -> Iterator[tuple]:
         yield start, kernel_rows(scores[start:start + step], scores, sigma)
 
 
-def build_similarity_matrix(table: FusedDecisionTable, z: Iterable[str],
-                            sigma: float) -> SimilarityMatrix:
-    sub = table.restrict(table.alternatives, z)
-    scores = superior_gradus_array(*sub.subscripts(), sub.scale)
-    return SimilarityMatrix(ids=sub.alternatives,
-                            values=kernel_rows(scores, scores, sigma), sigma=sigma)
-
-
 def membership_parts(membership: np.ndarray) -> np.ndarray:
     """Each membership ``v`` in [0, 1] as a row of an (n, 4) array: 1, then
     three limbs, the floor multiples of 2^-32, 2^-64 and 2^-96 of what the
@@ -203,7 +139,8 @@ def shared_granule_statistics(scores: np.ndarray, parts: np.ndarray,
     is the whole universe), a universe of at least ``SORTED_MIN_ROWS``
     rows takes the sorted path, sorted once for all of those cuts.  The
     rest share one blocked pass (:func:`_kernel_statistics`).  Both give
-    the sizes and pr of :func:`kernel_granule_statistics` bit for bit.
+    the sizes and pr of :func:`reference.kernel_granule_statistics` bit
+    for bit.
     """
     for _, kappa in cuts:
         if not (0.0 <= kappa <= 1.0):
@@ -281,17 +218,6 @@ def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, low: np.ndarray, s
             sums[at] = (member.reshape(len(weights), -1, width) @ weights).reshape(b - a, -1, 4)
 
 
-def kernel_granule_statistics(scores: np.ndarray, membership: np.ndarray,
-                              sigma: float, kappa: float) -> tuple:
-    """:func:`shared_granule_statistics` of one cut by the blocked kernel:
-    every pair of rows is compared, in row blocks."""
-    parts = membership_parts(membership)
-    sums = np.empty((len(scores), 4))
-    for start, sim in similarity_blocks(scores, sigma):
-        sums[start:start + len(sim)] = (sim >= kappa).astype(float) @ parts
-    return granule_means(sums)
-
-
 def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
                               limits: np.ndarray) -> np.ndarray:
     """The limb sums of :func:`shared_granule_statistics` for one score
@@ -337,47 +263,10 @@ def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
     return (cum[starts[hi]] - cum[starts[lo]]).reshape(len(limits), -1, 4)[:, group]
 
 
-def cut_granules(sim: SimilarityMatrix, kappa: float) -> list:
-    """Granule of each alternative: everyone at least ``kappa``-similar to it."""
-    if not (0.0 <= kappa <= 1.0):
-        raise ValueError(f"cut threshold {kappa} outside [0, 1]")
-    granules = []
-    for i, center in enumerate(sim.ids):
-        members = frozenset(
-            sim.ids[j] for j in range(len(sim.ids)) if sim.values[i, j] >= kappa)
-        granules.append(NeighborhoodGranule(center=center, members=members, kappa=kappa))
-    return granules
-
-
-def concept_membership(table: FusedDecisionTable, z: Iterable[str],
-                       weights: Mapping[str, float]) -> ConceptMembership:
-    """Membership toward the concept as the exponential score of the
-    weight-averaged term over the chosen attributes.
-
-    Combining single-term cells with weighted averaging keeps the result
-    a term; its score is then clipped into the unit interval.
-    """
-    sub = table.restrict(table.alternatives, z)
-    missing = set(sub.attributes) - set(weights)
-    if missing:
-        raise KeyError(f"weights missing for attributes: {sorted(missing)}")
-    wv = [weights[a] for a in sub.attributes]
-    total = sum(wv)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
-    degrees = {}
-    for alt, row in zip(sub.alternatives, sub.means.tolist()):
-        phi = sum(w * cell[0] for w, cell in zip(wv, row))
-        varphi = sum(w * cell[1] for w, cell in zip(wv, row))
-        score = superior_gradus_term(DHLT(phi, varphi), sub.scale)
-        degrees[alt] = min(1.0, max(0.0, score))
-    return ConceptMembership(degrees=degrees)
-
-
 def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence[float],
                        scale: DHLTScale) -> np.ndarray:
-    """:func:`concept_membership` on (k, m) subscript arrays, with the
-    attribute weights given in column order."""
+    """:func:`reference.concept_membership` on (k, m) subscript arrays,
+    with the attribute weights given in column order."""
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
@@ -385,11 +274,3 @@ def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence[fl
     both = np.concatenate((phi, varphi)).T.copy() * np.array(weights)[:, None]
     mean = np.add.reduce(both, axis=0, initial=0.0)
     return superior_gradus_array(mean[:len(phi)], mean[len(phi):], scale).clip(0.0, 1.0)
-
-
-def conditional_probability(granule: NeighborhoodGranule,
-                            membership: ConceptMembership) -> float:
-    """Mean membership over the granule; the complementary state has
-    probability one minus this."""
-    values = [membership[m] for m in granule.members]
-    return sum(values) / len(values)

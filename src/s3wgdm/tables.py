@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -99,26 +99,6 @@ class ExpertDecisionTable:
                     other.attributes, other.scale, other.cells))
 
 
-def make_table(expert_id: str, expert_weight: float, alternatives, attributes,
-               rows, scale: DHLTScale) -> ExpertDecisionTable:
-    """A table of elements, coded in a book of its own, every term
-    range-checked in row-major, term order."""
-    alternatives, attributes = tuple(alternatives), tuple(attributes)
-    rows = [list(row) for row in rows]
-    if len(rows) != len(alternatives):
-        raise ValueError("row count does not match the alternatives")
-    if any(len(row) != len(attributes) for row in rows):
-        raise ValueError("incomplete table: ragged row")
-    if not all(isinstance(cell, DHHFLE) for row in rows for cell in row):
-        raise TypeError("cells must be hesitant elements")
-    book = CodeBook(scale)
-    codes = [[book.pairs((t.phi, t.varphi) for t in cell) for cell in row] for row in rows]
-    return ExpertDecisionTable(
-        expert_id=expert_id, expert_weight=expert_weight, alternatives=alternatives,
-        attributes=attributes, book=book,
-        codes=np.array(codes, dtype=np.intp).reshape(len(alternatives), len(attributes)))
-
-
 def check_expert_weights(tables: Sequence[ExpertDecisionTable]) -> None:
     total = sum(t.expert_weight for t in tables)
     if abs(total - 1.0) > WEIGHT_TOL:
@@ -151,14 +131,6 @@ class FusedDecisionTable:
     def subscripts(self) -> tuple:
         """The table as two (n, m) arrays: ``phi`` and ``varphi``."""
         return self.means[..., 0], self.means[..., 1]
-
-    def restrict(self, universe: Iterable[str], z: Iterable[str]) -> "FusedDecisionTable":
-        rows = _index_of(self.alternatives, universe, "alternative")
-        cols = _index_of(self.attributes, z, "attribute")
-        return replace(self,
-                       alternatives=tuple(self.alternatives[i] for i in rows),
-                       attributes=tuple(self.attributes[j] for j in cols),
-                       means=self.means[np.ix_(rows, cols)])
 
 
 @dataclass(frozen=True)
@@ -196,25 +168,6 @@ def build_nested_subsets(attrs: Sequence[AttributeSpec]) -> NestedSubsets:
             i += 1
         levels.append(frozenset(current))
     return NestedSubsets(tuple(levels))
-
-
-def _index_of(haystack: tuple, wanted: Iterable[str], what: str) -> list:
-    wanted = set(wanted)
-    unknown = wanted - set(haystack)
-    if unknown:
-        raise KeyError(f"unknown {what} ids: {sorted(unknown)}")
-    return [i for i, x in enumerate(haystack) if x in wanted]
-
-
-def extract(table: ExpertDecisionTable, universe: Iterable[str],
-            z: Iterable[str]) -> ExpertDecisionTable:
-    """Sub-table over the given alternatives and attributes, order preserved."""
-    rows = _index_of(table.alternatives, universe, "alternative")
-    cols = _index_of(table.attributes, z, "attribute")
-    return replace(table,
-                   alternatives=tuple(table.alternatives[i] for i in rows),
-                   attributes=tuple(table.attributes[j] for j in cols),
-                   codes=table.codes[np.ix_(rows, cols)])
 
 
 def _check_same_shape(tables: Sequence[ExpertDecisionTable]) -> None:

@@ -21,33 +21,22 @@ from s3wgdm.engine import (
     rank,
     run_sequential,
 )
-from s3wgdm.linguistic import (
-    DHHFLE,
-    DHLT,
-    DHLTScale,
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, superior_gradus, superior_gradus_term
+from s3wgdm.reference import (
+    SimilarityMatrix,
     add,
+    build_similarity_matrix,
     complement,
+    cut_granules,
     euclid_distance,
     f_inverse,
     f_scalar,
+    kernel_similarity,
     linguistic_expected_value,
-    superior_gradus,
-    superior_gradus_term,
+    make_table,
     to_hfe,
 )
-from s3wgdm.neighborhood import (
-    SimilarityMatrix,
-    build_similarity_matrix,
-    cut_granules,
-    kernel_similarity,
-)
-from s3wgdm.tables import (
-    AttributeSpec,
-    NestedSubsets,
-    build_nested_subsets,
-    fuse_dhhflmwa,
-    make_table,
-)
+from s3wgdm.tables import AttributeSpec, NestedSubsets, build_nested_subsets, fuse_dhhflmwa
 
 S33 = DHLTScale(3, 3)
 

@@ -6,13 +6,18 @@ cut member sets with ``cut_granules``, and build utilities cell by cell.
 The array path must give the same regions and rankings, with
 probabilities and expected utilities within 1e-12.  Fusion and the
 baseline ranking, which read the tables' mean-subscript arrays, must
-equal their cell-by-cell references exactly.
+equal their cell-by-cell references exactly.  The commands themselves
+call none of the reference's oracles.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +25,9 @@ import pytest
 from conftest import SWEEP_GRID, exit_levels, level_regions, oriented, per_id, universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_bench_lookups import load_tracer
 
+from s3wgdm import caseio, cli, engine, linguistic, neighborhood, reference, regret, tables
 from s3wgdm.caseio import load_case
 from s3wgdm.cli import main as cli_main
 from s3wgdm.engine import (
@@ -31,31 +38,25 @@ from s3wgdm.engine import (
     LevelConfig,
     ScoredTable,
     baseline_full_fusion,
-    classify,
-    expected_perceived_utility,
     rank,
     run_sequential,
 )
-from s3wgdm.linguistic import (
-    DHHFLE,
-    DHLT,
-    DHLTScale,
-    linguistic_expected_value,
-    mirror,
-    superior_gradus,
-)
-from s3wgdm.neighborhood import (
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, superior_gradus
+from s3wgdm.neighborhood import membership_degrees, membership_parts
+from s3wgdm.reference import (
     SimilarityMatrix,
+    classify,
+    comprehensive_utility,
     concept_membership,
     conditional_probability,
     cut_granules,
-    kernel_similarity,
-    membership_degrees,
-    membership_parts,
-)
-from s3wgdm.regret import (
-    comprehensive_utility,
     direct_simplified_gains,
+    expected_perceived_utility,
+    extract,
+    kernel_similarity,
+    linguistic_expected_value,
+    make_table,
+    mirror,
     perceived_utility_units,
     utility,
 )
@@ -63,9 +64,7 @@ from s3wgdm.syntax import parse_dhhfle
 from s3wgdm.tables import (
     AttributeSpec,
     build_nested_subsets,
-    extract,
     fuse_dhhflmwa,
-    make_table,
     orient_to_concept,
     renormalize_weights,
 )
@@ -93,6 +92,7 @@ GENERATED_BASELINE_SHA256 = "7c6d53540e1daef125018899ac96cbff0dc2112fada6f81cec5
 GENERATED_REPORT_SHA256 = "a5cc015a830d7a8773a592177cc6e77def3c45b85b2716d75972c27cda56c31b"
 GENERATED_STDOUT_SHA256 = "9fbeabdfcf8ca919a0fa54fe1167e80ae68a1ec95644de959554c36ae1af43e4"
 GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "s3wgdm"
 
 
 def reference_level(index, ids, tables, attrs, z, cfg, params):
@@ -394,6 +394,89 @@ def test_bundled_fuse_and_baseline_are_pinned(tmp_path, capsys, sle_case_path):
 def test_generated_fuse_and_baseline_are_pinned(tmp_path, capsys):
     assert fuse_and_baseline_digests(generated_case_path(tmp_path), tmp_path, capsys) == \
         (GENERATED_FUSE_SHA256, GENERATED_BASELINE_SHA256)
+
+
+def test_commands_call_no_oracle(tmp_path, capsys, monkeypatch, sle_case_path,
+                                 sle_params_path):
+    """``decide``, ``sweep``, ``fuse`` and ``baseline`` run without the
+    scalar reference: with every callable it defines replaced by one that
+    raises, in :mod:`s3wgdm.reference` and wherever a module re-imports it
+    for bench/tracer.py, each keeps its pinned bytes."""
+    oracles = {id(obj): name for name, obj in vars(reference).items()
+               if callable(obj) and getattr(obj, "__module__", None) == reference.__name__}
+
+    def raising(name):
+        def oracle(*args, **kwargs):
+            raise AssertionError(f"a command called reference.{name}")
+        return oracle
+
+    replaced = set()
+    for module in (reference, engine, neighborhood, regret, tables, linguistic, caseio, cli):
+        for attr, obj in list(vars(module).items()):
+            if id(obj) in oracles:
+                monkeypatch.setattr(module, attr, raising(oracles[id(obj)]))
+                replaced.add((module.__name__, attr))
+    assert ("s3wgdm.engine", "cut_granules") in replaced
+    out = tmp_path / "report.json"
+    assert cli_main(["decide", "--case", sle_case_path, "--params", sle_params_path,
+                     "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    del report["metadata"]["elapsed_seconds"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_REPORT_SHA256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == BUNDLED_STDOUT_SHA256
+    sweep = tmp_path / "sweep.csv"
+    argv = ["sweep", "--case", sle_case_path, "--params", sle_params_path, "--out", str(sweep)]
+    for grid in SWEEP_GRID:
+        argv += ["--grid", grid]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == BUNDLED_SWEEP_SHA256
+    assert fuse_and_baseline_digests(sle_case_path, tmp_path, capsys) == \
+        (BUNDLED_FUSE_SHA256, BUNDLED_BASELINE_SHA256)
+
+
+def test_live_modules_import_from_reference_only_for_the_tracer():
+    """Outside ``reference.py``, a module imports from ``.reference`` only
+    names that bench/tracer.py looks up in that module, and reads none of
+    them itself; no module imports ``reference`` whole.  ``reference.py``
+    imports from the live modules, never the other way round."""
+    tracer = load_tracer()
+    looked_up = {}
+    for module, attr, _ in tracer.TIMED + tracer.COUNTED:
+        looked_up.setdefault(module, set()).add(attr)
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "reference":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        taken = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = "." * node.level + (node.module or "")
+                if source in (".reference", "s3wgdm.reference"):
+                    assert all(a.asname is None for a in node.names), path.name
+                    taken.update(a.name for a in node.names)
+                else:
+                    assert source not in (".", "s3wgdm") or \
+                        "reference" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.Import):
+                assert "s3wgdm.reference" not in {a.name for a in node.names}, path.name
+        assert taken <= looked_up.get(f"s3wgdm.{path.stem}", set()), path.name
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert not taken & read, path.name
+
+
+@pytest.mark.parametrize("first", ["engine", "reference"])
+def test_engine_and_reference_import_in_either_order(first):
+    """``engine`` re-imports oracles from ``reference``, which reads the
+    engine's region codes: either module may be the first imported."""
+    code = f"import s3wgdm.{first}; from s3wgdm import engine, reference; " \
+           "print(reference.classify((0.0, 1.0, 0.0)), engine.extract is reference.extract)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert (run.returncode, run.stdout) == (0, "BND True\n"), run.stderr
 
 
 def test_baseline_out_keeps_the_decide_report(tmp_path, capsys, sle_params_path):

@@ -23,7 +23,8 @@ from s3wgdm.caseio import (
     validate_report_dict,
     write_json,
 )
-from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, linguistic_expected_value
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale
+from s3wgdm.reference import linguistic_expected_value
 from s3wgdm.syntax import CodeBook, _scan_dhhfle, format_term
 from s3wgdm.tables import FusedDecisionTable
 

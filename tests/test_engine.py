@@ -18,16 +18,22 @@ from s3wgdm.engine import (
     LevelConfig,
     baseline_full_fusion,
     check_level_monotonicity,
-    classify,
-    expected_perceived_utility,
     rank,
     run_level,
     run_sequential,
 )
-from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, single
-from s3wgdm.neighborhood import kernel_granule_statistics, membership_degrees
-from s3wgdm.regret import CELLS, CellValues
-from s3wgdm.tables import AttributeSpec, FusedDecisionTable, make_table
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale
+from s3wgdm.neighborhood import membership_degrees
+from s3wgdm.reference import (
+    CellValues,
+    classify,
+    expected_perceived_utility,
+    kernel_granule_statistics,
+    make_table,
+    single,
+)
+from s3wgdm.regret import CELLS
+from s3wgdm.tables import AttributeSpec, FusedDecisionTable
 
 S33 = DHLTScale(3, 3)
 
@@ -206,7 +212,7 @@ class TestRunLevel:
         assert level.rows.tolist() == [0]
         assert level.region.tolist()[0] in (POS, BND, NEG)
         from s3wgdm.linguistic import superior_gradus
-        from s3wgdm.regret import utility
+        from s3wgdm.reference import utility
         b = superior_gradus(single(1, 0), S33)
         assert level.utilities[0, CELLS.index("pp")] == pytest.approx(utility(b, 0.88),
                                                                       abs=1e-12)

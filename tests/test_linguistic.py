@@ -9,12 +9,16 @@ from s3wgdm.linguistic import (
     DHHFLE,
     DHLT,
     DHLTScale,
+    ScaleRangeError,
+    elementwise,
+    superior_gradus,
+    superior_gradus_term,
+)
+from s3wgdm.reference import (
     HFEValue,
     LengthMismatchError,
-    ScaleRangeError,
     add,
     complement,
-    elementwise,
     euclid_distance,
     f_inverse,
     f_scalar,
@@ -22,8 +26,6 @@ from s3wgdm.linguistic import (
     linguistic_expected_value,
     mirror,
     single,
-    superior_gradus,
-    superior_gradus_term,
     to_hfe,
 )
 

@@ -7,10 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import neighborhood
-from s3wgdm.linguistic import DHLTScale, single, superior_gradus, superior_gradus_array
+from s3wgdm.linguistic import DHLTScale, superior_gradus, superior_gradus_array
 from s3wgdm.neighborhood import (
     MAX_ROWS,
     SORTED_MIN_ROWS,
+    cut_thresholds,
+    granule_means,
+    kernel_rows,
+    membership_degrees,
+    membership_parts,
+    shared_granule_statistics,
+    sorted_granule_statistics,
+)
+from s3wgdm.reference import (
     ConceptMembership,
     NeighborhoodGranule,
     SimilarityMatrix,
@@ -18,15 +27,9 @@ from s3wgdm.neighborhood import (
     concept_membership,
     conditional_probability,
     cut_granules,
-    cut_thresholds,
-    granule_means,
     kernel_granule_statistics,
-    kernel_rows,
     kernel_similarity,
-    membership_degrees,
-    membership_parts,
-    shared_granule_statistics,
-    sorted_granule_statistics,
+    single,
 )
 from s3wgdm.tables import FusedDecisionTable
 

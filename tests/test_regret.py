@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import regret
-from s3wgdm.linguistic import DHLTScale, elementwise, single, superior_gradus
-from s3wgdm.regret import (
-    CELLS,
+from s3wgdm.linguistic import DHLTScale, elementwise, superior_gradus
+from s3wgdm.reference import (
     CellValues,
-    comprehensive_utilities,
     comprehensive_utility,
     direct_simplified_gains,
     perceived_utility_units,
     regret_rejoice,
+    single,
     utility,
 )
+from s3wgdm.regret import CELLS, comprehensive_utilities
 
 S33 = DHLTScale(3, 3)
 

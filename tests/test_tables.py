@@ -4,15 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from s3wgdm.linguistic import (
-    DHHFLE,
-    DHLT,
-    DHLTScale,
-    ScaleRangeError,
-    f_scalar,
-    linguistic_expected_value,
-    single,
-)
+from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, ScaleRangeError
+from s3wgdm.reference import extract, f_scalar, linguistic_expected_value, make_table, single
 from s3wgdm.tables import (
     AttributeSpec,
     ExpertDecisionTable,
@@ -20,9 +13,7 @@ from s3wgdm.tables import (
     NestedSubsets,
     build_nested_subsets,
     check_attribute_weights,
-    extract,
     fuse_dhhflmwa,
-    make_table,
     orient_to_concept,
     renormalize_weights,
 )
