@@ -15,14 +15,14 @@ import numpy as np
 from .engine import (
     NEG_DIRECTIONS,
     RANK_KEYS,
-    REGIONS,
     DecisionReport,
     EngineParams,
     LevelConfig,
     rank,
 )
 from .linguistic import DHLTScale
-from .syntax import CodeBook, format_subscript
+from .regret import REGIONS
+from .syntax import TERM, CodeBook, format_subscript
 from .tables import (
     WEIGHT_TOL,
     AttributeSpec,
@@ -156,11 +156,12 @@ def validate_case_dict(data: Any) -> tuple:
             problems.append(f"scale: {exc}")
 
     alternatives = data.get("alternatives")
-    if (not isinstance(alternatives, list) or not alternatives
-            or not all(map(isinstance, alternatives, repeat(str)))):
+    # refused alternatives are their own problem: no table's row count is checked
+    alts_ok = (isinstance(alternatives, list) and bool(alternatives)
+               and all(map(isinstance, alternatives, repeat(str))))
+    if not alts_ok:
         problems.append("'alternatives' must be a non-empty list of ids")
-        alternatives = []
-    if len(set(alternatives)) != len(alternatives):
+    elif len(set(alternatives)) != len(alternatives):
         problems.append("alternative ids are not unique")
 
     attrs: list = []
@@ -216,7 +217,7 @@ def validate_case_dict(data: Any) -> tuple:
             continue
         expert_weights.append(weight)
         table = raw.get("table")
-        if not isinstance(table, list) or len(table) != len(alternatives):
+        if not isinstance(table, list) or (alts_ok and len(table) != len(alternatives)):
             problems.append(f"{where}: table must have one row per alternative")
             continue
         m = len(raw_attrs)
@@ -242,7 +243,7 @@ def validate_case_dict(data: Any) -> tuple:
             codes.append(found)
         if shaped < len(table):
             problems.append(f"{where}: row {shaped} must have one cell per attribute")
-        if len(problems) == before and book is not None and attrs and attrs_ok:
+        if len(problems) == before and book is not None and alts_ok and attrs and attrs_ok:
             try:
                 experts.append(ExpertDecisionTable(
                     expert_id=raw["id"], expert_weight=weight,
@@ -364,7 +365,7 @@ def fused_table_dict(fused: FusedDecisionTable) -> dict:
                             return_inverse=True)
     names = np.array([format_subscript(v) for v in bits.view(float).tolist()],
                      dtype=object)[index.reshape(-1, 2)]
-    cells = list(map("{s_%s<o_%s>}".__mod__, zip(names[:, 0].tolist(), names[:, 1].tolist())))
+    cells = list(map(("{" + TERM + "}").__mod__, zip(names[:, 0].tolist(), names[:, 1].tolist())))
     return {
         "alternatives": list(fused.alternatives),
         "attributes": list(fused.attributes),
@@ -411,9 +412,9 @@ def report_dict(case: CaseFile, spec: ParamsFile, report: DecisionReport,
         },
         "levels": levels,
         "final": {
-            "regions": report.regions_after(len(report.levels)),
+            # after the last level, already computed as its cumulative state and rank
+            "regions": {r: list(ids) for r, ids in levels[-1]["cumulative_regions"].items()},
             "exit_level": dict(zip(report.ids(report.by_id), exit_level)),
-            # rank after the last level, already computed as its ranking_after
             "ranking": list(levels[-1]["ranking_after"]),
         },
         "metadata": metadata or {},

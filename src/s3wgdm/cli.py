@@ -35,7 +35,6 @@ from .caseio import (
 )
 from .engine import (
     NEG_DIRECTIONS,
-    REGIONS,
     EngineParams,
     LevelConfig,
     ScoredTable,
@@ -45,6 +44,7 @@ from .engine import (
 )
 from .engine import rank  # noqa: F401  (bench/tracer.py times rank where cli looks it up)
 from .neighborhood import similarity_blocks
+from .regret import REGIONS
 from .tables import fuse_dhhflmwa, orient_to_concept
 
 EXIT_OK = 0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .linguistic import elementwise, superior_gradus_array
 from .neighborhood import membership_degrees, membership_parts, ranges, shared_granule_statistics
-from .regret import comprehensive_utilities
+from .regret import BND, NEG, REGIONS, comprehensive_utilities
 from .tables import (
     AttributeSpec,
     FusedDecisionTable,
@@ -23,8 +23,20 @@ from .tables import (
     renormalize_weights,
 )
 
-REGIONS = ("POS", "BND", "NEG")  # region names; a region's code is its index
-POS, BND, NEG = range(3)  # region codes
+# bench/tracer.py looks these up here; the engine runs the array path instead
+from .linguistic import superior_gradus  # noqa: F401
+from .reference import (  # noqa: F401
+    build_similarity_matrix,
+    comprehensive_utility,
+    concept_membership,
+    conditional_probability,
+    cut_granules,
+    direct_simplified_gains,
+    extract,
+    perceived_utility_units,
+)
+from .tables import fuse_dhhflmwa, orient_to_concept  # noqa: F401
+
 RANK_KEYS = ("accept", "defer")  # the expected utility a ranking sorts by
 NEG_DIRECTIONS = ("desc", "asc")  # the order inside the rejected block
 # the largest delta whose regret term exp(delta * (u_ref - u)), u in [0, 1], is finite
@@ -450,20 +462,3 @@ def baseline_full_fusion(table: ScoredTable, params: Optional[EngineParams] = No
         total += weight[attr_id] * scores[:, j]
     # descending by total, ties by id; -0.0 and 0.0 compare equal
     return [alt for _, alt in sorted(zip((-total).tolist(), table.fused.alternatives))]
-
-
-# The scalar reference steps and the table steps stay importable from this
-# module, where bench/tracer.py looks them up; the engine runs the array path.
-# They come last: s3wgdm.reference imports this module's region codes.
-from .linguistic import superior_gradus  # noqa: E402,F401
-from .reference import (  # noqa: E402,F401
-    build_similarity_matrix,
-    comprehensive_utility,
-    concept_membership,
-    conditional_probability,
-    cut_granules,
-    direct_simplified_gains,
-    extract,
-    perceived_utility_units,
-)
-from .tables import fuse_dhhflmwa, orient_to_concept  # noqa: E402,F401

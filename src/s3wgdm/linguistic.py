@@ -1,10 +1,10 @@
 """Double hierarchy linguistic term algebra.
 
-A term ``s_phi<o_varphi>`` carries two subscripts: ``phi`` on the primary
-scale ``[-tau, tau]`` and ``varphi`` on the embedded secondary scale
+A term carries two subscripts: ``phi`` on the primary scale
+``[-tau, tau]`` and ``varphi`` on the embedded secondary scale
 ``[-sigma_scale, sigma_scale]``.  Subscripts are real-valued so that
 averaging operators stay closed.  A hesitant element is an ordered,
-non-empty collection of such terms.
+non-empty collection of such terms; :mod:`s3wgdm.syntax` holds their text.
 
 The decision method uses only the linguistic expected value (mean
 subscripts), the mirror complement (negated subscripts) and the

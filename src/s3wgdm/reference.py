@@ -9,7 +9,8 @@ membership and probability steps check
 :func:`regret.comprehensive_utilities`; :func:`expected_perceived_utility`
 and :func:`classify` check the expected utilities and regions of
 :func:`engine.run_level`.  ``engine`` re-imports the oracles that
-``bench/tracer.py`` looks up there, and calls none of them.
+``bench/tracer.py`` looks up there, and calls none of them; this module
+imports no live module that imports it (the region codes are ``regret``'s).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .linguistic import (
     superior_gradus_term,
 )
 from .neighborhood import granule_means, kernel_rows, membership_parts, similarity_blocks
-from .regret import CELLS
+from .regret import BND, CELLS, NEG, POS, REGIONS
 from .syntax import CodeBook
 from .tables import WEIGHT_TOL, ExpertDecisionTable, FusedDecisionTable
 
@@ -429,8 +430,3 @@ def classify(expected: tuple) -> str:
     if e_def >= e_acc and e_def >= e_rej:
         return REGIONS[BND]
     return REGIONS[NEG]
-
-
-# Last: engine imports this module's oracles for bench/tracer.py, so either
-# module may be imported first.
-from .engine import BND, NEG, POS, REGIONS  # noqa: E402

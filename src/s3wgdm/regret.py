@@ -3,7 +3,8 @@
 Action/state cells follow the accept/defer/reject x concept/not-concept
 layout: ``pp, bp, np`` are the gains of the three actions when the
 alternative fits the concept, ``pn, bn, nn`` when it does not.  The
-``np`` and ``pn`` cells carry no gain.
+``np`` and ``pn`` cells carry no gain.  Regions follow the action order:
+accept ``POS``, defer ``BND``, reject ``NEG``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .neighborhood import BLOCK_CELLS, ranges
 from .linguistic import superior_gradus  # noqa: F401  (bench/tracer.py counts its calls here)
 
 CELLS = ("pp", "bp", "np", "pn", "bn", "nn")
+REGIONS = ("POS", "BND", "NEG")  # region names; a region's code is its index
+POS, BND, NEG = range(3)  # region codes
 
 
 def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linguistic import DHLT, DHHFLE, DHLTScale
 
+TERM = "s_%s<o_%s>"  # a term's text, given the texts of its two subscripts
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 # Fast path (CodeBook._split): whole elements with no whitespace and ASCII
@@ -33,7 +34,7 @@ _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 # accepts, with the same terms.  All else goes to the scanner, the only
 # source of syntax errors.
 _ASCII_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_TERM = re.compile(rf"s_({_ASCII_NUMBER})<o_({_ASCII_NUMBER})>")
+_TERM = re.compile(TERM % ((f"({_ASCII_NUMBER})",) * 2))
 
 
 class TermSyntaxError(ValueError):
@@ -292,7 +293,7 @@ def format_subscript(value: float) -> str:
 
 def format_term(phi: float, varphi: float) -> str:
     """One term's text, such as ``s_2<o_-1.5>``."""
-    return f"s_{format_subscript(phi)}<o_{format_subscript(varphi)}>"
+    return TERM % (format_subscript(phi), format_subscript(varphi))
 
 
 def format_dhhfle(h: DHHFLE, scale: DHLTScale) -> str:

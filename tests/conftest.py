@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from s3wgdm.caseio import load_case, load_params
-from s3wgdm.engine import REGIONS, ScoredTable, run_level
+from s3wgdm.engine import ScoredTable, run_level
 from s3wgdm.linguistic import DHLTScale
+from s3wgdm.regret import REGIONS
 from s3wgdm.tables import fuse_dhhflmwa, orient_to_concept
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -33,7 +33,6 @@ from s3wgdm.cli import main as cli_main
 from s3wgdm.engine import (
     NEG_DIRECTIONS,
     RANK_KEYS,
-    REGIONS,
     EngineParams,
     LevelConfig,
     ScoredTable,
@@ -60,6 +59,7 @@ from s3wgdm.reference import (
     perceived_utility_units,
     utility,
 )
+from s3wgdm.regret import REGIONS
 from s3wgdm.syntax import parse_dhhfle
 from s3wgdm.tables import (
     AttributeSpec,
@@ -470,13 +470,37 @@ def test_live_modules_import_from_reference_only_for_the_tracer():
 
 @pytest.mark.parametrize("first", ["engine", "reference"])
 def test_engine_and_reference_import_in_either_order(first):
-    """``engine`` re-imports oracles from ``reference``, which reads the
-    engine's region codes: either module may be the first imported."""
+    """``engine`` re-imports oracles from ``reference``, and both read the
+    region codes: either module may be the first imported."""
     code = f"import s3wgdm.{first}; from s3wgdm import engine, reference; " \
            "print(reference.classify((0.0, 1.0, 0.0)), engine.extract is reference.extract)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert (run.returncode, run.stdout) == (0, "BND True\n"), run.stderr
+
+
+def test_reference_does_not_import_engine():
+    """The imports run one way, from the live code to the oracles: a fresh
+    interpreter that imports ``reference`` has not loaded ``engine``."""
+    code = "import sys, s3wgdm.reference; print('s3wgdm.engine' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_imports_come_before_the_first_def_or_class():
+    """No module imports anything after its first ``def`` or ``class``,
+    at its top level or inside a body: an import cycle cannot hide in a
+    late or a lazy import."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        first = min((node.lineno for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))),
+                    default=None)
+        late = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and first is not None and node.lineno > first]
+        assert not late, (path.name, late)
 
 
 def test_baseline_out_keeps_the_decide_report(tmp_path, capsys, sle_params_path):

@@ -121,6 +121,28 @@ class TestCaseValidation:
         assert case is None
         assert problems == want
 
+    @pytest.mark.parametrize("table, more", [
+        ([["{s_1<o_0>}"]], []),
+        ([["{s_9<o_0>}"]], ["experts[0].table[0][0]: first-hierarchy subscript 9.0 "
+                            "outside [-3, 3]"]),
+        ([["{s_1<o_0>}", "{s_1<o_0>}"]], ["experts[0]: row 0 must have one cell per attribute"]),
+    ], ids=["valid", "bad-cell", "misshapen"])
+    @pytest.mark.parametrize("alternatives", ["x1", [], [5], None, ...],
+                             ids=["not-a-list", "empty", "number-id", "null", "missing"])
+    def test_one_row_table_under_bad_alternatives(self, alternatives, table, more):
+        """Refused alternatives are one problem: no table is also blamed
+        for its row count, and each table's shape and cells are still
+        checked.  ``...`` stands for a missing key."""
+        doc = minimal_case()
+        if alternatives is ...:
+            del doc["alternatives"]
+        else:
+            doc["alternatives"] = alternatives
+        doc["experts"][0]["table"] = table
+        case, problems = validate_case_dict(doc)
+        assert case is None
+        assert problems == ["'alternatives' must be a non-empty list of ids"] + more
+
     @pytest.mark.parametrize("value", [{"a": 1}, ["a1"], None, True, 1],
                              ids=["object", "array", "null", "true", "number"])
     @pytest.mark.parametrize("entry", ["attributes", "experts"])

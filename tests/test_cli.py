@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from s3wgdm import cli, engine, tables
 from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
-from s3wgdm.engine import REGIONS, LevelConfig, ScoredTable, rank, run_sequential
+from s3wgdm.engine import LevelConfig, ScoredTable, rank, run_sequential
+from s3wgdm.regret import REGIONS
 
 
 def run_cli(capsys, *argv):

@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from s3wgdm import cli, engine, neighborhood, regret
 from s3wgdm.caseio import CaseFile, ParamsFile, report_dict
 from s3wgdm.engine import (
-    BND,
-    NEG,
-    POS,
     EngineParams,
     LevelConfig,
     baseline_full_fusion,
@@ -32,7 +29,7 @@ from s3wgdm.reference import (
     make_table,
     single,
 )
-from s3wgdm.regret import CELLS
+from s3wgdm.regret import BND, CELLS, NEG, POS
 from s3wgdm.tables import AttributeSpec, FusedDecisionTable
 
 S33 = DHLTScale(3, 3)
