@@ -260,6 +260,7 @@ def validate_case_dict(data: Any) -> tuple:
 
     if problems:
         return None, problems
+    book.release_texts()
     case = CaseFile(scale=scale, alternatives=tuple(alternatives),
                     attributes=tuple(attrs), experts=tuple(experts))
     return case, []
@@ -357,21 +358,38 @@ def case_summary(case: CaseFile) -> dict:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class TextGrid:
+    """A grid of strings: cell ``[i][j]`` is ``template`` with its ``%s``
+    slots filled by the ``names`` that ``index[i, j]`` picks.  A table
+    whose cells repeat few distinct parts is held, and written by
+    :func:`dump_json`, without a string per cell."""
+
+    template: str
+    names: tuple
+    index: np.ndarray  # (rows, columns, slots) positions in names
+
+    def tolist(self) -> list:
+        """The grid as lists of strings, row after row."""
+        n, m, slots = self.index.shape
+        parts = np.array(self.names, dtype=object)[self.index.reshape(-1, slots)].tolist()
+        cells = [self.template % tuple(p) for p in parts]
+        return [cells[i * m:(i + 1) * m] for i in range(n)]
+
+
 def fused_table_dict(fused: FusedDecisionTable) -> dict:
     n, m = len(fused.alternatives), len(fused.attributes)
-    # one format per distinct subscript, told apart by bit pattern: -0.0 and
+    # one text per distinct subscript, told apart by bit pattern: -0.0 and
     # 0.0 compare equal but print differently
     bits, index = np.unique(np.ascontiguousarray(fused.means, dtype=float).view(np.int64),
                             return_inverse=True)
-    names = np.array([format_subscript(v) for v in bits.view(float).tolist()],
-                     dtype=object)[index.reshape(-1, 2)]
-    cells = list(map(("{" + TERM + "}").__mod__, zip(names[:, 0].tolist(), names[:, 1].tolist())))
     return {
         "alternatives": list(fused.alternatives),
         "attributes": list(fused.attributes),
         "experts": list(fused.expert_ids),
         "expert_weights": list(fused.expert_weights),
-        "cells": [cells[i * m:(i + 1) * m] for i in range(n)],
+        "cells": TextGrid("{" + TERM + "}", tuple(map(format_subscript, bits.view(float).tolist())),
+                          index.reshape(n, m, 2)),
     }
 
 
@@ -461,9 +479,10 @@ def dump_json(data: Any, fh) -> None:
     """The one JSON layout every command writes: byte for byte ``json.dump``
     with ``indent=2, sort_keys=True, allow_nan=False``, then a newline.
     Each container of scalars is one call to CPython's C encoder and goes
-    out as one chunk, and each table (see :func:`_table`) one call and
-    slices of ``BULK_CELLS`` leaves; the document is never held as one
-    string."""
+    out as one chunk, each table (see :func:`_table`) one call and slices
+    of ``BULK_CELLS`` leaves, and each :class:`TextGrid` slices of
+    ``BULK_CELLS`` cells (see :func:`_grid`); the document is never held
+    as one string."""
     fh.writelines(_chunks(data, 0, ""))
     fh.write("\n")
 
@@ -486,6 +505,9 @@ def _layout(depth: int) -> tuple:
 
 def _chunks(obj: Any, depth: int, lead: str):
     """``obj``'s text at ``depth``, after ``lead``."""
+    if isinstance(obj, TextGrid):
+        yield from _grid(obj, depth, lead)
+        return
     encode, inner, outer = _layout(depth)
     is_dict = isinstance(obj, dict)
     container = is_dict or isinstance(obj, (list, tuple))
@@ -520,6 +542,29 @@ def _chunks(obj: Any, depth: int, lead: str):
         yield from _chunks(value, depth + 1, lead + inner + prefix)
         lead = ","
     yield outer + ("}" if is_dict else "]")
+
+
+def _grid(grid: TextGrid, depth: int, lead: str):
+    """``grid``'s text at ``depth``, after ``lead``: its template and each
+    distinct name escaped once, then one ``%`` fill per slice of whole rows
+    of at most ``BULK_CELLS`` cells.  Escaping goes character by character,
+    so the escaped parts put together are the escaped cell."""
+    n, m = grid.index.shape[:2]
+    if not n:
+        yield lead + "[]"
+        return
+    inner, outer = _layout(depth)[1:]
+    field = _layout(depth + 1)[1]
+    cell = encode_basestring_ascii(grid.template)
+    row = inner + ("[" + field + ("," + field).join([cell] * m) + inner + "]" if m else "[]")
+    names = np.array([encode_basestring_ascii(name)[1:-1] for name in grid.names], dtype=object)
+    step = max(1, BULK_CELLS // max(1, m))
+    lead += "["
+    for start in range(0, n, step):
+        rows = grid.index[start:start + step]
+        yield lead + ",".join([row] * len(rows)) % tuple(names[rows.reshape(-1)].tolist())
+        lead = ","
+    yield outer + "]"
 
 
 def _table(obj: dict) -> Optional[tuple]:

@@ -209,6 +209,11 @@ class CodeBook:
         starts = np.flatnonzero(flat & 1)
         return (flat >> 1, starts) if len(starts) == len(new) else None
 
+    def release_texts(self) -> None:
+        """Forget the text dictionaries, which only coding reads, once the
+        document is coded; a text seen before is coded afresh after this."""
+        self.texts, self._terms = {}, {}
+
     def pairs(self, pairs: Iterable) -> int:
         """A fresh code for a cell of ``(phi, varphi)`` pairs, each checked
         in order as it is drawn."""

@@ -52,8 +52,8 @@ class ExpertDecisionTable:
     book of the document the table came from.  :attr:`means`, the (n, m, 2)
     array of each cell's mean ``phi`` and ``varphi`` subscripts (its
     linguistic expected value), is one gather from the book's means on
-    first use; fusion reads only this array.  :attr:`cells` and
-    :meth:`cell` build elements on demand.
+    each use and is not kept; fusion, its one reader, reads it once.
+    :attr:`cells` and :meth:`cell` build elements on demand.
     """
 
     expert_id: str
@@ -75,7 +75,7 @@ class ExpertDecisionTable:
     def scale(self) -> DHLTScale:
         return self.book.scale
 
-    @cached_property
+    @property
     def means(self) -> np.ndarray:
         return self.book.means()[self.codes]
 
@@ -194,7 +194,7 @@ def fuse_dhhflmwa(tables: Sequence[ExpertDecisionTable]) -> FusedDecisionTable:
     _check_same_shape(tables)
     check_expert_weights(tables)
     first = tables[0]
-    total = np.zeros(first.means.shape)
+    total = np.zeros(first.codes.shape + (2,))
     for t in tables:
         total += t.expert_weight * t.means
     limit = np.array([first.scale.tau, first.scale.sigma_scale], dtype=float)

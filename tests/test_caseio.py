@@ -26,7 +26,7 @@ from s3wgdm.caseio import (
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale
 from s3wgdm.reference import linguistic_expected_value
 from s3wgdm.syntax import CodeBook, _scan_dhhfle, format_term
-from s3wgdm.tables import FusedDecisionTable
+from s3wgdm.tables import FusedDecisionTable, fuse_dhhflmwa
 
 
 GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
@@ -255,6 +255,16 @@ class TestParseOncePerDocument:
         with pytest.raises(CaseFormatError) as err:
             load_case(str(paths[1]))
         assert len([p for p in err.value.problems if "outside" in p]) == 3
+
+    def test_coded_case_keeps_no_texts_and_fusion_keeps_no_means(self):
+        """Only coding reads the book's text dictionaries, and fusion reads
+        each table's means once: neither is held after its reader."""
+        case, _ = validate_case_dict(self.repeated_case("{s_2<o_1>,s_1<o_0>}"))
+        book = case.experts[0].book
+        assert (book.texts, book._terms) == ({}, {})
+        assert case.experts[0].cells[0][0] == DHHFLE([DHLT(2, 1), DHLT(1, 0)])
+        fuse_dhhflmwa(case.experts)
+        assert not any("means" in vars(table) for table in case.experts)
 
 
 def spellings(value):
@@ -811,26 +821,41 @@ def cell_by_cell(means) -> list:
 
 
 class TestFusedCells:
-    """Cells are formatted once per distinct subscript, with the text of
+    """Cells are held as their distinct subscripts' texts and each cell's
+    positions in them; read through ``tolist``, they have the text of
     formatting each cell on its own."""
 
     def test_hand_built_table(self):
         means = [[[-0.0, 0.0], [0.0, -0.0], [2.0, -3.0]],
                  [[1e-20, 1e16], [-0.0, 0.0], [1 / 3, -1.5]],
                  [[2.0, 2.0], [-1e16, -1e-20], [0.5, 1e16]]]
-        cells = fused_table_dict(fused_of(means))["cells"]
+        cells = fused_table_dict(fused_of(means))["cells"].tolist()
         assert cells == cell_by_cell(means)
         assert cells[0][:2] == ["{s_-0<o_0>}", "{s_0<o_-0>}"]
         assert cells[2][0] == "{s_2<o_2>}"
         assert cells[1][0] == "{s_1e-20<o_1e+16>}"
 
+    def test_written_with_one_escape_per_distinct_text(self, monkeypatch):
+        """The writer escapes the cell template and each distinct subscript
+        text once, and no cell text: a per-cell or per-row route for the
+        cells fails here."""
+        means = np.array([-0.0, 0.0, 2.0, 1 / 3])[np.arange(341 * 6 * 2).reshape(341, 6, 2) % 4]
+        data = fused_table_dict(fused_of(means))
+        escaped = []
+        escape = caseio.encode_basestring_ascii
+        monkeypatch.setattr(caseio, "encode_basestring_ascii",
+                            lambda text: escaped.append(text) or escape(text))
+        assert dumped(data) == stdlib_layout(dict(data, cells=data["cells"].tolist()))
+        assert [text for text in escaped if "<o_" in text] == ["{s_%s<o_%s>}"]
+        assert [escaped.count(name) for name in ("-0", "0", "2", "0.3333333333333333")] == [1] * 4
+
     def test_non_contiguous_means(self):
         means = np.arange(24, dtype=float).reshape(2, 3, 4)[:, :, ::2] / 8 - 1
-        assert fused_table_dict(fused_of(means))["cells"] == cell_by_cell(means)
+        assert fused_table_dict(fused_of(means))["cells"].tolist() == cell_by_cell(means)
 
     def test_empty_tables(self):
-        assert fused_table_dict(fused_of(np.zeros((0, 2, 2))))["cells"] == []
-        assert fused_table_dict(fused_of(np.zeros((2, 0, 2))))["cells"] == [[], []]
+        assert fused_table_dict(fused_of(np.zeros((0, 2, 2))))["cells"].tolist() == []
+        assert fused_table_dict(fused_of(np.zeros((2, 0, 2))))["cells"].tolist() == [[], []]
 
     @given(st.integers(1, 6), st.integers(1, 4), st.data())
     @settings(max_examples=100, deadline=None)
@@ -839,7 +864,7 @@ class TestFusedCells:
             | st.floats(-3, 3)
         means = np.array(data.draw(st.lists(values, min_size=n * m * 2, max_size=n * m * 2)))
         means = means.reshape(n, m, 2)
-        assert fused_table_dict(fused_of(means))["cells"] == cell_by_cell(means)
+        assert fused_table_dict(fused_of(means))["cells"].tolist() == cell_by_cell(means)
 
 
 # Any JSON value, including the NaN and Infinity literals Python's json

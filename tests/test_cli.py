@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -8,7 +9,9 @@ import re
 import tempfile
 import time
 import tracemalloc
+import types
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from s3wgdm import cli, engine, tables
 from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
 from s3wgdm.engine import LevelConfig, ScoredTable, rank, run_sequential
+from s3wgdm.linguistic import DHLTScale
 from s3wgdm.regret import REGIONS
 
 
@@ -620,7 +624,74 @@ class TestInputProblems:
         assert not out_path.exists()
 
 
+# fused subscripts: -0.0 beside 0.0, whole numbers and others, drawn into
+# a small pool so that cells repeat
+fused_subscripts = st.lists(
+    st.sampled_from([-0.0, 0.0, 1.0, -2.0, 3.0, 0.5, 1 / 3, 1e-20, -1e16, 5e-324])
+    | st.floats(-3, 3), min_size=1, max_size=8)
+# n, m: empty tables, one column, and m = 6 rows that end a slice of
+# BULK_CELLS cells, straddle it, or fill two and start a third
+fused_shapes = (st.sampled_from([(0, 6), (0, 0), (3, 0), (5, 1), (170, 6), (171, 6), (341, 6)])
+                | st.tuples(st.integers(0, 4), st.integers(0, 4)))
+
+
+def fuse_output(fused, out=None) -> bytes:
+    """The bytes ``fuse`` writes for a case that fuses to ``fused``: to
+    the ``out`` file, or to stdout without it."""
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "load_case", lambda path: types.SimpleNamespace(experts=())), \
+            mock.patch.object(cli, "fuse_dhhflmwa", lambda experts: fused), \
+            contextlib.redirect_stdout(stdout):
+        assert main(["fuse", "--case", "case.json"] + (["--out", out] if out else [])) == 0
+    if out is None:
+        return stdout.getvalue().encode("utf-8")
+    assert stdout.getvalue() == ""
+    return pathlib.Path(out).read_bytes()
+
+
 class TestFuse:
+    @given(fused_shapes, fused_subscripts, st.integers(0, 2 ** 32 - 1))
+    @example((2, 3), [-0.0, 0.0], 0)
+    @example((170, 6), [-0.0, 0.0, 2.0], 1)
+    @example((171, 6), [-0.0, 0.0, 2.0], 2)
+    @example((341, 6), [-0.0, 0.0, 2.0, 1 / 3], 3)
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_are_the_stdlib_layout(self, shape, pool, seed):
+        """``fuse --out`` and ``fuse`` to stdout write the fused table's
+        cells, read through ``tolist``, in the standard library's layout."""
+        n, m = shape
+        pick = np.random.default_rng(seed).integers(len(pool), size=(n, m, 2))
+        fused = tables.FusedDecisionTable(
+            alternatives=tuple(f"x{i}" for i in range(n)),
+            attributes=tuple(f"a{j}" for j in range(m)),
+            means=np.array(pool)[pick], scale=DHLTScale(10 ** 17, 10 ** 17),
+            expert_ids=("E1", "E2"), expert_weights=(0.25, 0.75))
+        materialized = dict(cli.fused_table_dict(fused))
+        materialized["cells"] = materialized["cells"].tolist()
+        want = (json.dumps(materialized, indent=2, sort_keys=True, allow_nan=False)
+                + "\n").encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            assert fuse_output(fused, str(pathlib.Path(tmp) / "fused.json")) == want
+        assert fuse_output(fused) == want
+
+    @pytest.mark.parametrize("out", [True, False])
+    def test_calls_the_tracer_names(self, capsys, tmp_path, monkeypatch, sle_case_path, out):
+        """``fuse`` builds its table through ``cli.fused_table_dict`` and
+        writes the ``--out`` file through ``cli.write_json``, the names the
+        benchmark's tracer wraps to time them and size the output."""
+        calls = []
+        for name in ("fused_table_dict", "write_json"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, _name=name, _fn=original:
+                                calls.append((_name, args)) or _fn(*args))
+        out_path = str(tmp_path / "fused.json")
+        code, *_ = run_cli(capsys, "fuse", "--case", sle_case_path,
+                           *(["--out", out_path] if out else []))
+        assert code == 0
+        assert [name for name, _ in calls] == ["fused_table_dict"] + ["write_json"] * out
+        if out:
+            assert calls[1][1][0] == out_path
+
     def test_stdout_is_the_out_file(self, capsys, tmp_path, sle_case_path):
         out_path = tmp_path / "fused.json"
         code, out, _ = run_cli(capsys, "fuse", "--case", sle_case_path)
