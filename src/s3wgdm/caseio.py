@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 

@@ -193,7 +193,8 @@ SWEEP_CELLS = 1 << 18
 class ScoredTable:
     """One oriented group table, scored once, with each level's columns,
     attribute ids, renormalised weights and the limbs of every row's concept
-    membership found once: what every run of a sweep reads."""
+    membership found once, when a run first asks for them: what every run
+    of a sweep reads."""
 
     def __init__(self, fused: FusedDecisionTable, attrs: Sequence[AttributeSpec],
                  subsets: Optional[NestedSubsets] = None):
@@ -202,24 +203,30 @@ class ScoredTable:
         self.subsets = build_nested_subsets(attrs) if subsets is None else subsets
         self.phi, self.varphi = fused.subscripts()
         self.scores = superior_gradus_array(self.phi, self.varphi, fused.scale)
-        self._levels: dict = {}
+        self._levels: tuple = ()  # levels 1 to len(_levels), as found
 
     def level(self, index: int) -> tuple:
         """Column indices, attribute ids, renormalised weights (in column order), and
         the limbs (:func:`membership_parts`) of every table row's concept membership of
-        level ``index``, 1-based: found once per table, read-only, for every run on it."""
-        found = self._levels.get(index)
-        if found is None:
+        level ``index``, 1-based: found once per table, read-only, for every run on it.
+        The levels up to ``index`` not yet found are found together, in one
+        :func:`membership_degrees` call on their (levels, m) weight matrix."""
+        if index > len(self._levels):
             order = self.fused.attributes
-            cols = np.flatnonzero([a in self.subsets[index - 1] for a in order])
-            z = tuple(order[j] for j in cols)
-            renormalized = renormalize_weights(self.attrs, z)
-            weights = [renormalized[a] for a in z]
-            parts = membership_parts(membership_degrees(
-                self.phi[:, cols], self.varphi[:, cols], weights, self.fused.scale))
+            subsets = self.subsets.levels[len(self._levels):index]
+            weights = np.zeros((len(subsets), len(order)))  # absent columns weigh 0.0
+            found = []
+            for row, subset in zip(weights, subsets):
+                cols = np.flatnonzero([a in subset for a in order])
+                z = tuple(order[j] for j in cols)
+                renormalized = renormalize_weights(self.attrs, z)
+                row[cols] = [renormalized[a] for a in z]
+                found.append((cols, z, row[cols].tolist()))
+            parts = membership_parts(membership_degrees(self.phi, self.varphi, weights,
+                                                        self.fused.scale))
             parts.flags.writeable = False
-            found = self._levels[index] = (cols, z, weights, parts)
-        return found
+            self._levels += tuple((*level, p) for level, p in zip(found, parts))
+        return self._levels[index - 1]
 
 
 def run_level(rows: np.ndarray, table: ScoredTable, index: int, cfgs: Sequence[LevelConfig],
@@ -299,9 +306,10 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
     group, whichever group they came from.  A level is one pass: one
     :func:`run_level` call classifies every group of the level at once.
     The points' BND rows, as bit masks over the table rows, then regroup
-    every point in one step.  Yields ``(level index, points, level)`` for
-    each level that some point ran, ``level`` the :class:`GranularLevel` of
-    those ``points``, whose cells' ``cell_point`` index into ``points``.
+    every point in one step; a lone point's BND rows are its next universe.
+    Yields ``(level index, points, level)`` for each level that some point
+    ran, ``level`` the :class:`GranularLevel` of those ``points``, whose
+    cells' ``cell_point`` index into ``points``.
 
     Before any level runs, each configuration a point uses is checked, in
     point order, and the first that fails the monotonicity check, has more
@@ -327,6 +335,7 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
             break
         cfgs = [levels[i - 1] for levels in configs]
         try:
+            table.level(len(configs[0]))  # the first call finds every level the walk may run
             # the universes go first and positionally: bench/tracer.py reads them
             level = run_level(rows, table, i, cfgs, params, config_ids[points],
                               param_ids[points], bounds, groups)
@@ -335,6 +344,11 @@ def walk(table: ScoredTable, configs: Sequence[tuple], params: Sequence[EnginePa
         except Exception as exc:
             raise RuntimeError(f"decision level {i} failed: {exc}") from exc
         yield i, points, level
+        if len(points) == 1:  # a lone point's cells are its universe rows, in order
+            rows = level.rows[level.region == BND]
+            del level  # the next level runs without this one held
+            points, bounds = points[:min(1, len(rows))], np.array([0, len(rows)])
+            continue
         # each point's BND rows, packed into bytes, key it into its next-level group
         bnd = np.zeros((len(points), n), dtype=bool)
         bnd[level.cell_point, level.rows[level.cell_row]] = level.region == BND

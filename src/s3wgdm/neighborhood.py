@@ -91,7 +91,7 @@ def similarity_blocks(scores: np.ndarray, sigma: float) -> Iterator[tuple]:
 
 
 def membership_parts(membership: np.ndarray) -> np.ndarray:
-    """Each membership ``v`` in [0, 1] as a row of an (n, 4) array: 1, then
+    """Each membership ``v`` in [0, 1] as a row of a (..., 4) array: 1, then
     three limbs, the floor multiples of 2^-32, 2^-64 and 2^-96 of what the
     limbs before leave of ``v``: ``v = l1 + l2 + l3`` exactly from 2^-44 up,
     and a smaller ``v`` drops its bits below 2^-96.  Each limb is under
@@ -99,10 +99,10 @@ def membership_parts(membership: np.ndarray) -> np.ndarray:
     column sum is exact in float64, in any order."""
     # v cut down to each limb's unit keeps some of its bits: exact, as are
     # the differences of two cuts
-    cut = np.floor(membership[:, None] * LIMB_SCALES) / LIMB_SCALES
-    parts = np.ones((len(membership), 4))
-    parts[:, 1:] = cut
-    parts[:, 2:] -= cut[:, :-1]
+    cut = np.floor(membership[..., None] * LIMB_SCALES) / LIMB_SCALES
+    parts = np.ones(membership.shape + (4,))
+    parts[..., 1:] = cut
+    parts[..., 2:] -= cut[..., :-1]
     return parts
 
 
@@ -184,8 +184,9 @@ def _kernel_statistics(scores: np.ndarray, parts: np.ndarray, low: np.ndarray, s
     zero.  A universe too large for one block is a block of its own,
     which takes its rows in steps, one row at least, over all of its cuts.
     """
-    order = np.lexsort((low, size))  # each universe's uses together, small universes first
-    low, size, limits, first = low[order], size[order], limits[order], first[order]
+    if len(low) > 1:  # each universe's uses together, small universes first
+        order = np.lexsort((low, size))
+        low, size, limits, first = low[order], size[order], limits[order], first[order]
     keys = list(zip(low.tolist(), size.tolist()))  # each use's universe
     # the uses of universe i: ends[i]:ends[i + 1]
     ends = [a for a in range(len(keys)) if not a or keys[a] != keys[a - 1]] + [len(keys)]
@@ -263,14 +264,19 @@ def sorted_granule_statistics(values: np.ndarray, parts: np.ndarray,
     return (cum[starts[hi]] - cum[starts[lo]]).reshape(len(limits), -1, 4)[:, group]
 
 
-def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence[float],
+def membership_degrees(phi: np.ndarray, varphi: np.ndarray, weights: Sequence,
                        scale: DHLTScale) -> np.ndarray:
-    """:func:`reference.concept_membership` on (k, m) subscript arrays,
-    with the attribute weights given in column order."""
-    total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
+    """:func:`reference.concept_membership` on (k, m) subscript arrays, with
+    the attribute weights given in column order: a (k,) result for one
+    weight per column, a (levels, k) one for a (levels, m) matrix whose rows
+    weight absent columns 0.0.  An absent column adds a zero, which can only
+    flip the sign of a zero mean, and the score maps both zeros to one
+    double: each row equals its subset's columns alone, bit for bit."""
+    weights = np.asarray(weights, dtype=float)
+    for total in map(sum, np.atleast_2d(weights).tolist()):
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"attribute weights over the subset sum to {total}, expected 1")
     # each weighted column added in turn from 0.0 (numpy reduces a C-ordered outer axis in order)
-    both = np.concatenate((phi, varphi)).T.copy() * np.array(weights)[:, None]
-    mean = np.add.reduce(both, axis=0, initial=0.0)
-    return superior_gradus_array(mean[:len(phi)], mean[len(phi):], scale).clip(0.0, 1.0)
+    both = np.concatenate((phi, varphi)).T.copy() * weights[..., None]
+    mean = np.add.reduce(both, axis=-2, initial=0.0)
+    return superior_gradus_array(mean[..., :len(phi)], mean[..., len(phi):], scale).clip(0.0, 1.0)

@@ -65,8 +65,12 @@ def comprehensive_utilities(scores: np.ndarray, weights: Sequence[float],
         stop = max(start + 1, bisect.bisect_right(ends, lo + per))
         count, entries = k[start:stop], ends[stop - 1] - lo
         chosen = sets[used[start:stop]]  # each use's parameter set
-        eta, theta, delta = chosen.T.repeat(count, axis=1)  # per entry
-        g = b.T[:, ranges(bounds[universe[start:stop]], count)]
+        if stop - start == 1:  # one use: its parameters broadcast, its rows a slice
+            (eta, theta, delta), row = chosen[0].tolist(), bounds[universe[start]]
+            g, count = b.T[:, row:row + entries], 1
+        else:  # per entry
+            eta, theta, delta = chosen.T.repeat(count, axis=1)
+            g = b.T[:, ranges(bounds[universe[start:stop]], count)]
         # the cells with a gain, per attribute: pp, bp, bn, nn, each over the entries
         gains = np.empty((len(g), 4, entries))
         gains[:, 0] = g

@@ -86,6 +86,9 @@ BUNDLED_BASELINE_SHA256 = "806443c5ac8739e431c1845d8b41d1a134f1be2fee98c5bad1597
 GENERATED_SHAPE = {"n": 300, "m": 6, "e": 3, "max_terms": 3, "seed": 1}
 GENERATED_FUSE_SHA256 = "f08fca31b394328f02442e8902cdf5108828923ef478f8bc6e64195d8284e2dc"
 GENERATED_BASELINE_SHA256 = "7c6d53540e1daef125018899ac96cbff0dc2112fada6f81cec5401468ff878ad"
+# SHA-256 of ``validate`` stdout on the bundled and the generated case
+BUNDLED_VALIDATE_SHA256 = "9bda6c6ce1322c3b4979c1c1fa8c9f3e845e30ef8ac9e126da226b6296dd9411"
+GENERATED_VALIDATE_SHA256 = "6fa2d82bee7ee3ca3d31d1acd8f2bceb2594aecea24bdb885359ecca9c378cad"
 # SHA-256 of the generated case's ``decide --out`` report (without
 # ``metadata.elapsed_seconds``, re-dumped as above) and of its stdout, with
 # the bundled parameters
@@ -394,6 +397,26 @@ def test_bundled_fuse_and_baseline_are_pinned(tmp_path, capsys, sle_case_path):
 def test_generated_fuse_and_baseline_are_pinned(tmp_path, capsys):
     assert fuse_and_baseline_digests(generated_case_path(tmp_path), tmp_path, capsys) == \
         (GENERATED_FUSE_SHA256, GENERATED_BASELINE_SHA256)
+
+
+@pytest.mark.parametrize("generated", [False, True])
+def test_table_commands_find_no_level_membership(generated, tmp_path, capsys, monkeypatch,
+                                                 sle_case_path):
+    """``validate``, ``fuse`` and ``baseline`` read no level's membership:
+    with the engine's membership and limb functions replaced by ones that
+    raise, each exits 0 with its pinned bytes."""
+    def raising(*args, **kwargs):
+        raise AssertionError("a table command found a level membership")
+
+    monkeypatch.setattr(engine, "membership_degrees", raising)
+    monkeypatch.setattr(engine, "membership_parts", raising)
+    case_path = generated_case_path(tmp_path) if generated else sle_case_path
+    assert cli_main(["validate", "--case", case_path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        (GENERATED_VALIDATE_SHA256 if generated else BUNDLED_VALIDATE_SHA256)
+    assert fuse_and_baseline_digests(case_path, tmp_path, capsys) == (
+        (GENERATED_FUSE_SHA256, GENERATED_BASELINE_SHA256) if generated
+        else (BUNDLED_FUSE_SHA256, BUNDLED_BASELINE_SHA256))
 
 
 def test_commands_call_no_oracle(tmp_path, capsys, monkeypatch, sle_case_path,

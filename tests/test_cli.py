@@ -426,14 +426,14 @@ class TestOneFusionPerDecide:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0
         assert "swept 330 grid points" in err
-        # the table is scored once and each of the 4 levels' membership found
-        # once; the 800 levels the points run hold 23 distinct (level,
+        # the table is scored once and the 4 levels' memberships found in one
+        # call; the 800 levels the points run hold 23 distinct (level,
         # universe) inputs, and each level is one run_level call for all of
         # its universes, whose one granule call computes that level's share
         # of the 307 distinct (universe, sigma, kappa), and whose one utility
         # call every (universe, eta) its points use
         assert calls == {"superior_gradus_array": 1, "run_level": 4,
-                         "membership_degrees": 4, "shared_granule_statistics": 4,
+                         "membership_degrees": 1, "shared_granule_statistics": 4,
                          "comprehensive_utilities": 4}
         assert len(cuts) == 307
 

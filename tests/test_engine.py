@@ -30,7 +30,7 @@ from s3wgdm.reference import (
     single,
 )
 from s3wgdm.regret import BND, CELLS, NEG, POS
-from s3wgdm.tables import AttributeSpec, FusedDecisionTable
+from s3wgdm.tables import AttributeSpec, FusedDecisionTable, renormalize_weights
 
 S33 = DHLTScale(3, 3)
 
@@ -395,9 +395,9 @@ class TestWalk:
 
 
 class TestLimbsSplitOnce:
-    """Each level's memberships are split into limbs once per table, by
-    :meth:`ScoredTable.level`, and every run and sweep chunk gathers its
-    rows from that one read-only split."""
+    """The memberships of every level a walk may run are split into limbs
+    once per table, in one call, by :meth:`ScoredTable.level`, and every
+    run and sweep chunk gathers its rows from that one read-only split."""
 
     @staticmethod
     def counting_splits(monkeypatch):
@@ -405,7 +405,7 @@ class TestLimbsSplitOnce:
         split = engine.membership_parts
 
         def counting(membership):
-            calls.append(len(membership))
+            calls.append(membership.shape)
             return split(membership)
 
         monkeypatch.setattr(engine, "membership_parts", counting)
@@ -415,9 +415,9 @@ class TestLimbsSplitOnce:
         calls = self.counting_splits(monkeypatch)
         report = run_sequential(sle_table, sle_params.levels, sle_params.params)
         assert len(report.levels) == 4
-        assert calls == [8] * 4  # every row of the table, once per level
+        assert calls == [(4, 8)]  # every row of the table, for the 4 levels, at once
         run_sequential(sle_table, sle_params.levels, sle_params.params)
-        assert len(calls) == 4
+        assert len(calls) == 1
 
     def test_sweep_chunks_share_each_split(self, monkeypatch, sle_table, sle_params):
         configs = [tuple(LevelConfig(kappa=kappa, sigma=c.sigma) for c in sle_params.levels)
@@ -433,7 +433,7 @@ class TestLimbsSplitOnce:
         monkeypatch.setattr(engine, "SWEEP_CELLS", 2 * len(table.fused.alternatives))
         chunks = list(engine.sweep_outcomes(table, configs, params, config_ids, param_ids))
         assert len(chunks) == 3
-        assert len(calls) == 4  # one split per level, not one per level and chunk
+        assert calls == [(4, 8)]  # one split for the 4 levels, not one per level or chunk
         for got, want in zip(np.concatenate([c for c, _ in chunks]), whole[0][0]):
             assert np.array_equal(got, want)
         assert np.array_equal(np.concatenate([o for _, o in chunks]), whole[0][1])
@@ -442,6 +442,57 @@ class TestLimbsSplitOnce:
             assert not parts.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 parts[0, 1] = 0.5
+
+
+@st.composite
+def level_tables(draw):
+    """A scored table of 1 to 12 rows and 1 to 6 attributes, whose weights
+    take few values, so several attributes often enter one level, and whose
+    subscripts are often -tau, tau, 0.0 or -0.0; and how many of its levels
+    a walk runs."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    m = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    subscript = st.one_of(st.sampled_from([-3.0, 3.0, 0.0, -0.0]), st.floats(-3.0, 3.0))
+    means = draw(st.lists(subscript, min_size=2 * n * m, max_size=2 * n * m))
+    raw = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    attrs = [attr(f"a{j}", w / sum(raw)) for j, w in enumerate(raw)]
+    fused = FusedDecisionTable(alternatives=tuple(f"x{i}" for i in range(n)),
+                               attributes=tuple(a.id for a in attrs),
+                               means=np.array(means).reshape(n, m, 2), scale=S33)
+    table = engine.ScoredTable(fused, attrs)
+    return table, draw(st.integers(1, len(table.subsets)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(level_tables())
+def test_levels_found_together_equal_each_level_alone(case):
+    """Asking for level ``last`` finds it and every level before it in one
+    pass over a (levels, m) weight matrix, and no later level; each level's
+    columns, ids, weights and limbs equal those of its own columns alone,
+    bit for bit."""
+    table, last = case
+    fused = table.fused
+    splits = []
+    split = engine.membership_parts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "membership_parts",
+                      lambda membership: splits.append(membership.shape) or split(membership))
+        table.level(last)
+        found = [table.level(i) for i in range(1, last + 1)]
+        assert splits == [(last, len(fused.alternatives))]
+    for i, (cols, z, weights, parts) in enumerate(found, start=1):
+        want_cols = np.flatnonzero([a in table.subsets[i - 1] for a in fused.attributes])
+        want_z = tuple(fused.attributes[j] for j in want_cols)
+        renormalized = renormalize_weights(table.attrs, want_z)
+        want_weights = [renormalized[a] for a in want_z]
+        want = engine.membership_parts(membership_degrees(
+            table.phi[:, want_cols], table.varphi[:, want_cols], want_weights, fused.scale))
+        assert np.array_equal(cols, want_cols) and z == want_z and weights == want_weights
+        assert parts.shape == (len(fused.alternatives), 4) and parts.dtype == want.dtype
+        assert parts.tobytes() == want.tobytes()
+        assert not parts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            parts[0, 1] = 0.5
 
 
 class TestRank:
