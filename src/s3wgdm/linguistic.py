@@ -5,6 +5,8 @@ A term carries two subscripts: ``phi`` on the primary scale
 ``[-sigma_scale, sigma_scale]``.  Subscripts are real-valued so that
 averaging operators stay closed.  A hesitant element is an ordered,
 non-empty collection of such terms; :mod:`s3wgdm.syntax` holds their text.
+Every command reads cells as subscripts, so an element is built only on
+request.
 
 The decision method uses only the linguistic expected value (mean
 subscripts), the mirror complement (negated subscripts) and the
@@ -105,11 +107,6 @@ class DHHFLE:
                    for (a, b), (c, d) in zip(mine, theirs))
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
-
-    def validate(self, scale: DHLTScale) -> "DHHFLE":
-        for t in self.terms:
-            scale.check(t.phi, t.varphi)
-        return self
 
 
 def superior_gradus_term(t: DHLT, scale: DHLTScale) -> float:

@@ -29,11 +29,9 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def squared_gaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Summed squared score gaps of the rows of ``left`` and ``right``, two
-    (..., m) arrays that numpy broadcasts together, taken directly and
+    (..., m) arrays, m >= 1, that numpy broadcasts together, taken directly and
     summed column by column, as :func:`reference.kernel_similarity` does
     (its sum starts at 0.0, and 0.0 plus the first square is that square)."""
-    if not left.shape[-1]:  # no attributes: no gap
-        return np.zeros(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]))
     d2 = np.subtract(left[..., 0], right[..., 0])
     d2 *= d2
     gap = np.empty_like(d2)

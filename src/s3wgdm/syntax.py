@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from itertools import filterfalse
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,16 +51,10 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def _location(self, pos: int | None = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        handled = self.text[:pos]
-        line = handled.count("\n") + 1
-        column = pos - (handled.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str, pos: int | None = None) -> TermSyntaxError:
-        line, column = self._location(pos)
-        return TermSyntaxError(message, line, column)
+    def error(self, message: str) -> TermSyntaxError:
+        handled = self.text[:self.pos]
+        return TermSyntaxError(message, handled.count("\n") + 1,
+                               self.pos - handled.rfind("\n"))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -97,9 +91,12 @@ class CodeBook:
     first time it is seen, once its range check passes.  A cell text gets
     a code and its term codes the first time it parses; :attr:`texts` maps
     it to that code.  :meth:`code_texts` codes a list of texts in bulk;
-    :meth:`text` codes one, through the scanner outside the fast path (see
-    ``_TERM``).  Cells of subscript pairs get fresh codes.  Failures are
-    not stored, so each bad occurrence raises on its own.
+    :meth:`text` codes one; a text the fast path (see ``_TERM``) refuses
+    is coded as the cell of the subscript pairs the scanner reads.  Cells
+    of subscript pairs get fresh codes, each pair range-checked as it is
+    drawn, so a cell that fails after k good terms leaves those k terms
+    unreferenced.  Failed cells are not stored, so each bad occurrence
+    raises on its own.
 
     :meth:`means` is every cell's linguistic expected value, computed with
     numpy from the term codes, kept in arrays; :meth:`element` builds one
@@ -150,7 +147,8 @@ class CodeBook:
         """The code of a cell text, parsed the first time it is seen."""
         if text not in self.texts:
             split = self._split([text])
-            self.texts[text] = self._cell(self.parse(text) if split is None else split[0].tolist())
+            self.texts[text] = (self.pairs(_scan_dhhfle(text)) if split is None
+                                else self._cell(split[0].tolist()))
         return self.texts[text]
 
     def code_texts(self, cells: list) -> np.ndarray | None:
@@ -219,12 +217,6 @@ class CodeBook:
         in order as it is drawn."""
         return self._cell([self._term(phi, varphi) for phi, varphi in pairs])
 
-    def parse(self, text: str) -> list:
-        """The term codes of one element text, read by the scanner; raises
-        TermSyntaxError with position on bad input and ScaleRangeError when
-        a subscript leaves the scale."""
-        return [self._term(t.phi, t.varphi) for t in _scan_dhhfle(text, self.scale)]
-
     def element(self, code: int) -> DHHFLE:
         """The element of one cell code, built on each call."""
         flat, starts = self._arrays()
@@ -264,28 +256,25 @@ def parse_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
     return book.element(book.text(text))
 
 
-def _scan_dhhfle(text: str, scale: DHLTScale) -> DHHFLE:
-    """:func:`parse_dhhfle` one character at a time, with located errors."""
+def _scan_dhhfle(text: str) -> Iterator[tuple]:
+    """Each term's ``(phi, varphi)`` of one element text, yielded as it is
+    read one character at a time; raises TermSyntaxError with position on
+    bad input."""
     s = _Scanner(text)
     s.expect("{")
-    terms = [_parse_term(s, scale)]
-    while s.peek(","):
+    while True:
+        s.expect("s_")
+        phi = s.number()
+        s.expect("<o_")
+        varphi = s.number()
+        s.expect(">")
+        yield phi, varphi
+        if not s.peek(","):
+            break
         s.expect(",")
-        terms.append(_parse_term(s, scale))
     s.expect("}")
     if not s.at_end():
         raise s.error("unexpected trailing input")
-    return DHHFLE(terms)
-
-
-def _parse_term(s: _Scanner, scale: DHLTScale) -> DHLT:
-    s.expect("s_")
-    phi = s.number()
-    s.expect("<o_")
-    varphi = s.number()
-    s.expect(">")
-    scale.check(phi, varphi)
-    return DHLT(phi, varphi)
 
 
 def format_subscript(value: float) -> str:
@@ -302,5 +291,6 @@ def format_term(phi: float, varphi: float) -> str:
 
 
 def format_dhhfle(h: DHHFLE, scale: DHLTScale) -> str:
-    h.validate(scale)
+    for t in h:
+        scale.check(t.phi, t.varphi)
     return "{" + ",".join(format_term(t.phi, t.varphi) for t in h) + "}"

@@ -328,20 +328,27 @@ def reference_number(item, key):
     return float(value)
 
 
+def reference_pair(item):
+    """A structured term's subscripts."""
+    if not isinstance(item, dict) or "phi" not in item or "varphi" not in item:
+        raise ValueError("structured cells need phi/varphi entries")
+    return reference_number(item, "phi"), reference_number(item, "varphi")
+
+
 def reference_cell(raw, scale):
-    """One cell on its own: the scanner for texts, no caches."""
+    """One cell on its own: the scanner for texts, no caches; each term is
+    range-checked as it is read."""
     if isinstance(raw, str):
-        return _scan_dhhfle(raw, scale)
-    if isinstance(raw, list) and raw:
-        terms = []
-        for item in raw:
-            if not isinstance(item, dict) or "phi" not in item or "varphi" not in item:
-                raise ValueError("structured cells need phi/varphi entries")
-            phi, varphi = reference_number(item, "phi"), reference_number(item, "varphi")
-            scale.check(phi, varphi)
-            terms.append(DHLT(phi, varphi))
-        return DHHFLE(terms)
-    raise ValueError("cell must be a term string or a non-empty term array")
+        pairs = _scan_dhhfle(raw)
+    elif isinstance(raw, list) and raw:
+        pairs = map(reference_pair, raw)
+    else:
+        raise ValueError("cell must be a term string or a non-empty term array")
+    terms = []
+    for phi, varphi in pairs:
+        scale.check(phi, varphi)
+        terms.append(DHLT(phi, varphi))
+    return DHHFLE(terms)
 
 
 def reference_ingest(doc):
@@ -508,7 +515,7 @@ class TestIngestMatchesCellByCellScan:
         table[5][0] = "{s_1<o_0>"
         table[n - 2].pop()
         with pytest.raises(ValueError) as bad_cell:
-            _scan_dhhfle("{s_1<o_0>", DHLTScale(3, 3))
+            list(_scan_dhhfle("{s_1<o_0>"))
         assert validate_case_dict(doc)[1] == [
             f"experts[1].table[5][0]: {bad_cell.value}",
             f"experts[1]: row {n - 2} must have one cell per attribute"]

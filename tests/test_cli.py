@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import runpy
 import tempfile
 import time
 import tracemalloc
@@ -19,12 +20,15 @@ from conftest import SWEEP_GRID, run_group, scored, universe
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from s3wgdm import cli, engine, tables
+from s3wgdm import cli, engine, syntax, tables
 from s3wgdm.caseio import load_case, load_params, validate_report_dict
 from s3wgdm.cli import MAX_GRID_POINTS, _parse_grid, main
 from s3wgdm.engine import LevelConfig, ScoredTable, rank, run_sequential
 from s3wgdm.linguistic import DHLTScale
 from s3wgdm.regret import REGIONS
+
+
+GEN = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def run_cli(capsys, *argv):
@@ -647,6 +651,46 @@ def fuse_output(fused, out=None) -> bytes:
         return stdout.getvalue().encode("utf-8")
     assert stdout.getvalue() == ""
     return pathlib.Path(out).read_bytes()
+
+
+def structured_cell(text):
+    """A canonical cell text as the equal structured term array."""
+    return [{"phi": float(phi), "varphi": float(varphi)}
+            for phi, varphi in re.findall(r"s_([^<]+)<o_([^>]+)>", text)]
+
+
+class TestNoElementBuilt:
+    # the same cells spelt four ways: the fast path takes only the first
+    SPELLINGS = {
+        "canonical": lambda text: text,
+        "spaced": lambda text: text.replace("{", "{ ").replace(",", " , ").replace("}", " }"),
+        "unicode-digits": lambda text: text.translate(str.maketrans("0123456789",
+                                                                    "٠١٢٣٤٥٦٧٨٩")),
+        "structured": structured_cell,
+    }
+
+    def test_commands_read_every_spelling_as_subscripts(self, capsys, tmp_path, monkeypatch):
+        """``validate``, ``fuse`` and ``baseline`` build no term and no
+        hesitant element, whether the fast path or the scanner reads a
+        cell, and equal cells fuse to equal bytes in every spelling."""
+        doc = runpy.run_path(str(GEN))["case_dict"](n=200, m=6, e=3, max_terms=3, seed=1)
+
+        def refuse(*args):
+            raise AssertionError(f"an element was built from {args!r}")
+
+        monkeypatch.setattr(syntax, "DHLT", refuse)
+        monkeypatch.setattr(syntax, "DHHFLE", refuse)
+        fused = {}
+        for name, spell in self.SPELLINGS.items():
+            experts = [{**expert, "table": [list(map(spell, row)) for row in expert["table"]]}
+                       for expert in doc["experts"]]
+            case = tmp_path / f"{name}.json"
+            case.write_text(json.dumps({**doc, "experts": experts}), encoding="utf-8")
+            out = tmp_path / f"{name}.fused.json"
+            for argv in (["validate"], ["fuse", "--out", str(out)], ["baseline"]):
+                assert run_cli(capsys, *argv, "--case", str(case))[0] == 0, (name, argv)
+            fused[name] = out.read_bytes()
+        assert len(set(fused.values())) == 1
 
 
 class TestFuse:

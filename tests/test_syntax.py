@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3wgdm import syntax
+from s3wgdm.caseio import validate_case_dict
 from s3wgdm.linguistic import DHHFLE, DHLT, DHLTScale, ScaleRangeError
 from s3wgdm.syntax import CodeBook, TermSyntaxError, format_dhhfle, format_subscript, parse_dhhfle
 
@@ -47,6 +48,15 @@ def mutated_elements(draw):
         elif kind == "truncate":
             text = text[:at]
     return text
+
+
+def scan(text, scale):
+    """The scanner's element, each term range-checked as it is read."""
+    terms = []
+    for phi, varphi in syntax._scan_dhhfle(text):
+        scale.check(phi, varphi)
+        terms.append(DHLT(phi, varphi))
+    return DHHFLE(terms)
 
 
 def outcome(parse, text):
@@ -140,7 +150,7 @@ class TestFastPath:
     the same terms, or the same error."""
 
     def test_canonical_text_skips_the_scanner(self, monkeypatch):
-        def scanner_called(text, scale):
+        def scanner_called(text):
             raise AssertionError(f"scanner ran on {text!r}")
 
         monkeypatch.setattr(syntax, "_scan_dhhfle", scanner_called)
@@ -155,7 +165,27 @@ class TestFastPath:
     @given(mutated_elements())
     @settings(max_examples=500, deadline=None)
     def test_fast_path_agrees_with_scanner(self, text):
-        assert outcome(parse_dhhfle, text) == outcome(syntax._scan_dhhfle, text)
+        assert outcome(parse_dhhfle, text) == outcome(scan, text)
+
+
+class TestErrorPrecedence:
+    """Terms are read and range-checked in order: an off-scale term raises
+    before a later syntax error, and a syntax error before a later
+    off-scale term, with the same message in a case's located problems."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("{ s_9<o_0> , x }", ScaleRangeError, "first-hierarchy subscript 9.0 outside [-3, 3]"),
+        ("{ s_1<o_0> , x }", TermSyntaxError, "expected 's_', found 'x ' at line 1, column 14"),
+        ("{ x , s_9<o_0> }", TermSyntaxError, "expected 's_', found 'x ' at line 1, column 3"),
+    ], ids=["scale-then-syntax", "syntax-after-a-good-term", "syntax-then-scale"])
+    def test_first_failure_in_reading_order(self, text, error, message):
+        with pytest.raises(ValueError) as err:
+            parse_dhhfle(text, S33)
+        assert (type(err.value), str(err.value)) == (error, message)
+        doc = {"scale": {"tau": 3, "sigma_scale": 3}, "alternatives": ["x1"],
+               "attributes": [{"id": "a1", "weight": 1.0}],
+               "experts": [{"id": "E1", "weight": 1.0, "table": [[text]]}]}
+        assert validate_case_dict(doc) == (None, [f"experts[0].table[0][0]: {message}"])
 
 
 class TestCodeBookMeans:
@@ -226,7 +256,7 @@ class TestArrayBook:
         book, want, coded = CodeBook(S33), [], {}
 
         def alone(text):
-            return [(t.phi, t.varphi) for t in syntax._scan_dhhfle(text, S33)]
+            return list(syntax._scan_dhhfle(text))
 
         for kind, arg in steps:
             if kind == "bulk":
